@@ -45,10 +45,9 @@ use rayflex_core::{
 use rayflex_geometry::golden::distance::EUCLIDEAN_LANES;
 use rayflex_geometry::{Aabb, Ray, Sphere, Triangle, Vec3};
 use rayflex_rtunit::{
-    default_light_dir, shade, Blas, Bvh4, Bvh4Node, Camera, CoherenceMode, CollectStream,
-    DistanceStream, ExecPolicy, FrameDesc, FusedScheduler, Image, Instance, KnnEngine, KnnMetric,
-    PoolStats, RenderPasses, Renderer, Scene, TraceRequest, TraversalEngine, TraversalHit,
-    TraversalStream,
+    default_light_dir, shade, Blas, Bvh4, Camera, CoherenceMode, CollectStream, DistanceStream,
+    ExecPolicy, FrameDesc, FusedScheduler, Image, Instance, KnnEngine, KnnMetric, PoolStats,
+    RenderPasses, Renderer, Scene, TraceRequest, TraversalEngine, TraversalHit, TraversalStream,
 };
 use rayflex_workloads::{mixed, rays, scenes, vectors};
 
@@ -1548,31 +1547,26 @@ fn scalar_collect_walk(
     );
     let mut found = Vec::new();
     let mut stack = vec![bvh.root()];
-    while let Some(node) = stack.pop() {
-        match bvh.node(node) {
-            Bvh4Node::Leaf { .. } => found.extend(bvh.leaf_primitives(node)),
-            Bvh4Node::Internal {
-                children,
-                child_bounds,
-            } => {
-                let boxes = core::array::from_fn(|i| {
-                    if child_bounds[i].is_empty() {
-                        Aabb::new(Vec3::splat(f32::MAX), Vec3::splat(f32::MAX))
-                    } else {
-                        child_bounds[i].inflated(radius)
-                    }
-                });
-                let result = datapath
-                    .execute(&RayFlexRequest::ray_box(0, &ray, &boxes))
-                    .box_result
-                    .expect("box beat");
-                for (slot, child) in children.iter().enumerate() {
-                    if result.hit[slot] {
-                        if let Some(child) = child {
-                            stack.push(*child);
-                        }
-                    }
-                }
+    while let Some(child) = stack.pop() {
+        let Some(index) = child.node_index() else {
+            found.extend(bvh.leaf_primitives(child).iter().map(|&id| id as usize));
+            continue;
+        };
+        let node = bvh.node(index);
+        let boxes = core::array::from_fn(|i| {
+            if node.child_bounds[i].is_empty() {
+                Aabb::new(Vec3::splat(f32::MAX), Vec3::splat(f32::MAX))
+            } else {
+                node.child_bounds[i].inflated(radius)
+            }
+        });
+        let result = datapath
+            .execute(&RayFlexRequest::ray_box(0, &ray, &boxes))
+            .box_result
+            .expect("box beat");
+        for (slot, &child) in node.children.iter().enumerate() {
+            if result.hit[slot] && !child.is_empty() {
+                stack.push(child);
             }
         }
     }

@@ -1,5 +1,8 @@
 //! A four-wide bounding volume hierarchy matching the datapath's four-boxes-per-beat interface.
 
+use core::fmt;
+use core::ops::Range;
+
 use rayflex_geometry::{Aabb, Sphere, Triangle, Vec3};
 
 /// Anything that can be bounded by an axis-aligned box and therefore placed in a BVH.
@@ -26,34 +29,139 @@ impl Primitive for Aabb {
     }
 }
 
-/// One node of the four-wide BVH.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Bvh4Node {
-    /// An internal node with up to four children; absent slots are `None`.  The child bounds are
-    /// stored here so a single ray–box beat can test all four slots.
-    Internal {
-        /// Indices of the child nodes, aligned with `child_bounds`.
-        children: [Option<usize>; 4],
-        /// Bounds of each child slot.  Absent slots hold the point box at `f32::MAX`, which no
-        /// finite-extent ray can hit, so the table is beat-ready as stored — traversal loops
-        /// hand it straight to [`rayflex_core::RayFlexRequest`] without per-visit padding.
-        child_bounds: [Aabb; 4],
-    },
-    /// A leaf node referencing a contiguous run of primitive indices.
-    Leaf {
-        /// Start offset into [`Bvh4::primitive_indices`].
-        first: usize,
-        /// Number of primitives in the leaf.
-        count: usize,
-    },
+/// A 32-bit reference to one child of a [`Bvh4Node`] slot (or to the root of a [`Bvh4`]):
+/// either the index of an internal node, or an inline leaf `(first, count)` over the tree's
+/// leaf-order primitive table ([`Bvh4::primitive_ids`]).
+///
+/// Bit 31 clear: internal node `bits`.  Bit 31 set: a leaf, with `count` in bits 27..31 and
+/// `first` in bits 0..27.  A leaf therefore costs no node of its own: traversal reads its range
+/// straight out of the reference it popped.  [`ChildRef::EMPTY`] — the zero-primitive leaf at
+/// offset 0 — marks an absent slot, and is the root of a tree over no primitives.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ChildRef(u32);
+
+impl ChildRef {
+    const LEAF_BIT: u32 = 1 << 31;
+    const COUNT_SHIFT: u32 = 27;
+    const FIRST_MASK: u32 = (1 << Self::COUNT_SHIFT) - 1;
+
+    /// An absent child slot (and the root of an empty tree).
+    pub const EMPTY: ChildRef = ChildRef(Self::LEAF_BIT);
+    /// The most primitives one inline leaf can hold.
+    pub const MAX_LEAF_SIZE: usize = 15;
+    /// The most primitives one tree can index (the width of a leaf's `first` field).
+    pub const MAX_PRIMITIVES: usize = 1 << Self::COUNT_SHIFT;
+
+    /// A reference to internal node `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit in 31 bits.
+    #[must_use]
+    pub(crate) fn node(index: usize) -> Self {
+        assert!(
+            index < Self::LEAF_BIT as usize,
+            "node index {index} overflows a child reference"
+        );
+        ChildRef(index as u32)
+    }
+
+    /// An inline leaf over leaf positions `first..first + count`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` exceeds [`ChildRef::MAX_LEAF_SIZE`] or `first` does not fit in 27 bits.
+    #[must_use]
+    pub(crate) fn leaf(first: usize, count: usize) -> Self {
+        assert!(
+            count <= Self::MAX_LEAF_SIZE,
+            "leaf of {count} primitives overflows its slot"
+        );
+        assert!(
+            first < Self::MAX_PRIMITIVES,
+            "leaf offset {first} overflows its slot"
+        );
+        ChildRef(Self::LEAF_BIT | (count as u32) << Self::COUNT_SHIFT | first as u32)
+    }
+
+    /// Reinterprets raw bits (as stored in a traversal handle).
+    #[must_use]
+    pub(crate) fn from_bits(bits: u32) -> Self {
+        ChildRef(bits)
+    }
+
+    /// The raw 32-bit encoding.
+    #[must_use]
+    pub(crate) fn bits(self) -> u32 {
+        self.0
+    }
+
+    /// `true` for [`ChildRef::EMPTY`].
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self == Self::EMPTY
+    }
+
+    /// The internal node index, or `None` for a leaf.
+    #[must_use]
+    pub fn node_index(self) -> Option<usize> {
+        (self.0 & Self::LEAF_BIT == 0).then_some(self.0 as usize)
+    }
+
+    /// The leaf's positions in the leaf-order primitive table, or `None` for an internal node.
+    #[must_use]
+    pub fn leaf_range(self) -> Option<Range<u32>> {
+        (self.0 & Self::LEAF_BIT != 0).then(|| {
+            let first = self.0 & Self::FIRST_MASK;
+            first..first + ((self.0 & !Self::LEAF_BIT) >> Self::COUNT_SHIFT)
+        })
+    }
+}
+
+impl fmt::Debug for ChildRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.leaf_range() {
+            Some(range) => write!(f, "Leaf({range:?})"),
+            None => write!(f, "Node({})", self.0),
+        }
+    }
+}
+
+/// One internal node of the four-wide BVH: the four child boxes a single ray–box beat tests,
+/// and the four child references.  112 bytes of payload in one 64-byte-aligned, 128-byte slot —
+/// two cache lines, never straddling a third.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, align(64))]
+pub struct Bvh4Node {
+    /// Bounds of each child slot.  Absent slots hold the point box at `f32::MAX`, which no
+    /// finite-extent ray can hit, so the table is beat-ready as stored — traversal loops hand it
+    /// straight to [`rayflex_core::RayFlexRequest`] without per-visit padding.
+    pub child_bounds: [Aabb; 4],
+    /// The child in each slot, aligned with `child_bounds`; absent slots hold
+    /// [`ChildRef::EMPTY`].
+    pub children: [ChildRef; 4],
+}
+
+impl Bvh4Node {
+    /// A node with four absent slots.
+    const ABSENT: Bvh4Node = Bvh4Node {
+        child_bounds: [Aabb::new(Vec3::splat(f32::MAX), Vec3::splat(f32::MAX)); 4],
+        children: [ChildRef::EMPTY; 4],
+    };
 }
 
 /// A four-wide bounding volume hierarchy (paper Fig. 1, with the RDNA-style four-children node
 /// format of §III-A).
+///
+/// Only internal nodes are stored ([`Bvh4Node`], pre-order, so an internal root is node 0);
+/// leaves live inline in their parent's child slot as a [`ChildRef`] range over
+/// [`Bvh4::primitive_ids`], the caller's primitive ids in leaf order.  A leaf's primitives are
+/// therefore contiguous in that order, which is the order [`crate::Scene`] stores triangles in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bvh4 {
     nodes: Vec<Bvh4Node>,
-    primitive_indices: Vec<usize>,
+    root: ChildRef,
+    primitive_ids: Vec<u32>,
     bounds: Aabb,
     max_leaf_size: usize,
 }
@@ -63,88 +171,103 @@ impl Bvh4 {
     pub const DEFAULT_LEAF_SIZE: usize = 4;
 
     /// Builds a BVH over a slice of primitives with the default leaf size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`ChildRef::MAX_PRIMITIVES`] primitives.
     #[must_use]
     pub fn build<P: Primitive>(primitives: &[P]) -> Self {
         Self::build_with_leaf_size(primitives, Self::DEFAULT_LEAF_SIZE)
     }
 
-    /// Builds a BVH with an explicit maximum leaf size (≥ 1).
+    /// Builds a BVH with an explicit maximum leaf size (1 to [`ChildRef::MAX_LEAF_SIZE`]).
     ///
     /// # Panics
     ///
-    /// Panics if `max_leaf_size` is zero.
+    /// Panics if `max_leaf_size` is zero or above [`ChildRef::MAX_LEAF_SIZE`], or if there are
+    /// more than [`ChildRef::MAX_PRIMITIVES`] primitives.
     #[must_use]
     pub fn build_with_leaf_size<P: Primitive>(primitives: &[P], max_leaf_size: usize) -> Self {
         assert!(
             max_leaf_size >= 1,
             "leaf size must be at least one primitive"
         );
+        assert!(
+            max_leaf_size <= ChildRef::MAX_LEAF_SIZE,
+            "leaf size must fit an inline leaf ({} primitives)",
+            ChildRef::MAX_LEAF_SIZE
+        );
+        assert!(
+            primitives.len() <= ChildRef::MAX_PRIMITIVES,
+            "{} primitives overflow the leaf offset field",
+            primitives.len()
+        );
         let bounds: Vec<Aabb> = primitives.iter().map(Primitive::bounds).collect();
         let centroids: Vec<_> = bounds.iter().map(Aabb::centroid).collect();
         let scene_bounds = bounds.iter().fold(Aabb::empty(), |acc, b| acc.union(b));
-        let mut indices: Vec<usize> = (0..primitives.len()).collect();
+        let mut ids: Vec<u32> = (0..primitives.len() as u32).collect();
         let mut builder = Builder {
             bounds: &bounds,
             centroids: &centroids,
             nodes: Vec::new(),
             max_leaf_size,
         };
-        if indices.is_empty() {
-            builder.nodes.push(Bvh4Node::Leaf { first: 0, count: 0 });
-        } else {
-            builder.build_node(&mut indices, 0);
-        }
+        let root = builder.build_node(&mut ids, 0);
+        let mut nodes = builder.nodes;
+        nodes.shrink_to_fit();
         Bvh4 {
-            nodes: builder.nodes,
-            primitive_indices: indices,
+            nodes,
+            root,
+            primitive_ids: ids,
             bounds: scene_bounds,
             max_leaf_size,
         }
     }
 
-    /// The root node index (always 0).
+    /// The root: internal node 0, or — for trees of at most one leaf — the leaf itself.
     #[must_use]
-    pub fn root(&self) -> usize {
-        0
+    pub fn root(&self) -> ChildRef {
+        self.root
     }
 
-    /// The node table.
+    /// The internal-node table.
     #[must_use]
     pub fn nodes(&self) -> &[Bvh4Node] {
         &self.nodes
     }
 
-    /// One node by index.
+    /// One internal node by index.
     #[must_use]
     pub fn node(&self, index: usize) -> &Bvh4Node {
         &self.nodes[index]
     }
 
-    /// The (permuted) primitive index array leaves point into.
+    /// The caller's primitive ids in leaf order: leaf position `k` holds primitive
+    /// `primitive_ids()[k]`.
     #[must_use]
-    pub fn primitive_indices(&self) -> &[usize] {
-        &self.primitive_indices
+    pub fn primitive_ids(&self) -> &[u32] {
+        &self.primitive_ids
     }
 
-    /// Mutable access to the node table — for the fault-injection harness
-    /// ([`crate::fault`]) only, which deliberately corrupts topology to exercise the
-    /// [`SceneValidator`](crate::SceneValidator).  Not public: a `Bvh4` built by
-    /// [`Bvh4::build`] is otherwise always well-formed.
-    pub(crate) fn nodes_mut(&mut self) -> &mut Vec<Bvh4Node> {
-        &mut self.nodes
-    }
-
-    /// The primitive indices of a leaf node.
+    /// The primitive ids of a leaf reference, in leaf order.
     ///
     /// # Panics
     ///
-    /// Panics if `index` refers to an internal node.
+    /// Panics if `leaf` refers to an internal node or reaches past the id table.
     #[must_use]
-    pub fn leaf_primitives(&self, index: usize) -> &[usize] {
-        match &self.nodes[index] {
-            Bvh4Node::Leaf { first, count } => &self.primitive_indices[*first..*first + *count],
-            Bvh4Node::Internal { .. } => panic!("node {index} is not a leaf"),
-        }
+    pub fn leaf_primitives(&self, leaf: ChildRef) -> &[u32] {
+        let Some(range) = leaf.leaf_range() else {
+            panic!("{leaf:?} is not a leaf");
+        };
+        &self.primitive_ids[range.start as usize..range.end as usize]
+    }
+
+    /// Mutable access to the node table and the root — for the fault-injection harness
+    /// ([`crate::fault`]) only, which deliberately corrupts topology to exercise the
+    /// [`SceneValidator`](crate::SceneValidator).  Not public: a `Bvh4` built by
+    /// [`Bvh4::build`] is otherwise always well-formed.
+    pub(crate) fn topology_mut(&mut self) -> (&mut [Bvh4Node], &mut ChildRef) {
+        (&mut self.nodes, &mut self.root)
     }
 
     /// The bounds of the whole scene.
@@ -153,10 +276,16 @@ impl Bvh4 {
         self.bounds
     }
 
-    /// Number of nodes in the hierarchy.
+    /// Number of nodes in the hierarchy, leaves included (1 for a single leaf): the root plus
+    /// every occupied child slot.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        1 + self
+            .nodes
+            .iter()
+            .flat_map(|node| node.children)
+            .filter(|child| !child.is_empty())
+            .count()
     }
 
     /// The maximum leaf size the tree was built with.
@@ -168,7 +297,7 @@ impl Bvh4 {
     /// Maximum depth of the tree (1 for a single leaf).
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.depth_of(self.root())
+        self.depth_of(self.root)
     }
 
     /// Refits every node's child bounds to new per-primitive bounds **without changing the
@@ -186,105 +315,86 @@ impl Bvh4 {
     /// Panics if `prim_bounds` is shorter than the primitive index space the tree was built
     /// over.
     pub fn refit_with(&mut self, prim_bounds: &[Aabb]) {
-        self.bounds = self.refit_node(self.root(), prim_bounds);
+        self.bounds = self.refit_child(self.root, prim_bounds);
     }
 
-    fn refit_node(&mut self, index: usize, prim_bounds: &[Aabb]) -> Aabb {
-        match self.nodes[index].clone() {
-            Bvh4Node::Leaf { first, count } => (first..first + count)
-                .map(|i| prim_bounds[self.primitive_indices[i]])
-                .fold(Aabb::empty(), |acc, b| acc.union(&b)),
-            Bvh4Node::Internal {
-                children,
-                mut child_bounds,
-            } => {
-                let mut total = Aabb::empty();
-                for slot in 0..4 {
-                    if let Some(child) = children[slot] {
-                        let refit = self.refit_node(child, prim_bounds);
-                        child_bounds[slot] = refit;
-                        total = total.union(&refit);
-                    }
-                }
-                self.nodes[index] = Bvh4Node::Internal {
-                    children,
-                    child_bounds,
-                };
-                total
+    fn refit_child(&mut self, child: ChildRef, prim_bounds: &[Aabb]) -> Aabb {
+        let Some(index) = child.node_index() else {
+            return self
+                .leaf_primitives(child)
+                .iter()
+                .map(|&id| prim_bounds[id as usize])
+                .fold(Aabb::empty(), |acc, b| acc.union(&b));
+        };
+        let children = self.nodes[index].children;
+        let mut total = Aabb::empty();
+        for (slot, grandchild) in children.into_iter().enumerate() {
+            if !grandchild.is_empty() {
+                let refit = self.refit_child(grandchild, prim_bounds);
+                self.nodes[index].child_bounds[slot] = refit;
+                total = total.union(&refit);
             }
         }
+        total
     }
 
-    fn depth_of(&self, index: usize) -> usize {
-        match &self.nodes[index] {
-            Bvh4Node::Leaf { .. } => 1,
-            Bvh4Node::Internal { children, .. } => {
-                1 + children
-                    .iter()
-                    .flatten()
-                    .map(|&c| self.depth_of(c))
-                    .max()
-                    .unwrap_or(0)
-            }
-        }
+    fn depth_of(&self, child: ChildRef) -> usize {
+        child.node_index().map_or(1, |index| {
+            1 + self.nodes[index]
+                .children
+                .iter()
+                .filter(|grandchild| !grandchild.is_empty())
+                .map(|&grandchild| self.depth_of(grandchild))
+                .max()
+                .unwrap_or(0)
+        })
     }
 }
 
 struct Builder<'a> {
     bounds: &'a [Aabb],
-    centroids: &'a [rayflex_geometry::Vec3],
+    centroids: &'a [Vec3],
     nodes: Vec<Bvh4Node>,
     max_leaf_size: usize,
 }
 
 impl Builder<'_> {
-    /// Builds the subtree over `indices[range]` (passed as a sub-slice starting at absolute
-    /// offset `first`), returning the created node's index.
-    fn build_node(&mut self, indices: &mut [usize], first: usize) -> usize {
-        if indices.len() <= self.max_leaf_size {
-            let node = Bvh4Node::Leaf {
-                first,
-                count: indices.len(),
-            };
-            self.nodes.push(node);
-            return self.nodes.len() - 1;
+    /// Builds the subtree over `ids` (a sub-slice starting at leaf position `first`), emitting
+    /// its internal nodes in pre-order and returning the reference its parent slot stores.
+    fn build_node(&mut self, ids: &mut [u32], first: usize) -> ChildRef {
+        if ids.len() <= self.max_leaf_size {
+            return ChildRef::leaf(first, ids.len());
         }
         // Split into four partitions: a median split along the longest centroid axis, applied
         // twice (binary split, then each half split again).
-        let quarters = self.partition_into_four(indices);
+        let quarters = self.partition_into_four(ids);
         // Reserve our slot before recursing so the root lands at index 0.
         let node_index = self.nodes.len();
-        self.nodes.push(Bvh4Node::Leaf { first: 0, count: 0 }); // placeholder
-        let mut children = [None; 4];
+        self.nodes.push(Bvh4Node::ABSENT);
         // Absent slots keep the never-hit point box at +MAX (see the field docs): padding once
         // at build time keeps the per-beat path free of slot fixups.
-        let mut child_bounds = [Aabb::new(Vec3::splat(f32::MAX), Vec3::splat(f32::MAX)); 4];
+        let mut node = Bvh4Node::ABSENT;
         let mut offset = 0usize;
         for (slot, quarter_len) in quarters.into_iter().enumerate() {
             if quarter_len == 0 {
                 continue;
             }
-            let (chunk, _) = indices[offset..].split_at_mut(quarter_len);
-            let bounds = chunk
+            let (chunk, _) = ids[offset..].split_at_mut(quarter_len);
+            node.child_bounds[slot] = chunk
                 .iter()
-                .fold(Aabb::empty(), |acc, &i| acc.union(&self.bounds[i]));
-            let child = self.build_node(chunk, first + offset);
-            children[slot] = Some(child);
-            child_bounds[slot] = bounds;
+                .fold(Aabb::empty(), |acc, &i| acc.union(&self.bounds[i as usize]));
+            node.children[slot] = self.build_node(chunk, first + offset);
             offset += quarter_len;
         }
-        self.nodes[node_index] = Bvh4Node::Internal {
-            children,
-            child_bounds,
-        };
-        node_index
+        self.nodes[node_index] = node;
+        ChildRef::node(node_index)
     }
 
-    /// Splits the index slice into four contiguous partitions by recursive median splits along
-    /// the longest centroid axis; returns the partition lengths (which sum to the slice length).
-    fn partition_into_four(&self, indices: &mut [usize]) -> [usize; 4] {
-        let mid = self.median_split(indices);
-        let (left, right) = indices.split_at_mut(mid);
+    /// Splits the id slice into four contiguous partitions by recursive median splits along the
+    /// longest centroid axis; returns the partition lengths (which sum to the slice length).
+    fn partition_into_four(&self, ids: &mut [u32]) -> [usize; 4] {
+        let mid = self.median_split(ids);
+        let (left, right) = ids.split_at_mut(mid);
         let left_mid = self.median_split(left);
         let right_mid = self.median_split(right);
         [
@@ -296,21 +406,21 @@ impl Builder<'_> {
     }
 
     /// Sorts the slice along the longest centroid axis and returns the median split point.
-    fn median_split(&self, indices: &mut [usize]) -> usize {
-        if indices.len() < 2 {
-            return indices.len();
+    fn median_split(&self, ids: &mut [u32]) -> usize {
+        if ids.len() < 2 {
+            return ids.len();
         }
-        let centroid_bounds = indices
-            .iter()
-            .fold(Aabb::empty(), |acc, &i| acc.union_point(self.centroids[i]));
+        let centroid_bounds = ids.iter().fold(Aabb::empty(), |acc, &i| {
+            acc.union_point(self.centroids[i as usize])
+        });
         let axis = centroid_bounds.longest_axis();
-        indices.sort_by(|&a, &b| {
-            self.centroids[a]
+        ids.sort_by(|&a, &b| {
+            self.centroids[a as usize]
                 .axis(axis)
-                .partial_cmp(&self.centroids[b].axis(axis))
+                .partial_cmp(&self.centroids[b as usize].axis(axis))
                 .unwrap_or(core::cmp::Ordering::Equal)
         });
-        indices.len() / 2
+        ids.len() / 2
     }
 }
 
@@ -348,9 +458,9 @@ mod tests {
         let tris = grid_triangles(250);
         let bvh = Bvh4::build(&tris);
         let mut seen = vec![false; tris.len()];
-        for &i in bvh.primitive_indices() {
-            assert!(!seen[i], "primitive {i} referenced twice");
-            seen[i] = true;
+        for &i in bvh.primitive_ids() {
+            assert!(!seen[i as usize], "primitive {i} referenced twice");
+            seen[i as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
         assert!(bvh.node_count() > 1);
@@ -361,23 +471,18 @@ mod tests {
     fn child_bounds_contain_their_subtrees() {
         let tris = grid_triangles(120);
         let bvh = Bvh4::build(&tris);
-        fn check(bvh: &Bvh4, tris: &[Triangle], node: usize, bounds: &Aabb) {
-            match bvh.node(node) {
-                Bvh4Node::Leaf { .. } => {
-                    for &p in bvh.leaf_primitives(node) {
-                        let tb = tris[p].bounds();
-                        assert!(bounds.contains(tb.min) && bounds.contains(tb.max));
-                    }
+        fn check(bvh: &Bvh4, tris: &[Triangle], child: ChildRef, bounds: &Aabb) {
+            let Some(index) = child.node_index() else {
+                for &p in bvh.leaf_primitives(child) {
+                    let tb = tris[p as usize].bounds();
+                    assert!(bounds.contains(tb.min) && bounds.contains(tb.max));
                 }
-                Bvh4Node::Internal {
-                    children,
-                    child_bounds,
-                } => {
-                    for (child, cb) in children.iter().zip(child_bounds) {
-                        if let Some(c) = child {
-                            check(bvh, tris, *c, cb);
-                        }
-                    }
+                return;
+            };
+            let node = bvh.node(index);
+            for (&grandchild, cb) in node.children.iter().zip(&node.child_bounds) {
+                if !grandchild.is_empty() {
+                    check(bvh, tris, grandchild, cb);
                 }
             }
         }
@@ -390,8 +495,12 @@ mod tests {
         for leaf_size in [1usize, 2, 4, 8] {
             let bvh = Bvh4::build_with_leaf_size(&tris, leaf_size);
             for (i, node) in bvh.nodes().iter().enumerate() {
-                if let Bvh4Node::Leaf { count, .. } = node {
-                    assert!(*count <= leaf_size, "node {i} has {count} > {leaf_size}");
+                for leaf in node.children.iter().filter_map(|child| child.leaf_range()) {
+                    let count = leaf.len();
+                    assert!(
+                        count <= leaf_size,
+                        "node {i} has a leaf of {count} > {leaf_size}"
+                    );
                 }
             }
             assert_eq!(bvh.max_leaf_size(), leaf_size);
@@ -402,7 +511,9 @@ mod tests {
     fn empty_scenes_build_an_empty_leaf() {
         let bvh = Bvh4::build::<Triangle>(&[]);
         assert_eq!(bvh.node_count(), 1);
-        assert_eq!(bvh.leaf_primitives(0).len(), 0);
+        assert!(bvh.nodes().is_empty());
+        assert_eq!(bvh.root(), ChildRef::EMPTY);
+        assert_eq!(bvh.leaf_primitives(bvh.root()).len(), 0);
         assert!(bvh.scene_bounds().is_empty());
     }
 
@@ -425,6 +536,67 @@ mod tests {
         assert!(bvh.scene_bounds().contains(Vec3::new(5.0, 5.0, 5.0)));
         let boxes = vec![Aabb::new(Vec3::ZERO, Vec3::ONE); 6];
         let bvh = Bvh4::build(&boxes);
-        assert_eq!(bvh.primitive_indices().len(), 6);
+        assert_eq!(bvh.primitive_ids().len(), 6);
+    }
+
+    #[test]
+    fn nodes_fill_two_cache_lines_exactly() {
+        assert_eq!(core::mem::size_of::<Bvh4Node>(), 128);
+        assert_eq!(core::mem::align_of::<Bvh4Node>(), 64);
+        assert_eq!(core::mem::size_of::<ChildRef>(), 4);
+    }
+
+    #[test]
+    fn child_references_round_trip_nodes_and_leaves() {
+        let node = ChildRef::node(12_345);
+        assert_eq!(node.node_index(), Some(12_345));
+        assert_eq!(node.leaf_range(), None);
+        let leaf = ChildRef::leaf(ChildRef::MAX_PRIMITIVES - 1, ChildRef::MAX_LEAF_SIZE);
+        assert_eq!(leaf.node_index(), None);
+        let first = (ChildRef::MAX_PRIMITIVES - 1) as u32;
+        assert_eq!(leaf.leaf_range(), Some(first..first + 15));
+        assert_eq!(ChildRef::from_bits(leaf.bits()), leaf);
+        assert_eq!(ChildRef::leaf(0, 0), ChildRef::EMPTY);
+        assert!(!ChildRef::leaf(0, 1).is_empty());
+        assert_eq!(
+            format!("{node:?} {:?}", ChildRef::leaf(8, 3)),
+            "Node(12345) Leaf(8..11)"
+        );
+    }
+
+    #[test]
+    fn leaves_live_in_their_parents_slots_and_only_internal_nodes_are_stored() {
+        let tris = grid_triangles(250);
+        let bvh = Bvh4::build(&tris);
+        let leaves: usize = bvh
+            .nodes()
+            .iter()
+            .flat_map(|node| node.children)
+            .filter(|child| child.leaf_range().is_some_and(|r| !r.is_empty()))
+            .count();
+        assert_eq!(bvh.node_count(), bvh.nodes().len() + leaves);
+        assert_eq!(bvh.root(), ChildRef::node(0));
+        // Leaf ranges tile the id table in pre-order: each leaf starts where the last ended.
+        let mut next = 0u32;
+        let mut stack = vec![bvh.root()];
+        while let Some(child) = stack.pop() {
+            match child.node_index() {
+                Some(index) => stack.extend(bvh.node(index).children.iter().rev()),
+                None => {
+                    let range = child.leaf_range().unwrap();
+                    if !range.is_empty() {
+                        assert_eq!(range.start, next);
+                        next = range.end;
+                    }
+                }
+            }
+        }
+        assert_eq!(next as usize, tris.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "fit an inline leaf")]
+    fn oversized_leaves_are_rejected() {
+        let _ = Bvh4::build_with_leaf_size(&grid_triangles(5), ChildRef::MAX_LEAF_SIZE + 1);
     }
 }

@@ -28,8 +28,8 @@ use std::fmt;
 use rayflex_core::{guard, BeatMix};
 use rayflex_geometry::{Aabb, Ray, Triangle};
 
-use crate::bvh::{Bvh4, Bvh4Node};
-use crate::scene::{InstancedScene, Scene, SceneView};
+use crate::bvh::{Bvh4, ChildRef};
+use crate::scene::{Blas, InstancedScene, Scene, SceneView};
 
 /// A structured failure of a `try_*` query entry point.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,9 +177,9 @@ impl<T> QueryOutcome<T> {
 ///
 /// 1. **Vertices** — every triangle vertex finite (no NaN/Inf) and no triangle degenerate
 ///    (zero area);
-/// 2. **BVH topology** — child indices in range, every non-root node referenced exactly once
-///    (no cycles, no sharing, no orphans), leaf ranges inside the primitive-index table, and
-///    the table a permutation of the primitive set;
+/// 2. **BVH topology** — every child reference in range (node indices inside the node table,
+///    inline leaf ranges inside the id table), every non-root node referenced exactly once (no
+///    cycles, no sharing, no orphans), and the id table a permutation of the primitive set;
 /// 3. **BVH bounds** — every internal node's stored child bounds contain the child subtree's
 ///    primitives, and the scene bounds contain everything (the invariant traversal pruning
 ///    relies on: a hit can never hide outside the bounds that prune it).
@@ -237,7 +237,7 @@ impl SceneValidator {
     /// `try_*` entry points call.
     pub(crate) fn validate_view(view: SceneView<'_>) -> Result<(), QueryError> {
         match view {
-            SceneView::Flat { bvh, triangles } => Self::validate(bvh, triangles),
+            SceneView::Flat(mesh) => Self::validate_mesh(mesh),
             SceneView::Instanced(scene) => Self::validate_instanced(scene),
         }
     }
@@ -250,9 +250,7 @@ impl SceneValidator {
             ));
         }
         for (index, mesh) in scene.blas.iter().enumerate() {
-            if let Err(QueryError::InvalidScene { reason }) =
-                Self::validate(mesh.bvh(), mesh.triangles())
-            {
+            if let Err(QueryError::InvalidScene { reason }) = Self::validate_mesh(mesh) {
                 return Err(invalid_scene(format!("BLAS {index}: {reason}")));
             }
         }
@@ -277,8 +275,22 @@ impl SceneValidator {
         }
         Self::validate_topology(&scene.tlas, scene.instances.len(), "instance")?;
         let world = InstancedScene::instance_bounds(&scene.blas, &scene.instances);
-        let content = subtree_bounds(&scene.tlas, &|instance| world[instance]);
-        Self::validate_containment(&scene.tlas, &content)
+        let ids = scene.tlas.primitive_ids();
+        Self::validate_containment(&scene.tlas, &|position| world[ids[position] as usize])
+    }
+
+    /// [`SceneValidator::validate`]'s checks over a mesh stored in leaf order: the topology
+    /// first (it proves the id map a permutation, which the by-id triangle lookups rely on),
+    /// then every triangle in caller id order, then the bounds.
+    fn validate_mesh(mesh: &Blas) -> Result<(), QueryError> {
+        Self::validate_topology(mesh.bvh(), mesh.triangle_count(), "primitive")?;
+        for index in 0..mesh.triangle_count() {
+            validate_triangle(index, &mesh.triangle(index))?;
+        }
+        let leaf_triangles = mesh.leaf_triangles();
+        Self::validate_containment(mesh.bvh(), &|position| {
+            triangle_bounds(&leaf_triangles[position])
+        })
     }
 
     /// Checks every triangle for NaN/Inf vertices and zero area.
@@ -288,98 +300,105 @@ impl SceneValidator {
     /// [`QueryError::InvalidScene`] naming the first offending triangle.
     pub fn validate_triangles(triangles: &[Triangle]) -> Result<(), QueryError> {
         for (index, triangle) in triangles.iter().enumerate() {
-            if !guard::finite_triangle(triangle) {
-                return Err(invalid_scene(format!(
-                    "triangle {index} has a non-finite vertex"
-                )));
-            }
-            if guard::degenerate_triangle(triangle) {
-                return Err(invalid_scene(format!(
-                    "triangle {index} is degenerate (zero area)"
-                )));
-            }
+            validate_triangle(index, triangle)?;
         }
         Ok(())
     }
 
-    /// Checks the BVH's child-index topology and bounds containment against the primitive set.
+    /// Checks the BVH's child-reference topology and bounds containment against the primitive
+    /// set (`triangles` in the caller's id order).
     ///
     /// # Errors
     ///
-    /// [`QueryError::InvalidScene`] naming the first inconsistent node.
+    /// [`QueryError::InvalidScene`] naming the first inconsistent node and slot.
     pub fn validate_bvh(bvh: &Bvh4, triangles: &[Triangle]) -> Result<(), QueryError> {
         Self::validate_topology(bvh, triangles.len(), "primitive")?;
-        let content = subtree_bounds(bvh, &|primitive| {
-            let triangle = &triangles[primitive];
-            Aabb::empty()
-                .union_point(triangle.v0)
-                .union_point(triangle.v1)
-                .union_point(triangle.v2)
-        });
-        Self::validate_containment(bvh, &content)
+        let ids = bvh.primitive_ids();
+        Self::validate_containment(bvh, &|position| {
+            triangle_bounds(&triangles[ids[position] as usize])
+        })
     }
 
-    /// The structural half of the BVH checks, shared by the flat scene check (over triangles)
-    /// and the TLAS check (over instances): child indices in range, every non-root node
-    /// referenced exactly once, leaf ranges inside the index table, and the table a permutation
-    /// of `0..primitive_count` (`entity` names what a "primitive" is in error messages).
+    /// The structural half of the BVH checks, shared by the mesh checks (over triangles) and
+    /// the TLAS check (over instances): every child reference in range, every non-root node
+    /// referenced exactly once, and the id table a permutation of `0..primitive_count`
+    /// (`entity` names what a "primitive" is in error messages).
     fn validate_topology(
         bvh: &Bvh4,
         primitive_count: usize,
         entity: &str,
     ) -> Result<(), QueryError> {
         let nodes = bvh.nodes();
-        if nodes.is_empty() {
-            return Err(invalid_scene("BVH has no nodes".to_string()));
-        }
-
-        // Topology: every child index in range, every non-root node referenced exactly once.
-        let mut referenced = vec![0usize; nodes.len()];
-        for (index, node) in nodes.iter().enumerate() {
-            if let Bvh4Node::Internal { children, .. } = node {
-                for child in children.iter().flatten() {
-                    if *child >= nodes.len() {
-                        return Err(invalid_scene(format!(
-                            "node {index} references child {child} outside the {}-node table",
-                            nodes.len()
-                        )));
-                    }
-                    referenced[*child] += 1;
-                }
-            }
-        }
-        if referenced[bvh.root()] != 0 {
-            return Err(invalid_scene(
-                "the root node is referenced as a child".into(),
-            ));
-        }
-        for (index, &count) in referenced.iter().enumerate() {
-            if index != bvh.root() && count != 1 {
-                return Err(invalid_scene(format!(
-                    "node {index} is referenced {count} times (expected exactly once)"
-                )));
-            }
-        }
-
-        // Leaves: ranges inside the index table, the table a permutation of the primitives.
+        let ids = bvh.primitive_ids();
+        let root = bvh.root();
         let mut seen = vec![0usize; primitive_count];
-        for (index, node) in nodes.iter().enumerate() {
-            if let Bvh4Node::Leaf { first, count } = node {
-                if first + count > bvh.primitive_indices().len() {
+        // One reference — held by the root (`at` = `None`) or by a node slot — must be a node
+        // index inside the table, or a leaf range inside the id table whose ids name primitives
+        // of the scene.
+        let place = |at: Option<(usize, usize)>| {
+            at.map_or_else(
+                || "the root".to_string(),
+                |(index, slot)| format!("node {index} slot {slot}"),
+            )
+        };
+        let mut visit = |child: ChildRef, at| -> Result<Option<usize>, QueryError> {
+            let Some(range) = child.leaf_range() else {
+                let index = child.bits() as usize;
+                if index >= nodes.len() {
                     return Err(invalid_scene(format!(
-                        "leaf {index} spans [{first}, {}) outside the index table",
-                        first + count
+                        "{} references node {index} outside the {}-node table",
+                        place(at),
+                        nodes.len()
                     )));
                 }
-                for &primitive in bvh.leaf_primitives(index) {
-                    if primitive >= primitive_count {
-                        return Err(invalid_scene(format!(
-                            "leaf {index} references {entity} {primitive} outside the scene"
-                        )));
-                    }
-                    seen[primitive] += 1;
+                return Ok(Some(index));
+            };
+            let Some(leaf) = ids.get(range.start as usize..range.end as usize) else {
+                return Err(invalid_scene(format!(
+                    "{} holds leaf [{}, {}) outside the {}-entry id table",
+                    place(at),
+                    range.start,
+                    range.end,
+                    ids.len()
+                )));
+            };
+            for &id in leaf {
+                let Some(count) = seen.get_mut(id as usize) else {
+                    return Err(invalid_scene(format!(
+                        "{} references {entity} {id} outside the scene",
+                        place(at)
+                    )));
+                };
+                *count += 1;
+            }
+            Ok(None)
+        };
+
+        let root_node = visit(root, None)?;
+        let mut referenced = vec![0usize; nodes.len()];
+        for (index, node) in nodes.iter().enumerate() {
+            for (slot, &child) in node.children.iter().enumerate() {
+                let Some(target) = visit(child, Some((index, slot)))? else {
+                    continue;
+                };
+                if Some(target) == root_node {
+                    return Err(invalid_scene(format!(
+                        "node {index} slot {slot} references the root node"
+                    )));
+                }
+                referenced[target] += 1;
+                if referenced[target] > 1 {
+                    return Err(invalid_scene(format!(
+                        "node {index} slot {slot} references node {target}, which another \
+                         slot already references"
+                    )));
                 }
             }
+        }
+        if let Some(orphan) =
+            (0..nodes.len()).find(|&index| Some(index) != root_node && referenced[index] == 0)
+        {
+            return Err(invalid_scene(format!("node {orphan} is never referenced")));
         }
         for (primitive, &count) in seen.iter().enumerate() {
             if count != 1 {
@@ -392,28 +411,58 @@ impl SceneValidator {
     }
 
     /// The bounds half of the BVH checks: each stored child bound contains its child subtree's
-    /// content, and the scene bounds contain the root's.  `content` comes from
-    /// [`subtree_bounds`]; call only after [`SceneValidator::validate_topology`] passed (the
-    /// topology checks guarantee the reachable structure is a tree).
-    fn validate_containment(bvh: &Bvh4, content: &[Aabb]) -> Result<(), QueryError> {
-        for (index, node) in bvh.nodes().iter().enumerate() {
-            if let Bvh4Node::Internal {
-                children,
-                child_bounds,
-            } = node
-            {
-                for (slot, child) in children.iter().enumerate() {
-                    let Some(child) = child else { continue };
-                    if !guard::aabb_contains_aabb(&child_bounds[slot], &content[*child]) {
-                        return Err(invalid_scene(format!(
-                            "node {index} slot {slot}: stored child bounds do not contain \
-                             child {child}'s subtree"
-                        )));
-                    }
+    /// content, and the scene bounds contain the root's.  `position_bounds` supplies one leaf
+    /// position's primitive bounds (a triangle's vertices for a mesh BVH, an instance's world
+    /// box for a TLAS).  Subtree content is reduced with an explicit post-order stack.  Call
+    /// only after [`SceneValidator::validate_topology`] passed: the topology checks guarantee
+    /// the reachable structure is a tree over in-range positions.
+    fn validate_containment(
+        bvh: &Bvh4,
+        position_bounds: &dyn Fn(usize) -> Aabb,
+    ) -> Result<(), QueryError> {
+        let nodes = bvh.nodes();
+        let mut content = vec![Aabb::empty(); nodes.len()];
+        // A child's content: a reduced node's, or the union of its leaf's primitive bounds.
+        let child_content = |content: &[Aabb], child: ChildRef| match child.leaf_range() {
+            Some(leaf) => leaf.fold(Aabb::empty(), |acc, position| {
+                acc.union(&position_bounds(position as usize))
+            }),
+            None => content[child.bits() as usize],
+        };
+        // Post-order: push (node, false) to expand, (node, true) to reduce.
+        let mut stack: Vec<(usize, bool)> = bvh
+            .root()
+            .node_index()
+            .map(|r| (r, false))
+            .into_iter()
+            .collect();
+        while let Some((index, reduce)) = stack.pop() {
+            let node = &nodes[index];
+            if !reduce {
+                stack.push((index, true));
+                stack.extend(
+                    node.children
+                        .iter()
+                        .filter_map(|c| c.node_index())
+                        .map(|c| (c, false)),
+                );
+                continue;
+            }
+            for (slot, &child) in node.children.iter().enumerate() {
+                if child.is_empty() {
+                    continue;
                 }
+                let bounds = child_content(&content, child);
+                if !guard::aabb_contains_aabb(&node.child_bounds[slot], &bounds) {
+                    return Err(invalid_scene(format!(
+                        "node {index} slot {slot}: stored child bounds do not contain \
+                         {child:?}'s subtree"
+                    )));
+                }
+                content[index] = content[index].union(&bounds);
             }
         }
-        if !guard::aabb_contains_aabb(&bvh.scene_bounds(), &content[bvh.root()]) {
+        if !guard::aabb_contains_aabb(&bvh.scene_bounds(), &child_content(&content, bvh.root())) {
             return Err(invalid_scene(
                 "scene bounds do not contain the root subtree".into(),
             ));
@@ -422,41 +471,27 @@ impl SceneValidator {
     }
 }
 
-/// Content bounds of every node's subtree (the union of its primitives' bounds, where
-/// `primitive_bounds` supplies one primitive's bounds — a triangle's vertices for a mesh BVH,
-/// an instance's world box for a TLAS), computed with an explicit post-order stack.  Call only
-/// after the topology checks passed.
-fn subtree_bounds(bvh: &Bvh4, primitive_bounds: &dyn Fn(usize) -> Aabb) -> Vec<Aabb> {
-    let nodes = bvh.nodes();
-    let mut content = vec![Aabb::empty(); nodes.len()];
-    // Post-order: push (node, false) to expand, (node, true) to reduce.
-    let mut stack = vec![(bvh.root(), false)];
-    while let Some((index, expanded)) = stack.pop() {
-        match &nodes[index] {
-            Bvh4Node::Leaf { .. } => {
-                let mut bounds = Aabb::empty();
-                for &primitive in bvh.leaf_primitives(index) {
-                    bounds = bounds.union(&primitive_bounds(primitive));
-                }
-                content[index] = bounds;
-            }
-            Bvh4Node::Internal { children, .. } => {
-                if expanded {
-                    let mut bounds = Aabb::empty();
-                    for child in children.iter().flatten() {
-                        bounds = bounds.union(&content[*child]);
-                    }
-                    content[index] = bounds;
-                } else {
-                    stack.push((index, true));
-                    for child in children.iter().flatten() {
-                        stack.push((*child, false));
-                    }
-                }
-            }
-        }
+/// Checks one triangle for NaN/Inf vertices and zero area, naming it by `index`.
+fn validate_triangle(index: usize, triangle: &Triangle) -> Result<(), QueryError> {
+    if !guard::finite_triangle(triangle) {
+        return Err(invalid_scene(format!(
+            "triangle {index} has a non-finite vertex"
+        )));
     }
-    content
+    if guard::degenerate_triangle(triangle) {
+        return Err(invalid_scene(format!(
+            "triangle {index} is degenerate (zero area)"
+        )));
+    }
+    Ok(())
+}
+
+/// The bounds of a triangle's three vertices.
+fn triangle_bounds(triangle: &Triangle) -> Aabb {
+    Aabb::empty()
+        .union_point(triangle.v0)
+        .union_point(triangle.v1)
+        .union_point(triangle.v2)
 }
 
 fn invalid_scene(reason: String) -> QueryError {
@@ -541,6 +576,42 @@ mod tests {
         let bvh = Bvh4::build(&other);
         // The BVH indexes one primitive; the scene claims two.
         assert!(SceneValidator::validate_bvh(&bvh, &triangles).is_err());
+    }
+
+    #[test]
+    fn malformed_parts_build_a_scene_the_validator_rejects_by_node_and_slot() {
+        let triangles: Vec<Triangle> = (0..40)
+            .map(|i| {
+                let x = (i % 8) as f32 * 2.0;
+                let y = (i / 8) as f32 * 2.0;
+                Triangle::new(
+                    Vec3::new(x, y, 5.0),
+                    Vec3::new(x + 1.0, y, 5.0),
+                    Vec3::new(x, y + 1.0, 5.0),
+                )
+            })
+            .collect();
+        // A short triangle list: leaves name ids past it.  Construction must not panic.
+        let short = Scene::from_parts(Bvh4::build(&triangles), triangles[..25].to_vec());
+        let err = SceneValidator::validate_scene(&short).unwrap_err();
+        assert!(
+            err.to_string().contains(" slot ") && err.to_string().contains("outside the scene"),
+            "{err}"
+        );
+        // A long one: some triangles are in no leaf.
+        let long = Scene::from_parts(Bvh4::build(&triangles[..25]), triangles.clone());
+        let err = SceneValidator::validate_scene(&long).unwrap_err();
+        assert!(err.to_string().contains("appears 0 times"), "{err}");
+        // Flipped child references, every corruption kind, are named by node and slot.
+        for seed in 0..32u64 {
+            let mut bvh = Bvh4::build(&triangles);
+            let plan = crate::fault::FaultPlan::new(crate::fault::FaultKind::FlipBvhChild, seed);
+            assert!(plan.apply_to_bvh(&mut bvh));
+            let scene = Scene::from_parts(bvh, triangles.clone());
+            let err = SceneValidator::validate_scene(&scene).unwrap_err();
+            assert!(matches!(err, QueryError::InvalidScene { .. }));
+            assert!(err.to_string().contains(" slot "), "seed {seed}: {err}");
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 
 use rayflex_geometry::{Ray, Vec3};
 
-use crate::bvh::{Bvh4, Bvh4Node};
+use crate::bvh::{Bvh4, ChildRef};
 
 /// One injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,8 +53,9 @@ pub enum FaultKind {
     /// Drop a seed-chosen suffix of the ray stream, modelling a short packet arriving from a
     /// truncated DMA transfer.
     TruncatePacket,
-    /// Break the BVH topology: point an internal node's child slot at an out-of-range or
-    /// already-referenced node (or blow a leaf's primitive range on single-node trees).
+    /// Break the BVH topology: rewrite an internal node's child reference to an out-of-range
+    /// node, the root, or a leaf past the id table (or blow the root leaf's range on
+    /// single-leaf trees).
     FlipBvhChild,
     /// Break one instance of a two-level scene: a non-finite transform, a singular (zero
     /// determinant) transform, or a dangling BLAS index — chosen by the seed.
@@ -163,42 +164,30 @@ impl FaultPlan {
     /// must reject it.  Returns `false` only for trees it cannot break (none exist: even a
     /// single-leaf tree gets its primitive range blown).
     ///
-    /// Internal trees get a seed-chosen occupied child slot of a seed-chosen internal node
-    /// redirected — either out of range or back to the root (a cycle / double reference).
-    /// Single-node trees get their leaf count extended past the primitive index array.
+    /// Trees with internal nodes get a seed-chosen occupied child slot of a seed-chosen
+    /// internal node rewritten — to a node index past the table, back to the root (a cycle and
+    /// a second reference to a node that must have none), or to an inline leaf reaching past
+    /// the id table.  Single-leaf trees get their root leaf's range pushed past the id table.
     pub fn apply_to_bvh(&self, bvh: &mut Bvh4) -> bool {
         let mut state = self.seed;
-        let node_count = bvh.node_count();
-        let primitives = bvh.primitive_indices().len();
-        let internal: Vec<usize> = bvh
-            .nodes()
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| matches!(n, Bvh4Node::Internal { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        let nodes = bvh.nodes_mut();
-        if internal.is_empty() {
-            // A single-leaf tree has no child pointers to flip; blow the leaf range instead.
-            let Some(Bvh4Node::Leaf { first, count }) = nodes.first_mut() else {
-                return false;
-            };
-            *first = 0;
-            *count = primitives + 1;
+        let primitives = bvh.primitive_ids().len();
+        let (nodes, root) = bvh.topology_mut();
+        if nodes.is_empty() {
+            // A single-leaf tree has no child slots to flip; blow the leaf range instead.
+            *root = ChildRef::leaf(1, primitives.min(ChildRef::MAX_LEAF_SIZE));
             return true;
         }
-        let target = internal[(splitmix(&mut state) as usize) % internal.len()];
-        let Bvh4Node::Internal { children, .. } = &mut nodes[target] else {
-            return false;
-        };
-        let occupied: Vec<usize> = (0..4).filter(|&s| children[s].is_some()).collect();
+        let node_count = nodes.len();
+        let node = &mut nodes[(splitmix(&mut state) as usize) % node_count];
+        let occupied: Vec<usize> = (0..4).filter(|&s| !node.children[s].is_empty()).collect();
         let slot = occupied[(splitmix(&mut state) as usize) % occupied.len()];
-        children[slot] = if splitmix(&mut state).is_multiple_of(2) {
+        node.children[slot] = match splitmix(&mut state) % 3 {
             // Out of range: no such node.
-            Some(node_count)
-        } else {
+            0 => ChildRef::node(node_count),
             // Back to the root: a cycle, and a second reference to a node that must have none.
-            Some(0)
+            1 => ChildRef::node(0),
+            // A leaf whose range ends past the id table.
+            _ => ChildRef::leaf(primitives, 1),
         };
         true
     }

@@ -22,10 +22,11 @@
 use rayflex_core::{Opcode, PipelineConfig, RayFlexDatapath, RayFlexRequest, RayFlexResponse};
 use rayflex_geometry::{Ray, Sphere, Vec3};
 
+use crate::bvh::ChildRef;
 use crate::error::{PartialResult, QueryError, QueryOutcome};
 use crate::policy::{ExecMode, ExecPolicy};
 use crate::query::{BatchQuery, FusedScheduler, QueryKind, StreamRunner, WavefrontScheduler};
-use crate::{Bvh4, Bvh4Node, KnnEngine, Neighbor};
+use crate::{Bvh4, KnnEngine, Neighbor};
 
 /// Statistics of one hierarchical query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,7 +76,7 @@ impl HierarchicalStats {
 pub struct CollectWork {
     ray: Option<Ray>,
     radius: f32,
-    stack: Vec<usize>,
+    stack: Vec<ChildRef>,
     found: Vec<usize>,
 }
 
@@ -140,31 +141,31 @@ impl BatchQuery for CollectQuery<'_> {
         out: &mut Vec<RayFlexRequest>,
     ) -> bool {
         let _ = item;
-        while let Some(node) = state.stack.pop() {
-            match self.bvh.node(node) {
-                Bvh4Node::Leaf { .. } => state.found.extend(self.bvh.leaf_primitives(node)),
-                Bvh4Node::Internal {
-                    children,
-                    child_bounds,
-                } => {
-                    self.box_beats += 1;
-                    let radius = state.radius;
-                    // Absent slots already hold the never-hit point box at +MAX (padded at BVH
-                    // build time); only occupied slots are inflated by the query radius.
-                    let boxes = core::array::from_fn(|i| {
-                        if children[i].is_none() {
-                            child_bounds[i]
-                        } else {
-                            child_bounds[i].inflated(radius)
-                        }
-                    });
-                    let Some(ray) = state.ray.as_ref() else {
-                        unreachable!("reset built the filter ray");
-                    };
-                    out.push(RayFlexRequest::ray_box(node as u64, ray, &boxes));
-                    return true;
+        while let Some(child) = state.stack.pop() {
+            let Some(index) = child.node_index() else {
+                let points = self.bvh.leaf_primitives(child);
+                state
+                    .found
+                    .extend(points.iter().map(|&point| point as usize));
+                continue;
+            };
+            let node = self.bvh.node(index);
+            self.box_beats += 1;
+            let radius = state.radius;
+            // Absent slots already hold the never-hit point box at +MAX (padded at BVH build
+            // time); only occupied slots are inflated by the query radius.
+            let boxes = core::array::from_fn(|i| {
+                if node.children[i].is_empty() {
+                    node.child_bounds[i]
+                } else {
+                    node.child_bounds[i].inflated(radius)
                 }
-            }
+            });
+            let Some(ray) = state.ray.as_ref() else {
+                unreachable!("reset built the filter ray");
+            };
+            out.push(RayFlexRequest::ray_box(index as u64, ray, &boxes));
+            return true;
         }
         false
     }
@@ -173,14 +174,10 @@ impl BatchQuery for CollectQuery<'_> {
         let Some(result) = response.box_result else {
             unreachable!("a collect beat always carries a box result");
         };
-        let Bvh4Node::Internal { children, .. } = self.bvh.node(response.tag as usize) else {
-            unreachable!("box beats only test internal nodes");
-        };
-        for (slot, child) in children.iter().enumerate() {
-            if result.hit[slot] {
-                if let Some(child) = child {
-                    state.stack.push(*child);
-                }
+        let children = &self.bvh.node(response.tag as usize).children;
+        for (slot, &child) in children.iter().enumerate() {
+            if result.hit[slot] && !child.is_empty() {
+                state.stack.push(child);
             }
         }
     }

@@ -77,7 +77,7 @@ mod rt_unit;
 mod scene;
 mod traversal;
 
-pub use bvh::{Bvh4, Bvh4Node, Primitive};
+pub use bvh::{Bvh4, Bvh4Node, ChildRef, Primitive};
 pub use error::{PartialResult, QueryError, QueryOutcome, SceneValidator};
 pub use hierarchical::{CollectStream, CollectWork, HierarchicalSearch, HierarchicalStats};
 pub use knn::{select_k_nearest, DistanceStream, KnnEngine, KnnMetric, KnnStats, Neighbor};

@@ -63,7 +63,7 @@ use rayflex_geometry::{Ray, RayPacket, Triangle};
 use crate::fault;
 use crate::policy::CoherenceMode;
 use crate::scene::SceneView;
-use crate::traversal::{TraceRequest, TraversalEngine, TraversalHit, TraversalStats};
+use crate::traversal::{loose_scene, TraceRequest, TraversalEngine, TraversalHit, TraversalStats};
 use crate::{Bvh4, ExecPolicy};
 
 /// Target chunks per worker in the work-stealing pool: enough surplus that a worker finishing
@@ -522,7 +522,6 @@ fn retry_range_scalar(
 /// Traces a closest-hit ray stream across up to `threads` parallel workers.
 #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::closest_hit(..), \
                      &ExecPolicy::parallel(threads)) — stats come from the engine")]
-#[allow(deprecated)] // the shim body calls sibling deprecated constructors
 #[must_use]
 pub fn trace_rays_parallel(
     config: PipelineConfig,
@@ -531,10 +530,10 @@ pub fn trace_rays_parallel(
     rays: &[Ray],
     threads: usize,
 ) -> (Vec<Option<TraversalHit>>, TraversalStats) {
-    let view = SceneView::Flat { bvh, triangles };
+    let scene = loose_scene(bvh, triangles);
     let out = fused_pair_sharded(
         config,
-        view,
+        scene.view(),
         rays,
         &[],
         threads,
@@ -548,7 +547,6 @@ pub fn trace_rays_parallel(
 /// Runs the any-hit/shadow query over a ray stream across up to `threads` parallel workers.
 #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::any_hit(..), \
                      &ExecPolicy::parallel(threads)) — stats come from the engine")]
-#[allow(deprecated)] // the shim body calls sibling deprecated constructors
 #[must_use]
 pub fn trace_shadow_rays_parallel(
     config: PipelineConfig,
@@ -557,10 +555,10 @@ pub fn trace_shadow_rays_parallel(
     rays: &[Ray],
     threads: usize,
 ) -> (Vec<Option<TraversalHit>>, TraversalStats) {
-    let view = SceneView::Flat { bvh, triangles };
+    let scene = loose_scene(bvh, triangles);
     let out = fused_pair_sharded(
         config,
-        view,
+        scene.view(),
         &[],
         rays,
         threads,
@@ -575,7 +573,6 @@ pub fn trace_shadow_rays_parallel(
 /// workers.
 #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::pair(..), \
                      &ExecPolicy::parallel(threads)) — stats come from the engine")]
-#[allow(deprecated)] // the shim body calls sibling deprecated constructors
 #[must_use]
 pub fn trace_fused_parallel(
     config: PipelineConfig,
@@ -589,10 +586,10 @@ pub fn trace_fused_parallel(
     Vec<Option<TraversalHit>>,
     TraversalStats,
 ) {
-    let view = SceneView::Flat { bvh, triangles };
+    let scene = loose_scene(bvh, triangles);
     let out = fused_pair_sharded(
         config,
-        view,
+        scene.view(),
         closest_rays,
         any_rays,
         threads,
@@ -613,7 +610,6 @@ pub fn trace_fused_parallel(
 #[deprecated(note = "unpack the packet (RayPacket::to_rays) and use \
                      TraversalEngine::trace(&TraceRequest::closest_hit(..), \
                      &ExecPolicy::parallel(threads))")]
-#[allow(deprecated)] // the shim body calls sibling deprecated constructors
 #[must_use]
 pub fn trace_packet_parallel(
     config: PipelineConfig,
@@ -623,13 +619,14 @@ pub fn trace_packet_parallel(
     threads: usize,
 ) -> (Vec<Option<TraversalHit>>, TraversalStats) {
     let threads = effective_threads(threads, rays.len());
+    let scene = loose_scene(bvh, triangles);
     if threads <= 1 {
         // Single-engine batched fast path: the one shard is the whole stream, unpacked once.
         let unpacked: Vec<Ray> = rays.iter().collect();
         let mut engine = TraversalEngine::with_config(config);
         let hits = engine
             .trace(
-                &TraceRequest::closest_hit_flat(bvh, triangles, &unpacked),
+                &TraceRequest::closest_hit(&scene, &unpacked),
                 &crate::ExecPolicy::wavefront(),
             )
             .into_closest();
@@ -641,7 +638,7 @@ pub fn trace_packet_parallel(
         let mut engine = TraversalEngine::with_config(config);
         let hits = engine
             .trace(
-                &TraceRequest::closest_hit_flat(bvh, triangles, &shard),
+                &TraceRequest::closest_hit(&scene, &shard),
                 &crate::ExecPolicy::wavefront(),
             )
             .into_closest();

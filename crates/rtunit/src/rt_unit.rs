@@ -15,8 +15,8 @@ use std::collections::VecDeque;
 use rayflex_core::{PipelineConfig, RayFlexDatapath, RayFlexRequest, PIPELINE_DEPTH};
 use rayflex_geometry::{Ray, Triangle};
 
+use crate::bvh::{Bvh4, ChildRef};
 use crate::traversal::TraversalHit;
-use crate::{Bvh4, Bvh4Node};
 
 /// Timing parameters of the simplified RT unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,10 +117,10 @@ struct RayState {
 }
 
 impl RayState {
-    fn reset(&mut self, root: usize) {
+    fn reset(&mut self, root: ChildRef) {
         self.stack.clear();
         self.stack
-            .push(crate::scene::handle(crate::scene::TOP_CTX, root));
+            .push(crate::scene::handle(crate::scene::TOP_CTX, root.bits()));
         self.best = None;
         self.pending_leaf.clear();
         self.finished = false;
@@ -316,14 +316,17 @@ impl RtUnit {
                 ray.t_end,
             );
         } else if let Some(popped) = state.stack.pop() {
-            let node_index = crate::scene::handle_index(popped);
-            match bvh.node(node_index) {
-                Bvh4Node::Leaf { .. } => {
+            let child = ChildRef::from_bits(crate::scene::handle_low(popped));
+            match child.node_index() {
+                None => {
                     // Reversed so `pop` tests primitives in leaf order, matching the traversal
                     // engine's tie-breaking (the first-tested primitive keeps exact-t ties).
-                    state
-                        .pending_leaf
-                        .extend(bvh.leaf_primitives(node_index).iter().rev());
+                    state.pending_leaf.extend(
+                        bvh.leaf_primitives(child)
+                            .iter()
+                            .rev()
+                            .map(|&prim| prim as usize),
+                    );
                     // Testing the first primitive happens in this same transaction slot if one
                     // exists; otherwise the beat is a no-op node visit.
                     if !state.pending_leaf.is_empty() {
@@ -331,19 +334,17 @@ impl RtUnit {
                         return;
                     }
                 }
-                Bvh4Node::Internal {
-                    children,
-                    child_bounds,
-                } => {
+                Some(index) => {
+                    let node = bvh.node(index);
                     stats.box_ops += 1;
-                    let request = RayFlexRequest::ray_box(0, ray, child_bounds);
+                    let request = RayFlexRequest::ray_box(0, ray, &node.child_bounds);
                     let Some(result) = datapath.execute(&request).box_result else {
                         unreachable!("a box beat always returns a box result");
                     };
                     crate::traversal::push_hit_children(
                         &mut state.stack,
                         &result,
-                        children,
+                        &node.children,
                         crate::scene::TOP_CTX,
                         state.best.as_ref(),
                     );

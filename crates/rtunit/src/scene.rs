@@ -47,17 +47,28 @@
 //! triangles (identical) and on conservative containment (both the refit and the fresh tree
 //! are exact unions of the new instance bounds).
 
+use core::ops::Range;
+
 use rayflex_core::TLAS_PHASE_TAG;
 use rayflex_geometry::{Aabb, Affine, Triangle, Vec3};
 
-use crate::bvh::{Bvh4, Bvh4Node};
+use crate::bvh::{Bvh4, ChildRef};
 
 /// A bottom-level acceleration structure: one mesh (triangle list in **object space**) with its
-/// own [`Bvh4`], shared by any number of [`Instance`]s.
+/// own [`Bvh4`], shared by any number of [`Instance`]s.  A flat [`Scene`] is one such mesh.
+///
+/// The triangles are stored in the BVH's **leaf order**, so each leaf's triangles are
+/// contiguous and a triangle beat reads its operand straight from the leaf position it popped.
+/// The BVH's id map ([`Bvh4::primitive_ids`]) turns a leaf position back into the caller's
+/// triangle id; its inverse serves lookups by id ([`Blas::triangle`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Blas {
     bvh: Bvh4,
-    triangles: Vec<Triangle>,
+    /// Leaf position `k` holds the caller's triangle `bvh.primitive_ids()[k]`.
+    leaf_triangles: Vec<Triangle>,
+    /// The leaf position of each caller triangle id (`u32::MAX` where no leaf position names
+    /// the id — only in malformed input, which the validator rejects).
+    positions: Vec<u32>,
 }
 
 impl Blas {
@@ -65,13 +76,36 @@ impl Blas {
     #[must_use]
     pub fn new(triangles: Vec<Triangle>) -> Self {
         let bvh = Bvh4::build(&triangles);
-        Blas { bvh, triangles }
+        Self::from_parts(bvh, triangles)
     }
 
-    /// Wraps a prebuilt BVH and its triangle list as a BLAS.
+    /// Wraps a prebuilt BVH and the triangle list it indexes (in the caller's order) as a BLAS,
+    /// storing the triangles in the BVH's leaf order.
+    ///
+    /// Construction is total: a BVH whose ids do not match the triangle list (out of range,
+    /// repeated or missing) still yields a mesh — positions naming no triangle hold a
+    /// degenerate placeholder — which the [`SceneValidator`](crate::SceneValidator) rejects
+    /// with the offending node and slot named.
     #[must_use]
     pub fn from_parts(bvh: Bvh4, triangles: Vec<Triangle>) -> Self {
-        Blas { bvh, triangles }
+        let mut positions = vec![u32::MAX; triangles.len()];
+        let placeholder = Triangle::new(Vec3::ZERO, Vec3::ZERO, Vec3::ZERO);
+        let leaf_triangles = bvh
+            .primitive_ids()
+            .iter()
+            .enumerate()
+            .map(|(position, &id)| {
+                if let Some(slot) = positions.get_mut(id as usize) {
+                    *slot = position as u32;
+                }
+                triangles.get(id as usize).copied().unwrap_or(placeholder)
+            })
+            .collect();
+        Blas {
+            bvh,
+            leaf_triangles,
+            positions,
+        }
     }
 
     /// The mesh's BVH (object space).
@@ -80,20 +114,56 @@ impl Blas {
         &self.bvh
     }
 
-    /// The mesh's triangles (object space).
+    /// Number of triangles in the caller's id space.
     #[must_use]
-    pub fn triangles(&self) -> &[Triangle] {
-        &self.triangles
+    pub fn triangle_count(&self) -> usize {
+        self.positions.len()
+    }
+
+    /// The triangle with caller id `prim` (object space).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prim` is outside `0..self.triangle_count()`.
+    #[must_use]
+    pub fn triangle(&self, prim: usize) -> Triangle {
+        self.leaf_triangles[self.positions[prim] as usize]
+    }
+
+    /// The triangles in leaf order: position `k` holds caller id `bvh().primitive_ids()[k]`.
+    #[must_use]
+    pub fn leaf_triangles(&self) -> &[Triangle] {
+        &self.leaf_triangles
+    }
+
+    /// The triangles in the caller's id order, skipping ids no leaf names (malformed input).
+    fn triangles_by_id(&self) -> impl Iterator<Item = &Triangle> + '_ {
+        self.positions
+            .iter()
+            .filter_map(|&position| self.leaf_triangles.get(position as usize))
     }
 
     /// The exact world-space bounds of this mesh under `transform`: the union of every
-    /// triangle's transformed bounds, using the same per-vertex arithmetic
+    /// triangle's transformed bounds, in caller id order, using the same per-vertex arithmetic
     /// [`Scene::flatten`] bakes with — so the box contains the baked triangles bit-exactly.
     fn world_bounds(&self, transform: &Affine) -> Aabb {
-        self.triangles.iter().fold(Aabb::empty(), |acc, tri| {
+        self.triangles_by_id().fold(Aabb::empty(), |acc, tri| {
             acc.union(&tri.transformed(transform).bounds())
         })
     }
+
+    /// Resident bytes of the node table, the id map, the leaf-order triangles and the inverse
+    /// map.
+    fn memory_bytes(&self) -> usize {
+        bvh_bytes(&self.bvh)
+            + core::mem::size_of_val(self.leaf_triangles.as_slice())
+            + core::mem::size_of_val(self.positions.as_slice())
+    }
+}
+
+/// Resident bytes of a BVH: its internal-node table and its id map.
+fn bvh_bytes(bvh: &Bvh4) -> usize {
+    core::mem::size_of_val(bvh.nodes()) + core::mem::size_of_val(bvh.primitive_ids())
 }
 
 /// One placement of a BLAS in the world: an affine transform plus the index of the BLAS it
@@ -150,7 +220,7 @@ impl InstancedScene {
         let mut total = 0usize;
         for instance in &instances {
             prim_base.push(total);
-            total += blas.get(instance.blas).map_or(0, |m| m.triangles.len());
+            total += blas.get(instance.blas).map_or(0, Blas::triangle_count);
         }
         InstancedScene {
             blas,
@@ -173,7 +243,9 @@ impl InstancedScene {
     pub(crate) fn triangle(&self, prim: usize) -> Triangle {
         let (instance, local) = self.locate(prim);
         let inst = &self.instances[instance];
-        self.blas[inst.blas].triangles[local].transformed(&inst.transform)
+        self.blas[inst.blas]
+            .triangle(local)
+            .transformed(&inst.transform)
     }
 }
 
@@ -211,7 +283,7 @@ pub struct Scene {
 
 #[derive(Debug, Clone, PartialEq)]
 enum SceneRepr {
-    Flat { bvh: Bvh4, triangles: Vec<Triangle> },
+    Flat(Blas),
     Instanced(InstancedScene),
 }
 
@@ -219,17 +291,19 @@ impl Scene {
     /// A flat scene over one triangle list (builds its BVH with the default leaf size).
     #[must_use]
     pub fn flat(triangles: Vec<Triangle>) -> Self {
-        let bvh = Bvh4::build(&triangles);
         Scene {
-            repr: SceneRepr::Flat { bvh, triangles },
+            repr: SceneRepr::Flat(Blas::new(triangles)),
         }
     }
 
-    /// A flat scene from a prebuilt BVH and the triangle list it indexes.
+    /// A flat scene from a prebuilt BVH and the triangle list it indexes (in the caller's
+    /// order; the scene stores it in leaf order, see [`Blas::from_parts`]).  Construction is
+    /// total: a BVH that does not match the list yields a scene the
+    /// [`SceneValidator`](crate::SceneValidator) rejects.
     #[must_use]
     pub fn from_parts(bvh: Bvh4, triangles: Vec<Triangle>) -> Self {
         Scene {
-            repr: SceneRepr::Flat { bvh, triangles },
+            repr: SceneRepr::Flat(Blas::from_parts(bvh, triangles)),
         }
     }
 
@@ -258,7 +332,7 @@ impl Scene {
     #[must_use]
     pub fn triangle_count(&self) -> usize {
         match &self.repr {
-            SceneRepr::Flat { triangles, .. } => triangles.len(),
+            SceneRepr::Flat(mesh) => mesh.triangle_count(),
             SceneRepr::Instanced(scene) => scene.total_primitives,
         }
     }
@@ -273,7 +347,7 @@ impl Scene {
     #[must_use]
     pub fn triangle(&self, prim: usize) -> Triangle {
         match &self.repr {
-            SceneRepr::Flat { triangles, .. } => triangles[prim],
+            SceneRepr::Flat(mesh) => mesh.triangle(prim),
             SceneRepr::Instanced(scene) => scene.triangle(prim),
         }
     }
@@ -282,16 +356,17 @@ impl Scene {
     #[must_use]
     pub fn bvh(&self) -> Option<&Bvh4> {
         match &self.repr {
-            SceneRepr::Flat { bvh, .. } => Some(bvh),
+            SceneRepr::Flat(mesh) => Some(mesh.bvh()),
             SceneRepr::Instanced(_) => None,
         }
     }
 
-    /// The flat representation's triangle list (`None` for instanced scenes).
+    /// The flat representation's triangles in leaf order (`None` for instanced scenes): position
+    /// `k` holds the triangle with id `bvh().primitive_ids()[k]` — see [`Blas::leaf_triangles`].
     #[must_use]
-    pub fn triangles(&self) -> Option<&[Triangle]> {
+    pub fn leaf_triangles(&self) -> Option<&[Triangle]> {
         match &self.repr {
-            SceneRepr::Flat { triangles, .. } => Some(triangles),
+            SceneRepr::Flat(mesh) => Some(mesh.leaf_triangles()),
             SceneRepr::Instanced(_) => None,
         }
     }
@@ -312,7 +387,7 @@ impl Scene {
     #[must_use]
     pub fn instances(&self) -> &[Instance] {
         match &self.repr {
-            SceneRepr::Flat { .. } => &[],
+            SceneRepr::Flat(_) => &[],
             SceneRepr::Instanced(scene) => &scene.instances,
         }
     }
@@ -321,7 +396,7 @@ impl Scene {
     #[must_use]
     pub fn blas_list(&self) -> &[Blas] {
         match &self.repr {
-            SceneRepr::Flat { .. } => &[],
+            SceneRepr::Flat(_) => &[],
             SceneRepr::Instanced(scene) => &scene.blas,
         }
     }
@@ -330,7 +405,7 @@ impl Scene {
     #[must_use]
     pub fn tlas(&self) -> Option<&Bvh4> {
         match &self.repr {
-            SceneRepr::Flat { .. } => None,
+            SceneRepr::Flat(_) => None,
             SceneRepr::Instanced(scene) => Some(&scene.tlas),
         }
     }
@@ -345,14 +420,13 @@ impl Scene {
     #[must_use]
     pub fn flatten(&self) -> Scene {
         match &self.repr {
-            SceneRepr::Flat { .. } => self.clone(),
+            SceneRepr::Flat(_) => self.clone(),
             SceneRepr::Instanced(scene) => {
                 let mut baked = Vec::with_capacity(scene.total_primitives);
                 for instance in &scene.instances {
                     let mesh = &scene.blas[instance.blas];
                     baked.extend(
-                        mesh.triangles
-                            .iter()
+                        mesh.triangles_by_id()
                             .map(|tri| tri.transformed(&instance.transform)),
                     );
                 }
@@ -389,26 +463,20 @@ impl Scene {
         }
     }
 
-    /// Approximate resident size of the acceleration structures and geometry, in bytes — the
-    /// memory axis of the instancing benchmarks (flattening multiplies triangle storage by the
-    /// instance count; instancing does not).
+    /// Resident size of the acceleration structures and geometry, in bytes — the memory axis of
+    /// the instancing benchmarks (flattening multiplies triangle storage by the instance count;
+    /// instancing does not).
+    ///
+    /// Per mesh this counts the 128-byte internal nodes (leaves cost no node: they live in
+    /// their parent's slot), the 4-byte id map, the leaf-order triangles and the 4-byte inverse
+    /// map; an instanced scene adds the TLAS (nodes and id map), the instance table and the
+    /// per-instance primitive bases.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        fn bvh_bytes(bvh: &Bvh4) -> usize {
-            core::mem::size_of_val(bvh.nodes()) + core::mem::size_of_val(bvh.primitive_indices())
-        }
         match &self.repr {
-            SceneRepr::Flat { bvh, triangles } => {
-                bvh_bytes(bvh) + triangles.len() * core::mem::size_of::<Triangle>()
-            }
+            SceneRepr::Flat(mesh) => mesh.memory_bytes(),
             SceneRepr::Instanced(scene) => {
-                let blas: usize = scene
-                    .blas
-                    .iter()
-                    .map(|m| {
-                        bvh_bytes(&m.bvh) + m.triangles.len() * core::mem::size_of::<Triangle>()
-                    })
-                    .sum();
+                let blas: usize = scene.blas.iter().map(Blas::memory_bytes).sum();
                 blas + bvh_bytes(&scene.tlas)
                     + scene.instances.len() * core::mem::size_of::<Instance>()
                     + scene.prim_base.len() * core::mem::size_of::<usize>()
@@ -419,7 +487,7 @@ impl Scene {
     /// The borrowed traversal view of this scene.
     pub(crate) fn view(&self) -> SceneView<'_> {
         match &self.repr {
-            SceneRepr::Flat { bvh, triangles } => SceneView::Flat { bvh, triangles },
+            SceneRepr::Flat(mesh) => SceneView::Flat(mesh),
             SceneRepr::Instanced(scene) => SceneView::Instanced(scene),
         }
     }
@@ -429,7 +497,7 @@ impl Scene {
     /// refit, so the corruption is observable.
     pub(crate) fn instances_mut(&mut self) -> Option<&mut Vec<Instance>> {
         match &mut self.repr {
-            SceneRepr::Flat { .. } => None,
+            SceneRepr::Flat(_) => None,
             SceneRepr::Instanced(scene) => Some(&mut scene.instances),
         }
     }
@@ -438,23 +506,20 @@ impl Scene {
 // --- Traversal handles -----------------------------------------------------------------------
 //
 // Two-level traversal walks nodes of several BVHs with one stack, so stack (and pending-leaf)
-// entries are 64-bit *handles*: the low 32 bits index a node (or a mesh-local primitive), the
-// next 31 bits carry the context — 0 for the top-level structure (the flat BVH, or the TLAS),
-// `k + 1` for instance `k`'s BLAS.  Box-beat tags reuse the same encoding so a response finds
-// its children table; the top bit is `TLAS_PHASE_TAG`, set on TLAS-phase box beats for the
-// datapath's beat attribution and masked off before decoding.
+// entries are 64-bit *handles*: the low 32 bits hold a [`ChildRef`] on the stack (an internal
+// node index, or an inline leaf's range — so popping a leaf reads no node) or a leaf position in
+// the pending queue; the next 31 bits carry the context — 0 for the top-level structure (the flat
+// BVH, or the TLAS), `k + 1` for instance `k`'s BLAS.  Box-beat tags reuse the same encoding so
+// a response finds its children table; the top bit is `TLAS_PHASE_TAG`, set on TLAS-phase box
+// beats for the datapath's beat attribution and masked off before decoding.
 
 /// Context id of the top-level structure (flat BVH or TLAS).
 pub(crate) const TOP_CTX: u32 = 0;
 
-/// Encodes a (context, index) pair as a traversal handle.
+/// Encodes a (context, low word) pair as a traversal handle.
 #[inline]
-pub(crate) fn handle(ctx: u32, index: usize) -> u64 {
-    debug_assert!(
-        index <= u32::MAX as usize,
-        "node index overflows the handle"
-    );
-    (u64::from(ctx) << 32) | index as u64
+pub(crate) fn handle(ctx: u32, low: u32) -> u64 {
+    (u64::from(ctx) << 32) | u64::from(low)
 }
 
 /// The context of a handle (TLAS phase tag tolerated and masked).
@@ -463,25 +528,18 @@ pub(crate) fn handle_ctx(handle: u64) -> u32 {
     ((handle & !TLAS_PHASE_TAG) >> 32) as u32
 }
 
-/// The node / mesh-local primitive index of a handle.
+/// The low word of a handle: a [`ChildRef`]'s bits, or a leaf position.
 #[inline]
-pub(crate) fn handle_index(handle: u64) -> usize {
-    (handle & 0xFFFF_FFFF) as usize
+pub(crate) fn handle_low(handle: u64) -> u32 {
+    handle as u32
 }
 
 /// A borrowed, `Copy` view of a scene — what the traversal internals, the parallel shard
-/// workers and the frame tracer thread through instead of a `(bvh, triangles)` pair.  The
-/// deprecated flat-signature shims construct a `Flat` view directly from their borrowed
-/// arguments, so they run without cloning geometry into a [`Scene`].
+/// workers and the frame tracer thread through.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SceneView<'a> {
-    /// One flat BVH over one triangle list.
-    Flat {
-        /// The BVH.
-        bvh: &'a Bvh4,
-        /// The triangles it indexes.
-        triangles: &'a [Triangle],
-    },
+    /// One flat mesh: a BVH over triangles stored in its leaf order.
+    Flat(&'a Blas),
     /// A two-level instanced scene.
     Instanced(&'a InstancedScene),
 }
@@ -517,25 +575,25 @@ pub(crate) enum NodeStep<'a> {
         /// The four child slot bounds to test.
         bounds: BoxBounds<'a>,
         /// The children table of this node.
-        children: &'a [Option<usize>; 4],
+        children: &'a [ChildRef; 4],
         /// Context the children live in.
         ctx: u32,
         /// `true` when this is a TLAS-phase beat (for the TLAS statistics split).
         tlas: bool,
     },
-    /// A geometry leaf: extend the pending queue with these mesh-local primitives (encoded
-    /// into `ctx`), to be triangle-tested in leaf order.
+    /// A geometry leaf: extend the pending queue with these leaf positions (encoded into
+    /// `ctx`), to be triangle-tested in leaf order.
     Leaf {
-        /// Mesh-local primitive indices of the leaf.
-        prims: &'a [usize],
-        /// Context the primitives live in.
+        /// The leaf's positions in its mesh's leaf-order triangle table.
+        positions: Range<u32>,
+        /// Context the triangles live in.
         ctx: u32,
     },
     /// A TLAS leaf: descend into these instances (push each instance's BLAS root, in leaf
     /// order).
     Instances {
         /// Instance indices of the TLAS leaf.
-        prims: &'a [usize],
+        ids: &'a [u32],
     },
 }
 
@@ -543,90 +601,75 @@ impl<'a> SceneView<'a> {
     /// The handle traversal starts from.
     #[inline]
     pub(crate) fn root_handle(&self) -> u64 {
-        match self {
-            SceneView::Flat { bvh, .. } => handle(TOP_CTX, bvh.root()),
-            SceneView::Instanced(scene) => handle(TOP_CTX, scene.tlas.root()),
-        }
+        let root = match self {
+            SceneView::Flat(mesh) => mesh.bvh.root(),
+            SceneView::Instanced(scene) => scene.tlas.root(),
+        };
+        handle(TOP_CTX, root.bits())
     }
 
     /// Total primitives addressable by global id.
     pub(crate) fn triangle_count(&self) -> usize {
         match self {
-            SceneView::Flat { triangles, .. } => triangles.len(),
+            SceneView::Flat(mesh) => mesh.triangle_count(),
             SceneView::Instanced(scene) => scene.total_primitives,
         }
     }
 
-    /// Expands the node behind a popped stack handle into its traversal step.
+    /// Expands a popped stack handle into its traversal step.  A leaf is decoded from the
+    /// handle alone; only internal nodes read the node table.
     ///
     /// BLAS-phase internal nodes get their stored child bounds conservatively transformed into
     /// world space per visit (absent slots keep the canonical never-hit `f32::MAX` point box,
     /// untransformed, so their behaviour matches a flat traversal's padding exactly).
     pub(crate) fn step(&self, popped: u64) -> NodeStep<'a> {
         let ctx = handle_ctx(popped);
-        let index = handle_index(popped);
-        match self {
-            SceneView::Flat { bvh, .. } => match bvh.node(index) {
-                Bvh4Node::Leaf { .. } => NodeStep::Leaf {
-                    prims: bvh.leaf_primitives(index),
-                    ctx: TOP_CTX,
+        let child = ChildRef::from_bits(handle_low(popped));
+        if let Some(positions) = child.leaf_range() {
+            return match self {
+                SceneView::Instanced(scene) if ctx == TOP_CTX => NodeStep::Instances {
+                    ids: scene.tlas.leaf_primitives(child),
                 },
-                Bvh4Node::Internal {
-                    children,
-                    child_bounds,
-                } => NodeStep::BoxBeat {
-                    tag: handle(TOP_CTX, index),
-                    bounds: BoxBounds::Borrowed(child_bounds),
-                    children,
+                _ => NodeStep::Leaf { positions, ctx },
+            };
+        }
+        let index = handle_low(popped) as usize;
+        match self {
+            SceneView::Flat(mesh) => {
+                let node = mesh.bvh.node(index);
+                NodeStep::BoxBeat {
+                    tag: handle(TOP_CTX, child.bits()),
+                    bounds: BoxBounds::Borrowed(&node.child_bounds),
+                    children: &node.children,
                     ctx: TOP_CTX,
                     tlas: false,
-                },
-            },
+                }
+            }
+            SceneView::Instanced(scene) if ctx == TOP_CTX => {
+                let node = scene.tlas.node(index);
+                NodeStep::BoxBeat {
+                    tag: handle(TOP_CTX, child.bits()) | TLAS_PHASE_TAG,
+                    bounds: BoxBounds::Borrowed(&node.child_bounds),
+                    children: &node.children,
+                    ctx: TOP_CTX,
+                    tlas: true,
+                }
+            }
             SceneView::Instanced(scene) => {
-                if ctx == TOP_CTX {
-                    match scene.tlas.node(index) {
-                        Bvh4Node::Leaf { .. } => NodeStep::Instances {
-                            prims: scene.tlas.leaf_primitives(index),
-                        },
-                        Bvh4Node::Internal {
-                            children,
-                            child_bounds,
-                        } => NodeStep::BoxBeat {
-                            tag: handle(TOP_CTX, index) | TLAS_PHASE_TAG,
-                            bounds: BoxBounds::Borrowed(child_bounds),
-                            children,
-                            ctx: TOP_CTX,
-                            tlas: true,
-                        },
+                let instance = &scene.instances[ctx as usize - 1];
+                let node = scene.blas[instance.blas].bvh.node(index);
+                let mut bounds = node.child_bounds;
+                for (slot, grandchild) in node.children.iter().enumerate() {
+                    if !grandchild.is_empty() {
+                        bounds[slot] = node.child_bounds[slot].transformed(&instance.transform);
                     }
-                } else {
-                    let instance = &scene.instances[ctx as usize - 1];
-                    let mesh = &scene.blas[instance.blas];
-                    match mesh.bvh.node(index) {
-                        Bvh4Node::Leaf { .. } => NodeStep::Leaf {
-                            prims: mesh.bvh.leaf_primitives(index),
-                            ctx,
-                        },
-                        Bvh4Node::Internal {
-                            children,
-                            child_bounds,
-                        } => {
-                            let mut bounds = *child_bounds;
-                            for (slot, child) in children.iter().enumerate() {
-                                if child.is_some() {
-                                    bounds[slot] =
-                                        child_bounds[slot].transformed(&instance.transform);
-                                }
-                            }
-                            NodeStep::BoxBeat {
-                                tag: handle(ctx, index),
-                                bounds: BoxBounds::Owned(bounds),
-                                children,
-                                ctx,
-                                tlas: false,
-                            }
-                        }
-                    }
+                }
+                NodeStep::BoxBeat {
+                    tag: handle(ctx, child.bits()),
+                    bounds: BoxBounds::Owned(bounds),
+                    children: &node.children,
+                    ctx,
+                    tlas: false,
                 }
             }
         }
@@ -634,71 +677,63 @@ impl<'a> SceneView<'a> {
 
     /// The children table (and child context) of the internal node a box-beat response with
     /// `tag` tested — the apply-phase twin of [`SceneView::step`].
-    pub(crate) fn children_for_tag(&self, tag: u64) -> (&'a [Option<usize>; 4], u32) {
+    pub(crate) fn children_for_tag(&self, tag: u64) -> (&'a [ChildRef; 4], u32) {
         let ctx = handle_ctx(tag);
-        let index = handle_index(tag);
-        let node = match self {
-            SceneView::Flat { bvh, .. } => bvh.node(index),
-            SceneView::Instanced(scene) => {
-                if ctx == TOP_CTX {
-                    scene.tlas.node(index)
-                } else {
-                    let instance = &scene.instances[ctx as usize - 1];
-                    scene.blas[instance.blas].bvh.node(index)
-                }
-            }
+        let bvh = match self {
+            SceneView::Flat(mesh) => &mesh.bvh,
+            SceneView::Instanced(scene) if ctx == TOP_CTX => &scene.tlas,
+            SceneView::Instanced(scene) => &scene.blas[scene.instances[ctx as usize - 1].blas].bvh,
         };
-        match node {
-            Bvh4Node::Internal { children, .. } => (children, ctx),
-            Bvh4Node::Leaf { .. } => unreachable!("box beats only test internal nodes"),
-        }
+        (&bvh.node(handle_low(tag) as usize).children, ctx)
     }
 
     /// The handle of the BLAS root entered by descending into instance `instance_index` —
     /// what a TLAS leaf pushes per instance.
     #[inline]
-    pub(crate) fn instance_root(&self, instance_index: usize) -> u64 {
+    pub(crate) fn instance_root(&self, instance_index: u32) -> u64 {
         match self {
-            SceneView::Flat { .. } => unreachable!("flat scenes have no instances"),
+            SceneView::Flat(_) => unreachable!("flat scenes have no instances"),
             SceneView::Instanced(scene) => {
-                let instance = &scene.instances[instance_index];
+                let instance = &scene.instances[instance_index as usize];
                 handle(
-                    instance_index as u32 + 1,
-                    scene.blas[instance.blas].bvh.root(),
+                    instance_index + 1,
+                    scene.blas[instance.blas].bvh.root().bits(),
                 )
             }
         }
     }
 
-    /// The global primitive id behind a pending-queue entry (the id reported in hits).
+    /// The mesh a pending-queue entry's context names (instanced entries always carry a BLAS
+    /// context).
+    #[inline]
+    fn pending_mesh(&self, ctx: u32) -> &'a Blas {
+        match self {
+            SceneView::Flat(mesh) => mesh,
+            SceneView::Instanced(scene) => &scene.blas[scene.instances[ctx as usize - 1].blas],
+        }
+    }
+
+    /// The global primitive id behind a pending-queue entry (the id reported in hits): the
+    /// leaf position mapped back to the caller's id, offset by the instance base.
     #[inline]
     pub(crate) fn global_primitive(&self, pending: u64) -> usize {
-        let local = handle_index(pending);
+        let ctx = handle_ctx(pending);
+        let id = self.pending_mesh(ctx).bvh.primitive_ids()[handle_low(pending) as usize] as usize;
         match self {
-            SceneView::Flat { .. } => local,
-            SceneView::Instanced(scene) => {
-                scene.prim_base[handle_ctx(pending) as usize - 1] + local
-            }
+            SceneView::Flat(_) => id,
+            SceneView::Instanced(scene) => scene.prim_base[ctx as usize - 1] + id,
         }
     }
 
-    /// The world-space triangle (and its global primitive id) behind a pending-queue entry.
+    /// The world-space triangle behind a pending-queue entry.
     #[inline]
-    pub(crate) fn pending_triangle(&self, pending: u64) -> (Triangle, usize) {
+    pub(crate) fn pending_triangle(&self, pending: u64) -> Triangle {
         let ctx = handle_ctx(pending);
-        let local = handle_index(pending);
+        let triangle = self.pending_mesh(ctx).leaf_triangles[handle_low(pending) as usize];
         match self {
-            SceneView::Flat { triangles, .. } => (triangles[local], local),
+            SceneView::Flat(_) => triangle,
             SceneView::Instanced(scene) => {
-                if ctx == TOP_CTX {
-                    unreachable!("instanced pending entries always carry a BLAS context")
-                }
-                let instance_index = ctx as usize - 1;
-                let instance = &scene.instances[instance_index];
-                (
-                    scene.blas[instance.blas].triangles[local].transformed(&instance.transform),
-                    scene.prim_base[instance_index] + local,
-                )
+                triangle.transformed(&scene.instances[ctx as usize - 1].transform)
             }
         }
     }
@@ -761,9 +796,16 @@ mod tests {
     fn handles_round_trip_context_and_index() {
         let h = handle(7, 123);
         assert_eq!(handle_ctx(h), 7);
-        assert_eq!(handle_index(h), 123);
+        assert_eq!(handle_low(h), 123);
         assert_eq!(handle_ctx(h | TLAS_PHASE_TAG), 7);
-        assert_eq!(handle_index(h | TLAS_PHASE_TAG), 123);
+        assert_eq!(handle_low(h | TLAS_PHASE_TAG), 123);
+        // A leaf reference survives the round trip with its range intact.
+        let leaf = ChildRef::leaf(40, 3);
+        let h = handle(2, leaf.bits());
+        assert_eq!(
+            ChildRef::from_bits(handle_low(h)).leaf_range(),
+            Some(40..43)
+        );
     }
 
     #[test]

@@ -37,10 +37,11 @@ use rayflex_core::{
 };
 use rayflex_geometry::{Ray, RayPacket, Triangle};
 
+use crate::bvh::ChildRef;
 use crate::error::{validate_rays, PartialResult, QueryError, QueryOutcome, SceneValidator};
 use crate::policy::{CoherenceMode, ExecMode, ExecPolicy};
 use crate::query::{BatchQuery, FusedScheduler, QueryKind, StreamRunner, WavefrontScheduler};
-use crate::scene::{handle, handle_index, NodeStep, Scene, SceneView};
+use crate::scene::{handle, handle_low, NodeStep, Scene, SceneView};
 use crate::Bvh4;
 
 /// The closest hit found by a traversal.
@@ -168,55 +169,6 @@ impl<'a> TraceRequest<'a> {
     pub fn pair(scene: &'a Scene, closest: &'a [Ray], any: &'a [Ray]) -> Self {
         TraceRequest {
             view: scene.view(),
-            closest,
-            any,
-            deadlines: [0, 0],
-        }
-    }
-
-    /// A closest-hit request over a loose `(bvh, triangles)` pair — the pre-[`Scene`]
-    /// signature.
-    #[deprecated(note = "wrap the geometry in a Scene (Scene::from_parts) and use \
-                         TraceRequest::closest_hit(&scene, rays)")]
-    #[allow(deprecated)] // the shim body calls sibling deprecated constructors
-    #[must_use]
-    pub fn closest_hit_flat(bvh: &'a Bvh4, triangles: &'a [Triangle], rays: &'a [Ray]) -> Self {
-        TraceRequest {
-            view: SceneView::Flat { bvh, triangles },
-            closest: rays,
-            any: &[],
-            deadlines: [0, 0],
-        }
-    }
-
-    /// An any-hit request over a loose `(bvh, triangles)` pair — the pre-[`Scene`] signature.
-    #[deprecated(note = "wrap the geometry in a Scene (Scene::from_parts) and use \
-                         TraceRequest::any_hit(&scene, rays)")]
-    #[allow(deprecated)] // the shim body calls sibling deprecated constructors
-    #[must_use]
-    pub fn any_hit_flat(bvh: &'a Bvh4, triangles: &'a [Triangle], rays: &'a [Ray]) -> Self {
-        TraceRequest {
-            view: SceneView::Flat { bvh, triangles },
-            closest: &[],
-            any: rays,
-            deadlines: [0, 0],
-        }
-    }
-
-    /// A both-streams request over a loose `(bvh, triangles)` pair — the pre-[`Scene`]
-    /// signature.
-    #[deprecated(note = "wrap the geometry in a Scene (Scene::from_parts) and use \
-                         TraceRequest::pair(&scene, closest, any)")]
-    #[allow(deprecated)] // the shim body calls sibling deprecated constructors
-    #[must_use]
-    pub fn pair_flat(
-        bvh: &'a Bvh4,
-        triangles: &'a [Triangle],
-        closest: &'a [Ray],
-        any: &'a [Ray],
-    ) -> Self {
-        TraceRequest {
-            view: SceneView::Flat { bvh, triangles },
             closest,
             any,
             deadlines: [0, 0],
@@ -412,22 +364,22 @@ impl<'a> TraversalQuery<'a> {
                     self.stats.triangle_ops += state.pending.len() as u64;
                     let operand = &self.operands[item];
                     match &self.view {
-                        SceneView::Flat { triangles, .. } => {
+                        SceneView::Flat(mesh) => {
+                            let triangles = mesh.leaf_triangles();
                             out.extend(state.pending.iter().rev().map(|&entry| {
                                 RayFlexRequest::ray_triangle_operand(
                                     item as u64,
                                     operand,
-                                    &triangles[handle_index(entry)],
+                                    &triangles[handle_low(entry) as usize],
                                 )
                             }));
                         }
                         view => {
                             out.extend(state.pending.iter().rev().map(|&entry| {
-                                let (triangle, _) = view.pending_triangle(entry);
                                 RayFlexRequest::ray_triangle_operand(
                                     item as u64,
                                     operand,
-                                    &triangle,
+                                    &view.pending_triangle(entry),
                                 )
                             }));
                         }
@@ -439,11 +391,10 @@ impl<'a> TraversalQuery<'a> {
                         unreachable!("pending is non-empty");
                     };
                     self.stats.triangle_ops += 1;
-                    let (triangle, _) = self.view.pending_triangle(entry);
                     out.push(RayFlexRequest::ray_triangle_operand(
                         item as u64,
                         &self.operands[item],
-                        &triangle,
+                        &self.view.pending_triangle(entry),
                     ));
                 }
                 return true;
@@ -452,23 +403,20 @@ impl<'a> TraversalQuery<'a> {
                 return false;
             };
             match self.view.step(popped) {
-                NodeStep::Leaf { prims, ctx } => {
+                NodeStep::Leaf { positions, ctx } => {
                     self.stats.leaves_visited += 1;
                     // Reversed so `pop` tests primitives in leaf order, like the scalar path.
                     state
                         .pending
-                        .extend(prims.iter().rev().map(|&prim| handle(ctx, prim)));
+                        .extend(positions.rev().map(|position| handle(ctx, position)));
                 }
-                NodeStep::Instances { prims } => {
+                NodeStep::Instances { ids } => {
                     // A TLAS leaf costs no beat: each instance descends straight to its BLAS
                     // root, reversed so the first instance in leaf order pops first.
-                    self.stats.instances_visited += prims.len() as u64;
-                    state.stack.extend(
-                        prims
-                            .iter()
-                            .rev()
-                            .map(|&inst| self.view.instance_root(inst)),
-                    );
+                    self.stats.instances_visited += ids.len() as u64;
+                    state
+                        .stack
+                        .extend(ids.iter().rev().map(|&inst| self.view.instance_root(inst)));
                 }
                 NodeStep::BoxBeat {
                     tag, bounds, tlas, ..
@@ -619,24 +567,6 @@ impl<'a> TraversalStream<'a> {
     #[must_use]
     pub fn any_hit(scene: &'a Scene, rays: &'a [Ray]) -> Self {
         Self::any_hit_view(scene.view(), rays)
-    }
-
-    /// A closest-hit stream over a loose `(bvh, triangles)` pair — the pre-[`Scene`] signature.
-    #[deprecated(note = "wrap the geometry in a Scene (Scene::from_parts) and use \
-                         TraversalStream::closest_hit(&scene, rays)")]
-    #[allow(deprecated)] // the shim body calls sibling deprecated constructors
-    #[must_use]
-    pub fn closest_hit_flat(bvh: &'a Bvh4, triangles: &'a [Triangle], rays: &'a [Ray]) -> Self {
-        Self::closest_hit_view(SceneView::Flat { bvh, triangles }, rays)
-    }
-
-    /// An any-hit stream over a loose `(bvh, triangles)` pair — the pre-[`Scene`] signature.
-    #[deprecated(note = "wrap the geometry in a Scene (Scene::from_parts) and use \
-                         TraversalStream::any_hit(&scene, rays)")]
-    #[allow(deprecated)] // the shim body calls sibling deprecated constructors
-    #[must_use]
-    pub fn any_hit_flat(bvh: &'a Bvh4, triangles: &'a [Triangle], rays: &'a [Ray]) -> Self {
-        Self::any_hit_view(SceneView::Flat { bvh, triangles }, rays)
     }
 
     pub(crate) fn closest_hit_view(view: SceneView<'a>, rays: &'a [Ray]) -> Self {
@@ -1167,22 +1097,24 @@ impl TraversalEngine {
 
         while let Some(popped) = stack.pop() {
             match view.step(popped) {
-                NodeStep::Leaf { prims, ctx } => {
+                NodeStep::Leaf { positions, ctx } => {
                     self.stats.leaves_visited += 1;
-                    for &local in prims {
+                    for position in positions {
                         self.stats.triangle_ops += 1;
-                        let (triangle, prim) = view.pending_triangle(handle(ctx, local));
+                        let entry = handle(ctx, position);
+                        let triangle = view.pending_triangle(entry);
                         let request = RayFlexRequest::ray_triangle(self.tag(), ray, &triangle);
                         let response = self.datapath.execute(&request);
                         let Some(result) = response.triangle_result else {
                             unreachable!("a triangle beat always returns a triangle result");
                         };
+                        let prim = view.global_primitive(entry);
                         record_triangle_hit(&mut best, &result, prim, ray.t_beg, ray.t_end);
                     }
                 }
-                NodeStep::Instances { prims } => {
-                    self.stats.instances_visited += prims.len() as u64;
-                    stack.extend(prims.iter().rev().map(|&inst| view.instance_root(inst)));
+                NodeStep::Instances { ids } => {
+                    self.stats.instances_visited += ids.len() as u64;
+                    stack.extend(ids.iter().rev().map(|&inst| view.instance_root(inst)));
                 }
                 NodeStep::BoxBeat {
                     tag,
@@ -1225,11 +1157,12 @@ impl TraversalEngine {
 
         'traversal: while let Some(popped) = stack.pop() {
             match view.step(popped) {
-                NodeStep::Leaf { prims, ctx } => {
+                NodeStep::Leaf { positions, ctx } => {
                     self.stats.leaves_visited += 1;
-                    for &local in prims {
+                    for position in positions {
                         self.stats.triangle_ops += 1;
-                        let (triangle, prim) = view.pending_triangle(handle(ctx, local));
+                        let entry = handle(ctx, position);
+                        let triangle = view.pending_triangle(entry);
                         let request = RayFlexRequest::ray_triangle(self.tag(), ray, &triangle);
                         let response = self.datapath.execute(&request);
                         let Some(result) = response.triangle_result else {
@@ -1238,15 +1171,16 @@ impl TraversalEngine {
                         if result.hit {
                             let t = result.distance();
                             if t >= ray.t_beg && t <= ray.t_end {
-                                found = Some(TraversalHit { primitive: prim, t });
+                                let primitive = view.global_primitive(entry);
+                                found = Some(TraversalHit { primitive, t });
                                 break 'traversal;
                             }
                         }
                     }
                 }
-                NodeStep::Instances { prims } => {
-                    self.stats.instances_visited += prims.len() as u64;
-                    stack.extend(prims.iter().rev().map(|&inst| view.instance_root(inst)));
+                NodeStep::Instances { ids } => {
+                    self.stats.instances_visited += ids.len() as u64;
+                    stack.extend(ids.iter().rev().map(|&inst| view.instance_root(inst)));
                 }
                 NodeStep::BoxBeat {
                     tag,
@@ -1353,7 +1287,6 @@ impl TraversalEngine {
     /// Finds the closest front-face hit of `ray`, or `None` if the ray escapes the scene.
     #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::closest_hit(..), \
                          &ExecPolicy::scalar())")]
-    #[allow(deprecated)] // the shim body calls sibling deprecated constructors
     pub fn closest_hit(
         &mut self,
         bvh: &Bvh4,
@@ -1361,7 +1294,7 @@ impl TraversalEngine {
         ray: &Ray,
     ) -> Option<TraversalHit> {
         self.trace(
-            &TraceRequest::closest_hit_flat(bvh, triangles, core::slice::from_ref(ray)),
+            &TraceRequest::closest_hit(&loose_scene(bvh, triangles), core::slice::from_ref(ray)),
             &ExecPolicy::scalar(),
         )
         .closest
@@ -1372,7 +1305,6 @@ impl TraversalEngine {
     /// Returns the first intersection of `ray` accepted within its extent (the shadow query).
     #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::any_hit(..), \
                          &ExecPolicy::scalar())")]
-    #[allow(deprecated)] // the shim body calls sibling deprecated constructors
     pub fn any_hit(
         &mut self,
         bvh: &Bvh4,
@@ -1380,7 +1312,7 @@ impl TraversalEngine {
         ray: &Ray,
     ) -> Option<TraversalHit> {
         self.trace(
-            &TraceRequest::any_hit_flat(bvh, triangles, core::slice::from_ref(ray)),
+            &TraceRequest::any_hit(&loose_scene(bvh, triangles), core::slice::from_ref(ray)),
             &ExecPolicy::scalar(),
         )
         .any
@@ -1391,7 +1323,6 @@ impl TraversalEngine {
     /// Traverses a batch of closest-hit rays one at a time through the scalar reference path.
     #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::closest_hit(..), \
                          &ExecPolicy::scalar())")]
-    #[allow(deprecated)] // the shim body calls sibling deprecated constructors
     pub fn closest_hits(
         &mut self,
         bvh: &Bvh4,
@@ -1399,7 +1330,7 @@ impl TraversalEngine {
         rays: &[Ray],
     ) -> Vec<Option<TraversalHit>> {
         self.trace(
-            &TraceRequest::closest_hit_flat(bvh, triangles, rays),
+            &TraceRequest::closest_hit(&loose_scene(bvh, triangles), rays),
             &ExecPolicy::scalar(),
         )
         .into_closest()
@@ -1409,7 +1340,6 @@ impl TraversalEngine {
     /// path.
     #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::any_hit(..), \
                          &ExecPolicy::scalar())")]
-    #[allow(deprecated)] // the shim body calls sibling deprecated constructors
     pub fn any_hits(
         &mut self,
         bvh: &Bvh4,
@@ -1417,7 +1347,7 @@ impl TraversalEngine {
         rays: &[Ray],
     ) -> Vec<Option<TraversalHit>> {
         self.trace(
-            &TraceRequest::any_hit_flat(bvh, triangles, rays),
+            &TraceRequest::any_hit(&loose_scene(bvh, triangles), rays),
             &ExecPolicy::scalar(),
         )
         .into_any()
@@ -1426,7 +1356,6 @@ impl TraversalEngine {
     /// Traces a closest-hit ray stream wavefront-style.
     #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::closest_hit(..), \
                          &ExecPolicy::wavefront())")]
-    #[allow(deprecated)] // the shim body calls sibling deprecated constructors
     pub fn closest_hits_wavefront(
         &mut self,
         bvh: &Bvh4,
@@ -1434,7 +1363,7 @@ impl TraversalEngine {
         rays: &[Ray],
     ) -> Vec<Option<TraversalHit>> {
         self.trace(
-            &TraceRequest::closest_hit_flat(bvh, triangles, rays),
+            &TraceRequest::closest_hit(&loose_scene(bvh, triangles), rays),
             &ExecPolicy::wavefront(),
         )
         .into_closest()
@@ -1443,7 +1372,6 @@ impl TraversalEngine {
     /// Runs the any-hit query over a ray stream wavefront-style.
     #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::any_hit(..), \
                          &ExecPolicy::wavefront())")]
-    #[allow(deprecated)] // the shim body calls sibling deprecated constructors
     pub fn any_hits_wavefront(
         &mut self,
         bvh: &Bvh4,
@@ -1451,7 +1379,7 @@ impl TraversalEngine {
         rays: &[Ray],
     ) -> Vec<Option<TraversalHit>> {
         self.trace(
-            &TraceRequest::any_hit_flat(bvh, triangles, rays),
+            &TraceRequest::any_hit(&loose_scene(bvh, triangles), rays),
             &ExecPolicy::wavefront(),
         )
         .into_any()
@@ -1460,7 +1388,6 @@ impl TraversalEngine {
     /// Traces a closest-hit stream and an any-hit stream fused in the same bulk passes.
     #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::pair(..), \
                          &ExecPolicy::fused())")]
-    #[allow(deprecated)] // the shim body calls sibling deprecated constructors
     pub fn trace_fused(
         &mut self,
         bvh: &Bvh4,
@@ -1469,7 +1396,7 @@ impl TraversalEngine {
         any_rays: &[Ray],
     ) -> (Vec<Option<TraversalHit>>, Vec<Option<TraversalHit>>) {
         let output = self.trace(
-            &TraceRequest::pair_flat(bvh, triangles, closest_rays, any_rays),
+            &TraceRequest::pair(&loose_scene(bvh, triangles), closest_rays, any_rays),
             &ExecPolicy::fused(),
         );
         (output.closest, output.any)
@@ -1478,7 +1405,6 @@ impl TraversalEngine {
     /// Traces a structure-of-arrays [`RayPacket`] closest-hit stream wavefront-style.
     #[deprecated(note = "unpack the packet (RayPacket::to_rays) and use \
                          TraversalEngine::trace(&TraceRequest::closest_hit(..), ..)")]
-    #[allow(deprecated)] // the shim body calls sibling deprecated constructors
     pub fn closest_hits_stream(
         &mut self,
         bvh: &Bvh4,
@@ -1491,7 +1417,7 @@ impl TraversalEngine {
         let mut unpacked = core::mem::take(&mut self.ray_scratch);
         unpacked.clear();
         unpacked.extend(rays.iter());
-        let hits = self.wavefront_closest_hits(SceneView::Flat { bvh, triangles }, &unpacked);
+        let hits = self.wavefront_closest_hits(loose_scene(bvh, triangles).view(), &unpacked);
         self.ray_scratch = unpacked;
         hits
     }
@@ -1499,7 +1425,6 @@ impl TraversalEngine {
     /// Traces a structure-of-arrays [`RayPacket`] any-hit stream wavefront-style.
     #[deprecated(note = "unpack the packet (RayPacket::to_rays) and use \
                          TraversalEngine::trace(&TraceRequest::any_hit(..), ..)")]
-    #[allow(deprecated)] // the shim body calls sibling deprecated constructors
     pub fn any_hits_stream(
         &mut self,
         bvh: &Bvh4,
@@ -1509,7 +1434,7 @@ impl TraversalEngine {
         let mut unpacked = core::mem::take(&mut self.ray_scratch);
         unpacked.clear();
         unpacked.extend(rays.iter());
-        let hits = self.wavefront_any_hits(SceneView::Flat { bvh, triangles }, &unpacked);
+        let hits = self.wavefront_any_hits(loose_scene(bvh, triangles).view(), &unpacked);
         self.ray_scratch = unpacked;
         hits
     }
@@ -1524,6 +1449,12 @@ impl TraversalEngine {
     fn work_pool_len(&self) -> usize {
         self.scheduler.pooled_states()
     }
+}
+
+/// The owned scene the deprecated loose-`(bvh, triangles)` shims trace: the scene stores its
+/// triangles in leaf order, so a loose caller-order pair cannot be traversed in place.
+pub(crate) fn loose_scene(bvh: &Bvh4, triangles: &[Triangle]) -> Scene {
+    Scene::from_parts(bvh.clone(), triangles.to_vec())
 }
 
 /// Applies one triangle-beat result to a ray's best hit, honouring the ray extent and the
@@ -1551,7 +1482,7 @@ pub(crate) fn record_triangle_hit(
 pub(crate) fn push_hit_children(
     stack: &mut Vec<u64>,
     result: &rayflex_core::BoxResult,
-    children: &[Option<usize>; 4],
+    children: &[ChildRef; 4],
     ctx: u32,
     best: Option<&TraversalHit>,
 ) {
@@ -1565,8 +1496,9 @@ pub(crate) fn push_hit_children(
                 continue;
             }
         }
-        if let Some(child) = children[slot] {
-            stack.push(handle(ctx, child));
+        let child = children[slot];
+        if !child.is_empty() {
+            stack.push(handle(ctx, child.bits()));
         }
     }
 }
@@ -1883,15 +1815,6 @@ mod tests {
         let (fc, fa) = fused_shim.trace_fused(&bvh, &triangles, &rays, &rays);
         assert_eq!(fc, expected.closest);
         assert_eq!(fa, expected.any);
-
-        // The flat request constructors trace identically to the Scene-backed ones.
-        let mut flat_engine = TraversalEngine::baseline();
-        let flat = flat_engine.trace(
-            &TraceRequest::pair_flat(&bvh, &triangles, &rays, &rays),
-            &ExecPolicy::wavefront(),
-        );
-        assert_eq!(flat, expected);
-        assert_eq!(flat_engine.stats(), policy_engine.stats());
     }
 
     #[test]

@@ -192,16 +192,11 @@ impl AdmissionQueue {
                     .partition(|job| job.absolute_deadline().is_some());
                 let mut ordered = dated;
                 ordered.extend(dateless);
-                let keep: Vec<Job> = ordered.split_off(max_batch.min(ordered.len()));
-                for job in keep {
-                    // Re-queue in arrival order so FIFO fairness inside the remainder survives.
-                    let at = state
-                        .pending
-                        .iter()
-                        .position(|queued| queued.seq > job.seq)
-                        .unwrap_or(state.pending.len());
-                    state.pending.insert(at, job);
-                }
+                // Re-queue the remainder in arrival order so FIFO fairness inside it survives:
+                // one sort of the leftovers, not a scan-and-insert per job (quadratic in depth).
+                let mut keep: Vec<Job> = ordered.split_off(max_batch.min(ordered.len()));
+                keep.sort_unstable_by_key(|job| job.seq);
+                state.pending.extend(keep);
                 ordered
             }
         }
@@ -264,6 +259,114 @@ mod tests {
             .unwrap();
         let seqs: Vec<u64> = rest.iter().map(|j| j.seq).collect();
         assert_eq!(seqs, vec![1, 0], "dated before dateless");
+    }
+
+    /// A pending set of `n` jobs with seeded deadlines (a third dateless, the rest spread over
+    /// a range narrow enough to collide), all enqueued at offsets from one fixed `base`.
+    fn seeded_state(seed: u64, n: usize, base: Instant) -> QueueState {
+        let mut x = seed;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            x >> 33
+        };
+        let pending = (0..n as u64)
+            .map(|seq| {
+                let deadline_us = if next() % 3 == 0 { 0 } else { 1 + next() % 64 };
+                let (responder, receiver) = sync_channel(1);
+                std::mem::forget(receiver);
+                Job {
+                    request: request(deadline_us),
+                    enqueued_at: base + Duration::from_micros(next() % 32),
+                    seq,
+                    responder,
+                }
+            })
+            .collect();
+        QueueState {
+            pending,
+            next_seq: n as u64,
+            closed: false,
+        }
+    }
+
+    /// The EDF take as first written: every leftover job is put back with a position scan and a
+    /// `VecDeque::insert` (quadratic in queue depth).  The reference the linear re-queue must
+    /// match exactly.
+    fn quadratic_edf_take(state: &mut QueueState, max_batch: usize) -> Vec<Job> {
+        let mut jobs: Vec<Job> = state.pending.drain(..).collect();
+        jobs.sort_by_key(|job| (job.absolute_deadline(), job.seq));
+        let (dated, dateless): (Vec<Job>, Vec<Job>) = jobs
+            .into_iter()
+            .partition(|job| job.absolute_deadline().is_some());
+        let mut ordered = dated;
+        ordered.extend(dateless);
+        let keep: Vec<Job> = ordered.split_off(max_batch.min(ordered.len()));
+        for job in keep {
+            let at = state
+                .pending
+                .iter()
+                .position(|queued| queued.seq > job.seq)
+                .unwrap_or(state.pending.len());
+            state.pending.insert(at, job);
+        }
+        ordered
+    }
+
+    fn seqs<'a>(jobs: impl IntoIterator<Item = &'a Job>) -> Vec<u64> {
+        jobs.into_iter().map(|job| job.seq).collect()
+    }
+
+    #[test]
+    fn edf_requeue_selects_and_orders_exactly_like_the_quadratic_reference() {
+        let base = Instant::now();
+        for seed in 0..16u64 {
+            let mut linear = seeded_state(seed, 200, base);
+            let mut reference = seeded_state(seed, 200, base);
+            let mut round = 0u64;
+            while !reference.pending.is_empty() {
+                let max_batch = 1 + ((seed * 31 + round * 7) % 40) as usize;
+                let got = AdmissionQueue::take_batch(
+                    &mut linear,
+                    max_batch,
+                    AdmissionOrder::EarliestDeadlineFirst,
+                );
+                let expected = quadratic_edf_take(&mut reference, max_batch);
+                assert_eq!(
+                    seqs(&got),
+                    seqs(&expected),
+                    "seed {seed} round {round}: batch"
+                );
+                assert_eq!(
+                    seqs(&linear.pending),
+                    seqs(&reference.pending),
+                    "seed {seed} round {round}: remainder"
+                );
+                round += 1;
+            }
+            assert!(linear.pending.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_deep_edf_take_requeues_the_remainder_in_arrival_order() {
+        let mut state = seeded_state(7, 20_000, Instant::now());
+        let batch =
+            AdmissionQueue::take_batch(&mut state, 64, AdmissionOrder::EarliestDeadlineFirst);
+        assert_eq!(batch.len(), 64);
+        assert_eq!(state.pending.len(), 20_000 - 64);
+        let rest = seqs(&state.pending);
+        assert!(rest.windows(2).all(|w| w[0] < w[1]), "arrival order");
+        let latest_taken = batch.iter().filter_map(Job::absolute_deadline).max();
+        assert!(
+            state
+                .pending
+                .iter()
+                .filter_map(Job::absolute_deadline)
+                .all(|deadline| Some(deadline) >= latest_taken),
+            "the batch holds the tightest deadlines"
+        );
     }
 
     #[test]

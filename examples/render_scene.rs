@@ -95,7 +95,7 @@ fn main() {
             "scene: {} instances x {} BLAS triangles = {} placed triangles, TLAS with {} nodes \
              — policy: {}",
             world.instances().len(),
-            world.blas_list()[0].triangles().len(),
+            world.blas_list()[0].triangle_count(),
             world.triangle_count(),
             world.tlas().map_or(0, Bvh4::node_count),
             policy.mode,
