@@ -37,17 +37,7 @@ pub struct BeatMix {
 }
 
 impl BeatMix {
-    fn record(&mut self, opcode: Opcode) {
-        self.counts[Self::slot(opcode)] += 1;
-    }
-
-    fn record_attributed(&mut self, kind: QueryKind, opcode: Opcode) {
-        self.counts[Self::slot(opcode)] += 1;
-        self.kind_counts[Self::kind_slot(kind)][Self::slot(opcode)] += 1;
-    }
-
-    /// Records a same-opcode run of `count` beats at once — counter-identical to `count` calls
-    /// of [`BeatMix::record`] / [`BeatMix::record_attributed`].
+    /// Records a same-opcode run of `count` beats, attributed to `kind` when given.
     fn record_run(&mut self, opcode: Opcode, kind: Option<QueryKind>, count: u64) {
         self.counts[Self::slot(opcode)] += count;
         if let Some(kind) = kind {
@@ -281,45 +271,36 @@ impl RayFlexDatapath {
     /// cosine beat to a baseline datapath), mirroring the undefined behaviour of driving an
     /// absent opcode into the RTL.
     pub fn execute(&mut self, request: &RayFlexRequest) -> RayFlexResponse {
-        self.admit(request, None);
+        self.admit_run(
+            core::slice::from_ref(request),
+            &mut SegmentCursor::Single(None),
+        );
         self.emulated_beat(request)
     }
 
-    /// Admits one beat: the shared front half of every dispatch interface — the opcode-support
-    /// assertion, the executed counter, and the (optionally kind-attributed) mix recording.
-    /// Keeping this in one place is what keeps the attributed and unattributed interfaces
+    /// Admits a same-opcode run of beats: the shared front half of every dispatch interface —
+    /// the opcode-support assertion, the executed counter, the mix recording (kind-attributed
+    /// per the cursor's segments, or unattributed) and the TLAS-phase box count.  Keeping this
+    /// in one place is what keeps the per-beat and bulk, attributed and unattributed interfaces
     /// bit-identical in everything but their counters.
-    fn admit(&mut self, request: &RayFlexRequest, kind: Option<QueryKind>) {
+    fn admit_run(&mut self, run: &[RayFlexRequest], cursor: &mut SegmentCursor<'_>) {
+        let opcode = run[0].opcode;
         assert!(
-            self.config.supports(request.opcode),
+            self.config.supports(opcode),
             "opcode {} is not supported by the {} configuration",
-            request.opcode,
+            opcode,
             self.config.name()
         );
-        self.executed += 1;
-        match kind {
-            Some(kind) => self.mix.record_attributed(kind, request.opcode),
-            None => self.mix.record(request.opcode),
+        self.executed += run.len() as u64;
+        cursor.take_run(run.len(), |kind, count| {
+            self.mix.record_run(opcode, kind, count as u64);
+        });
+        if opcode == Opcode::RayBox {
+            self.mix.tlas_box_beats += run
+                .iter()
+                .filter(|request| request.tag & crate::TLAS_PHASE_TAG != 0)
+                .count() as u64;
         }
-        if request.opcode == Opcode::RayBox && request.tag & crate::TLAS_PHASE_TAG != 0 {
-            self.mix.tlas_box_beats += 1;
-        }
-    }
-
-    /// Admits a same-opcode run of `count` beats in one step: counter-identical to calling
-    /// [`RayFlexDatapath::admit`] once per beat, with the opcode-support assertion and the mix
-    /// slot lookups hoisted out of the loop.  Only valid for opcodes without per-beat admission
-    /// state — ray–triangle beats never carry the TLAS phase tag, so the per-beat tag check of
-    /// [`RayFlexDatapath::admit`] is vacuous for them.
-    fn admit_triangle_run(&mut self, count: u64, kind: Option<QueryKind>) {
-        assert!(
-            self.config.supports(Opcode::RayTriangle),
-            "opcode {} is not supported by the {} configuration",
-            Opcode::RayTriangle,
-            self.config.name()
-        );
-        self.executed += count;
-        self.mix.record_run(Opcode::RayTriangle, kind, count);
     }
 
     /// Runs one admitted beat through the register-accurate recoded-format stage emulation.
@@ -364,76 +345,70 @@ impl RayFlexDatapath {
     ) {
         responses.clear();
         responses.reserve(requests.len());
-        self.fast_run(requests, None, responses);
+        self.fast_run(requests, SegmentCursor::Single(None), responses);
     }
 
-    /// The shared bulk dispatch loop: admits every beat and executes it on the native fast model,
-    /// grouping adjacent beats into the lane-batched kernels when the SIMD width allows.
+    /// The bulk dispatch loop of every batched interface: admits every beat — attributed to the
+    /// [`QueryKind`] the segment cursor assigns it, or unattributed — and executes it on the
+    /// native fast model, grouping adjacent beats into the run kernels.
     ///
     /// Grouping relies on the scheduler adjacency the bulk interfaces already guarantee — a
     /// wavefront pass emits one beat per active item, so items in the same traversal phase sit
-    /// next to each other.  Ray–box beats vectorise *within* one beat (its four AABBs are one
-    /// lane quartet) and *across* adjacent beats (up to `simd_lanes / 4` quartets share one
-    /// issue); ray–triangle beats vectorise *across* adjacent beats (runs of up to `simd_lanes`
-    /// same-opcode requests share one kernel invocation); distance beats chain through the
-    /// accumulators and always run scalar.  Every grouping is bit-identical to the per-beat path.
+    /// next to each other, and a distance item appends its whole beat train at once.  When the
+    /// SIMD width allows, ray–box beats vectorise *within* one beat (its four AABBs are one lane
+    /// quartet) and *across* adjacent beats (up to `simd_lanes / 4` quartets share one issue),
+    /// and ray–triangle beats vectorise *across* adjacent beats (runs of up to `simd_lanes`
+    /// same-opcode requests share one kernel invocation); below four lanes both run one beat at a
+    /// time on the scalar golden models.  Adjacent same-opcode distance beats run as one
+    /// accumulator-chaining run at every width (they never occupy SIMD lanes).  Runs and groups
+    /// scan the whole request slice, so they freely cross segment boundaries; the per-kind
+    /// attribution is identical to dispatching each segment alone, and every grouping is
+    /// bit-identical to the per-beat path.
     fn fast_run(
         &mut self,
         requests: &[RayFlexRequest],
-        kind: Option<QueryKind>,
+        mut cursor: SegmentCursor<'_>,
         responses: &mut Vec<RayFlexResponse>,
     ) {
-        if self.simd_lanes < 4 {
-            for request in requests {
-                self.admit(request, kind);
-                responses.push(crate::fastpath::execute_fast(
-                    request,
-                    &mut self.accumulators,
-                ));
-            }
-            return;
-        }
+        let wide = self.simd_lanes >= crate::fastpath::MIN_SIMD_LANES;
         let mut index = 0;
         while index < requests.len() {
-            let request = &requests[index];
-            match request.opcode {
-                Opcode::RayBox => {
-                    // Adjacent box beats group one lane quartet each into a single wide issue:
-                    // the device carries `simd_lanes / 4` beats per pass over the slab stages
-                    // (four beats at sixteen lanes, two at eight, one below).
-                    let limit = (index + (self.simd_lanes / 4).max(1)).min(requests.len());
-                    let mut end = index + 1;
-                    while end < limit && requests[end].opcode == Opcode::RayBox {
-                        end += 1;
-                    }
-                    for request in &requests[index..end] {
-                        self.admit(request, kind);
-                    }
-                    self.issue_box_group(&requests[index..end], responses);
-                    index = end;
-                }
+            let opcode = requests[index].opcode;
+            let width = match opcode {
+                // The device carries `simd_lanes / 4` box beats per pass over the slab stages
+                // (four beats at sixteen lanes, two at eight, one below).
+                Opcode::RayBox if wide => self.simd_lanes / 4,
+                Opcode::RayTriangle if wide => self.simd_lanes,
+                Opcode::RayBox | Opcode::RayTriangle => 1,
+                Opcode::Euclidean | Opcode::Cosine => requests.len(),
+            };
+            let limit = index.saturating_add(width).min(requests.len());
+            let mut end = index + 1;
+            while end < limit && requests[end].opcode == opcode {
+                end += 1;
+            }
+            let run = &requests[index..end];
+            self.admit_run(run, &mut cursor);
+            match opcode {
+                Opcode::RayBox if wide => self.issue_box_group(run, responses),
+                Opcode::RayBox => responses.push(crate::fastpath::box_response_scalar(&run[0])),
                 Opcode::RayTriangle => {
-                    let limit = (index + self.simd_lanes).min(requests.len());
-                    let mut end = index + 1;
-                    while end < limit && requests[end].opcode == Opcode::RayTriangle {
-                        end += 1;
+                    if wide {
+                        let (busy, slots) =
+                            crate::fastpath::triangle_lane_accounting(run.len(), self.simd_lanes);
+                        self.mix.record_lanes(busy, slots);
                     }
-                    self.admit_triangle_run((end - index) as u64, kind);
-                    let (busy, slots) =
-                        crate::fastpath::triangle_lane_accounting(end - index, self.simd_lanes);
-                    self.mix.record_lanes(busy, slots);
-                    crate::fastpath::execute_fast_triangles(&requests[index..end], responses);
-                    index = end;
+                    crate::fastpath::execute_fast_triangles(run, responses);
                 }
                 Opcode::Euclidean | Opcode::Cosine => {
-                    self.admit(request, kind);
-                    responses.push(crate::fastpath::execute_fast(
-                        request,
+                    crate::fastpath::execute_fast_distance_run(
+                        run,
                         &mut self.accumulators,
-                    ));
-                    index += 1;
+                        responses,
+                    );
                 }
             }
+            index = end;
         }
     }
 
@@ -466,7 +441,10 @@ impl RayFlexDatapath {
         request: &RayFlexRequest,
         kind: QueryKind,
     ) -> RayFlexResponse {
-        self.admit(request, Some(kind));
+        self.admit_run(
+            core::slice::from_ref(request),
+            &mut SegmentCursor::Single(Some(kind)),
+        );
         self.emulated_beat(request)
     }
 
@@ -506,77 +484,7 @@ impl RayFlexDatapath {
         self.passes_accounting(segments);
         responses.clear();
         responses.reserve(requests.len());
-        self.fast_run_segmented(requests, segments, responses);
-    }
-
-    /// [`RayFlexDatapath::fast_run`] over a merged multi-segment pass: each beat is attributed
-    /// to its segment's [`QueryKind`], but lane grouping scans the whole request slice, so
-    /// same-opcode runs and box groups cross segment boundaries.  Grouping never moves a response
-    /// value (every kernel tier is bit-identical to the per-beat path), and the per-kind beat
-    /// attribution is identical to dispatching each segment through its own
-    /// [`RayFlexDatapath::fast_run`] — only the lane-occupancy counters see the coalescing.
-    fn fast_run_segmented(
-        &mut self,
-        requests: &[RayFlexRequest],
-        segments: &[(QueryKind, usize)],
-        responses: &mut Vec<RayFlexResponse>,
-    ) {
-        let mut cursor = SegmentCursor::new(segments);
-        if self.simd_lanes < 4 {
-            for request in requests {
-                let kind = cursor.take_one();
-                self.admit(request, Some(kind));
-                responses.push(crate::fastpath::execute_fast(
-                    request,
-                    &mut self.accumulators,
-                ));
-            }
-            return;
-        }
-        let mut index = 0;
-        while index < requests.len() {
-            let request = &requests[index];
-            match request.opcode {
-                Opcode::RayBox => {
-                    let limit = (index + (self.simd_lanes / 4).max(1)).min(requests.len());
-                    let mut end = index + 1;
-                    while end < limit && requests[end].opcode == Opcode::RayBox {
-                        end += 1;
-                    }
-                    for request in &requests[index..end] {
-                        let kind = cursor.take_one();
-                        self.admit(request, Some(kind));
-                    }
-                    self.issue_box_group(&requests[index..end], responses);
-                    index = end;
-                }
-                Opcode::RayTriangle => {
-                    let limit = (index + self.simd_lanes).min(requests.len());
-                    let mut end = index + 1;
-                    while end < limit && requests[end].opcode == Opcode::RayTriangle {
-                        end += 1;
-                    }
-                    let run = end - index;
-                    cursor.take_run(run, |kind, count| {
-                        self.admit_triangle_run(count as u64, Some(kind));
-                    });
-                    let (busy, slots) =
-                        crate::fastpath::triangle_lane_accounting(run, self.simd_lanes);
-                    self.mix.record_lanes(busy, slots);
-                    crate::fastpath::execute_fast_triangles(&requests[index..end], responses);
-                    index = end;
-                }
-                Opcode::Euclidean | Opcode::Cosine => {
-                    let kind = cursor.take_one();
-                    self.admit(request, Some(kind));
-                    responses.push(crate::fastpath::execute_fast(
-                        request,
-                        &mut self.accumulators,
-                    ));
-                    index += 1;
-                }
-            }
-        }
+        self.fast_run(requests, SegmentCursor::table(segments), responses);
     }
 
     /// Counts one logical bulk pass without executing any beats — the accounting half of the
@@ -608,7 +516,7 @@ impl RayFlexDatapath {
     ) {
         responses.clear();
         responses.reserve(requests.len());
-        self.fast_run(requests, Some(kind), responses);
+        self.fast_run(requests, SegmentCursor::Single(Some(kind)), responses);
     }
 
     /// Counts one segmented pass, detecting whether its non-empty segments mix distinct kinds.
@@ -647,47 +555,52 @@ impl RayFlexDatapath {
     }
 }
 
-/// Walks a pass's `(kind, len)` segment table alongside the merged request slice, yielding the
-/// owning [`QueryKind`] of each beat in request order — the attribution side of
-/// [`RayFlexDatapath::fast_run_segmented`]'s cross-segment lane grouping.
-struct SegmentCursor<'a> {
-    segments: &'a [(QueryKind, usize)],
-    segment: usize,
-    consumed: usize,
+/// Yields the owning [`QueryKind`] of each beat of a bulk dispatch in request order — the
+/// attribution side of [`RayFlexDatapath::fast_run`]'s cross-segment grouping.  An unsegmented
+/// dispatch is one segment covering the whole batch (`None` = unattributed); a segmented pass
+/// walks its `(kind, len)` table alongside the merged request slice.
+enum SegmentCursor<'a> {
+    /// Every beat belongs to one segment.
+    Single(Option<QueryKind>),
+    /// A pass's segment table, with the current segment and the beats consumed from it.
+    Table {
+        segments: &'a [(QueryKind, usize)],
+        segment: usize,
+        consumed: usize,
+    },
 }
 
 impl<'a> SegmentCursor<'a> {
-    fn new(segments: &'a [(QueryKind, usize)]) -> Self {
-        SegmentCursor {
+    fn table(segments: &'a [(QueryKind, usize)]) -> Self {
+        SegmentCursor::Table {
             segments,
             segment: 0,
             consumed: 0,
         }
     }
 
-    /// The kind owning the next beat.
-    fn take_one(&mut self) -> QueryKind {
-        while self.consumed == self.segments[self.segment].1 {
-            self.segment += 1;
-            self.consumed = 0;
-        }
-        self.consumed += 1;
-        self.segments[self.segment].0
-    }
-
     /// Splits a run of `count` beats into its per-segment `(kind, span)` pieces, in order.
-    fn take_run(&mut self, count: usize, mut span: impl FnMut(QueryKind, usize)) {
-        let mut left = count;
-        while left > 0 {
-            while self.consumed == self.segments[self.segment].1 {
-                self.segment += 1;
-                self.consumed = 0;
+    fn take_run(&mut self, count: usize, mut span: impl FnMut(Option<QueryKind>, usize)) {
+        match self {
+            SegmentCursor::Single(kind) => span(*kind, count),
+            SegmentCursor::Table {
+                segments,
+                segment,
+                consumed,
+            } => {
+                let mut left = count;
+                while left > 0 {
+                    while *consumed == segments[*segment].1 {
+                        *segment += 1;
+                        *consumed = 0;
+                    }
+                    let (kind, len) = segments[*segment];
+                    let take = left.min(len - *consumed);
+                    *consumed += take;
+                    left -= take;
+                    span(Some(kind), take);
+                }
             }
-            let (kind, len) = self.segments[self.segment];
-            let take = left.min(len - self.consumed);
-            self.consumed += take;
-            left -= take;
-            span(kind, take);
         }
     }
 }

@@ -17,10 +17,11 @@
 //! [`canonicalize_nan`] so degenerate beats (coplanar rays, masked-off infinite lanes) match the
 //! emulated response bit-for-bit too.
 
-use rayflex_geometry::{golden, Axis, Ray, ShearConstants, Vec3};
+use rayflex_geometry::golden::distance::COSINE_LANES;
+use rayflex_geometry::{golden, Aabb, Axis, Ray, ShearConstants, Vec3};
 use rayflex_softfloat::RecF32;
 
-use crate::io::{BoxResult, DistanceResult, RayOperand, TriangleResult};
+use crate::io::{BoxResult, DistanceResult, RayOperand, TriangleResult, DISABLED_BOXES};
 use crate::{AccumulatorState, Opcode, RayFlexRequest, RayFlexResponse};
 
 /// The canonical quiet-NaN bit pattern the recoded format reports for every NaN.
@@ -102,95 +103,31 @@ fn ray_from_operand(operand: &RayOperand) -> Ray {
     }
 }
 
-/// Executes one beat with the native fast model, updating the shared accumulator state exactly as
-/// the emulated path would.
-pub(crate) fn execute_fast(
-    request: &RayFlexRequest,
-    acc: &mut AccumulatorState,
-) -> RayFlexResponse {
-    let mut response = RayFlexResponse {
+/// The scalar ray–box beat: the golden slab test of each of the four boxes, in input order.
+/// The per-beat box path of the scalar dispatch (`simd_lanes < 4`).
+pub(crate) fn box_response_scalar(request: &RayFlexRequest) -> RayFlexResponse {
+    let (ray, boxes) = request.box_operands();
+    let ray = ray_from_operand(ray);
+    let hits: [golden::slab::BoxHit; 4] =
+        core::array::from_fn(|slot| golden::slab::ray_box(&ray, &boxes[slot]));
+    RayFlexResponse {
         opcode: request.opcode,
         tag: request.tag,
-        box_result: None,
+        box_result: Some(BoxResult {
+            hit: core::array::from_fn(|slot| hits[slot].hit),
+            t_entry: core::array::from_fn(|slot| canonicalize_nan(hits[slot].t_entry)),
+            traversal_order: golden::slab::sort_boxes(&hits),
+        }),
         triangle_result: None,
         distance_result: None,
-    };
-    match request.opcode {
-        Opcode::RayBox => {
-            let ray = ray_from_operand(&request.ray);
-            let hits = [
-                golden::slab::ray_box(&ray, &request.boxes_operand()[0]),
-                golden::slab::ray_box(&ray, &request.boxes_operand()[1]),
-                golden::slab::ray_box(&ray, &request.boxes_operand()[2]),
-                golden::slab::ray_box(&ray, &request.boxes_operand()[3]),
-            ];
-            response.box_result = Some(BoxResult {
-                hit: [hits[0].hit, hits[1].hit, hits[2].hit, hits[3].hit],
-                t_entry: [
-                    canonicalize_nan(hits[0].t_entry),
-                    canonicalize_nan(hits[1].t_entry),
-                    canonicalize_nan(hits[2].t_entry),
-                    canonicalize_nan(hits[3].t_entry),
-                ],
-                traversal_order: golden::slab::sort_boxes(&hits),
-            });
-        }
-        Opcode::RayTriangle => {
-            return triangle_response_scalar(request);
-        }
-        Opcode::Euclidean => {
-            let vector = request.vector_operand();
-            let partial = golden::distance::euclidean_partial(&vector.a, &vector.b, vector.mask);
-            // Native accumulation is bit-identical to the recoded stage-10 accumulate: the
-            // recoded/IEEE round trip is lossless and recoded addition matches native addition
-            // bit-for-bit (proptest_ieee).
-            let updated = acc.euclidean.to_f32() + partial;
-            acc.euclidean = if request.reset_accumulator {
-                RecF32::ZERO
-            } else {
-                RecF32::from_f32(updated)
-            };
-            response.distance_result = Some(DistanceResult {
-                euclidean_accumulator: canonicalize_nan(updated),
-                euclidean_reset: request.reset_accumulator,
-                angular_dot_product: 0.0,
-                angular_norm: 0.0,
-                angular_reset: false,
-            });
-        }
-        Opcode::Cosine => {
-            let vector = request.vector_operand();
-            let a: [f32; golden::distance::COSINE_LANES] =
-                core::array::from_fn(|lane| vector.a[lane]);
-            let b: [f32; golden::distance::COSINE_LANES] =
-                core::array::from_fn(|lane| vector.b[lane]);
-            let partial = golden::distance::cosine_partial(&a, &b, (vector.mask & 0xFF) as u8);
-            let dot = acc.angular_dot.to_f32() + partial.dot;
-            let norm = acc.angular_norm.to_f32() + partial.norm_sq;
-            if request.reset_accumulator {
-                acc.angular_dot = RecF32::ZERO;
-                acc.angular_norm = RecF32::ZERO;
-            } else {
-                acc.angular_dot = RecF32::from_f32(dot);
-                acc.angular_norm = RecF32::from_f32(norm);
-            }
-            response.distance_result = Some(DistanceResult {
-                euclidean_accumulator: 0.0,
-                euclidean_reset: false,
-                angular_dot_product: canonicalize_nan(dot),
-                angular_norm: canonicalize_nan(norm),
-                angular_reset: request.reset_accumulator,
-            });
-        }
     }
-    response
 }
 
-/// The scalar ray–triangle beat, shared by [`execute_fast`] and the lane-kernel remainder path
-/// so both produce the same response object field-for-field.
-fn triangle_response_scalar(request: &RayFlexRequest) -> RayFlexResponse {
-    let ray = ray_from_operand(&request.ray);
-    let hit = golden::watertight::ray_triangle(&ray, request.triangle_operand());
+/// The scalar ray–triangle beat, shared by the scalar dispatch and the lane-kernel remainder
+/// path so both produce the same response object field-for-field.
+pub(crate) fn triangle_response_scalar(request: &RayFlexRequest) -> RayFlexResponse {
+    let (ray, triangle) = request.triangle_operands();
+    let hit = golden::watertight::ray_triangle(&ray_from_operand(ray), triangle);
     RayFlexResponse {
         opcode: request.opcode,
         tag: request.tag,
@@ -207,20 +144,106 @@ fn triangle_response_scalar(request: &RayFlexRequest) -> RayFlexResponse {
     }
 }
 
+/// Executes a run of adjacent same-opcode distance beats (all Euclidean or all cosine),
+/// chaining the opcode's accumulator registers through the run exactly as the emulated path
+/// would, and appends one response per beat.
+///
+/// Each beat's partial sum is the golden reduction ([`golden::distance::euclidean_partial`] /
+/// [`golden::distance::cosine_partial`]), so the per-beat arithmetic and its order are those of
+/// datapath stages 2–9.  The stage-10 (Euclidean) or stage-9 (cosine) accumulation runs in
+/// native `f32`, read from the recoded registers once at the start of the run and written back
+/// once at its end.  That is bit-identical to a recoded round trip per beat: the conversion is
+/// lossless for every non-NaN value and recoded addition matches native addition bit-for-bit
+/// (`proptest_ieee`).  A NaN accumulator stays NaN under either order, every reported field is
+/// passed through [`canonicalize_nan`], and the recoded write-back canonicalises NaN, so NaN
+/// payloads never show.  A reset beat reports its updated value and clears the register to
+/// `+0`, which is [`RecF32::ZERO`].
+pub(crate) fn execute_fast_distance_run(
+    requests: &[RayFlexRequest],
+    acc: &mut AccumulatorState,
+    responses: &mut Vec<RayFlexResponse>,
+) {
+    let Some(first) = requests.first() else {
+        return;
+    };
+    debug_assert!(requests.iter().all(|r| r.opcode == first.opcode));
+    match first.opcode {
+        Opcode::Euclidean => {
+            let mut running = acc.euclidean.to_f32();
+            responses.extend(requests.iter().map(|request| {
+                let (vector, reset) = request.vector_operands();
+                let partial =
+                    golden::distance::euclidean_partial(&vector.a, &vector.b, vector.mask);
+                let updated = running + partial;
+                running = if reset { 0.0 } else { updated };
+                RayFlexResponse {
+                    opcode: request.opcode,
+                    tag: request.tag,
+                    box_result: None,
+                    triangle_result: None,
+                    distance_result: Some(DistanceResult {
+                        euclidean_accumulator: canonicalize_nan(updated),
+                        euclidean_reset: reset,
+                        angular_dot_product: 0.0,
+                        angular_norm: 0.0,
+                        angular_reset: false,
+                    }),
+                }
+            }));
+            acc.euclidean = RecF32::from_f32(running);
+        }
+        Opcode::Cosine => {
+            let mut dot = acc.angular_dot.to_f32();
+            let mut norm = acc.angular_norm.to_f32();
+            responses.extend(requests.iter().map(|request| {
+                let (vector, reset) = request.vector_operands();
+                let a: [f32; COSINE_LANES] = core::array::from_fn(|lane| vector.a[lane]);
+                let b: [f32; COSINE_LANES] = core::array::from_fn(|lane| vector.b[lane]);
+                let partial = golden::distance::cosine_partial(&a, &b, (vector.mask & 0xFF) as u8);
+                let updated_dot = dot + partial.dot;
+                let updated_norm = norm + partial.norm_sq;
+                (dot, norm) = if reset {
+                    (0.0, 0.0)
+                } else {
+                    (updated_dot, updated_norm)
+                };
+                RayFlexResponse {
+                    opcode: request.opcode,
+                    tag: request.tag,
+                    box_result: None,
+                    triangle_result: None,
+                    distance_result: Some(DistanceResult {
+                        euclidean_accumulator: 0.0,
+                        euclidean_reset: false,
+                        angular_dot_product: canonicalize_nan(updated_dot),
+                        angular_norm: canonicalize_nan(updated_norm),
+                        angular_reset: reset,
+                    }),
+                }
+            }));
+            acc.angular_dot = RecF32::from_f32(dot);
+            acc.angular_norm = RecF32::from_f32(norm);
+        }
+        Opcode::RayBox | Opcode::RayTriangle => {
+            unreachable!("distance runs carry only Euclidean or cosine beats")
+        }
+    }
+}
+
 /// Lane-batched ray–box beat: the beat's four AABBs are transposed into `[f32; 4]` component
 /// lanes and every slab stage runs elementwise across them, so one beat's four box tests share
 /// each subtract/multiply/select instruction instead of running the golden model four times.
 ///
-/// Bit-identity to [`execute_fast`] holds by construction: each lane performs exactly the
+/// Bit-identity to [`box_response_scalar`] holds by construction: each lane performs exactly the
 /// operations of [`golden::slab::ray_box`] in the same order — the transpose only regroups
 /// *independent* computations, never reassociates within one — and [`sel_min`]/[`sel_max`] are
 /// operand-for-operand selects matching the reference comparators.
 pub(crate) fn execute_fast_box_lanes(request: &RayFlexRequest) -> RayFlexResponse {
     const L: usize = 4;
-    let boxes = request.boxes_operand();
-    let origin = request.ray.origin;
-    let inv_dir = request.ray.inv_dir;
-    let (t_beg, t_end) = (request.ray.t_beg, request.ray.t_end);
+    let (ray, boxes) = request.box_operands();
+    let origin = ray.origin;
+    let inv_dir = ray.inv_dir;
+    let (t_beg, t_end) = (ray.t_beg, ray.t_end);
 
     // Transpose: AoS boxes → per-component lanes.
     let min_x: [f32; L] = core::array::from_fn(|l| boxes[l].min.x);
@@ -280,23 +303,30 @@ pub(crate) fn execute_fast_box_lanes_group<const L: usize>(
     responses: &mut Vec<RayFlexResponse>,
 ) {
     debug_assert_eq!(beats.len() * 4, L);
-    let request = |l: usize| &beats[l / 4];
+    // Bind each beat's operands with one match per beat, not one per lane.
+    let mut rays = [&RayOperand::DISABLED; 4];
+    let mut tables: [&[Aabb; 4]; 4] = [&DISABLED_BOXES; 4];
+    for (beat, request) in beats.iter().enumerate() {
+        (rays[beat], tables[beat]) = request.box_operands();
+    }
+    let ray = |l: usize| rays[l / 4];
+    let aabb = |l: usize| &tables[l / 4][l % 4];
 
     // Transpose: each lane's box component against its own ray's origin/extent lanes.
-    let min_x: [f32; L] = core::array::from_fn(|l| request(l).boxes_operand()[l % 4].min.x);
-    let min_y: [f32; L] = core::array::from_fn(|l| request(l).boxes_operand()[l % 4].min.y);
-    let min_z: [f32; L] = core::array::from_fn(|l| request(l).boxes_operand()[l % 4].min.z);
-    let max_x: [f32; L] = core::array::from_fn(|l| request(l).boxes_operand()[l % 4].max.x);
-    let max_y: [f32; L] = core::array::from_fn(|l| request(l).boxes_operand()[l % 4].max.y);
-    let max_z: [f32; L] = core::array::from_fn(|l| request(l).boxes_operand()[l % 4].max.z);
-    let org_x: [f32; L] = core::array::from_fn(|l| request(l).ray.origin[0]);
-    let org_y: [f32; L] = core::array::from_fn(|l| request(l).ray.origin[1]);
-    let org_z: [f32; L] = core::array::from_fn(|l| request(l).ray.origin[2]);
-    let inv_x: [f32; L] = core::array::from_fn(|l| request(l).ray.inv_dir[0]);
-    let inv_y: [f32; L] = core::array::from_fn(|l| request(l).ray.inv_dir[1]);
-    let inv_z: [f32; L] = core::array::from_fn(|l| request(l).ray.inv_dir[2]);
-    let t_beg: [f32; L] = core::array::from_fn(|l| request(l).ray.t_beg);
-    let t_end: [f32; L] = core::array::from_fn(|l| request(l).ray.t_end);
+    let min_x: [f32; L] = core::array::from_fn(|l| aabb(l).min.x);
+    let min_y: [f32; L] = core::array::from_fn(|l| aabb(l).min.y);
+    let min_z: [f32; L] = core::array::from_fn(|l| aabb(l).min.z);
+    let max_x: [f32; L] = core::array::from_fn(|l| aabb(l).max.x);
+    let max_y: [f32; L] = core::array::from_fn(|l| aabb(l).max.y);
+    let max_z: [f32; L] = core::array::from_fn(|l| aabb(l).max.z);
+    let org_x: [f32; L] = core::array::from_fn(|l| ray(l).origin[0]);
+    let org_y: [f32; L] = core::array::from_fn(|l| ray(l).origin[1]);
+    let org_z: [f32; L] = core::array::from_fn(|l| ray(l).origin[2]);
+    let inv_x: [f32; L] = core::array::from_fn(|l| ray(l).inv_dir[0]);
+    let inv_y: [f32; L] = core::array::from_fn(|l| ray(l).inv_dir[1]);
+    let inv_z: [f32; L] = core::array::from_fn(|l| ray(l).inv_dir[2]);
+    let t_beg: [f32; L] = core::array::from_fn(|l| ray(l).t_beg);
+    let t_end: [f32; L] = core::array::from_fn(|l| ray(l).t_end);
 
     // Stages 2 and 3 — translate, then scale by the inverse direction.
     let t_lo_x: [f32; L] = core::array::from_fn(|l| (min_x[l] - org_x[l]) * inv_x[l]);
@@ -369,12 +399,11 @@ fn triangle_lanes<const L: usize>(
     let mut sy = [0.0f32; L];
     let mut sz = [0.0f32; L];
     for lane in 0..L {
-        let request = &requests[lane];
-        let origin = Vec3::from_array(request.ray.origin);
-        let kx = Axis::from_index(request.ray.k[0] as usize);
-        let ky = Axis::from_index(request.ray.k[1] as usize);
-        let kz = Axis::from_index(request.ray.k[2] as usize);
-        let triangle = request.triangle_operand();
+        let (ray, triangle) = requests[lane].triangle_operands();
+        let origin = Vec3::from_array(ray.origin);
+        let kx = Axis::from_index(ray.k[0] as usize);
+        let ky = Axis::from_index(ray.k[1] as usize);
+        let kz = Axis::from_index(ray.k[2] as usize);
         let a = triangle.v0 - origin;
         let b = triangle.v1 - origin;
         let c = triangle.v2 - origin;
@@ -387,9 +416,9 @@ fn triangle_lanes<const L: usize>(
         c_kx[lane] = c.axis(kx);
         c_ky[lane] = c.axis(ky);
         c_kz[lane] = c.axis(kz);
-        sx[lane] = request.ray.shear[0];
-        sy[lane] = request.ray.shear[1];
-        sz[lane] = request.ray.shear[2];
+        sx[lane] = ray.shear[0];
+        sy[lane] = ray.shear[1];
+        sz[lane] = ray.shear[2];
     }
 
     // Stage 3 — shear/scale products.
@@ -533,8 +562,7 @@ mod tests {
             let request = RayFlexRequest::ray_box(7, &ray, &boxes);
             let mut emulated = RayFlexDatapath::new(PipelineConfig::baseline_unified());
             let expected = emulated.execute(&request);
-            let mut acc = AccumulatorState::new();
-            let got = execute_fast(&request, &mut acc);
+            let got = box_response_scalar(&request);
             let (expected, got) = (expected.box_result.unwrap(), got.box_result.unwrap());
             assert_eq!(expected.hit, got.hit);
             assert_eq!(expected.traversal_order, got.traversal_order);
@@ -558,8 +586,7 @@ mod tests {
         let request = RayFlexRequest::ray_triangle(3, &sample_ray(), &tri);
         let mut emulated = RayFlexDatapath::new(PipelineConfig::baseline_unified());
         let expected = emulated.execute(&request).triangle_result.unwrap();
-        let mut acc = AccumulatorState::new();
-        let got = execute_fast(&request, &mut acc).triangle_result.unwrap();
+        let got = triangle_response_scalar(&request).triangle_result.unwrap();
         assert_eq!(expected.hit, got.hit);
         for (e, g) in [
             (expected.t_num, got.t_num),
@@ -614,8 +641,7 @@ mod tests {
         ];
         for (tag, ray) in [sample_ray(), coplanar].into_iter().enumerate() {
             let request = RayFlexRequest::ray_box(tag as u64, &ray, &boxes);
-            let mut acc = AccumulatorState::new();
-            let expected = execute_fast(&request, &mut acc);
+            let expected = box_response_scalar(&request);
             let got = execute_fast_box_lanes(&request);
             assert_eq!(expected.tag, got.tag);
             let (expected, got) = (expected.box_result.unwrap(), got.box_result.unwrap());
@@ -674,8 +700,7 @@ mod tests {
             execute_fast_triangles(&requests, &mut got);
             assert_eq!(got.len(), group);
             for (request, got) in requests.iter().zip(&got) {
-                let mut acc = AccumulatorState::new();
-                let expected = execute_fast(request, &mut acc);
+                let expected = triangle_response_scalar(request);
                 assert_eq!(expected.tag, got.tag);
                 let (e, g) = (
                     expected.triangle_result.unwrap(),

@@ -5,10 +5,11 @@
 //! plus — on the extended datapath — two sixteen-element vectors, a lane mask and an
 //! accumulator-reset flag.  All floating-point IO is IEEE binary32; the first and last pipeline
 //! stages convert to and from the internal recoded format.  The in-memory request stores the
-//! per-opcode operands as a union ([`GeomOperand`]) plus a boxed vector payload, so the hot ray
-//! beats stay compact in the schedulers' bulk buffers; the unselected operands still *present*
-//! their fixed disabled values to unconditional consumers (see the `*_operand` accessors), so
-//! the wire-level specification is unchanged.
+//! per-opcode operands as one union ([`BeatOperand`]): a ray with its boxes, a ray with its
+//! triangle, or the vector pair with its reset flag — the software analogue of the paper's shared
+//! operand registers.  Every beat is therefore a fixed-size value with no heap payload; the
+//! unselected operands still *present* their fixed disabled values to unconditional consumers
+//! (see the `*_operand` accessors), so the wire-level specification is unchanged.
 
 use rayflex_geometry::{Aabb, Ray, Triangle, Vec3};
 
@@ -83,19 +84,16 @@ impl RayOperand {
         octant << 30 | morton
     }
 
-    /// A zeroed placeholder operand (used when the beat's opcode does not need a ray).
-    #[must_use]
-    pub fn disabled() -> Self {
-        RayOperand {
-            origin: [0.0; 3],
-            dir: [0.0, 0.0, 1.0],
-            inv_dir: [f32::INFINITY, f32::INFINITY, 1.0],
-            t_beg: 0.0,
-            t_end: 0.0,
-            k: [0, 1, 2],
-            shear: [0.0, 0.0, 1.0],
-        }
-    }
+    /// The placeholder operand a beat without a ray presents (a distance beat).
+    pub const DISABLED: RayOperand = RayOperand {
+        origin: [0.0; 3],
+        dir: [0.0, 0.0, 1.0],
+        inv_dir: [f32::INFINITY, f32::INFINITY, 1.0],
+        t_beg: 0.0,
+        t_end: 0.0,
+        k: [0, 1, 2],
+        shear: [0.0, 0.0, 1.0],
+    };
 }
 
 /// Top ten bits of the order-preserving unsigned image of an IEEE-754 binary32 value: flip all
@@ -125,9 +123,9 @@ fn spread_10(v: u64) -> u64 {
 }
 
 /// The vector operand of a distance beat: two sixteen-lane FP32 vectors and the lane-validity
-/// mask (bit set = lane participates).  Boxed inside [`RayFlexRequest`] so the far more numerous
-/// ray beats don't carry 128 zero bytes apiece through the schedulers' request buffers.
-#[derive(Debug, Clone, PartialEq)]
+/// mask (bit set = lane participates).  Stored inline in the request's [`BeatOperand`] union,
+/// where it shares space with the (larger) ray-and-boxes operand of the ray–box beats.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VectorOperand {
     /// First vector (query), sixteen lanes.
     pub a: [f32; EUCLIDEAN_LANES],
@@ -139,7 +137,7 @@ pub struct VectorOperand {
 
 impl VectorOperand {
     /// The all-zero operand a beat without a vector payload presents to the datapath (every lane
-    /// masked off) — what the pre-boxed request layout carried inline on every beat.
+    /// masked off).
     pub const DISABLED: VectorOperand = VectorOperand {
         a: [0.0; EUCLIDEAN_LANES],
         b: [0.0; EUCLIDEAN_LANES],
@@ -147,26 +145,41 @@ impl VectorOperand {
     };
 }
 
-/// The geometry operand of a beat: the four candidate child boxes of a ray–box beat, the
-/// triangle of a ray–triangle beat, or nothing (a distance beat).  A union rather than two
-/// side-by-side fields so constructing the very hot ray beats writes only the operand the
-/// opcode selects — a ray–triangle beat no longer zero-fills 96 bytes of box payload.
+/// The operand of a beat: the ray and four candidate child boxes of a ray–box beat, the ray and
+/// triangle of a ray–triangle beat, or the vector pair and accumulator-reset flag of a distance
+/// beat.  One union rather than side-by-side fields, so constructing any beat writes only the
+/// operand its opcode selects and no beat carries a heap payload.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GeomOperand {
-    /// No geometry operand (Euclidean/cosine beats).
-    None,
-    /// The four candidate child boxes of a ray–box beat.
-    Boxes([Aabb; 4]),
-    /// The triangle of a ray–triangle beat.
-    Triangle(Triangle),
+pub enum BeatOperand {
+    /// The operands of a ray–box beat.
+    Boxes {
+        /// The ray.
+        ray: RayOperand,
+        /// The four candidate child boxes.
+        boxes: [Aabb; 4],
+    },
+    /// The operands of a ray–triangle beat.
+    Triangle {
+        /// The ray.
+        ray: RayOperand,
+        /// The triangle.
+        triangle: Triangle,
+    },
+    /// The operands of a Euclidean or cosine beat.
+    Vector {
+        /// The vector pair and lane mask.
+        vector: VectorOperand,
+        /// When set, this beat is the last of a (possibly multi-beat) vector pair: the
+        /// accumulated result is reported and the accumulator clears afterwards.
+        reset_accumulator: bool,
+    },
 }
 
-/// The box table a beat presents when its opcode selects none — the degenerate zero boxes the
-/// pre-union request layout carried inline on every beat, so unconditional consumers (the SRFDS
-/// ingest stage) observe bit-identical operands.
-const DISABLED_BOXES: [Aabb; 4] = [Aabb::new(Vec3::ZERO, Vec3::ZERO); 4];
+/// The box table a beat presents when its operand holds none: fixed degenerate zero boxes, so
+/// unconditional consumers (the SRFDS ingest stage) observe the same operand on every such beat.
+pub(crate) const DISABLED_BOXES: [Aabb; 4] = [Aabb::new(Vec3::ZERO, Vec3::ZERO); 4];
 
-/// The triangle a beat presents when its opcode selects none (see [`DISABLED_BOXES`]).
+/// The triangle a beat presents when its operand holds none (see [`DISABLED_BOXES`]).
 const DISABLED_TRIANGLE: Triangle = Triangle::new(
     Vec3::ZERO,
     Vec3::new(1.0, 0.0, 0.0),
@@ -193,60 +206,86 @@ pub struct RayFlexRequest {
     /// A caller-chosen identifier carried through the pipeline unchanged (models the thread /
     /// transaction id the RT unit uses to match results to rays).
     pub tag: u64,
-    /// The ray operand (valid for ray–box and ray–triangle beats).
-    pub ray: RayOperand,
-    /// The geometry operand the opcode selects (read through
-    /// [`RayFlexRequest::boxes_operand`] / [`RayFlexRequest::triangle_operand`]).
-    pub geom: GeomOperand,
-    /// The distance-operand vectors and lane mask (present on Euclidean/cosine beats, absent on
-    /// ray beats; read through [`RayFlexRequest::vector_operand`]).
-    pub vector: Option<Box<VectorOperand>>,
-    /// When set, this beat is the last of a (possibly multi-beat) vector pair: the accumulated
-    /// result is reported and the accumulator clears afterwards.
-    pub reset_accumulator: bool,
+    /// The operands the opcode selects (read through [`RayFlexRequest::ray_operand`],
+    /// [`RayFlexRequest::boxes_operand`], [`RayFlexRequest::triangle_operand`],
+    /// [`RayFlexRequest::vector_operand`] and [`RayFlexRequest::reset_accumulator`]).
+    pub operand: BeatOperand,
 }
 
 impl RayFlexRequest {
+    /// The ray operand of this beat, or [`RayOperand::DISABLED`] when the beat carries none (a
+    /// distance beat).
     #[inline]
-    fn blank(opcode: Opcode, tag: u64) -> Self {
-        RayFlexRequest {
-            opcode,
-            tag,
-            ray: RayOperand::disabled(),
-            geom: GeomOperand::None,
-            vector: None,
-            reset_accumulator: false,
+    #[must_use]
+    pub fn ray_operand(&self) -> &RayOperand {
+        match &self.operand {
+            BeatOperand::Boxes { ray, .. } | BeatOperand::Triangle { ray, .. } => ray,
+            BeatOperand::Vector { .. } => &RayOperand::DISABLED,
         }
     }
 
-    /// The vector operand of this beat, or [`VectorOperand::DISABLED`] when the beat carries
-    /// none — exactly the zero vectors the pre-boxed layout presented inline, so consumers that
-    /// read the operand unconditionally (the SRFDS ingest stage, say) behave bit-identically.
-    #[inline]
-    #[must_use]
-    pub fn vector_operand(&self) -> &VectorOperand {
-        self.vector.as_deref().unwrap_or(&VectorOperand::DISABLED)
-    }
-
-    /// The box-table operand of this beat, or four degenerate zero boxes when the opcode selects
+    /// The box-table operand of this beat, or four degenerate zero boxes when the beat carries
     /// none.
     #[inline]
     #[must_use]
     pub fn boxes_operand(&self) -> &[Aabb; 4] {
-        match &self.geom {
-            GeomOperand::Boxes(boxes) => boxes,
-            _ => &DISABLED_BOXES,
-        }
+        self.box_operands().1
     }
 
     /// The triangle operand of this beat, or a disabled placeholder (unit right triangle at the
-    /// origin) when the opcode selects none.
+    /// origin) when the beat carries none.
     #[inline]
     #[must_use]
     pub fn triangle_operand(&self) -> &Triangle {
-        match &self.geom {
-            GeomOperand::Triangle(triangle) => triangle,
-            _ => &DISABLED_TRIANGLE,
+        self.triangle_operands().1
+    }
+
+    /// The vector operand of this beat, or [`VectorOperand::DISABLED`] when the beat carries
+    /// none, so consumers that read the operand unconditionally (the SRFDS ingest stage, say)
+    /// see the fixed zero vectors of the specification.
+    #[inline]
+    #[must_use]
+    pub fn vector_operand(&self) -> &VectorOperand {
+        self.vector_operands().0
+    }
+
+    /// The accumulator-reset flag of this beat (always clear on ray beats).
+    #[inline]
+    #[must_use]
+    pub fn reset_accumulator(&self) -> bool {
+        self.vector_operands().1
+    }
+
+    /// The ray and boxes of a ray–box beat in one match — the per-beat binding the lane kernels
+    /// use, so no kernel re-matches the union once per SIMD lane.
+    #[inline]
+    pub(crate) fn box_operands(&self) -> (&RayOperand, &[Aabb; 4]) {
+        match &self.operand {
+            BeatOperand::Boxes { ray, boxes } => (ray, boxes),
+            _ => (self.ray_operand(), &DISABLED_BOXES),
+        }
+    }
+
+    /// The ray and triangle of a ray–triangle beat in one match (see
+    /// [`RayFlexRequest::box_operands`]).
+    #[inline]
+    pub(crate) fn triangle_operands(&self) -> (&RayOperand, &Triangle) {
+        match &self.operand {
+            BeatOperand::Triangle { ray, triangle } => (ray, triangle),
+            _ => (self.ray_operand(), &DISABLED_TRIANGLE),
+        }
+    }
+
+    /// The vector pair and reset flag of a distance beat in one match (see
+    /// [`RayFlexRequest::box_operands`]).
+    #[inline]
+    pub(crate) fn vector_operands(&self) -> (&VectorOperand, bool) {
+        match &self.operand {
+            BeatOperand::Vector {
+                vector,
+                reset_accumulator,
+            } => (vector, *reset_accumulator),
+            _ => (&VectorOperand::DISABLED, false),
         }
     }
 
@@ -264,9 +303,12 @@ impl RayFlexRequest {
     #[must_use]
     pub fn ray_box_operand(tag: u64, ray: &RayOperand, boxes: &[Aabb; 4]) -> Self {
         RayFlexRequest {
-            ray: *ray,
-            geom: GeomOperand::Boxes(*boxes),
-            ..Self::blank(Opcode::RayBox, tag)
+            opcode: Opcode::RayBox,
+            tag,
+            operand: BeatOperand::Boxes {
+                ray: *ray,
+                boxes: *boxes,
+            },
         }
     }
 
@@ -283,13 +325,17 @@ impl RayFlexRequest {
     #[must_use]
     pub fn ray_triangle_operand(tag: u64, ray: &RayOperand, triangle: &Triangle) -> Self {
         RayFlexRequest {
-            ray: *ray,
-            geom: GeomOperand::Triangle(*triangle),
-            ..Self::blank(Opcode::RayTriangle, tag)
+            opcode: Opcode::RayTriangle,
+            tag,
+            operand: BeatOperand::Triangle {
+                ray: *ray,
+                triangle: *triangle,
+            },
         }
     }
 
     /// A Euclidean-distance beat over up to sixteen lanes.
+    #[inline]
     #[must_use]
     pub fn euclidean(
         tag: u64,
@@ -299,14 +345,18 @@ impl RayFlexRequest {
         reset_accumulator: bool,
     ) -> Self {
         RayFlexRequest {
-            vector: Some(Box::new(VectorOperand { a, b, mask })),
-            reset_accumulator,
-            ..Self::blank(Opcode::Euclidean, tag)
+            opcode: Opcode::Euclidean,
+            tag,
+            operand: BeatOperand::Vector {
+                vector: VectorOperand { a, b, mask },
+                reset_accumulator,
+            },
         }
     }
 
     /// A cosine-distance beat over up to eight lanes (packed into the low lanes of the shared
     /// vector operands).
+    #[inline]
     #[must_use]
     pub fn cosine(
         tag: u64,
@@ -320,13 +370,16 @@ impl RayFlexRequest {
         full_a[..COSINE_LANES].copy_from_slice(&a);
         full_b[..COSINE_LANES].copy_from_slice(&b);
         RayFlexRequest {
-            vector: Some(Box::new(VectorOperand {
-                a: full_a,
-                b: full_b,
-                mask: u16::from(mask),
-            })),
-            reset_accumulator,
-            ..Self::blank(Opcode::Cosine, tag)
+            opcode: Opcode::Cosine,
+            tag,
+            operand: BeatOperand::Vector {
+                vector: VectorOperand {
+                    a: full_a,
+                    b: full_b,
+                    mask: u16::from(mask),
+                },
+                reset_accumulator,
+            },
         }
     }
 }
@@ -475,16 +528,27 @@ mod tests {
         );
         let e = RayFlexRequest::euclidean(3, [1.0; 16], [2.0; 16], u16::MAX, true);
         assert_eq!(e.opcode, Opcode::Euclidean);
-        assert!(e.reset_accumulator);
+        assert!(e.reset_accumulator());
+        assert_eq!(
+            e.ray_operand(),
+            &RayOperand::DISABLED,
+            "distance beats carry no ray"
+        );
+        assert_eq!(e.boxes_operand(), &DISABLED_BOXES);
         let c = RayFlexRequest::cosine(4, [1.0; 8], [2.0; 8], u8::MAX, false);
         assert_eq!(c.opcode, Opcode::Cosine);
         assert_eq!(c.vector_operand().mask, 0x00FF);
         assert_eq!(c.vector_operand().a[8..], [0.0; 8]);
+        assert!(!c.reset_accumulator());
         assert_eq!(
             RayFlexRequest::ray_box(5, &ray, &boxes).vector_operand(),
             &VectorOperand::DISABLED,
             "ray beats carry no vector payload"
         );
+        let t = RayFlexRequest::ray_triangle(6, &ray, &tri);
+        assert!(!t.reset_accumulator());
+        assert_eq!(t.ray_operand(), &RayOperand::from_ray(&ray));
+        assert_eq!(t.boxes_operand(), &DISABLED_BOXES);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use config::{FeatureSet, FuSharing, PipelineConfig};
 pub use datapath::{BeatMix, RayFlexDatapath};
 pub use fastpath::{clamp_simd_lanes, MAX_SIMD_LANES};
 pub use io::{
-    BoxResult, DistanceResult, GeomOperand, RayFlexRequest, RayFlexResponse, RayOperand,
+    BeatOperand, BoxResult, DistanceResult, RayFlexRequest, RayFlexResponse, RayOperand,
     TriangleResult, VectorOperand, COSINE_LANES, EUCLIDEAN_LANES, TLAS_PHASE_TAG,
 };
 pub use opcode::{Opcode, QueryKind};

@@ -157,17 +157,18 @@ impl SharedRayFlexData {
     #[must_use]
     pub fn from_request(request: &RayFlexRequest) -> Self {
         let rec3 = |v: [f32; 3]| v.map(RecF32::from_f32);
+        let ray = request.ray_operand();
         let boxes_lo = core::array::from_fn(|i| rec3(request.boxes_operand()[i].min.to_array()));
         let boxes_hi = core::array::from_fn(|i| rec3(request.boxes_operand()[i].max.to_array()));
         SharedRayFlexData {
             opcode: request.opcode,
             tag: request.tag,
-            ray_origin: rec3(request.ray.origin),
-            ray_inv_dir: rec3(request.ray.inv_dir),
-            ray_t_beg: RecF32::from_f32(request.ray.t_beg),
-            ray_t_end: RecF32::from_f32(request.ray.t_end),
-            ray_k: request.ray.k,
-            ray_shear: rec3(request.ray.shear),
+            ray_origin: rec3(ray.origin),
+            ray_inv_dir: rec3(ray.inv_dir),
+            ray_t_beg: RecF32::from_f32(ray.t_beg),
+            ray_t_end: RecF32::from_f32(ray.t_end),
+            ray_k: ray.k,
+            ray_shear: rec3(ray.shear),
             box_lo: boxes_lo,
             box_hi: boxes_hi,
             box_t_lo: [[RecF32::ZERO; 3]; 4],
@@ -194,7 +195,7 @@ impl SharedRayFlexData {
             vec_a: request.vector_operand().a.map(RecF32::from_f32),
             vec_b: request.vector_operand().b.map(RecF32::from_f32),
             vec_mask: request.vector_operand().mask,
-            reset_accumulator: request.reset_accumulator,
+            reset_accumulator: request.reset_accumulator(),
             euclid_work: [RecF32::ZERO; EUCLIDEAN_LANES],
             cos_dot_work: [RecF32::ZERO; 8],
             cos_norm_work: [RecF32::ZERO; 8],

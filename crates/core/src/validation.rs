@@ -344,11 +344,12 @@ pub fn run_directed_suite(config: PipelineConfig) -> SuiteReport {
 
 /// Rebuilds the geometry ray from a request's ray operand (for golden-model comparison).
 fn reconstruct_ray(request: &RayFlexRequest) -> Ray {
+    let ray = request.ray_operand();
     Ray::with_extent(
-        Vec3::from_array(request.ray.origin),
-        Vec3::from_array(request.ray.dir),
-        request.ray.t_beg,
-        request.ray.t_end,
+        Vec3::from_array(ray.origin),
+        Vec3::from_array(ray.dir),
+        ray.t_beg,
+        ray.t_end,
     )
 }
 

@@ -1,11 +1,14 @@
 //! Property-based tests of the batched execution layer: for arbitrary mixed beat streams,
 //! `execute_batch` (the native fast model) must match per-beat `execute` (the recoded-format
 //! stage emulation) bit-for-bit on every evaluated pipeline configuration, including NaN payloads
-//! of degenerate beats and the shared accumulator state of multi-beat distance jobs.
+//! of degenerate beats and the shared accumulator state of multi-beat distance jobs.  A second
+//! family pins the distance-run kernel: long same-opcode Euclidean and cosine runs with random
+//! masks, resets and special-value lanes, split across every bulk interface so the accumulators
+//! carry from one dispatch call into the next.
 
 use proptest::prelude::*;
 
-use rayflex_core::{PipelineConfig, RayFlexDatapath, RayFlexRequest, RayFlexResponse};
+use rayflex_core::{PipelineConfig, QueryKind, RayFlexDatapath, RayFlexRequest, RayFlexResponse};
 use rayflex_geometry::{Aabb, Ray, Triangle, Vec3};
 
 fn coordinate() -> impl Strategy<Value = f32> {
@@ -88,6 +91,69 @@ fn supported_stream(config: &PipelineConfig, stream: &[RayFlexRequest]) -> Vec<R
             request
         })
         .collect()
+}
+
+/// A vector lane for the distance-run streams: ordinary magnitudes plus the special values the
+/// accumulator chain must carry exactly — NaN, ±inf, signed zeros and subnormals.
+fn lane() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        (-1000.0f32..1000.0),
+        (-1.0f32..1.0),
+        Just(f32::NAN),
+        Just(f32::INFINITY),
+        Just(f32::NEG_INFINITY),
+        Just(0.0f32),
+        Just(-0.0f32),
+        (1u32..0x0080_0000).prop_map(f32::from_bits),
+        (0x8000_0001u32..0x8080_0000).prop_map(f32::from_bits),
+    ]
+}
+
+/// One same-opcode distance run of 1..48 beats: random masks, and a reset on roughly one beat
+/// in four (at random positions, so multi-beat jobs of every length occur).
+fn distance_run() -> impl Strategy<Value = Vec<RayFlexRequest>> {
+    let beat = (
+        prop::array::uniform16(lane()),
+        prop::array::uniform16(lane()),
+        any::<u16>(),
+        0u8..4,
+    );
+    (any::<bool>(), prop::collection::vec(beat, 1..48)).prop_map(|(euclidean, beats)| {
+        beats
+            .into_iter()
+            .map(|(a, b, mask, reset)| {
+                let reset = reset == 0;
+                if euclidean {
+                    RayFlexRequest::euclidean(0, a, b, mask, reset)
+                } else {
+                    let a = core::array::from_fn(|lane| a[lane]);
+                    let b = core::array::from_fn(|lane| b[lane]);
+                    RayFlexRequest::cosine(0, a, b, mask as u8, reset)
+                }
+            })
+            .collect()
+    })
+}
+
+/// A stream of one to five distance runs (consecutive runs of the same opcode merge into one
+/// longer run), tagged by position, plus random cut points splitting it across dispatch calls.
+fn distance_stream() -> impl Strategy<Value = (Vec<RayFlexRequest>, Vec<usize>)> {
+    (
+        prop::collection::vec(distance_run(), 1..6),
+        prop::collection::vec(0usize..256, 0..6),
+    )
+        .prop_map(|(runs, cuts)| {
+            let mut beats: Vec<RayFlexRequest> = runs.into_iter().flatten().collect();
+            for (tag, beat) in beats.iter_mut().enumerate() {
+                beat.tag = tag as u64;
+            }
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (beats.len() + 1)).collect();
+            cuts.push(0);
+            cuts.push(beats.len());
+            cuts.sort_unstable();
+            cuts.dedup();
+            (beats, cuts)
+        })
 }
 
 /// Bit-level equality of two responses: every floating-point field is compared on its bit
@@ -212,6 +278,59 @@ proptest! {
             // Bit-level comparison: responses may legitimately contain NaN, which `PartialEq`
             // would reject even between identical runs.
             assert_bit_identical(e, g, index)?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Long distance runs split into chunks, each chunk dispatched through a different bulk
+    /// interface of one datapath — `execute_batch_into`, a two-segment
+    /// `execute_batch_segmented` pass, or `record_pass` + `execute_pass_chunk` — must match the
+    /// per-beat emulated path response-for-response, with the accumulators bit-identical after
+    /// every chunk (so state carried across calls is pinned too).
+    #[test]
+    fn distance_runs_match_the_emulated_path_across_dispatch_calls(
+        stream in distance_stream()
+    ) {
+        let (beats, cuts) = stream;
+        let config = PipelineConfig::extended_unified();
+        for lanes in [1usize, 4, 16] {
+            let mut emulated = RayFlexDatapath::new(config);
+            let mut fast = RayFlexDatapath::new(config);
+            fast.set_simd_lanes(lanes);
+            let mut responses = Vec::new();
+            for (call, window) in cuts.windows(2).enumerate() {
+                let chunk = &beats[window[0]..window[1]];
+                match call % 3 {
+                    0 => fast.execute_batch_into(chunk, &mut responses),
+                    1 => {
+                        let head = chunk.len() / 2;
+                        fast.execute_batch_segmented(
+                            chunk,
+                            &[(QueryKind::Distance, head), (QueryKind::Collect, chunk.len() - head)],
+                            &mut responses,
+                        );
+                    }
+                    _ => {
+                        fast.record_pass(&[(QueryKind::Distance, chunk.len())]);
+                        fast.execute_pass_chunk(chunk, QueryKind::Distance, &mut responses);
+                    }
+                }
+                prop_assert_eq!(responses.len(), chunk.len());
+                for (offset, (beat, got)) in chunk.iter().zip(&responses).enumerate() {
+                    let expected = emulated.execute(beat);
+                    assert_bit_identical(&expected, got, window[0] + offset)?;
+                }
+                prop_assert_eq!(emulated.accumulators(), fast.accumulators());
+            }
+            prop_assert_eq!(emulated.executed_beats(), fast.executed_beats());
+            let (e, f) = (emulated.beat_mix(), fast.beat_mix());
+            for opcode in rayflex_core::Opcode::ALL {
+                prop_assert_eq!(e.count(opcode), f.count(opcode));
+            }
+            prop_assert_eq!(f.simd_lane_slots(), 0, "distance beats occupy no SIMD lanes");
         }
     }
 }

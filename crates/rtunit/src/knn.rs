@@ -235,55 +235,56 @@ crate::query::delegate_fused_stream_to_runner!([C: AsRef<[f32]>] DistanceStream<
 /// asserted on the last) and returns the number of beats appended.  Zero-dimensional vectors
 /// still cost one (fully masked) beat, as on the hardware.
 fn append_euclidean_beats(tag: u64, a: &[f32], b: &[f32], out: &mut Vec<RayFlexRequest>) -> u64 {
-    let mut beats = 0;
-    let mut offset = 0;
-    while offset < a.len() || offset == 0 {
-        let lanes = (a.len() - offset).min(EUCLIDEAN_LANES);
-        let mut beat_a = [0.0f32; EUCLIDEAN_LANES];
-        let mut beat_b = [0.0f32; EUCLIDEAN_LANES];
-        beat_a[..lanes].copy_from_slice(&a[offset..offset + lanes]);
-        beat_b[..lanes].copy_from_slice(&b[offset..offset + lanes]);
-        let mask = if lanes == EUCLIDEAN_LANES {
-            u16::MAX
-        } else {
-            (1u16 << lanes) - 1
-        };
-        let last = offset + lanes >= a.len();
-        out.push(RayFlexRequest::euclidean(tag, beat_a, beat_b, mask, last));
-        beats += 1;
-        if last {
-            break;
-        }
-        offset += lanes;
-    }
-    beats
+    append_beats::<EUCLIDEAN_LANES>(a, b, out, |a, b, lanes, last| {
+        RayFlexRequest::euclidean(tag, a, b, lane_mask(lanes) as u16, last)
+    })
 }
 
 /// Appends the cosine beat train of one `(query, candidate)` pair (8 lanes per beat, reset
 /// asserted on the last) and returns the number of beats appended.
 fn append_cosine_beats(tag: u64, a: &[f32], b: &[f32], out: &mut Vec<RayFlexRequest>) -> u64 {
-    let mut beats = 0;
-    let mut offset = 0;
-    while offset < a.len() || offset == 0 {
-        let lanes = (a.len() - offset).min(COSINE_LANES);
-        let mut beat_a = [0.0f32; COSINE_LANES];
-        let mut beat_b = [0.0f32; COSINE_LANES];
-        beat_a[..lanes].copy_from_slice(&a[offset..offset + lanes]);
-        beat_b[..lanes].copy_from_slice(&b[offset..offset + lanes]);
-        let mask = if lanes == COSINE_LANES {
-            u8::MAX
-        } else {
-            (1u8 << lanes) - 1
-        };
-        let last = offset + lanes >= a.len();
-        out.push(RayFlexRequest::cosine(tag, beat_a, beat_b, mask, last));
-        beats += 1;
-        if last {
-            break;
-        }
-        offset += lanes;
+    append_beats::<COSINE_LANES>(a, b, out, |a, b, lanes, last| {
+        RayFlexRequest::cosine(tag, a, b, lane_mask(lanes) as u8, last)
+    })
+}
+
+/// The mask of the low `lanes` lanes.
+fn lane_mask(lanes: usize) -> u32 {
+    (1u32 << lanes) - 1
+}
+
+/// Appends the `N`-lane beat train of one `(query, candidate)` pair in place: every exact
+/// `N`-element chunk becomes a full-mask beat through one `extend`, and only the masked tail
+/// (or the single fully masked beat of a zero-dimensional pair) is zero-padded by hand.
+/// `beat(a, b, lanes, last)` builds one beat of `lanes` live lanes, `last` marking the reset
+/// beat.  Returns the number of beats appended.
+fn append_beats<const N: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut Vec<RayFlexRequest>,
+    beat: impl Fn([f32; N], [f32; N], usize, bool) -> RayFlexRequest,
+) -> u64 {
+    let (a_chunks, a_tail) = a.as_chunks::<N>();
+    let (b_chunks, b_tail) = b.as_chunks::<N>();
+    let full = a_chunks.len();
+    let padded = !a_tail.is_empty() || full == 0;
+    // The reset rides the last exact chunk unless a padded beat follows it.
+    let last_full = if padded { full } else { full - 1 };
+    out.extend(
+        a_chunks
+            .iter()
+            .zip(b_chunks)
+            .enumerate()
+            .map(|(i, (a, b))| beat(*a, *b, N, i == last_full)),
+    );
+    if padded {
+        let mut beat_a = [0.0f32; N];
+        let mut beat_b = [0.0f32; N];
+        beat_a[..a_tail.len()].copy_from_slice(a_tail);
+        beat_b[..b_tail.len()].copy_from_slice(b_tail);
+        out.push(beat(beat_a, beat_b, a_tail.len(), true));
     }
-    beats
+    (full + usize::from(padded)) as u64
 }
 
 /// A k-nearest-neighbour engine that streams candidate vectors through the extended RayFlex
@@ -760,7 +761,10 @@ fn validate_vectors<C: AsRef<[f32]>>(query: &[f32], candidates: &[C]) -> Result<
 /// ([`rayflex_core::quad_sort::sort_four_f32`], the five-comparator sorter the datapath's
 /// ray–box operation uses), so each quad arrives in visit order and the scan of a quad stops at
 /// the first candidate that cannot enter the running top-k — the software shape of folding the
-/// selection into the distance query's finish path on the quad-sort substrate.
+/// selection into the distance query's finish path on the quad-sort substrate.  Once the top-k
+/// is full, a quad with no lane strictly below the current worst distance is rejected without
+/// sorting: every candidate already held has a smaller index, so a tie with the worst loses
+/// and no lane of the quad could enter.
 #[must_use]
 pub fn select_k_nearest(distances: &[f32], k: usize) -> Vec<Neighbor> {
     let mut best: Vec<Neighbor> = Vec::with_capacity(k.min(distances.len()).saturating_add(1));
@@ -768,6 +772,13 @@ pub fn select_k_nearest(distances: &[f32], k: usize) -> Vec<Neighbor> {
         return best;
     }
     for (quad, chunk) in distances.chunks(4).enumerate() {
+        if best.len() == k {
+            let worst = best[k - 1].distance;
+            // NaN lanes compare false, so they never keep a quad alive.
+            if !chunk.iter().any(|&d| d < worst) {
+                continue;
+            }
+        }
         let mut keys = [0.0f32; 4];
         let mut valid = [false; 4];
         keys[..chunk.len()].copy_from_slice(chunk);

@@ -556,8 +556,9 @@ pub struct StreamRunner<Q: BatchQuery> {
     states: Vec<Q::State>,
     /// Admission slots still in flight, in admission order.
     active: Vec<usize>,
-    /// Admission slot owning each beat of the current pass (cleared per pass).
-    beat_owner: Vec<usize>,
+    /// `(admission slot, beat count)` of each item's beat train in the current pass, in pass
+    /// order (cleared per pass; one entry per item, so it never grows with the beat count).
+    spans: Vec<(usize, usize)>,
     /// The run's admission permutation (`order[slot] = item`); identity when coherence is off.
     order: Vec<usize>,
     /// Inverse of `order` (`slot_of[item] = slot`).
@@ -569,8 +570,8 @@ pub struct StreamRunner<Q: BatchQuery> {
     /// Reusable tail buffer of [`CoherenceMode::SortAndCompact`]: ray–triangle trains deferred
     /// behind this stream's other beats of the pass (drained back every pass).
     deferred: Vec<RayFlexRequest>,
-    /// Item owning each deferred beat (parallel to `deferred`).
-    deferred_owner: Vec<usize>,
+    /// `(admission slot, beat count)` of each deferred train, in `deferred` order.
+    deferred_spans: Vec<(usize, usize)>,
     /// Coherence discipline of subsequent runs (see [`StreamRunner::set_coherence`]).
     coherence: CoherenceMode,
     started: bool,
@@ -585,13 +586,13 @@ impl<Q: BatchQuery> StreamRunner<Q> {
             query,
             states: Vec::new(),
             active: Vec::new(),
-            beat_owner: Vec::new(),
+            spans: Vec::new(),
             order: Vec::new(),
             slot_of: Vec::new(),
             slot_addressed: false,
             keys: Vec::new(),
             deferred: Vec::new(),
-            deferred_owner: Vec::new(),
+            deferred_spans: Vec::new(),
             coherence: CoherenceMode::Off,
             started: false,
         }
@@ -717,10 +718,14 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
 
     fn build_pass(&mut self, out: &mut Vec<RayFlexRequest>, max_beats: usize) -> usize {
         let pass_start = out.len();
-        self.beat_owner.clear();
         debug_assert!(self.deferred.is_empty());
         let bucketed = self.coherence == CoherenceMode::SortAndCompact;
         let total = self.active.len();
+        self.spans.clear();
+        self.spans.reserve(total);
+        if bucketed {
+            self.deferred_spans.reserve(total);
+        }
         let mut still_active = 0;
         let mut processed = 0;
         while processed < total {
@@ -751,10 +756,10 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
                     // Opcode bucketing within this stream's segment (see the matching branch
                     // in `WavefrontScheduler::run_capped`): the train moves intact to the
                     // segment tail, never across the segment boundary.
+                    self.deferred_spans.push((slot, out.len() - before));
                     self.deferred.extend(out.drain(before..));
-                    self.deferred_owner.resize(self.deferred.len(), slot);
                 } else {
-                    self.beat_owner.resize(out.len() - pass_start, slot);
+                    self.spans.push((slot, out.len() - before));
                 }
                 self.active[still_active] = slot;
                 still_active += 1;
@@ -776,19 +781,26 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
         self.active.truncate(still_active + (total - processed));
         // Append the deferred triangle trains behind the segment's other beats.
         out.append(&mut self.deferred);
-        self.beat_owner.append(&mut self.deferred_owner);
+        self.spans.append(&mut self.deferred_spans);
         out.len() - pass_start
     }
 
     fn apply_pass(&mut self, responses: &[RayFlexResponse]) {
-        debug_assert_eq!(responses.len(), self.beat_owner.len());
-        for (response, &slot) in responses.iter().zip(&self.beat_owner) {
+        debug_assert_eq!(
+            responses.len(),
+            self.spans.iter().map(|&(_, beats)| beats).sum::<usize>()
+        );
+        let mut offset = 0;
+        for &(slot, beats) in &self.spans {
             let index = if self.slot_addressed {
                 slot
             } else {
                 self.order[slot]
             };
-            self.query.apply(index, &mut self.states[slot], response);
+            for response in &responses[offset..offset + beats] {
+                self.query.apply(index, &mut self.states[slot], response);
+            }
+            offset += beats;
         }
     }
 }

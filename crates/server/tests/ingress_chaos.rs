@@ -11,9 +11,11 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use rayflex_rtunit::fault::{FaultKind, FaultPlan};
+use rayflex_rtunit::SceneValidator;
 use rayflex_server::{ServerConfig, ServerHandle};
 use rayflex_workloads::wire::{
-    catalog, code, encode_request, RequestBody, RequestFrame, ResponseBody, WireClient,
+    catalog, code, decode_request, encode_request, RequestBody, RequestFrame, ResponseBody,
+    ResponseFrame, WireClient,
 };
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
@@ -36,6 +38,75 @@ fn frame_bytes(request: &RequestFrame) -> Vec<u8> {
     let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
     frame.extend_from_slice(&payload);
     frame
+}
+
+/// Asserts that `response` is exactly the answer the server owes the complete (possibly
+/// corrupted) trace `frame`, derived by decoding the frame locally the way the server does.
+///
+/// A one-bit flip need not break decoding: it may land in a ray component, the request id, the
+/// deadline or the scene name (`"wall"` → `"gall"`).  So the expectation follows the decoded
+/// request: a decode error earns `INVALID_REQUEST` (request id 0); an unknown target name
+/// earns `UNKNOWN_SCENE`; a non-trace body on a catalog target earns `UNSUPPORTED`; otherwise
+/// the request is served as decoded — the validation error its rays earn, or one hit slot per
+/// ray (a flipped-in deadline may also cut the run short) — echoing the decoded request id.
+fn assert_answer_matches_decoded(frame: &[u8], response: &ResponseFrame) {
+    let code_of = |body: &ResponseBody| match body {
+        ResponseBody::Error { code, .. } => Some(*code),
+        _ => None,
+    };
+    let Ok(request) = decode_request(&frame[4..]) else {
+        assert_eq!(
+            response.request_id, 0,
+            "decode failures carry no request id"
+        );
+        assert_eq!(
+            code_of(&response.body),
+            Some(code::INVALID_REQUEST),
+            "decode failures map to INVALID_REQUEST, got {:?}",
+            response.body
+        );
+        return;
+    };
+    assert_eq!(
+        response.request_id, request.request_id,
+        "a decoded request's id is echoed"
+    );
+    let name = request.scene.as_str();
+    let known = catalog::SCENES.contains(&name)
+        || catalog::DATASETS.contains(&name)
+        || catalog::CLOUDS.contains(&name);
+    let expected_error = match &request.body {
+        _ if !known => Some(code::UNKNOWN_SCENE),
+        RequestBody::Trace { rays } | RequestBody::AnyHit { rays }
+            if catalog::SCENES.contains(&name) =>
+        {
+            SceneValidator::validate_rays(rays, "request")
+                .err()
+                .map(|_| code::INVALID_REQUEST)
+        }
+        _ => Some(code::UNSUPPORTED),
+    };
+    if let Some(expected) = expected_error {
+        assert_eq!(
+            code_of(&response.body),
+            Some(expected),
+            "decoded {request:?}, got {:?}",
+            response.body
+        );
+        return;
+    }
+    let rays = match &request.body {
+        RequestBody::Trace { rays } | RequestBody::AnyHit { rays } => rays.len(),
+        _ => unreachable!("only trace bodies are served"),
+    };
+    match &response.body {
+        ResponseBody::Hits { hits } => assert_eq!(hits.len(), rays, "one hit slot per ray"),
+        ResponseBody::PartialHits { .. } if request.deadline_us != 0 => {}
+        ResponseBody::Error { code: got, .. }
+            if request.deadline_us != 0
+                && (*got == code::DEADLINE_EXCEEDED || *got == code::BUDGET_EXHAUSTED) => {}
+        other => panic!("decoded {request:?} must be served, got {other:?}"),
+    }
 }
 
 fn connect(addr: &str) -> WireClient {
@@ -65,9 +136,9 @@ fn probe(addr: &str, request_id: u64) {
 fn inject(addr: &str, plan: &FaultPlan, seed: u64) {
     match plan.kind {
         FaultKind::MalformedFrame => {
-            // A complete frame with one payload bit flipped: the server must answer — either a
-            // structured decode error, or (if the flip landed in a don't-care position that
-            // still decodes) a normal response — and the connection must survive.
+            // A complete frame with one payload bit flipped: the server must answer exactly as
+            // the decoded frame deserves (see `assert_answer_matches_decoded`), and the
+            // connection must survive.
             let mut client = connect(addr);
             let mut frame = frame_bytes(&trace_request(1, seed, 4, 0));
             let flipped = plan.corrupt_frame(&mut frame);
@@ -79,9 +150,7 @@ fn inject(addr: &str, plan: &FaultPlan, seed: u64) {
             let response = client
                 .receive()
                 .expect("a complete frame always gets a response");
-            if let ResponseBody::Error { code: got, .. } = response.body {
-                assert_eq!(got, code::INVALID_REQUEST, "decode failures map to code 1");
-            }
+            assert_answer_matches_decoded(&frame, &response);
             // Same connection still serves.
             let response = client
                 .request(&trace_request(2, seed ^ 1, 2, 0))
@@ -192,9 +261,7 @@ proptest! {
             plan.corrupt_frame(&mut frame);
             client.stream_mut().write_all(&frame).expect("frame writes");
             let response = client.receive().expect("every complete frame is answered");
-            if let ResponseBody::Error { code: got, .. } = response.body {
-                prop_assert_eq!(got, code::INVALID_REQUEST);
-            }
+            assert_answer_matches_decoded(&frame, &response);
         }
         drop(client);
         probe(&addr, 999);
