@@ -28,10 +28,9 @@
 //!   ([`ExecPolicy::beat_budget_per_stream`]) modelling QoS between concurrent workloads,
 //! * [`TraversalEngine`] — closest-hit and any-hit/shadow traversal behind one policy-driven
 //!   [`TraversalEngine::trace`] entry point ([`TraceRequest`] carries one or both ray streams),
-//! * [`RtUnit`] — a simplified single-issue RT-unit timing model: pooled per-ray traversal state
-//!   machines scheduled through a FIFO transaction queue, a fixed-latency node-fetch memory model
-//!   and the datapath's eleven-cycle latency and one-beat-per-cycle issue limit, plus
-//!   [`RtUnit::trace_rays_multi_unit`] for modelling several RT units side by side,
+//! * [`RtUnitConfig::estimate`] — a simplified single-issue RT-unit timing model over the
+//!   engine's per-ray beats: a FIFO transaction queue, a fixed-latency node-fetch memory model
+//!   and the datapath's eleven-cycle latency and one-beat-per-cycle issue limit,
 //! * [`KnnEngine`] — k-nearest-neighbour search over arbitrary-dimensional vectors using the
 //!   extended datapath's Euclidean and cosine operations (case study §V-A), with all candidate
 //!   scoring batched through the shared scheduler,
@@ -84,10 +83,6 @@ pub use knn::{select_k_nearest, DistanceStream, KnnEngine, KnnMetric, KnnStats, 
 pub use parallel::{
     default_parallelism, PoolStats, CHUNKS_PER_WORKER, MIN_ANY_RAYS_PER_SHARD, MIN_RAYS_PER_SHARD,
 };
-#[allow(deprecated)]
-pub use parallel::{
-    trace_fused_parallel, trace_packet_parallel, trace_rays_parallel, trace_shadow_rays_parallel,
-};
 pub use policy::{AdmissionOrder, CoherenceMode, ExecMode, ExecPolicy, ShardHint};
 pub use query::{
     BatchQuery, CappedFusedRun, CappedRun, FusedScheduler, FusedStream, QueryKind, StreamRunner,
@@ -97,9 +92,7 @@ pub use renderer::{
     default_light_dir, extract_surfels, shade, shade_deferred, Camera, CameraBasis, FrameDesc,
     Image, RenderPasses, Renderer,
 };
-#[allow(deprecated)]
-pub use renderer::{render_bounce_parallel, render_parallel};
-pub use rt_unit::{RtUnit, RtUnitConfig, RtUnitStats};
+pub use rt_unit::{RtUnitConfig, RtUnitStats};
 pub use scene::{Blas, Instance, Scene};
 pub use traversal::{
     TraceOutput, TraceRequest, TraversalEngine, TraversalHit, TraversalStats, TraversalStream,

@@ -48,23 +48,21 @@
 //! deterministic chaos harness can poison a chosen shard.
 //!
 //! The policy API reaches this machinery through
-//! [`TraversalEngine::trace`](crate::TraversalEngine::trace) (and the other engines' policy
-//! entry points); the pre-policy free functions (`trace_rays_parallel`,
-//! `trace_shadow_rays_parallel`, `trace_fused_parallel`, `trace_packet_parallel`) survive as
-//! deprecated shims over the same internals.
+//! [`TraversalEngine::trace`](crate::TraversalEngine::trace) and the other engines' policy
+//! entry points.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use rayflex_core::PipelineConfig;
-use rayflex_geometry::{Ray, RayPacket, Triangle};
+use rayflex_geometry::Ray;
 
 use crate::fault;
 use crate::policy::CoherenceMode;
 use crate::scene::SceneView;
-use crate::traversal::{loose_scene, TraceRequest, TraversalEngine, TraversalHit, TraversalStats};
-use crate::{Bvh4, ExecPolicy};
+use crate::traversal::{TraceRequest, TraversalEngine, TraversalHit, TraversalStats};
+use crate::ExecPolicy;
 
 /// Target chunks per worker in the work-stealing pool: enough surplus that a worker finishing
 /// early has something to steal, small enough that chunk bookkeeping stays negligible next to
@@ -253,37 +251,6 @@ fn effective_threads(threads: usize, items: usize) -> usize {
 pub(crate) fn pair_effective_threads(closest_len: usize, any_len: usize, threads: usize) -> usize {
     let total = closest_len.max(any_len);
     effective_threads(threads, closest_len + any_len).min(total.max(1))
-}
-
-/// Runs `work` over contiguous index ranges covering `0..total` through the work-stealing pool
-/// and concatenates the per-chunk hits (in chunk order) with summed statistics — the sharding
-/// skeleton of the packet frontend, which materialises each chunk from SoA storage rather than
-/// borrowing a slice.
-fn shard_map(
-    total: usize,
-    threads: usize,
-    work: impl Fn(core::ops::Range<usize>) -> (Vec<Option<TraversalHit>>, TraversalStats) + Sync,
-) -> (Vec<Option<TraversalHit>>, TraversalStats) {
-    let threads = threads.clamp(1, total.max(1));
-    let ranges = chunk_ranges(total, threads, MIN_RAYS_PER_SHARD);
-    let (results, _pool) = steal_map(&ranges, threads, |range| work(range.clone()));
-    let mut hits = Vec::with_capacity(total);
-    let mut stats = TraversalStats::default();
-    for (range, result) in ranges.iter().zip(results) {
-        let (chunk_hits, chunk_stats) = match result {
-            Some(result) => result,
-            None => {
-                // The chunk panicked; the work is deterministic, so one inline retry of just
-                // this range reproduces its results exactly.  A second panic propagates.
-                let (hits, mut stats) = work(range.clone());
-                stats.shard_fallbacks += 1;
-                (hits, stats)
-            }
-        };
-        hits.extend(chunk_hits);
-        stats.merge(&chunk_stats);
-    }
-    (hits, stats)
 }
 
 /// Shards `items` into contiguous chunks through the work-stealing pool and collects the
@@ -519,138 +486,10 @@ fn retry_range_scalar(
     .ok()
 }
 
-/// Traces a closest-hit ray stream across up to `threads` parallel workers.
-#[deprecated(note = "use TraversalEngine::trace(&TraceRequest::closest_hit(..), \
-                     &ExecPolicy::parallel(threads)) — stats come from the engine")]
-#[must_use]
-pub fn trace_rays_parallel(
-    config: PipelineConfig,
-    bvh: &Bvh4,
-    triangles: &[Triangle],
-    rays: &[Ray],
-    threads: usize,
-) -> (Vec<Option<TraversalHit>>, TraversalStats) {
-    let scene = loose_scene(bvh, triangles);
-    let out = fused_pair_sharded(
-        config,
-        scene.view(),
-        rays,
-        &[],
-        threads,
-        1,
-        CoherenceMode::default(),
-        false,
-    );
-    (out.closest, out.stats)
-}
-
-/// Runs the any-hit/shadow query over a ray stream across up to `threads` parallel workers.
-#[deprecated(note = "use TraversalEngine::trace(&TraceRequest::any_hit(..), \
-                     &ExecPolicy::parallel(threads)) — stats come from the engine")]
-#[must_use]
-pub fn trace_shadow_rays_parallel(
-    config: PipelineConfig,
-    bvh: &Bvh4,
-    triangles: &[Triangle],
-    rays: &[Ray],
-    threads: usize,
-) -> (Vec<Option<TraversalHit>>, TraversalStats) {
-    let scene = loose_scene(bvh, triangles);
-    let out = fused_pair_sharded(
-        config,
-        scene.view(),
-        &[],
-        rays,
-        threads,
-        1,
-        CoherenceMode::default(),
-        false,
-    );
-    (out.any, out.stats)
-}
-
-/// Traces a closest-hit stream and an any-hit stream fused, sharded across up to `threads`
-/// workers.
-#[deprecated(note = "use TraversalEngine::trace(&TraceRequest::pair(..), \
-                     &ExecPolicy::parallel(threads)) — stats come from the engine")]
-#[must_use]
-pub fn trace_fused_parallel(
-    config: PipelineConfig,
-    bvh: &Bvh4,
-    triangles: &[Triangle],
-    closest_rays: &[Ray],
-    any_rays: &[Ray],
-    threads: usize,
-) -> (
-    Vec<Option<TraversalHit>>,
-    Vec<Option<TraversalHit>>,
-    TraversalStats,
-) {
-    let scene = loose_scene(bvh, triangles);
-    let out = fused_pair_sharded(
-        config,
-        scene.view(),
-        closest_rays,
-        any_rays,
-        threads,
-        1,
-        CoherenceMode::default(),
-        false,
-    );
-    (out.closest, out.any, out.stats)
-}
-
-/// Traces a structure-of-arrays [`RayPacket`] closest-hit stream across up to `threads` parallel
-/// workers.
-///
-/// The packet is sharded by **index ranges**: each worker unpacks only its own contiguous SoA
-/// slice into a private array-of-structures buffer, so peak AoS memory is one shard rather than
-/// the whole stream.  Hits, hit order and summed statistics are bit-identical to tracing the
-/// unpacked stream — `RayPacket::get` reconstructs every ray field exactly.
-#[deprecated(note = "unpack the packet (RayPacket::to_rays) and use \
-                     TraversalEngine::trace(&TraceRequest::closest_hit(..), \
-                     &ExecPolicy::parallel(threads))")]
-#[must_use]
-pub fn trace_packet_parallel(
-    config: PipelineConfig,
-    bvh: &Bvh4,
-    triangles: &[Triangle],
-    rays: &RayPacket,
-    threads: usize,
-) -> (Vec<Option<TraversalHit>>, TraversalStats) {
-    let threads = effective_threads(threads, rays.len());
-    let scene = loose_scene(bvh, triangles);
-    if threads <= 1 {
-        // Single-engine batched fast path: the one shard is the whole stream, unpacked once.
-        let unpacked: Vec<Ray> = rays.iter().collect();
-        let mut engine = TraversalEngine::with_config(config);
-        let hits = engine
-            .trace(
-                &TraceRequest::closest_hit(&scene, &unpacked),
-                &crate::ExecPolicy::wavefront(),
-            )
-            .into_closest();
-        return (hits, engine.stats());
-    }
-    shard_map(rays.len(), threads, |range| {
-        // SoA slice → per-shard AoS: only this worker's rays are ever materialised.
-        let shard: Vec<Ray> = range.map(|i| rays.get(i)).collect();
-        let mut engine = TraversalEngine::with_config(config);
-        let hits = engine
-            .trace(
-                &TraceRequest::closest_hit(&scene, &shard),
-                &crate::ExecPolicy::wavefront(),
-            )
-            .into_closest();
-        (hits, engine.stats())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExecPolicy;
-    use rayflex_geometry::Vec3;
+    use rayflex_geometry::{Triangle, Vec3};
 
     fn scene() -> Vec<Triangle> {
         (0..64)
@@ -780,44 +619,6 @@ mod tests {
         );
         assert!(output.closest.is_empty() && output.any.is_empty());
         assert_eq!(engine.stats(), TraversalStats::default());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parallel_shims_match_the_policy_path() {
-        let triangles = scene();
-        let bvh = Bvh4::build(&triangles);
-        let flat = crate::Scene::from_parts(bvh.clone(), triangles.clone());
-        let config = rayflex_core::PipelineConfig::baseline_unified();
-        // Both a short stream (inline single-engine path) and one long enough to force real
-        // range-sharding.
-        for count in [40, MIN_RAYS_PER_SHARD * 3 + 17] {
-            let rays: Vec<Ray> = camera_rays(96).into_iter().cycle().take(count).collect();
-            let packet = RayPacket::from_rays(&rays);
-            for threads in [1, 2, 3, 8] {
-                let mut engine = TraversalEngine::with_config(config);
-                let expected = engine.trace(
-                    &TraceRequest::closest_hit(&flat, &rays),
-                    &ExecPolicy::parallel(threads),
-                );
-                let (a, a_stats) = trace_rays_parallel(config, &bvh, &triangles, &rays, threads);
-                let (b, b_stats) =
-                    trace_packet_parallel(config, &bvh, &triangles, &packet, threads);
-                assert_eq!(a, expected.closest, "count {count}, threads {threads}");
-                assert_eq!(b, expected.closest, "count {count}, threads {threads}");
-                assert_eq!(a_stats, engine.stats(), "count {count}, threads {threads}");
-                assert_eq!(b_stats, engine.stats(), "count {count}, threads {threads}");
-                let (shadow, shadow_stats) =
-                    trace_shadow_rays_parallel(config, &bvh, &triangles, &rays, threads);
-                let mut shadow_engine = TraversalEngine::with_config(config);
-                let shadow_expected = shadow_engine.trace(
-                    &TraceRequest::any_hit(&flat, &rays),
-                    &ExecPolicy::parallel(threads),
-                );
-                assert_eq!(shadow, shadow_expected.any);
-                assert_eq!(shadow_stats, shadow_engine.stats());
-            }
-        }
     }
 
     #[test]

@@ -22,8 +22,7 @@
 //! traced through [`TraversalEngine::trace`] under that policy — scalar reference, wavefront,
 //! parallel or fused, all pixel-bit-identical with identical [`TraversalStats`] (pinned by the
 //! golden tests, `rtunit/tests/proptest_render.rs` and the cross-policy matrix in
-//! `rtunit/tests/proptest_policy.rs`).  The pre-policy `render_deferred*` method family
-//! survives as deprecated shims.
+//! `rtunit/tests/proptest_policy.rs`).
 
 use rayflex_core::PipelineConfig;
 use rayflex_geometry::{Ray, Triangle, Vec3};
@@ -32,7 +31,7 @@ use rayflex_workloads::rays::{ambient_occlusion_rays, surfel_reflection_rays, su
 use crate::error::{QueryError, QueryOutcome, SceneValidator};
 use crate::policy::ExecPolicy;
 use crate::traversal::{TraceOutput, TraceRequest};
-use crate::{Bvh4, Scene, TraversalEngine, TraversalHit, TraversalStats};
+use crate::{Scene, TraversalEngine, TraversalHit, TraversalStats};
 
 /// A pinhole camera generating one primary ray per pixel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -233,8 +232,8 @@ pub struct RenderPasses {
     /// penumbra (a 4-neighbour pixel whose shadow verdict differs), treating fully-lit and
     /// fully-shadowed regions as unoccluded.  `false` keeps the uniform per-surfel sampling.
     pub adaptive_ao: bool,
-    /// Mirror reflectivity of the one-bounce reflection pass
-    /// ([`Renderer::render_deferred_bounce`]); `0.0` disables the bounce stream entirely.
+    /// Mirror reflectivity of the one-bounce reflection pass (step 3 of the module
+    /// documentation); `0.0` disables the bounce stream entirely.
     pub bounce_reflectivity: f32,
 }
 
@@ -950,156 +949,6 @@ impl Renderer {
         Ok(image)
     }
 
-    // --- Deprecated flat-signature entry points, kept as thin shims over `render`. -----------
-
-    /// [`Renderer::render`] over a loose `(bvh, triangles)` pair — the pre-[`Scene`]
-    /// signature.  Clones the borrowed geometry into a flat [`Scene`]; wrap the scene once
-    /// with [`Scene::from_parts`] instead.
-    #[deprecated(note = "wrap the geometry once with Scene::from_parts and call \
-                         Renderer::render(&scene, ..)")]
-    pub fn render_flat(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        frame: &FrameDesc,
-        policy: &ExecPolicy,
-    ) -> Image {
-        self.render(
-            &Scene::from_parts(bvh.clone(), triangles.to_vec()),
-            frame,
-            policy,
-        )
-    }
-
-    /// [`Renderer::try_render`] over a loose `(bvh, triangles)` pair — the pre-[`Scene`]
-    /// signature.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Renderer::try_render`]'s.
-    #[deprecated(note = "wrap the geometry once with Scene::from_parts and call \
-                         Renderer::try_render(&scene, ..)")]
-    pub fn try_render_flat(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        frame: &FrameDesc,
-        policy: &ExecPolicy,
-    ) -> Result<Image, QueryError> {
-        self.try_render(
-            &Scene::from_parts(bvh.clone(), triangles.to_vec()),
-            frame,
-            policy,
-        )
-    }
-
-    // --- Deprecated pre-policy frame flavours, kept as thin shims over `render`. -------------
-
-    /// The scalar per-pixel reference of a primary-only frame.
-    #[deprecated(note = "use Renderer::render(.., &FrameDesc::primary(..), \
-                         &ExecPolicy::scalar())")]
-    pub fn render_reference(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        camera: &Camera,
-        width: usize,
-        height: usize,
-    ) -> Image {
-        self.render(
-            &Scene::from_parts(bvh.clone(), triangles.to_vec()),
-            &FrameDesc::primary(*camera, width, height),
-            &ExecPolicy::scalar(),
-        )
-    }
-
-    /// Renders one deferred frame (shadow + optional AO passes, no bounce) through the batched
-    /// wavefront.
-    #[deprecated(note = "use Renderer::render(.., &FrameDesc::deferred(..), \
-                         &ExecPolicy::wavefront())")]
-    pub fn render_deferred(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        camera: &Camera,
-        width: usize,
-        height: usize,
-        passes: &RenderPasses,
-    ) -> Image {
-        // The pre-policy method ignored the bounce knob; preserve that exactly.
-        let plain = RenderPasses {
-            bounce_reflectivity: 0.0,
-            ..*passes
-        };
-        self.render(
-            &Scene::from_parts(bvh.clone(), triangles.to_vec()),
-            &FrameDesc::deferred(*camera, width, height, plain),
-            &ExecPolicy::wavefront(),
-        )
-    }
-
-    /// The scalar multi-pass reference of a deferred frame (no bounce).
-    #[deprecated(note = "use Renderer::render(.., &FrameDesc::deferred(..), \
-                         &ExecPolicy::scalar())")]
-    pub fn render_deferred_reference(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        camera: &Camera,
-        width: usize,
-        height: usize,
-        passes: &RenderPasses,
-    ) -> Image {
-        let plain = RenderPasses {
-            bounce_reflectivity: 0.0,
-            ..*passes
-        };
-        self.render(
-            &Scene::from_parts(bvh.clone(), triangles.to_vec()),
-            &FrameDesc::deferred(*camera, width, height, plain),
-            &ExecPolicy::scalar(),
-        )
-    }
-
-    /// Renders one deferred frame **plus the one-bounce mirror pass**, the bounce and shadow
-    /// streams fused in shared bulk passes.
-    #[deprecated(note = "use Renderer::render(.., &FrameDesc::deferred(..) with \
-                         RenderPasses::with_bounce, &ExecPolicy::fused())")]
-    pub fn render_deferred_bounce(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        camera: &Camera,
-        width: usize,
-        height: usize,
-        passes: &RenderPasses,
-    ) -> Image {
-        self.render(
-            &Scene::from_parts(bvh.clone(), triangles.to_vec()),
-            &FrameDesc::deferred(*camera, width, height, *passes),
-            &ExecPolicy::fused(),
-        )
-    }
-
-    /// The scalar sequential reference of the bounce frame.
-    #[deprecated(note = "use Renderer::render(.., &FrameDesc::deferred(..) with \
-                         RenderPasses::with_bounce, &ExecPolicy::scalar())")]
-    pub fn render_deferred_bounce_reference(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        camera: &Camera,
-        width: usize,
-        height: usize,
-        passes: &RenderPasses,
-    ) -> Image {
-        self.render(
-            &Scene::from_parts(bvh.clone(), triangles.to_vec()),
-            &FrameDesc::deferred(*camera, width, height, *passes),
-            &ExecPolicy::scalar(),
-        )
-    }
-
     /// Per-opcode (and per-query-kind) breakdown of every beat the renderer's datapath has
     /// executed — the fused bounce+shadow passes show up in its `fused_passes` count and
     /// per-kind columns.
@@ -1119,59 +968,6 @@ impl Default for Renderer {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// A deferred frame (no bounce) with every pass sharded across up to `threads` workers.
-#[deprecated(note = "use Renderer::render(.., &FrameDesc::deferred(..), \
-                     &ExecPolicy::parallel(threads)) — stats come from Renderer::stats")]
-#[must_use]
-#[allow(clippy::too_many_arguments)] // the pre-policy signature: config + scene + frame + tuning
-pub fn render_parallel(
-    config: PipelineConfig,
-    bvh: &Bvh4,
-    triangles: &[Triangle],
-    camera: &Camera,
-    width: usize,
-    height: usize,
-    passes: &RenderPasses,
-    threads: usize,
-) -> (Image, TraversalStats) {
-    let plain = RenderPasses {
-        bounce_reflectivity: 0.0,
-        ..*passes
-    };
-    let mut renderer = Renderer::with_config(config);
-    let image = renderer.render(
-        &Scene::from_parts(bvh.clone(), triangles.to_vec()),
-        &FrameDesc::deferred(*camera, width, height, plain),
-        &ExecPolicy::parallel(threads),
-    );
-    (image, renderer.stats())
-}
-
-/// A deferred frame including the one-bounce pass with every pass sharded across up to
-/// `threads` workers (the bounce+shadow pair runs fused inside each worker).
-#[deprecated(note = "use Renderer::render(.., &FrameDesc::deferred(..), \
-                     &ExecPolicy::parallel(threads)) — stats come from Renderer::stats")]
-#[must_use]
-#[allow(clippy::too_many_arguments)] // the pre-policy signature: config + scene + frame + tuning
-pub fn render_bounce_parallel(
-    config: PipelineConfig,
-    bvh: &Bvh4,
-    triangles: &[Triangle],
-    camera: &Camera,
-    width: usize,
-    height: usize,
-    passes: &RenderPasses,
-    threads: usize,
-) -> (Image, TraversalStats) {
-    let mut renderer = Renderer::with_config(config);
-    let image = renderer.render(
-        &Scene::from_parts(bvh.clone(), triangles.to_vec()),
-        &FrameDesc::deferred(*camera, width, height, *passes),
-        &ExecPolicy::parallel(threads),
-    );
-    (image, renderer.stats())
 }
 
 #[cfg(test)]
@@ -1715,128 +1511,6 @@ mod tests {
         assert_eq!(default.ao_samples, 0);
         assert_eq!(default.bounce_reflectivity, 0.0);
         assert!(!default.adaptive_ao);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_render_shims_delegate_to_the_policy_entry_point() {
-        let scene = scenes::lit_scene(1, 24.0);
-        let world = Scene::flat(scene.triangles.clone());
-        let bvh = Bvh4::build(&scene.triangles);
-        let camera = Camera::looking_at(scene.eye, scene.target);
-        let passes = RenderPasses::shadowed(scene.light)
-            .with_ambient_occlusion(2, 6.0, 11)
-            .with_bounce(0.3);
-        let (width, height) = (16, 12);
-        let plain = RenderPasses {
-            bounce_reflectivity: 0.0,
-            ..passes
-        };
-
-        let mut policy_renderer = Renderer::new();
-        let deferred = policy_renderer.render(
-            &world,
-            &FrameDesc::deferred(camera, width, height, plain),
-            &ExecPolicy::wavefront(),
-        );
-        let bounce = policy_renderer.render(
-            &world,
-            &FrameDesc::deferred(camera, width, height, passes),
-            &ExecPolicy::fused(),
-        );
-        let primary_reference = policy_renderer.render(
-            &world,
-            &FrameDesc::primary(camera, width, height),
-            &ExecPolicy::scalar(),
-        );
-
-        let mut shim = Renderer::new();
-        assert_images_bit_identical(
-            &shim.render_deferred(&bvh, &scene.triangles, &camera, width, height, &passes),
-            &deferred,
-            "render_deferred shim",
-        );
-        assert_images_bit_identical(
-            &shim.render_deferred_bounce(&bvh, &scene.triangles, &camera, width, height, &passes),
-            &bounce,
-            "render_deferred_bounce shim",
-        );
-        assert_images_bit_identical(
-            &shim.render_reference(&bvh, &scene.triangles, &camera, width, height),
-            &primary_reference,
-            "render_reference shim",
-        );
-        assert_images_bit_identical(
-            &shim.render_deferred_reference(
-                &bvh,
-                &scene.triangles,
-                &camera,
-                width,
-                height,
-                &passes,
-            ),
-            &deferred,
-            "render_deferred_reference shim",
-        );
-        assert_images_bit_identical(
-            &shim.render_deferred_bounce_reference(
-                &bvh,
-                &scene.triangles,
-                &camera,
-                width,
-                height,
-                &passes,
-            ),
-            &bounce,
-            "render_deferred_bounce_reference shim",
-        );
-        let (parallel_image, parallel_stats) = render_parallel(
-            PipelineConfig::baseline_unified(),
-            &bvh,
-            &scene.triangles,
-            &camera,
-            width,
-            height,
-            &passes,
-            4,
-        );
-        assert_images_bit_identical(&parallel_image, &deferred, "render_parallel shim");
-        assert!(parallel_stats.rays > 0);
-        let (bounce_parallel_image, _) = render_bounce_parallel(
-            PipelineConfig::baseline_unified(),
-            &bvh,
-            &scene.triangles,
-            &camera,
-            width,
-            height,
-            &passes,
-            4,
-        );
-        assert_images_bit_identical(
-            &bounce_parallel_image,
-            &bounce,
-            "render_bounce_parallel shim",
-        );
-        let flat_frame = FrameDesc::deferred(camera, width, height, plain);
-        assert_images_bit_identical(
-            &shim.render_flat(
-                &bvh,
-                &scene.triangles,
-                &flat_frame,
-                &ExecPolicy::wavefront(),
-            ),
-            &deferred,
-            "render_flat shim",
-        );
-        let tried = shim
-            .try_render_flat(
-                &bvh,
-                &scene.triangles,
-                &flat_frame,
-                &ExecPolicy::wavefront(),
-            )
-            .unwrap();
-        assert_images_bit_identical(&tried, &deferred, "try_render_flat shim");
     }
 
     #[test]

@@ -3,20 +3,23 @@
 //! The paper's Fig. 2 places the intersection-test datapath inside an RT unit that also contains
 //! a warp buffer, a memory scheduler and a response queue; Vulkan-Sim models that machinery in
 //! detail.  For workload-level cycle estimates this module provides a deliberately simple
-//! substitute: every ray is an independent state machine that alternates between *fetching* a BVH
-//! node (fixed-latency memory model) and *testing* it (one datapath beat, eleven-cycle latency),
-//! and the datapath issue port accepts at most one beat per cycle.  The result is a first-order
-//! cycle count that respects the datapath's throughput and latency — enough to study, for
-//! example, how the eleven-cycle RayFlex latency compares against the two-cycle assumption used
-//! by Vulkan-Sim (§IV-B).
+//! substitute: every ray alternates between *fetching* a BVH node (fixed-latency memory model)
+//! and *testing* it (one datapath beat, eleven-cycle latency), and the datapath issue port
+//! accepts at most one beat per cycle.  The result is a first-order cycle count that respects the
+//! datapath's throughput and latency — enough to study, for example, how the eleven-cycle
+//! RayFlex latency compares against the two-cycle assumption used by Vulkan-Sim (§IV-B).
+//!
+//! The model does not traverse anything itself.  [`RtUnitConfig::estimate`] observes each ray's
+//! beats through [`TraversalEngine::trace`] and schedules one transaction per beat; a leaf's
+//! first triangle test shares the transaction that fetched it, and a TLAS leaf descent into an
+//! instance costs no transaction.
 
 use std::collections::VecDeque;
 
-use rayflex_core::{PipelineConfig, RayFlexDatapath, RayFlexRequest, PIPELINE_DEPTH};
-use rayflex_geometry::{Ray, Triangle};
+use rayflex_core::PIPELINE_DEPTH;
 
-use crate::bvh::{Bvh4, ChildRef};
-use crate::traversal::TraversalHit;
+use crate::policy::ExecPolicy;
+use crate::traversal::{TraceRequest, TraversalEngine};
 
 /// Timing parameters of the simplified RT unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +44,7 @@ impl Default for RtUnitConfig {
     }
 }
 
-/// Aggregate statistics of one [`RtUnit::trace_rays`] run.
+/// Aggregate statistics of one [`RtUnitConfig::estimate`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RtUnitStats {
     /// Total simulated cycles until the last ray retired.
@@ -67,17 +70,6 @@ impl RtUnitStats {
         }
     }
 
-    /// Merges the statistics of an RT unit that ran *in parallel* with this one: operation and
-    /// conflict counters sum (total work is the sum of the shards), while the cycle count is the
-    /// maximum (parallel units finish when the slowest one does).
-    pub fn merge_parallel(&mut self, other: &RtUnitStats) {
-        self.cycles = self.cycles.max(other.cycles);
-        self.box_ops += other.box_ops;
-        self.triangle_ops += other.triangle_ops;
-        self.issue_conflicts += other.issue_conflicts;
-        self.rays += other.rays;
-    }
-
     /// Average cycles per ray (wall-clock cycles divided by rays; rays overlap, so this is far
     /// lower than a single ray's dependent-chain latency).
     #[must_use]
@@ -90,295 +82,103 @@ impl RtUnitStats {
     }
 }
 
-/// The simplified RT unit: a functional datapath plus the timing model described in the module
-/// documentation.
-#[derive(Debug)]
-pub struct RtUnit {
-    datapath: RayFlexDatapath,
-    config: RtUnitConfig,
-    /// Pooled per-ray states, reused across [`RtUnit::trace_rays`] calls so a steady-state
-    /// workload performs no per-ray allocation.
-    state_pool: Vec<RayState>,
-    /// Reusable transaction queue (see `trace_rays` for why a FIFO is sufficient).
-    ready: VecDeque<(u64, usize)>,
-}
-
-/// Per-ray traversal state (the ray itself is borrowed from the caller's slice).
-///
-/// The stack holds traversal handles (`crate::scene::handle`) in the flat top-level context —
-/// the RT-unit timing model traces flat scenes, but shares the handle-typed
-/// [`push_hit_children`](crate::traversal) step with the traversal engine.
-#[derive(Debug, Default)]
-struct RayState {
-    stack: Vec<u64>,
-    best: Option<TraversalHit>,
-    pending_leaf: Vec<usize>,
-    finished: bool,
-}
-
-impl RayState {
-    fn reset(&mut self, root: ChildRef) {
-        self.stack.clear();
-        self.stack
-            .push(crate::scene::handle(crate::scene::TOP_CTX, root.bits()));
-        self.best = None;
-        self.pending_leaf.clear();
-        self.finished = false;
-    }
-}
-
-impl RtUnit {
-    /// Creates an RT unit with the default timing parameters over a baseline-unified datapath.
+impl RtUnitConfig {
+    /// Estimates the cycles the modelled RT unit needs to trace `request` — closest-hit rays
+    /// first, then any-hit rays, against a flat or instanced scene.
+    ///
+    /// Each ray's transaction count is its beat count under the scalar reference walk (read as
+    /// the [`TraversalEngine::stats`] delta of a one-ray trace); a ray that issues no beat — an
+    /// empty scene — still costs one transaction.  Every policy issues the same beats per ray,
+    /// so the estimate does not depend on how the request is executed elsewhere.
     #[must_use]
-    pub fn new() -> Self {
-        Self::with_configs(PipelineConfig::baseline_unified(), RtUnitConfig::default())
+    pub fn estimate(&self, request: &TraceRequest<'_>) -> RtUnitStats {
+        let view = request.view();
+        let mut engine = TraversalEngine::baseline();
+        let one_ray_requests = request
+            .closest_rays()
+            .iter()
+            .map(|ray| TraceRequest::pair_view(view, core::slice::from_ref(ray), &[]))
+            .chain(
+                request
+                    .any_rays()
+                    .iter()
+                    .map(|ray| TraceRequest::pair_view(view, &[], core::slice::from_ref(ray))),
+            );
+        let transactions = one_ray_requests.map(|one_ray| {
+            let before = engine.stats().total_ops();
+            let _ = engine.trace(&one_ray, &ExecPolicy::scalar());
+            (engine.stats().total_ops() - before).max(1)
+        });
+        let mut stats = self.schedule(transactions);
+        let beats = engine.stats();
+        stats.box_ops = beats.box_ops;
+        stats.triangle_ops = beats.triangle_ops;
+        stats.rays = (request.closest_rays().len() + request.any_rays().len()) as u64;
+        stats
     }
 
-    /// Creates an RT unit with explicit datapath and timing configurations.
-    #[must_use]
-    pub fn with_configs(pipeline: PipelineConfig, config: RtUnitConfig) -> Self {
-        RtUnit {
-            datapath: RayFlexDatapath::new(pipeline),
-            config,
-            state_pool: Vec::new(),
-            ready: VecDeque::new(),
-        }
-    }
-
-    /// The timing configuration.
-    #[must_use]
-    pub fn config(&self) -> &RtUnitConfig {
-        &self.config
-    }
-
-    /// Traces a batch of rays against a triangle BVH, returning the closest hit per ray and the
-    /// aggregate timing statistics.
-    pub fn trace_rays(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        rays: &[Ray],
-    ) -> (Vec<Option<TraversalHit>>, RtUnitStats) {
-        let mut stats = RtUnitStats {
-            rays: rays.len() as u64,
-            ..RtUnitStats::default()
-        };
-        // Check out one pooled state per ray (allocation-free once the pool is warm).
-        let mut states: Vec<RayState> = Vec::with_capacity(rays.len());
-        for _ in 0..rays.len() {
-            let mut state = self.state_pool.pop().unwrap_or_default();
-            state.reset(bvh.root());
-            states.push(state);
-        }
-
-        // Transaction queue of (cycle at which the ray's next transaction is ready, ray index).
+    /// Runs the single-issue, windowed schedule over the rays' transaction counts (in
+    /// admission order), filling in the cycle and conflict counters.
+    fn schedule(&self, mut transactions: impl Iterator<Item = u64>) -> RtUnitStats {
+        let mut stats = RtUnitStats::default();
+        // Transaction queue of (cycle at which a ray's next transaction is ready, transactions
+        // the ray has left).
         //
         // Every transaction has the same ready-to-ready latency (issue wait + datapath latency +
         // node fetch), and the single issue port hands out strictly increasing issue cycles, so
         // ready times are enqueued in non-decreasing order — a plain FIFO pops them in exactly
         // the order a min-heap would, without the per-event heap maintenance.
-        self.ready.clear();
-        let window = self.config.max_rays_in_flight.max(1).min(states.len());
-        let mut next_to_admit = window;
-        for i in 0..window {
-            self.ready.push_back((self.config.node_fetch_latency, i));
-        }
-
+        let mut ready: VecDeque<(u64, u64)> = transactions
+            .by_ref()
+            .take(self.max_rays_in_flight.max(1))
+            .map(|count| (self.node_fetch_latency, count))
+            .collect();
         let mut next_issue_cycle = 0u64;
-        let mut last_retire_cycle = 0u64;
-
-        while let Some((ready_cycle, ray_index)) = self.ready.pop_front() {
+        while let Some((ready_cycle, left)) = ready.pop_front() {
             // The single issue port: a transaction ready before the port frees up waits.
             let issue_cycle = ready_cycle.max(next_issue_cycle);
             if issue_cycle > ready_cycle {
                 stats.issue_conflicts += 1;
             }
             next_issue_cycle = issue_cycle + 1;
-            let result_cycle = issue_cycle + self.config.datapath_latency;
-
-            let state = &mut states[ray_index];
-            Self::step_ray(
-                &mut self.datapath,
-                bvh,
-                triangles,
-                &rays[ray_index],
-                state,
-                &mut stats,
-            );
-
-            if state.finished {
-                last_retire_cycle = last_retire_cycle.max(result_cycle);
-                // Admit the next waiting ray into the in-flight window.
-                if next_to_admit < states.len() {
-                    self.ready
-                        .push_back((result_cycle + self.config.node_fetch_latency, next_to_admit));
-                    next_to_admit += 1;
-                }
+            let result_cycle = issue_cycle + self.datapath_latency;
+            // The next node fetch starts once this beat's result is known — for this ray, or,
+            // once it retires, for the next waiting ray admitted into the in-flight window.
+            let next = if left > 1 {
+                Some(left - 1)
             } else {
-                // The next node fetch starts once this beat's result is known.
-                self.ready
-                    .push_back((result_cycle + self.config.node_fetch_latency, ray_index));
-            }
-        }
-
-        stats.cycles = last_retire_cycle;
-        let mut hits = Vec::with_capacity(rays.len());
-        for mut state in states {
-            hits.push(state.best.take());
-            self.state_pool.push(state);
-        }
-        (hits, stats)
-    }
-
-    /// Traces a ray batch across `units` RT units working side by side, one OS thread per
-    /// unit, each owning a private datapath of configuration `pipeline` and the timing
-    /// parameters `config`.  Rays are sharded contiguously; hits return in input order.  The
-    /// merged statistics sum the per-unit operation counters and take the maximum cycle count
-    /// (see [`RtUnitStats::merge_parallel`]).
-    #[must_use]
-    pub fn trace_rays_multi_unit(
-        pipeline: PipelineConfig,
-        config: RtUnitConfig,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        rays: &[Ray],
-        units: usize,
-    ) -> (Vec<Option<TraversalHit>>, RtUnitStats) {
-        if rays.is_empty() {
-            return (Vec::new(), RtUnitStats::default());
-        }
-        let units = units.clamp(1, rays.len());
-        let shard_len = rays.len().div_ceil(units);
-        let shards: Vec<(Vec<Option<TraversalHit>>, RtUnitStats)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = rays
-                .chunks(shard_len)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        RtUnit::with_configs(pipeline, config).trace_rays(bvh, triangles, shard)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| match handle.join() {
-                    Ok(result) => result,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let mut hits = Vec::with_capacity(rays.len());
-        let mut stats = RtUnitStats::default();
-        for (shard_hits, shard_stats) in shards {
-            hits.extend(shard_hits);
-            stats.merge_parallel(&shard_stats);
-        }
-        (hits, stats)
-    }
-
-    /// One OS thread per modelled RT unit, sharded contiguously.
-    #[deprecated(
-        note = "renamed to RtUnit::trace_rays_multi_unit (no execution-mode names on \
-                         non-policy methods)"
-    )]
-    #[must_use]
-    pub fn trace_rays_parallel(
-        pipeline: PipelineConfig,
-        config: RtUnitConfig,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        rays: &[Ray],
-        units: usize,
-    ) -> (Vec<Option<TraversalHit>>, RtUnitStats) {
-        Self::trace_rays_multi_unit(pipeline, config, bvh, triangles, rays, units)
-    }
-
-    /// Advances one ray by one datapath transaction.
-    fn step_ray(
-        datapath: &mut RayFlexDatapath,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        ray: &Ray,
-        state: &mut RayState,
-        stats: &mut RtUnitStats,
-    ) {
-        // Pending leaf primitives are tested one beat at a time.
-        if let Some(prim) = state.pending_leaf.pop() {
-            stats.triangle_ops += 1;
-            let request = RayFlexRequest::ray_triangle(prim as u64, ray, &triangles[prim]);
-            let Some(result) = datapath.execute(&request).triangle_result else {
-                unreachable!("a triangle beat always returns a triangle result");
+                stats.cycles = stats.cycles.max(result_cycle);
+                transactions.next()
             };
-            crate::traversal::record_triangle_hit(
-                &mut state.best,
-                &result,
-                prim,
-                ray.t_beg,
-                ray.t_end,
-            );
-        } else if let Some(popped) = state.stack.pop() {
-            let child = ChildRef::from_bits(crate::scene::handle_low(popped));
-            match child.node_index() {
-                None => {
-                    // Reversed so `pop` tests primitives in leaf order, matching the traversal
-                    // engine's tie-breaking (the first-tested primitive keeps exact-t ties).
-                    state.pending_leaf.extend(
-                        bvh.leaf_primitives(child)
-                            .iter()
-                            .rev()
-                            .map(|&prim| prim as usize),
-                    );
-                    // Testing the first primitive happens in this same transaction slot if one
-                    // exists; otherwise the beat is a no-op node visit.
-                    if !state.pending_leaf.is_empty() {
-                        Self::step_ray(datapath, bvh, triangles, ray, state, stats);
-                        return;
-                    }
-                }
-                Some(index) => {
-                    let node = bvh.node(index);
-                    stats.box_ops += 1;
-                    let request = RayFlexRequest::ray_box(0, ray, &node.child_bounds);
-                    let Some(result) = datapath.execute(&request).box_result else {
-                        unreachable!("a box beat always returns a box result");
-                    };
-                    crate::traversal::push_hit_children(
-                        &mut state.stack,
-                        &result,
-                        &node.children,
-                        crate::scene::TOP_CTX,
-                        state.best.as_ref(),
-                    );
-                }
+            if let Some(left) = next {
+                ready.push_back((result_cycle + self.node_fetch_latency, left));
             }
         }
-        state.finished = state.stack.is_empty() && state.pending_leaf.is_empty();
-    }
-}
-
-impl Default for RtUnit {
-    fn default() -> Self {
-        Self::new()
+        stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraversalEngine;
-    use rayflex_geometry::Vec3;
+    use crate::{Blas, Instance, Scene};
+    use rayflex_geometry::{Aabb, Ray, Triangle, Vec3};
+    use rayflex_workloads::{rays, scenes};
 
-    fn scene() -> Vec<Triangle> {
-        (0..64)
-            .map(|i| {
-                let x = (i % 8) as f32 * 2.0 - 8.0;
-                let y = (i / 8) as f32 * 2.0 - 8.0;
-                Triangle::new(
-                    Vec3::new(x, y, 12.0),
-                    Vec3::new(x + 1.8, y, 12.0),
-                    Vec3::new(x + 0.9, y + 1.8, 12.0),
-                )
-            })
-            .collect()
+    fn scene() -> Scene {
+        Scene::flat(
+            (0..64)
+                .map(|i| {
+                    let x = (i % 8) as f32 * 2.0 - 8.0;
+                    let y = (i / 8) as f32 * 2.0 - 8.0;
+                    Triangle::new(
+                        Vec3::new(x, y, 12.0),
+                        Vec3::new(x + 1.8, y, 12.0),
+                        Vec3::new(x + 0.9, y + 1.8, 12.0),
+                    )
+                })
+                .collect(),
+        )
     }
 
     fn camera_rays(n: usize) -> Vec<Ray> {
@@ -392,52 +192,50 @@ mod tests {
     }
 
     #[test]
-    fn rt_unit_hits_match_the_untimed_traversal_engine() {
-        let triangles = scene();
-        let bvh = Bvh4::build(&triangles);
-        let rays = camera_rays(64);
-        let mut unit = RtUnit::new();
-        let (hits, stats) = unit.trace_rays(&bvh, &triangles, &rays);
-        let mut engine = TraversalEngine::baseline();
-        let scene_obj = crate::Scene::from_parts(bvh.clone(), triangles.clone());
-        let reference = engine
-            .trace(
-                &crate::TraceRequest::closest_hit(&scene_obj, &rays),
-                &crate::ExecPolicy::scalar(),
-            )
-            .into_closest();
-        assert_eq!(hits.len(), reference.len());
-        for (i, (a, b)) in hits.iter().zip(&reference).enumerate() {
-            match (a, b) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.primitive, b.primitive, "ray {i}");
-                    assert!((a.t - b.t).abs() < 1e-6, "ray {i}");
-                }
-                other => panic!("ray {i}: {other:?}"),
+    fn estimate_ops_match_a_batched_wavefront_trace() {
+        let crowd = scenes::icosphere_crowd(2, 3, 3.0);
+        let instanced = Scene::instanced(
+            crowd.meshes.into_iter().map(Blas::new).collect(),
+            crowd
+                .placements
+                .iter()
+                .map(|&(mesh, transform)| Instance::new(mesh, transform))
+                .collect(),
+        );
+        let flat = Scene::flat(scenes::icosphere(3, 1.0, Vec3::ZERO));
+        let bounds = Aabb::new(Vec3::new(-4.5, -1.5, -4.5), Vec3::new(4.5, 1.5, 4.5));
+        let rays = rays::random_rays(31, 300, &bounds);
+        for (label, scene) in [("flat", &flat), ("instanced", &instanced)] {
+            for any_hit in [false, true] {
+                let request = if any_hit {
+                    TraceRequest::any_hit(scene, &rays)
+                } else {
+                    TraceRequest::closest_hit(scene, &rays)
+                };
+                let mut engine = TraversalEngine::baseline();
+                let _ = engine.trace(&request, &ExecPolicy::wavefront());
+                let batched = engine.stats();
+                let estimate = RtUnitConfig::default().estimate(&request);
+                let case = format!("{label}, any_hit = {any_hit}");
+                assert_eq!(estimate.box_ops, batched.box_ops, "{case}");
+                assert_eq!(estimate.triangle_ops, batched.triangle_ops, "{case}");
+                assert_eq!(estimate.rays, batched.rays, "{case}");
+                assert!(estimate.cycles > 0, "{case}");
             }
         }
-        assert!(stats.cycles > 0);
-        assert!(stats.box_ops > 0 && stats.triangle_ops > 0);
-        assert_eq!(stats.rays, 64);
-        assert!(stats.ops_per_ray() >= 1.0);
     }
 
     #[test]
     fn lower_datapath_latency_reduces_the_cycle_count() {
-        let triangles = scene();
-        let bvh = Bvh4::build(&triangles);
+        let scene = scene();
         let rays = camera_rays(32);
-        let rayflex_latency = RtUnitConfig::default();
-        let vulkan_sim_assumption = RtUnitConfig {
+        let request = TraceRequest::closest_hit(&scene, &rays);
+        let slow = RtUnitConfig::default().estimate(&request);
+        let fast = RtUnitConfig {
             datapath_latency: 2,
             ..RtUnitConfig::default()
-        };
-        let (_, slow) = RtUnit::with_configs(PipelineConfig::baseline_unified(), rayflex_latency)
-            .trace_rays(&bvh, &triangles, &rays);
-        let (_, fast) =
-            RtUnit::with_configs(PipelineConfig::baseline_unified(), vulkan_sim_assumption)
-                .trace_rays(&bvh, &triangles, &rays);
+        }
+        .estimate(&request);
         assert!(
             fast.cycles < slow.cycles,
             "a 2-cycle datapath assumption must be optimistic: {} vs {}",
@@ -449,86 +247,27 @@ mod tests {
 
     #[test]
     fn more_rays_in_flight_hide_more_latency() {
-        let triangles = scene();
-        let bvh = Bvh4::build(&triangles);
+        let scene = scene();
         let rays = camera_rays(64);
-        let narrow = RtUnitConfig {
+        let request = TraceRequest::closest_hit(&scene, &rays);
+        let serial = RtUnitConfig {
             max_rays_in_flight: 1,
             ..RtUnitConfig::default()
-        };
-        let wide = RtUnitConfig {
+        }
+        .estimate(&request);
+        let parallel = RtUnitConfig {
             max_rays_in_flight: 64,
             ..RtUnitConfig::default()
-        };
-        let (_, serial) = RtUnit::with_configs(PipelineConfig::baseline_unified(), narrow)
-            .trace_rays(&bvh, &triangles, &rays);
-        let (_, parallel) = RtUnit::with_configs(PipelineConfig::baseline_unified(), wide)
-            .trace_rays(&bvh, &triangles, &rays);
+        }
+        .estimate(&request);
         assert!(parallel.cycles < serial.cycles);
     }
 
     #[test]
-    fn parallel_units_agree_with_a_single_unit() {
-        let triangles = scene();
-        let bvh = Bvh4::build(&triangles);
-        let rays = camera_rays(64);
-        let mut unit = RtUnit::new();
-        let (expected_hits, expected_stats) = unit.trace_rays(&bvh, &triangles, &rays);
-        for units in [1, 2, 4, 64] {
-            let (hits, stats) = RtUnit::trace_rays_multi_unit(
-                PipelineConfig::baseline_unified(),
-                RtUnitConfig::default(),
-                &bvh,
-                &triangles,
-                &rays,
-                units,
-            );
-            assert_eq!(hits, expected_hits, "units = {units}");
-            // Work is conserved across shards: the summed beat counts equal the
-            // single-threaded totals regardless of the shard count.
-            assert_eq!(
-                stats.box_ops + stats.triangle_ops,
-                expected_stats.box_ops + expected_stats.triangle_ops,
-                "units = {units}"
-            );
-            assert_eq!(stats.rays, expected_stats.rays, "units = {units}");
-            // More parallel units never extend the critical path.
-            assert!(stats.cycles <= expected_stats.cycles, "units = {units}");
-        }
-        let (_, single) = RtUnit::trace_rays_multi_unit(
-            PipelineConfig::baseline_unified(),
-            RtUnitConfig::default(),
-            &bvh,
-            &triangles,
-            &rays,
-            1,
-        );
-        assert_eq!(
-            single, expected_stats,
-            "one shard reproduces the scalar run exactly"
-        );
-    }
-
-    #[test]
-    fn state_pools_recycle_across_trace_calls() {
-        let triangles = scene();
-        let bvh = Bvh4::build(&triangles);
-        let rays = camera_rays(32);
-        let mut unit = RtUnit::new();
-        let (first, _) = unit.trace_rays(&bvh, &triangles, &rays);
-        assert_eq!(unit.state_pool.len(), rays.len());
-        let (second, _) = unit.trace_rays(&bvh, &triangles, &rays);
-        assert_eq!(first, second);
-        assert_eq!(unit.state_pool.len(), rays.len());
-    }
-
-    #[test]
     fn empty_ray_batches_are_fine() {
-        let triangles = scene();
-        let bvh = Bvh4::build(&triangles);
-        let (hits, stats) = RtUnit::new().trace_rays(&bvh, &triangles, &[]);
-        assert!(hits.is_empty());
-        assert_eq!(stats.cycles, 0);
+        let scene = scene();
+        let stats = RtUnitConfig::default().estimate(&TraceRequest::closest_hit(&scene, &[]));
+        assert_eq!(stats, RtUnitStats::default());
         assert_eq!(stats.cycles_per_ray(), 0.0);
     }
 }

@@ -29,20 +29,17 @@
 //! The traversal queries are two instantiations ([`QueryKind::ClosestHit`] and
 //! [`QueryKind::AnyHit`]) of the [`BatchQuery`] state machine; the renderer and the k-NN /
 //! hierarchical engines run their own kinds through the same scheduler under the same policies.
-//! The pre-policy named method variants (`closest_hits_wavefront`, `trace_fused`, …) survive as
-//! deprecated shims delegating to [`TraversalEngine::trace`].
 
 use rayflex_core::{
     BeatMix, PipelineConfig, RayFlexDatapath, RayFlexRequest, RayFlexResponse, RayOperand,
 };
-use rayflex_geometry::{Ray, RayPacket, Triangle};
+use rayflex_geometry::Ray;
 
 use crate::bvh::ChildRef;
 use crate::error::{validate_rays, PartialResult, QueryError, QueryOutcome, SceneValidator};
 use crate::policy::{CoherenceMode, ExecMode, ExecPolicy};
 use crate::query::{BatchQuery, FusedScheduler, QueryKind, StreamRunner, WavefrontScheduler};
 use crate::scene::{handle, handle_low, NodeStep, Scene, SceneView};
-use crate::Bvh4;
 
 /// The closest hit found by a traversal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -645,8 +642,6 @@ pub struct TraversalEngine {
     scheduler: WavefrontScheduler<RayWork>,
     /// The fused multi-stream scheduler for passes shared between query kinds.
     fused: FusedScheduler,
-    /// Reusable ray buffer for the packet frontends.
-    ray_scratch: Vec<Ray>,
     /// Coherence mode applied to batched admissions (octant-sorted wavefronts); the policy
     /// entry points overwrite it per call, [`ExecMode::ScalarReference`] forces it off.
     coherence: CoherenceMode,
@@ -676,7 +671,6 @@ impl TraversalEngine {
             stack_pool: Vec::new(),
             scheduler: WavefrontScheduler::new(),
             fused: FusedScheduler::new(),
-            ray_scratch: Vec::new(),
             coherence: CoherenceMode::default(),
             operand_pool: Vec::new(),
             operand_scratch: Vec::new(),
@@ -1282,163 +1276,6 @@ impl TraversalEngine {
         self.fused.last_run_passes()
     }
 
-    // --- Deprecated pre-policy method variants, kept as thin shims over `trace`. -------------
-
-    /// Finds the closest front-face hit of `ray`, or `None` if the ray escapes the scene.
-    #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::closest_hit(..), \
-                         &ExecPolicy::scalar())")]
-    pub fn closest_hit(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        ray: &Ray,
-    ) -> Option<TraversalHit> {
-        self.trace(
-            &TraceRequest::closest_hit(&loose_scene(bvh, triangles), core::slice::from_ref(ray)),
-            &ExecPolicy::scalar(),
-        )
-        .closest
-        .pop()
-        .flatten()
-    }
-
-    /// Returns the first intersection of `ray` accepted within its extent (the shadow query).
-    #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::any_hit(..), \
-                         &ExecPolicy::scalar())")]
-    pub fn any_hit(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        ray: &Ray,
-    ) -> Option<TraversalHit> {
-        self.trace(
-            &TraceRequest::any_hit(&loose_scene(bvh, triangles), core::slice::from_ref(ray)),
-            &ExecPolicy::scalar(),
-        )
-        .any
-        .pop()
-        .flatten()
-    }
-
-    /// Traverses a batch of closest-hit rays one at a time through the scalar reference path.
-    #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::closest_hit(..), \
-                         &ExecPolicy::scalar())")]
-    pub fn closest_hits(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        rays: &[Ray],
-    ) -> Vec<Option<TraversalHit>> {
-        self.trace(
-            &TraceRequest::closest_hit(&loose_scene(bvh, triangles), rays),
-            &ExecPolicy::scalar(),
-        )
-        .into_closest()
-    }
-
-    /// Runs the any-hit query over a batch of rays one at a time through the scalar reference
-    /// path.
-    #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::any_hit(..), \
-                         &ExecPolicy::scalar())")]
-    pub fn any_hits(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        rays: &[Ray],
-    ) -> Vec<Option<TraversalHit>> {
-        self.trace(
-            &TraceRequest::any_hit(&loose_scene(bvh, triangles), rays),
-            &ExecPolicy::scalar(),
-        )
-        .into_any()
-    }
-
-    /// Traces a closest-hit ray stream wavefront-style.
-    #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::closest_hit(..), \
-                         &ExecPolicy::wavefront())")]
-    pub fn closest_hits_wavefront(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        rays: &[Ray],
-    ) -> Vec<Option<TraversalHit>> {
-        self.trace(
-            &TraceRequest::closest_hit(&loose_scene(bvh, triangles), rays),
-            &ExecPolicy::wavefront(),
-        )
-        .into_closest()
-    }
-
-    /// Runs the any-hit query over a ray stream wavefront-style.
-    #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::any_hit(..), \
-                         &ExecPolicy::wavefront())")]
-    pub fn any_hits_wavefront(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        rays: &[Ray],
-    ) -> Vec<Option<TraversalHit>> {
-        self.trace(
-            &TraceRequest::any_hit(&loose_scene(bvh, triangles), rays),
-            &ExecPolicy::wavefront(),
-        )
-        .into_any()
-    }
-
-    /// Traces a closest-hit stream and an any-hit stream fused in the same bulk passes.
-    #[deprecated(note = "use TraversalEngine::trace(&TraceRequest::pair(..), \
-                         &ExecPolicy::fused())")]
-    pub fn trace_fused(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        closest_rays: &[Ray],
-        any_rays: &[Ray],
-    ) -> (Vec<Option<TraversalHit>>, Vec<Option<TraversalHit>>) {
-        let output = self.trace(
-            &TraceRequest::pair(&loose_scene(bvh, triangles), closest_rays, any_rays),
-            &ExecPolicy::fused(),
-        );
-        (output.closest, output.any)
-    }
-
-    /// Traces a structure-of-arrays [`RayPacket`] closest-hit stream wavefront-style.
-    #[deprecated(note = "unpack the packet (RayPacket::to_rays) and use \
-                         TraversalEngine::trace(&TraceRequest::closest_hit(..), ..)")]
-    pub fn closest_hits_stream(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        rays: &RayPacket,
-    ) -> Vec<Option<TraversalHit>> {
-        // Materialise into a pooled buffer: the wavefront hot loop reads each ray many times
-        // (once per beat), so a one-off sequential unpack into reused storage beats per-beat
-        // SoA gathers, and after the first call the packet frontend allocates nothing.
-        let mut unpacked = core::mem::take(&mut self.ray_scratch);
-        unpacked.clear();
-        unpacked.extend(rays.iter());
-        let hits = self.wavefront_closest_hits(loose_scene(bvh, triangles).view(), &unpacked);
-        self.ray_scratch = unpacked;
-        hits
-    }
-
-    /// Traces a structure-of-arrays [`RayPacket`] any-hit stream wavefront-style.
-    #[deprecated(note = "unpack the packet (RayPacket::to_rays) and use \
-                         TraversalEngine::trace(&TraceRequest::any_hit(..), ..)")]
-    pub fn any_hits_stream(
-        &mut self,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        rays: &RayPacket,
-    ) -> Vec<Option<TraversalHit>> {
-        let mut unpacked = core::mem::take(&mut self.ray_scratch);
-        unpacked.clear();
-        unpacked.extend(rays.iter());
-        let hits = self.wavefront_any_hits(loose_scene(bvh, triangles).view(), &unpacked);
-        self.ray_scratch = unpacked;
-        hits
-    }
-
     fn tag(&mut self) -> u64 {
         let tag = self.next_tag;
         self.next_tag += 1;
@@ -1449,12 +1286,6 @@ impl TraversalEngine {
     fn work_pool_len(&self) -> usize {
         self.scheduler.pooled_states()
     }
-}
-
-/// The owned scene the deprecated loose-`(bvh, triangles)` shims trace: the scene stores its
-/// triangles in leaf order, so a loose caller-order pair cannot be traversed in place.
-pub(crate) fn loose_scene(bvh: &Bvh4, triangles: &[Triangle]) -> Scene {
-    Scene::from_parts(bvh.clone(), triangles.to_vec())
 }
 
 /// Applies one triangle-beat result to a ray's best hit, honouring the ray extent and the
@@ -1506,7 +1337,8 @@ pub(crate) fn push_hit_children(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayflex_geometry::{golden, Vec3};
+    use crate::Bvh4;
+    use rayflex_geometry::{golden, Triangle, Vec3};
 
     /// A little wall of front-facing triangles at varying depths.
     fn wall() -> Vec<Triangle> {
@@ -1758,63 +1590,6 @@ mod tests {
             any.stats().total_ops() <= closest.stats().total_ops(),
             "first-hit termination can only reduce the beat count"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_the_policy_entry_point() {
-        let triangles = wall();
-        let bvh = Bvh4::build(&triangles);
-        let scene = Scene::from_parts(bvh.clone(), triangles.clone());
-        let rays = wall_rays(30);
-        let packet = RayPacket::from_rays(&rays);
-
-        let mut policy_engine = TraversalEngine::baseline();
-        let expected = policy_engine.trace(
-            &TraceRequest::pair(&scene, &rays, &rays),
-            &ExecPolicy::wavefront(),
-        );
-
-        let mut shim_engine = TraversalEngine::baseline();
-        assert_eq!(
-            shim_engine.closest_hits_wavefront(&bvh, &triangles, &rays),
-            expected.closest
-        );
-        assert_eq!(
-            shim_engine.any_hits_wavefront(&bvh, &triangles, &rays),
-            expected.any
-        );
-        assert_eq!(policy_engine.stats(), shim_engine.stats());
-
-        // The packet shims unpack and delegate too.
-        let mut packet_engine = TraversalEngine::baseline();
-        assert_eq!(
-            packet_engine.closest_hits_stream(&bvh, &triangles, &packet),
-            expected.closest
-        );
-        assert_eq!(
-            packet_engine.any_hits_stream(&bvh, &triangles, &packet),
-            expected.any
-        );
-
-        // Scalar and fused shims agree with their policies as well.
-        let mut scalar_shim = TraversalEngine::baseline();
-        assert_eq!(
-            scalar_shim.closest_hits(&bvh, &triangles, &rays),
-            expected.closest
-        );
-        assert_eq!(
-            scalar_shim.closest_hit(&bvh, &triangles, &rays[0]),
-            expected.closest[0]
-        );
-        assert_eq!(
-            scalar_shim.any_hit(&bvh, &triangles, &rays[0]),
-            expected.any[0]
-        );
-        let mut fused_shim = TraversalEngine::baseline();
-        let (fc, fa) = fused_shim.trace_fused(&bvh, &triangles, &rays, &rays);
-        assert_eq!(fc, expected.closest);
-        assert_eq!(fa, expected.any);
     }
 
     #[test]

@@ -22,14 +22,14 @@
 //!   prints the structured `invalid scene` error and exits with status 2 instead of panicking.
 //!   CI smokes this path.
 //!
-//! Setting `RAYFLEX_SMOKE=1` shrinks the frame and skips the timing sweep — the CI smoke mode
+//! Setting `RAYFLEX_SMOKE=1` shrinks the frame (and so the timed ray stream) — the CI smoke mode
 //! that keeps the example from rotting (CI runs it once per `--mode`).
 
 use rayflex::core::PipelineConfig;
 use rayflex::geometry::{Affine, Vec3};
 use rayflex::rtunit::{
-    Blas, Bvh4, Camera, ExecMode, ExecPolicy, FrameDesc, Instance, RenderPasses, Renderer, RtUnit,
-    RtUnitConfig, Scene,
+    Blas, Bvh4, Camera, ExecMode, ExecPolicy, FrameDesc, Instance, RenderPasses, Renderer,
+    RtUnitConfig, Scene, TraceRequest,
 };
 use rayflex::workloads::scenes;
 
@@ -201,13 +201,9 @@ fn main() {
         deferred.coverage() * 100.0
     );
 
-    if smoke {
-        println!("smoke mode: skipping the RT-unit timing sweep");
-        return;
-    }
-
     // First-order timing through the simplified RT-unit scheduler: compare the RayFlex 11-cycle
-    // datapath against the 2-cycle assumption Vulkan-Sim uses (§IV-B of the paper).
+    // datapath against the 2-cycle assumption Vulkan-Sim uses (§IV-B of the paper), over a
+    // quarter-resolution primary stream of the rendered `world` (flat or instanced).
     let rays: Vec<_> = (0..width * height / 4)
         .map(|i| {
             let x = i % (width / 2);
@@ -215,18 +211,13 @@ fn main() {
             camera.primary_ray(x * 2, y * 2, width, height)
         })
         .collect();
-    let bvh = Bvh4::build(&scene.triangles);
-    let (_, rayflex_timing) =
-        RtUnit::with_configs(PipelineConfig::baseline_unified(), RtUnitConfig::default())
-            .trace_rays(&bvh, &scene.triangles, &rays);
-    let (_, optimistic_timing) = RtUnit::with_configs(
-        PipelineConfig::baseline_unified(),
-        RtUnitConfig {
-            datapath_latency: 2,
-            ..RtUnitConfig::default()
-        },
-    )
-    .trace_rays(&bvh, &scene.triangles, &rays);
+    let request = TraceRequest::closest_hit(&world, &rays);
+    let rayflex_timing = RtUnitConfig::default().estimate(&request);
+    let optimistic_timing = RtUnitConfig {
+        datapath_latency: 2,
+        ..RtUnitConfig::default()
+    }
+    .estimate(&request);
     println!(
         "RT-unit estimate over {} rays: {} cycles with the 11-cycle RayFlex datapath, {} cycles \
          with a 2-cycle datapath assumption ({:.1}% faster — the Vulkan-Sim configuration is \

@@ -5,7 +5,7 @@
 use rayflex::core::{validation, PipelineConfig};
 use rayflex::geometry::{golden, Ray, Vec3};
 use rayflex::rtunit::{
-    Bvh4, Camera, ExecPolicy, FrameDesc, KnnEngine, KnnMetric, Renderer, RtUnit, Scene,
+    Camera, ExecPolicy, FrameDesc, KnnEngine, KnnMetric, Renderer, RtUnitConfig, Scene,
     TraceRequest, TraversalEngine,
 };
 use rayflex::workloads::{scenes, vectors};
@@ -72,8 +72,7 @@ fn icosphere_traversal_matches_a_brute_force_golden_scan() {
 #[test]
 fn rendering_and_rt_unit_timing_work_through_the_facade() {
     let triangles = scenes::icosphere(2, 3.0, Vec3::new(0.0, 0.0, 12.0));
-    let bvh = Bvh4::build(&triangles);
-    let world = Scene::from_parts(bvh.clone(), triangles.clone());
+    let world = Scene::flat(triangles);
     let camera = Camera::looking_at(Vec3::ZERO, Vec3::new(0.0, 0.0, 12.0));
     let mut renderer = Renderer::new();
     let image = renderer.render(
@@ -87,8 +86,8 @@ fn rendering_and_rt_unit_timing_work_through_the_facade() {
     let rays: Vec<Ray> = (0..64)
         .map(|i| camera.primary_ray((i % 8) * 4, (i / 8) * 4, 32, 32))
         .collect();
-    let (hits, stats) = RtUnit::new().trace_rays(&bvh, &triangles, &rays);
-    assert_eq!(hits.len(), 64);
+    let stats = RtUnitConfig::default().estimate(&TraceRequest::closest_hit(&world, &rays));
+    assert_eq!(stats.rays, 64);
     assert!(stats.cycles > 0);
     assert!(stats.ops_per_ray() >= 1.0);
 }
