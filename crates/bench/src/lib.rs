@@ -10,13 +10,10 @@
 //! | Fig. 9 (ray-triangle power vs clock) | [`fig9_power_frequency_table`] | `fig9_power_freq` |
 //! | Fig. 4c / §IV-B (stage map, 125 ops/cycle, Turing comparison, latency/II) | [`fig4c_pipeline_report`] | `fig4c_pipeline_map` |
 //! | §IV-A validation (20 directed + random equivalence) | [`validation_report`] | `validation_suite` |
-//! | Simulator throughput baseline (not a paper figure) | [`perf::run_perf_suite`] | `perf_simulator` |
 //! | §VII-B squarer ablation | [`ablation_squarer_table`] | `ablation_squarer` |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod perf;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -413,7 +410,7 @@ pub fn ablation_squarer_table() -> String {
     )
 }
 
-/// A deterministic random ray-box request batch for the criterion performance benches.
+/// A deterministic random ray-box request batch.
 #[must_use]
 pub fn random_ray_box_requests(count: usize, seed: u64) -> Vec<RayFlexRequest> {
     let mut rng = StdRng::seed_from_u64(seed);

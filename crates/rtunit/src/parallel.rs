@@ -10,8 +10,8 @@
 //! time changes.
 //!
 //! **Auto-tuned sharding:** spawning workers costs real time, and on one core (or for short
-//! streams) the parallel mode used to be *slower* than the plain batched path
-//! (`BENCH_baseline.json` of PR 1 showed exactly that on all three scenes).  The sharding
+//! streams) the parallel mode used to be *slower* than the plain batched path (measured on
+//! all three traversal baseline scenes).  The sharding
 //! therefore clamps the worker count so every chunk carries at least [`MIN_RAYS_PER_SHARD`] rays
 //! (the remainder chunk may run up to `workers - 1` rays short of the floor), and when the
 //! effective count is one it runs the batched wavefront inline on the calling thread — no

@@ -986,8 +986,8 @@ impl FusedScheduler {
     }
 
     /// How many passes each stream of the most recent run contributed at least one beat to, in
-    /// admission order — the per-stream fairness fingerprint a beat budget reshapes (reported by
-    /// the fused benchmark suite).
+    /// admission order — the per-stream fairness fingerprint a beat budget reshapes (pinned for
+    /// the mixed workload by the golden-counter tests).
     #[must_use]
     pub fn last_run_stream_passes(&self) -> &[u64] {
         &self.stream_passes

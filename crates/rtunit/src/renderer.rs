@@ -1,5 +1,5 @@
 //! A multi-pass deferred renderer driving the batched query engine (used by the examples and the
-//! render-pass benchmark suite).
+//! `render_ao` benchmark workload).
 //!
 //! Rendering is a sequence of traversal queries over one frame, described by a [`FrameDesc`]:
 //!

@@ -14,10 +14,13 @@
 //!
 //! # The bit-identity contract
 //!
-//! Tracing an instanced scene yields **bit-identical hits** to tracing [`Scene::flatten`] — the
-//! same geometry baked into one flat BVH — for every query kind and every
-//! [`ExecPolicy`](crate::ExecPolicy).  Three design choices make this exact rather than
-//! approximate:
+//! Tracing an instanced scene yields **bit-identical closest hits** to tracing
+//! [`Scene::flatten`] — the same geometry baked into one flat BVH — under every
+//! [`ExecPolicy`](crate::ExecPolicy), and the same any-hit occlusion verdict for every ray.
+//! The any-hit *occluder* may differ: any-hit stops at the first accepted hit, and the two trees
+//! visit leaves in different orders.  Whichever occluder it reports is a real intersection,
+//! with the `t` bits re-tracing that one flattened triangle gives.  Three design choices make
+//! this exact rather than approximate:
 //!
 //! * rays stay in **world space** throughout; instanced traversal transforms each candidate
 //!   triangle through its instance transform at intersection time with
@@ -416,7 +419,7 @@ impl Scene {
     ///
     /// Global primitive ids are preserved: the triangle at id `p` here is bit-identical to
     /// [`Scene::triangle`]`(p)` of the instanced original, which is what pins instanced
-    /// traversal bit-identical to flattened traversal.
+    /// closest hits bit-identical to flattened ones.
     #[must_use]
     pub fn flatten(&self) -> Scene {
         match &self.repr {

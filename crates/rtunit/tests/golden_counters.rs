@@ -20,14 +20,25 @@
 //! how distance beats are emitted, grouped or accumulated must leave the `KnnStats`, the
 //! per-opcode and per-kind beat counts, the passes, the (zero) lane slots and the bits of every
 //! distance exactly where they were.
+//!
+//! The baseline rows pin the deterministic figures of the retired wall-clock suites at their
+//! size of 4096 items: per-scene beats and lane accounting of `icosphere`, `quad_wall` and
+//! `triangle_soup` at SIMD-16 with coherence off and with `SortAndCompact`, the instancing
+//! presets' memory, the fused mixed workload's per-kind × per-opcode beat mix, passes and
+//! beat-budget sweep, and the rays, beats and lanes of each render-pass configuration and
+//! query-engine stream.  Lane occupancy is pinned as the exact pair `(lanes_busy, lane_slots)`.
 
-use rayflex_core::{clamp_simd_lanes, Opcode, PipelineConfig, QueryKind, RayFlexRequest};
-use rayflex_geometry::{Aabb, Ray, Vec3};
-use rayflex_rtunit::{
-    Blas, ExecPolicy, HierarchicalSearch, HierarchicalStats, Instance, KnnEngine, KnnMetric,
-    Neighbor, Scene, TraceRequest, TraversalEngine, TraversalHit,
+use rayflex_core::{
+    clamp_simd_lanes, BeatMix, Opcode, PipelineConfig, QueryKind, RayFlexDatapath, RayFlexRequest,
 };
-use rayflex_workloads::{rays, scenes, vectors};
+use rayflex_geometry::{Aabb, Ray, Sphere, Triangle, Vec3};
+use rayflex_rtunit::{
+    Blas, Bvh4, Camera, CoherenceMode, CollectStream, DistanceStream, ExecPolicy, FrameDesc,
+    FusedScheduler, HierarchicalSearch, HierarchicalStats, Instance, KnnEngine, KnnMetric,
+    Neighbor, RenderPasses, Renderer, Scene, TraceRequest, TraversalEngine, TraversalHit,
+    TraversalStream,
+};
+use rayflex_workloads::{mixed, rays, scenes, vectors};
 
 const SEED: u64 = 271_828;
 const RAYS: usize = 512;
@@ -96,15 +107,18 @@ fn flat_scene() -> (Scene, Vec<Ray>) {
     (scene, rays::random_rays(SEED, RAYS, &bounds))
 }
 
-fn instanced_scene() -> (Scene, Vec<Ray>) {
-    let desc = scenes::icosphere_crowd(2, 3, 3.0);
-    let scene = Scene::instanced(
+fn instanced(desc: scenes::InstancedSceneDesc) -> Scene {
+    Scene::instanced(
         desc.meshes.into_iter().map(Blas::new).collect(),
         desc.placements
             .iter()
             .map(|&(mesh, transform)| Instance::new(mesh, transform))
             .collect(),
-    );
+    )
+}
+
+fn instanced_scene() -> (Scene, Vec<Ray>) {
+    let scene = instanced(scenes::icosphere_crowd(2, 3, 3.0));
     let bounds = Aabb::new(Vec3::new(-4.5, -1.5, -4.5), Vec3::new(4.5, 1.5, 4.5));
     (scene, rays::random_rays(SEED, RAYS, &bounds))
 }
@@ -555,5 +569,509 @@ const RADIUS_GOLDEN: [(&str, (HierarchicalStats, u64)); 3] = [
             },
             16817826642025643287,
         ),
+    ),
+];
+
+/// Items per stream of the baseline rows below: rays per traversal scene, pixels per frame,
+/// candidates per k-NN run and rays per mixed-workload stream.
+const ITEMS: usize = 4096;
+
+/// Lane accounting of a lane-batched run as the exact integers `(lanes_busy, lane_slots)`; the
+/// lane occupancy is their quotient.  Both read zero under `force-scalar`.
+type Lanes = (u64, u64);
+
+fn lanes(mix: &BeatMix) -> Lanes {
+    (mix.simd_lanes_busy(), mix.simd_lane_slots())
+}
+
+/// The golden lane pair as this build reports it: zero when `force-scalar` keeps the lane
+/// kernels from engaging.
+fn expected_lanes(pinned: Lanes) -> Lanes {
+    if clamp_simd_lanes(16) == 1 {
+        (0, 0)
+    } else {
+        pinned
+    }
+}
+
+fn simd16(coherence: CoherenceMode) -> ExecPolicy {
+    ExecPolicy::wavefront()
+        .with_simd_lanes(16)
+        .with_coherence(coherence)
+}
+
+/// One traversal scene of the baseline rows, traced closest-hit by [`ITEMS`] rays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SceneRow {
+    triangles: u64,
+    rays: u64,
+    beats: u64,
+    /// SIMD-16 under `CoherenceMode::Off`.
+    simd: Lanes,
+    /// SIMD-16 under `CoherenceMode::SortAndCompact`.
+    coherent: Lanes,
+    /// `(workers, chunks)` of `ExecPolicy::parallel(2)`; steals depend on thread timing and are
+    /// not pinned.
+    pool: (u64, u64),
+}
+
+fn baseline_scenes() -> [(&'static str, Vec<Triangle>, Vec<Ray>); 3] {
+    let side = 64;
+    let soup_bounds = Aabb::new(Vec3::splat(-30.0), Vec3::splat(30.0));
+    [
+        (
+            "icosphere",
+            scenes::icosphere(3, 5.0, Vec3::new(0.0, 0.0, 20.0)),
+            rays::camera_grid(side, side, 12.0),
+        ),
+        (
+            "quad_wall",
+            scenes::quad_wall(24, 1.2, 15.0),
+            rays::camera_grid(side, side, 24.0),
+        ),
+        (
+            "triangle_soup",
+            scenes::random_triangle_soup(2024, 600, 30.0),
+            rays::random_rays(7, ITEMS, &soup_bounds),
+        ),
+    ]
+}
+
+#[test]
+fn baseline_scene_counters_match_the_golden_values() {
+    let got: Vec<(&str, SceneRow)> = baseline_scenes()
+        .into_iter()
+        .map(|(name, triangles, rays)| {
+            let scene = Scene::flat(triangles);
+            let request = TraceRequest::closest_hit(&scene, &rays);
+            let run = |policy: &ExecPolicy| {
+                let mut engine = TraversalEngine::baseline();
+                let _ = engine.trace(&request, policy);
+                engine
+            };
+            let simd = run(&simd16(CoherenceMode::Off));
+            let coherent = run(&simd16(CoherenceMode::SortAndCompact));
+            let parallel = run(&ExecPolicy::parallel(2)
+                .with_simd_lanes(16)
+                .with_coherence(CoherenceMode::Off));
+            assert_eq!(coherent.stats(), simd.stats(), "{name}: coherent stats");
+            assert_eq!(parallel.stats(), simd.stats(), "{name}: parallel stats");
+            let pool = parallel.pool_stats();
+            let row = SceneRow {
+                triangles: scene.triangle_count() as u64,
+                rays: simd.stats().rays,
+                beats: simd.stats().total_ops(),
+                simd: lanes(&simd.beat_mix()),
+                coherent: lanes(&coherent.beat_mix()),
+                pool: (pool.workers, pool.chunks),
+            };
+            (name, row)
+        })
+        .collect();
+    let expected: Vec<(&str, SceneRow)> = SCENE_GOLDEN
+        .iter()
+        .map(|&(name, row)| {
+            let simd = expected_lanes(row.simd);
+            let coherent = expected_lanes(row.coherent);
+            (
+                name,
+                SceneRow {
+                    simd,
+                    coherent,
+                    ..row
+                },
+            )
+        })
+        .collect();
+    assert_eq!(got, expected, "baseline scene counters moved");
+}
+
+/// Recorded from the legacy simulator-baseline suite's scenes at 4096 rays, before that suite
+/// was retired.
+const SCENE_GOLDEN: [(&str, SceneRow); 3] = [
+    (
+        "icosphere",
+        SceneRow {
+            triangles: 1280,
+            rays: 4096,
+            beats: 52591,
+            simd: (165_424, 308_640),
+            coherent: (165_424, 167_584),
+            pool: (2, 8),
+        },
+    ),
+    (
+        "quad_wall",
+        SceneRow {
+            triangles: 1152,
+            rays: 4096,
+            beats: 33671,
+            simd: (89_969, 105_984),
+            coherent: (89_969, 90_560),
+            pool: (2, 8),
+        },
+    ),
+    (
+        "triangle_soup",
+        SceneRow {
+            triangles: 600,
+            rays: 4096,
+            beats: 1_020_937,
+            simd: (1_678_687, 7_043_440),
+            coherent: (1_678_687, 1_721_728),
+            pool: (2, 8),
+        },
+    ),
+];
+
+/// Size of a two-level preset and of its flattened twin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct InstancingRow {
+    instances: u64,
+    placed_triangles: u64,
+    instanced_bytes: u64,
+    flattened_bytes: u64,
+}
+
+#[test]
+fn instancing_memory_matches_the_golden_values() {
+    let got: Vec<(&str, InstancingRow)> = [
+        ("debris_field", scenes::debris_field(29, 4, 96, 30.0)),
+        ("icosphere_crowd", scenes::icosphere_crowd(1, 6, 9.0)),
+    ]
+    .into_iter()
+    .map(|(name, desc)| {
+        let flattened = Scene::flat(desc.flatten());
+        let instanced = instanced(desc);
+        let row = InstancingRow {
+            instances: instanced.instances().len() as u64,
+            placed_triangles: instanced.triangle_count() as u64,
+            instanced_bytes: instanced.memory_bytes() as u64,
+            flattened_bytes: flattened.memory_bytes() as u64,
+        };
+        (name, row)
+    })
+    .collect();
+    assert_eq!(got, INSTANCING_GOLDEN, "instancing sizes moved");
+}
+
+/// Recorded alongside [`SCENE_GOLDEN`].
+const INSTANCING_GOLDEN: [(&str, InstancingRow); 2] = [
+    (
+        "debris_field",
+        InstancingRow {
+            instances: 96,
+            placed_triangles: 1152,
+            instanced_bytes: 11_840,
+            flattened_bytes: 77_952,
+        },
+    ),
+    (
+        "icosphere_crowd",
+        InstancingRow {
+            instances: 36,
+            placed_triangles: 2880,
+            instanced_bytes: 9296,
+            flattened_bytes: 170_368,
+        },
+    ),
+];
+
+/// The mixed workload (closest-hit, any-hit, k-NN distance and radius-collect streams) fused
+/// over one extended datapath.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FusedRow {
+    /// Primary rays, shadow rays, candidate vectors and radius queries.
+    workload: [u64; 4],
+    /// Bulk passes of the width-1 fused run, and those mixing at least two query kinds.
+    passes: u64,
+    fused_passes: u64,
+    /// Beats of the width-1 fused run per kind ([`QueryKind::ALL`] order) × opcode
+    /// ([`Opcode::ALL`] order).
+    mix: [[u64; 4]; 4],
+    /// The fused run at SIMD-16 under `CoherenceMode::Off`.
+    simd: Lanes,
+    /// The fused run at SIMD-16 under `CoherenceMode::SortAndCompact`.
+    coherent: Lanes,
+}
+
+/// Runs the mixed workload's four streams fused through one scheduler and returns the
+/// datapath's beat mix and the passes each stream contributed a beat to.
+fn run_mixed(
+    workload: &mixed::MixedWorkload,
+    world: &Scene,
+    sphere_bvh: &Bvh4,
+    beat_budget_per_stream: usize,
+    simd_lanes: usize,
+    coherence: CoherenceMode,
+) -> (BeatMix, [u64; 4]) {
+    let mut datapath = RayFlexDatapath::new(PipelineConfig::extended_unified());
+    datapath.set_simd_lanes(simd_lanes);
+    let mut scheduler = FusedScheduler::new().with_beat_budget(beat_budget_per_stream);
+    let mut closest =
+        TraversalStream::closest_hit(world, &workload.primary_rays).with_coherence(coherence);
+    let mut shadow =
+        TraversalStream::any_hit(world, &workload.shadow_rays).with_coherence(coherence);
+    let mut distance = DistanceStream::new(
+        &workload.query_vector,
+        &workload.candidates,
+        KnnMetric::Euclidean,
+    );
+    let mut collect = CollectStream::new(sphere_bvh, &workload.radius_queries);
+    scheduler.run(
+        &mut datapath,
+        &mut [&mut closest, &mut shadow, &mut distance, &mut collect],
+    );
+    let mut stream_passes = [0; 4];
+    stream_passes.copy_from_slice(scheduler.last_run_stream_passes());
+    (datapath.beat_mix(), stream_passes)
+}
+
+#[test]
+fn fused_mix_counters_match_the_golden_values() {
+    let workload = mixed::mixed_workload(2024, ITEMS);
+    let world = Scene::flat(workload.triangles.clone());
+    let spheres: Vec<Sphere> = workload
+        .points
+        .iter()
+        .map(|&p| Sphere::new(p, workload.point_radius))
+        .collect();
+    let sphere_bvh = Bvh4::build(&spheres);
+    let run = |budget, simd_lanes, coherence| {
+        run_mixed(
+            &workload,
+            &world,
+            &sphere_bvh,
+            budget,
+            simd_lanes,
+            coherence,
+        )
+    };
+
+    let (mix, _) = run(0, 1, CoherenceMode::Off);
+    let (simd, _) = run(0, 16, CoherenceMode::Off);
+    let (coherent, _) = run(0, 16, CoherenceMode::SortAndCompact);
+    let got = FusedRow {
+        workload: [
+            workload.primary_rays.len() as u64,
+            workload.shadow_rays.len() as u64,
+            workload.candidates.len() as u64,
+            workload.radius_queries.len() as u64,
+        ],
+        passes: mix.passes(),
+        fused_passes: mix.fused_passes(),
+        mix: QueryKind::ALL.map(|kind| Opcode::ALL.map(|opcode| mix.count_for(kind, opcode))),
+        simd: lanes(&simd),
+        coherent: lanes(&coherent),
+    };
+    let expected = FusedRow {
+        simd: expected_lanes(FUSED_GOLDEN.simd),
+        coherent: expected_lanes(FUSED_GOLDEN.coherent),
+        ..FUSED_GOLDEN
+    };
+    assert_eq!(got, expected, "fused mix counters moved");
+
+    // The beat-budget fairness sweep: per-stream admission budgets reshape the passes only.
+    let sweep: Vec<(usize, u64, [u64; 4])> = [0, 1, 4]
+        .into_iter()
+        .map(|budget| {
+            let (mix, stream_passes) = run(budget, 1, CoherenceMode::Off);
+            (budget, mix.passes(), stream_passes)
+        })
+        .collect();
+    assert_eq!(sweep, BUDGET_GOLDEN, "budget sweep passes moved");
+}
+
+/// Recorded alongside [`SCENE_GOLDEN`] from the legacy fused suite.
+const FUSED_GOLDEN: FusedRow = FusedRow {
+    workload: [4096, 4096, 4096, 128],
+    passes: 310,
+    fused_passes: 35,
+    mix: [
+        [9865, 2482, 0, 0],
+        [32_828, 8666, 0, 0],
+        [0, 0, 8192, 0],
+        [12_190, 0, 0, 0],
+    ],
+    simd: (230_680, 335_536),
+    coherent: (230_680, 234_384),
+};
+
+/// `(beat budget per stream, passes, passes per closest/shadow/distance/collect stream)`;
+/// budget 0 is unlimited and budget 1 strict round-robin.
+const BUDGET_GOLDEN: [(usize, u64, [u64; 4]); 3] = [
+    (0, 310, [30, 35, 1, 310]),
+    (1, 41_494, [12_174, 41_494, 4096, 12_190]),
+    (4, 10_374, [3089, 10_374, 2048, 3174]),
+];
+
+/// One frame or query stream at SIMD-16 (default coherence): its items (pixels, rays or
+/// candidates), the rays it traced, its beats and its lane accounting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StreamRow {
+    items: u64,
+    rays: u64,
+    beats: u64,
+    simd: Lanes,
+}
+
+fn expected_streams(golden: &[(&'static str, StreamRow)]) -> Vec<(&'static str, StreamRow)> {
+    golden
+        .iter()
+        .map(|&(name, row)| {
+            let simd = expected_lanes(row.simd);
+            (name, StreamRow { simd, ..row })
+        })
+        .collect()
+}
+
+#[test]
+fn render_pass_counters_match_the_golden_values() {
+    let side = 64;
+    let lit = scenes::lit_scene(2, 24.0);
+    let world = Scene::flat(lit.triangles.clone());
+    let camera = Camera::looking_at(lit.eye, lit.target);
+    let shadowed = RenderPasses::shadowed(lit.light);
+    let frames = [
+        ("primary", FrameDesc::primary(camera, side, side)),
+        (
+            "shadowed",
+            FrameDesc::deferred(camera, side, side, shadowed),
+        ),
+        (
+            "shadowed_ao",
+            FrameDesc::deferred(
+                camera,
+                side,
+                side,
+                shadowed.with_ambient_occlusion(4, 6.0, 2024),
+            ),
+        ),
+    ];
+    let got: Vec<(&str, StreamRow)> = frames
+        .into_iter()
+        .map(|(name, frame)| {
+            let mut renderer = Renderer::new();
+            let _ = renderer.render(&world, &frame, &ExecPolicy::wavefront().with_simd_lanes(16));
+            let stats = renderer.stats();
+            let row = StreamRow {
+                items: (side * side) as u64,
+                rays: stats.rays,
+                beats: stats.total_ops(),
+                simd: lanes(&renderer.beat_mix()),
+            };
+            (name, row)
+        })
+        .collect();
+    assert_eq!(got, expected_streams(&FRAME_GOLDEN), "frame counters moved");
+}
+
+/// Recorded alongside [`SCENE_GOLDEN`] from the legacy render-pass suite (64 × 64 frames of
+/// the lit scene).
+const FRAME_GOLDEN: [(&str, StreamRow); 3] = [
+    (
+        "primary",
+        StreamRow {
+            items: 4096,
+            rays: 4096,
+            beats: 26_444,
+            simd: (74_852, 75_968),
+        },
+    ),
+    (
+        "shadowed",
+        StreamRow {
+            items: 4096,
+            rays: 6556,
+            beats: 50_830,
+            simd: (145_411, 148_112),
+        },
+    ),
+    (
+        "shadowed_ao",
+        StreamRow {
+            items: 4096,
+            rays: 16_396,
+            beats: 113_412,
+            simd: (348_699, 353_120),
+        },
+    ),
+];
+
+#[test]
+fn query_engine_counters_match_the_golden_values() {
+    let side = 64;
+    let policy = ExecPolicy::wavefront().with_simd_lanes(16);
+
+    let mut renderer = Renderer::new();
+    let world = Scene::flat(scenes::icosphere(3, 5.0, Vec3::new(0.0, 0.0, 20.0)));
+    let camera = Camera::looking_at(Vec3::ZERO, Vec3::new(0.0, 0.0, 20.0));
+    let _ = renderer.render(&world, &FrameDesc::primary(camera, side, side), &policy);
+    let render = StreamRow {
+        items: (side * side) as u64,
+        rays: renderer.stats().rays,
+        beats: renderer.stats().total_ops(),
+        simd: lanes(&renderer.beat_mix()),
+    };
+
+    let mut engine = TraversalEngine::baseline();
+    let world = Scene::flat(scenes::soft_shadow(3, 24.0));
+    let light = Vec3::new(0.0, 20.0, 0.0);
+    let shadow_rays = rays::floor_shadow_rays(side, side, 24.0, 0.0, light);
+    let _ = engine.trace(&TraceRequest::any_hit(&world, &shadow_rays), &policy);
+    let shadow = StreamRow {
+        items: shadow_rays.len() as u64,
+        rays: engine.stats().rays,
+        beats: engine.stats().total_ops(),
+        simd: lanes(&engine.beat_mix()),
+    };
+
+    let mut knn = KnnEngine::new();
+    let dataset = vectors::clustered_dataset(2024, ITEMS, 24, 8, 4.0);
+    let _ = knn.distances(
+        &dataset.vectors[0],
+        &dataset.vectors,
+        KnnMetric::Euclidean,
+        &policy,
+    );
+    let knn_row = StreamRow {
+        items: knn.stats().candidates,
+        rays: 0,
+        beats: knn.stats().beats,
+        simd: lanes(&knn.beat_mix()),
+    };
+
+    let got = vec![("render", render), ("shadow", shadow), ("knn", knn_row)];
+    assert_eq!(got, expected_streams(&QUERY_GOLDEN), "query counters moved");
+}
+
+/// Recorded alongside [`SCENE_GOLDEN`] from the legacy query-engine suite.
+const QUERY_GOLDEN: [(&str, StreamRow); 3] = [
+    (
+        "render",
+        StreamRow {
+            items: 4096,
+            rays: 4096,
+            beats: 22_316,
+            simd: (72_149, 73_184),
+        },
+    ),
+    (
+        "shadow",
+        StreamRow {
+            items: 4096,
+            rays: 4096,
+            beats: 102_680,
+            simd: (324_974, 328_416),
+        },
+    ),
+    (
+        "knn",
+        StreamRow {
+            items: 4096,
+            rays: 0,
+            beats: 8192,
+            simd: (0, 0),
+        },
     ),
 ];

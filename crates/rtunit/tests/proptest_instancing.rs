@@ -2,13 +2,17 @@
 //! refactor, stated as properties over random BLAS sets, random placements, and random
 //! affine transforms:
 //!
-//! * tracing a two-level instanced scene returns **hits bit-identical** to tracing its
-//!   [`Scene::flatten`] twin, for both query kinds, in **every** [`ExecMode`] and at every
-//!   SIMD width in {1, 4, 8} (statistics differ only by the documented TLAS counters — the
-//!   trees are different, so box/beat totals are not compared across representations);
-//! * within the instanced representation, every mode × lane combination is bit-identical to
-//!   the scalar reference in **both** hits and statistics — the cross-policy invariant holds
-//!   for two-level scenes exactly as it does for flat ones;
+//! * against its [`Scene::flatten`] twin, a two-level instanced scene returns **closest hits
+//!   bit-identical** to the flattened scene's, and any-hit agrees on **occlusion** for every
+//!   ray.  The any-hit *hit* itself may differ: the two trees visit leaves in different orders,
+//!   so each may stop at a different occluder.  Whatever it returns must be a real
+//!   intersection: inside the ray interval, with `t` bit-identical to re-tracing that one
+//!   flattened triangle (statistics are not compared across representations either — the trees
+//!   are different, so box/beat totals differ);
+//! * within the instanced representation, every [`ExecMode`] × SIMD width in {1, 4, 8} ×
+//!   coherence combination is bit-identical to the instanced scalar reference in **both**
+//!   hits and statistics — the cross-policy invariant holds for two-level scenes exactly as it
+//!   does for flat ones;
 //! * after moving instances, [`Scene::refit`] re-traces bit-identical hits to a freshly built
 //!   TLAS over the same placements.
 
@@ -17,7 +21,7 @@ use proptest::prelude::*;
 use rayflex_geometry::{Affine, Ray, Triangle, Vec3};
 use rayflex_rtunit::{
     Blas, CoherenceMode, ExecPolicy, Instance, QueryError, QueryOutcome, Scene, TraceRequest,
-    TraversalEngine,
+    TraversalEngine, TraversalHit,
 };
 
 fn coordinate() -> impl Strategy<Value = f32> {
@@ -141,37 +145,85 @@ fn swept_policies() -> Vec<ExecPolicy> {
     policies
 }
 
+/// Hits as `(primitive, t bits)`, so comparisons are bit-exact.
+fn hit_bits(hits: &[Option<TraversalHit>]) -> Vec<Option<(usize, u32)>> {
+    hits.iter()
+        .map(|hit| hit.map(|h| (h.primitive, h.t.to_bits())))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Instanced vs flattened: identical hits for both query kinds under every mode × lane
-    /// combination, and — within the instanced representation — statistics identical to the
-    /// instanced scalar reference.
+    /// Instanced vs flattened: bit-identical closest hits, the same any-hit occlusion verdicts
+    /// with every returned occluder a real intersection, and — within the instanced
+    /// representation — every mode × lane combination bit-identical to the instanced scalar
+    /// reference in hits and statistics.
     #[test]
     fn instanced_traces_bit_identical_to_the_flattened_scene(
         parts in instanced_parts(),
         closest_rays in prop::collection::vec(ray(), 0..10),
-        shadow_rays in prop::collection::vec(ray(), 0..10),
+        random_shadow_rays in prop::collection::vec(ray(), 0..10),
     ) {
         let (meshes, placements) = parts;
         let scene = build_scene(&meshes, &placements);
         let flattened = scene.flatten();
+        // Random rays rarely reach the placements, so each one is also re-aimed at a triangle
+        // centroid: those rays cross several instances, where the two trees can stop at
+        // different occluders.
+        let aimed = random_shadow_rays
+            .iter()
+            .zip(scene.centroids())
+            .map(|(ray, centroid)| Ray::new(ray.origin, centroid - ray.origin))
+            .filter(|ray| ray.dir.length() > 1e-3);
+        let shadow_rays: Vec<Ray> = random_shadow_rays.iter().copied().chain(aimed).collect();
         prop_assert!(scene.is_instanced());
         prop_assert!(!flattened.is_instanced());
         prop_assert_eq!(scene.triangle_count(), flattened.triangle_count());
 
         let flat_request = TraceRequest::pair(&flattened, &closest_rays, &shadow_rays);
-        let expected = TraversalEngine::baseline().trace(&flat_request, &ExecPolicy::scalar());
+        let flat = TraversalEngine::baseline().trace(&flat_request, &ExecPolicy::scalar());
 
         let request = TraceRequest::pair(&scene, &closest_rays, &shadow_rays);
         let mut reference = TraversalEngine::baseline();
-        let scalar = reference.trace(&request, &ExecPolicy::scalar());
-        prop_assert_eq!(&scalar, &expected, "instanced scalar diverged from flattened");
+        let expected = reference.trace(&request, &ExecPolicy::scalar());
+        prop_assert_eq!(
+            hit_bits(&expected.closest),
+            hit_bits(&flat.closest),
+            "instanced closest hits diverged from flattened"
+        );
+        for (i, (ray, (hit, flat_hit))) in
+            shadow_rays.iter().zip(expected.any.iter().zip(&flat.any)).enumerate()
+        {
+            prop_assert_eq!(hit.is_some(), flat_hit.is_some(), "any-hit ray {} occlusion", i);
+            if let Some(hit) = hit {
+                prop_assert!(
+                    (ray.t_beg..=ray.t_end).contains(&hit.t),
+                    "any-hit ray {} returned t = {} outside its interval", i, hit.t
+                );
+                let alone = Scene::flat(vec![flattened.triangle(hit.primitive)]);
+                let retrace = TraceRequest::closest_hit(&alone, core::slice::from_ref(ray));
+                let retraced = TraversalEngine::baseline()
+                    .trace(&retrace, &ExecPolicy::scalar())
+                    .into_closest();
+                prop_assert_eq!(
+                    retraced[0].map(|h| h.t.to_bits()),
+                    Some(hit.t.to_bits()),
+                    "any-hit ray {} returned primitive {} at a t that triangle does not give",
+                    i,
+                    hit.primitive
+                );
+            }
+        }
 
         for policy in swept_policies() {
             let mut engine = TraversalEngine::baseline();
             let got = engine.trace(&request, &policy);
-            prop_assert_eq!(&got, &expected, "{} (lanes {}) hits diverged", policy.mode, policy.simd_lanes);
+            prop_assert_eq!(
+                (hit_bits(&got.closest), hit_bits(&got.any)),
+                (hit_bits(&expected.closest), hit_bits(&expected.any)),
+                "{} (lanes {}) hits diverged", policy.mode, policy.simd_lanes
+            );
             prop_assert_eq!(
                 engine.stats(),
                 reference.stats(),

@@ -20,8 +20,9 @@
 //! slots for the same busy beats.  Both variants execute the identical request set — equal
 //! offered load, equal busy lanes — so `slots(batch1) / slots(dynamic)` is the modeled
 //! RT-device throughput ratio of dynamic fused batching, the paper's own utilisation lens.
-//! That ratio is the `speedup_vs_scalar` the bench gate tracks, and `--min-ratio` turns it
-//! into a hard floor.
+//! That ratio is recorded as `speedup_vs_scalar`, and `--min-ratio` turns it into a hard
+//! floor.  Only the batch1 slot count repeats exactly: how many requests share a dynamic batch
+//! depends on arrival timing, so the dynamic ratio varies from run to run.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};

@@ -3,10 +3,9 @@
 //! any-hit shadow stream, a k-NN distance-scoring workload and a batch of radius queries over a
 //! point cloud (the candidate-collection filter).
 //!
-//! This is the workload the `rayflex-bench` fused suite (`BENCH_fused.json`) drives through the
-//! scalar, sequential-batched and fused execution modes, and the shape the paper's unified RT
-//! unit (§V-A) is meant to serve: heterogeneous queries arriving together, not one kind at a
-//! time.
+//! `crates/rtunit/tests/golden_counters.rs` pins the fused run of this workload (its per-kind
+//! beat mix, passes and beat-budget sweep), and it is the shape the paper's unified RT unit
+//! (§V-A) is meant to serve: heterogeneous queries arriving together, not one kind at a time.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

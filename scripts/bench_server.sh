@@ -3,8 +3,8 @@
 # spawns one rayflex-server per batching variant (batch1: every request its own fused run;
 # dynamic: the real coalescing knobs), drives the same closed-loop small-request mix at both,
 # and records wire latency/throughput (p50/p99/req/s) alongside the modeled device throughput
-# ratio taken from the server's SIMD lane accounting — the `speedup_vs_scalar` the bench gate
-# tracks (see the loadgen module docs for why the two throughputs differ).
+# ratio taken from the server's SIMD lane accounting, recorded as `speedup_vs_scalar` (see the
+# loadgen module docs for why the two throughputs differ).
 #
 # Tunables (environment variables, all optional):
 #   RAYFLEX_SERVER_CLIENTS     concurrent closed-loop clients        (default 64)
