@@ -209,6 +209,14 @@ pub struct RayFlexDatapath {
     simd_lanes: usize,
 }
 
+/// Responses per window of [`RayFlexDatapath::execute_batch_streamed`]: 1024 responses take
+/// 80 KiB, so a streamed pass holds that much response memory however many beats it carries
+/// (a whole 15 416-beat pass of responses would take 1.2 MB beside its 2.7 MB of requests).
+const RESPONSE_WINDOW: usize = 1024;
+
+/// Where [`RayFlexDatapath::execute_batch_streamed`] hands each window of responses.
+type ResponseSink<'a> = &'a mut dyn FnMut(&[RayFlexResponse]);
+
 impl RayFlexDatapath {
     /// Creates a functional datapath for the given configuration.
     #[must_use]
@@ -345,7 +353,7 @@ impl RayFlexDatapath {
     ) {
         responses.clear();
         responses.reserve(requests.len());
-        self.fast_run(requests, SegmentCursor::Single(None), responses);
+        self.fast_run(requests, SegmentCursor::Single(None), responses, None);
     }
 
     /// The bulk dispatch loop of every batched interface: admits every beat — attributed to the
@@ -364,13 +372,24 @@ impl RayFlexDatapath {
     /// scan the whole request slice, so they freely cross segment boundaries; the per-kind
     /// attribution is identical to dispatching each segment alone, and every grouping is
     /// bit-identical to the per-beat path.
+    ///
+    /// With a `consume` sink the responses are handed over (and the buffer cleared) whenever at
+    /// least `RESPONSE_WINDOW` have accumulated, always between two groups; distance runs,
+    /// which occupy no lanes, are cut at the window so they cannot outgrow it.  Without one,
+    /// every response stays in `responses`.
     fn fast_run(
         &mut self,
         requests: &[RayFlexRequest],
         mut cursor: SegmentCursor<'_>,
         responses: &mut Vec<RayFlexResponse>,
+        mut consume: Option<ResponseSink<'_>>,
     ) {
         let wide = self.simd_lanes >= crate::fastpath::MIN_SIMD_LANES;
+        let window = if consume.is_some() {
+            RESPONSE_WINDOW
+        } else {
+            usize::MAX
+        };
         let mut index = 0;
         while index < requests.len() {
             let opcode = requests[index].opcode;
@@ -380,7 +399,7 @@ impl RayFlexDatapath {
                 Opcode::RayBox if wide => self.simd_lanes / 4,
                 Opcode::RayTriangle if wide => self.simd_lanes,
                 Opcode::RayBox | Opcode::RayTriangle => 1,
-                Opcode::Euclidean | Opcode::Cosine => requests.len(),
+                Opcode::Euclidean | Opcode::Cosine => window - responses.len(),
             };
             let limit = index.saturating_add(width).min(requests.len());
             let mut end = index + 1;
@@ -409,6 +428,12 @@ impl RayFlexDatapath {
                 }
             }
             index = end;
+            if let Some(consume) = consume.as_mut() {
+                if responses.len() >= window {
+                    consume(responses);
+                    responses.clear();
+                }
+            }
         }
     }
 
@@ -484,39 +509,46 @@ impl RayFlexDatapath {
         self.passes_accounting(segments);
         responses.clear();
         responses.reserve(requests.len());
-        self.fast_run(requests, SegmentCursor::table(segments), responses);
+        self.fast_run(requests, SegmentCursor::table(segments), responses, None);
     }
 
-    /// Counts one logical bulk pass without executing any beats — the accounting half of the
-    /// chunked dispatch interface ([`RayFlexDatapath::execute_pass_chunk`]).
-    ///
-    /// A tiling scheduler keeps its pass buffers cache-resident by dispatching one logical pass
-    /// as several small chunks; it records the pass once through here (per-kind pass counters and
-    /// fused-pass detection behave exactly as one [`RayFlexDatapath::execute_batch_segmented`]
-    /// call over the whole pass would) and then executes each chunk beat-account-only through
-    /// [`RayFlexDatapath::execute_pass_chunk`].
-    pub fn record_pass(&mut self, segments: &[(QueryKind, usize)]) {
-        self.passes_accounting(segments);
-    }
-
-    /// Executes one chunk of a pass recorded with [`RayFlexDatapath::record_pass`]: the beats
-    /// run on the native fast model attributed to `kind`, bit-identical to their slice of an
-    /// [`RayFlexDatapath::execute_batch_segmented`] call, but no pass is counted.  Lane grouping
-    /// restarts at the chunk boundary, which only moves where same-opcode runs split — never a
-    /// response value.
+    /// [`RayFlexDatapath::execute_batch_segmented`] for passes too large to hold all their
+    /// responses at once: the same single pass — same pass and lane accounting, same responses
+    /// — but the responses reach `consume` in order, about a thousand at a time, through the
+    /// reusable `window` buffer.  A window closes only between two run
+    /// groups, so grouping, and therefore every counter, is exactly the unwindowed dispatch's;
+    /// a whole pass of requests then never needs a whole pass of responses beside it.
     ///
     /// # Panics
     ///
-    /// Panics if any beat's opcode is unsupported (see [`RayFlexDatapath::execute`]).
-    pub fn execute_pass_chunk(
+    /// As [`RayFlexDatapath::execute_batch_segmented`].
+    pub fn execute_batch_streamed(
         &mut self,
         requests: &[RayFlexRequest],
-        kind: QueryKind,
-        responses: &mut Vec<RayFlexResponse>,
+        segments: &[(QueryKind, usize)],
+        window: &mut Vec<RayFlexResponse>,
+        mut consume: impl FnMut(&[RayFlexResponse]),
     ) {
-        responses.clear();
-        responses.reserve(requests.len());
-        self.fast_run(requests, SegmentCursor::Single(Some(kind)), responses);
+        let covered: usize = segments.iter().map(|&(_, len)| len).sum();
+        assert_eq!(
+            covered,
+            requests.len(),
+            "segments must cover the request batch exactly"
+        );
+        self.passes_accounting(segments);
+        // A window closes at the first group boundary at or past `RESPONSE_WINDOW`, so it never
+        // holds more than one group (at most `MAX_SIMD_LANES` beats) beyond that.
+        window.clear();
+        window.reserve_exact(requests.len().min(RESPONSE_WINDOW + crate::MAX_SIMD_LANES));
+        self.fast_run(
+            requests,
+            SegmentCursor::table(segments),
+            window,
+            Some(&mut consume),
+        );
+        if !window.is_empty() {
+            consume(window);
+        }
     }
 
     /// Counts one segmented pass, detecting whether its non-empty segments mix distinct kinds.

@@ -4,7 +4,8 @@
 //! of degenerate beats and the shared accumulator state of multi-beat distance jobs.  A second
 //! family pins the distance-run kernel: long same-opcode Euclidean and cosine runs with random
 //! masks, resets and special-value lanes, split across every bulk interface so the accumulators
-//! carry from one dispatch call into the next.
+//! carry from one dispatch call into the next.  A third pins the streamed pass: a long pass
+//! handed back in response windows matches the one-buffer pass exactly.
 
 use proptest::prelude::*;
 
@@ -261,6 +262,41 @@ proptest! {
         }
     }
 
+    /// A pass far longer than one response window, streamed back through
+    /// `execute_batch_streamed`, must match the one-buffer `execute_batch_segmented` dispatch
+    /// response for response and counter for counter at every lane width: windows close only
+    /// between lane groups, so no grouping (and no lane, pass or per-kind count) moves.
+    #[test]
+    fn streamed_passes_match_one_buffer_passes(beats in stream(), len in 2100usize..3200) {
+        let config = PipelineConfig::extended_unified();
+        let beats: Vec<RayFlexRequest> = beats.iter().cycle().take(len).cloned().collect();
+        let head = beats.len() / 3;
+        let segments = [(QueryKind::ClosestHit, head), (QueryKind::Distance, beats.len() - head)];
+        for lanes in [1usize, 4, 16] {
+            let mut whole = RayFlexDatapath::new(config);
+            whole.set_simd_lanes(lanes);
+            let mut expected = Vec::new();
+            whole.execute_batch_segmented(&beats, &segments, &mut expected);
+
+            let mut streamed = RayFlexDatapath::new(config);
+            streamed.set_simd_lanes(lanes);
+            let mut window = Vec::new();
+            let mut got = Vec::new();
+            let mut windows = 0;
+            streamed.execute_batch_streamed(&beats, &segments, &mut window, |responses| {
+                windows += 1;
+                got.extend_from_slice(responses);
+            });
+            prop_assert_eq!(expected.len(), got.len());
+            for (index, (e, g)) in expected.iter().zip(&got).enumerate() {
+                assert_bit_identical(e, g, index)?;
+            }
+            prop_assert!(windows > 1, "a {}-beat pass arrived in one window", beats.len());
+            prop_assert_eq!(whole.beat_mix(), streamed.beat_mix());
+            prop_assert_eq!(whole.accumulators(), streamed.accumulators());
+        }
+    }
+
     #[test]
     fn buffer_reuse_does_not_change_results(beats in stream()) {
         let config = PipelineConfig::extended_unified();
@@ -286,10 +322,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Long distance runs split into chunks, each chunk dispatched through a different bulk
-    /// interface of one datapath — `execute_batch_into`, a two-segment
-    /// `execute_batch_segmented` pass, or `record_pass` + `execute_pass_chunk` — must match the
-    /// per-beat emulated path response-for-response, with the accumulators bit-identical after
-    /// every chunk (so state carried across calls is pinned too).
+    /// interface of one datapath — `execute_batch_into` or a two-segment
+    /// `execute_batch_segmented` pass — must match the per-beat emulated path
+    /// response-for-response, with the accumulators bit-identical after every chunk (so state
+    /// carried across calls is pinned too).
     #[test]
     fn distance_runs_match_the_emulated_path_across_dispatch_calls(
         stream in distance_stream()
@@ -303,20 +339,15 @@ proptest! {
             let mut responses = Vec::new();
             for (call, window) in cuts.windows(2).enumerate() {
                 let chunk = &beats[window[0]..window[1]];
-                match call % 3 {
-                    0 => fast.execute_batch_into(chunk, &mut responses),
-                    1 => {
-                        let head = chunk.len() / 2;
-                        fast.execute_batch_segmented(
-                            chunk,
-                            &[(QueryKind::Distance, head), (QueryKind::Collect, chunk.len() - head)],
-                            &mut responses,
-                        );
-                    }
-                    _ => {
-                        fast.record_pass(&[(QueryKind::Distance, chunk.len())]);
-                        fast.execute_pass_chunk(chunk, QueryKind::Distance, &mut responses);
-                    }
+                if call % 2 == 0 {
+                    fast.execute_batch_into(chunk, &mut responses);
+                } else {
+                    let head = chunk.len() / 2;
+                    fast.execute_batch_segmented(
+                        chunk,
+                        &[(QueryKind::Distance, head), (QueryKind::Collect, chunk.len() - head)],
+                        &mut responses,
+                    );
                 }
                 prop_assert_eq!(responses.len(), chunk.len());
                 for (offset, (beat, got)) in chunk.iter().zip(&responses).enumerate() {

@@ -25,7 +25,7 @@ use rayflex_geometry::{Ray, Sphere, Vec3};
 use crate::bvh::ChildRef;
 use crate::error::{PartialResult, QueryError, QueryOutcome};
 use crate::policy::{ExecMode, ExecPolicy};
-use crate::query::{BatchQuery, FusedScheduler, QueryKind, StreamRunner, WavefrontScheduler};
+use crate::query::{BatchQuery, FusedScheduler, QueryKind, RunnerArena, StreamRunner};
 use crate::{Bvh4, KnnEngine, Neighbor};
 
 /// Statistics of one hierarchical query.
@@ -231,9 +231,11 @@ pub struct HierarchicalSearch {
     spheres: Vec<Sphere>,
     bvh: Bvh4,
     scorer: KnnEngine,
-    /// Scheduler of the candidate-collection query kind (its `CollectWork` pool is recycled
-    /// across queries).
-    collector: WavefrontScheduler<CollectWork>,
+    /// The batched scheduler of the candidate-collection filter.
+    fused: FusedScheduler,
+    /// Reusable buffers of the collection stream (its `CollectWork` states are recycled across
+    /// queries).
+    collector: RunnerArena<CollectWork>,
     stats: HierarchicalStats,
     /// Work-stealing pool counters of the parallel filter phase (the scoring phase's counters
     /// live on the embedded [`KnnEngine`]; [`HierarchicalSearch::pool_stats`] merges both).
@@ -265,7 +267,8 @@ impl HierarchicalSearch {
             spheres,
             bvh,
             scorer: KnnEngine::with_config(config),
-            collector: WavefrontScheduler::new(),
+            fused: FusedScheduler::new(),
+            collector: RunnerArena::default(),
             stats: HierarchicalStats {
                 dataset_size,
                 ..HierarchicalStats::default()
@@ -533,18 +536,19 @@ impl HierarchicalSearch {
     }
 
     /// The deadline-capped backend of [`HierarchicalSearch::try_radius_queries`]: a capped
-    /// filter run, then per-query capped scoring against the remaining budget.
+    /// filter run, then per-query capped scoring against the remaining budget.  The filter runs
+    /// inline on the scorer's datapath in every mode — cooperative cancellation is a single-unit
+    /// admission discipline, so [`ExecMode::Parallel`] does not shard under a deadline.
     fn radius_queries_capped(
         &mut self,
         queries: &[(Vec3, f32)],
         policy: &ExecPolicy,
     ) -> Result<QueryOutcome<Vec<Vec<Neighbor>>>, QueryError> {
         let cap = policy.max_total_beats;
-        let (candidates, filter_beats, filter_complete) =
-            self.filter_candidates_capped(queries, policy, cap);
-        let mut beats_spent = filter_beats;
+        let (candidates, filter) = self.collect(queries, policy, cap);
+        let mut beats_spent = filter.beats;
         let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(candidates.len());
-        let mut complete = filter_complete;
+        let mut complete = filter.complete;
         for (&(query, radius), candidates) in queries.iter().zip(&candidates) {
             let remaining = cap.saturating_sub(beats_spent);
             let before = self.scorer.stats().beats;
@@ -586,46 +590,26 @@ impl HierarchicalSearch {
         }))
     }
 
-    /// The deadline-capped sibling of the filter phase: the same per-mode dispatch disciplines
-    /// as [`HierarchicalSearch::filter_candidates_batch`], cancelled cooperatively at pass
-    /// boundaries.  Returns the per-query candidate lists of the completed prefix, the beats
-    /// spent, and whether every query's walk finished.  Capped runs filter inline on the
-    /// scorer's datapath in every mode — cooperative cancellation is a single-unit admission
-    /// discipline, so [`ExecMode::Parallel`] does not shard under a deadline.
-    fn filter_candidates_capped(
+    /// One collection run of `queries` on the scorer's datapath, dispatched as `policy` says
+    /// ([`FusedScheduler::run_policy`]) and capped at `cap` beats (`0` = uncapped): the
+    /// candidate lists of the completed query prefix and the run's progress.
+    fn collect(
         &mut self,
         queries: &[(Vec3, f32)],
         policy: &ExecPolicy,
         cap: u64,
-    ) -> (Vec<Vec<usize>>, u64, bool) {
-        match policy.mode {
-            ExecMode::Wavefront | ExecMode::Parallel { .. } => {
-                let mut collect = CollectQuery::new(&self.bvh, queries);
-                let run = self
-                    .collector
-                    .run_capped(self.scorer.datapath_mut(), &mut collect, cap);
-                self.stats.box_beats += collect.box_beats;
-                (run.outputs, run.beats, run.complete)
-            }
-            ExecMode::ScalarReference | ExecMode::Fused => {
-                let mut runner = StreamRunner::new(CollectQuery::new(&self.bvh, queries));
-                let mut fused =
-                    FusedScheduler::new().with_beat_budget(if policy.mode == ExecMode::Fused {
-                        policy.beat_budget_per_stream
-                    } else {
-                        0
-                    });
-                fused.set_admission_order(policy.admission_order);
-                let run = if policy.mode == ExecMode::ScalarReference {
-                    fused.run_reference_capped(self.scorer.datapath_mut(), &mut [&mut runner], cap)
-                } else {
-                    fused.run_capped(self.scorer.datapath_mut(), &mut [&mut runner], cap)
-                };
-                let (collect, outputs, _total) = runner.finish_partial();
-                self.stats.box_beats += collect.box_beats;
-                (outputs, run.beats, run.complete)
-            }
-        }
+    ) -> (Vec<Vec<usize>>, crate::CappedFusedRun) {
+        let mut runner = StreamRunner::with_arena(
+            CollectQuery::new(&self.bvh, queries),
+            core::mem::take(&mut self.collector),
+        );
+        let run =
+            self.fused
+                .run_policy(self.scorer.datapath_mut(), &mut [&mut runner], policy, cap);
+        let (collect, candidates, arena) = runner.into_parts();
+        self.collector = arena;
+        self.stats.box_beats += collect.box_beats;
+        (candidates, run)
     }
 
     /// The deadline-capped sibling of [`HierarchicalSearch::score_candidates`]: `None` when
@@ -679,35 +663,10 @@ impl HierarchicalSearch {
         policy: &ExecPolicy,
     ) -> Vec<Vec<usize>> {
         match policy.mode {
-            ExecMode::Wavefront => {
-                let mut collect = CollectQuery::new(&self.bvh, queries);
-                let candidates = self.collector.run(self.scorer.datapath_mut(), &mut collect);
-                self.stats.box_beats += collect.box_beats;
-                candidates
-            }
-            ExecMode::ScalarReference | ExecMode::Fused => {
-                let mut runner = StreamRunner::new(CollectQuery::new(&self.bvh, queries));
-                // The beat budget is a Fused-mode knob; every other mode ignores it (the
-                // documented `ExecPolicy` contract).
-                let mut fused =
-                    FusedScheduler::new().with_beat_budget(if policy.mode == ExecMode::Fused {
-                        policy.beat_budget_per_stream
-                    } else {
-                        0
-                    });
-                fused.set_admission_order(policy.admission_order);
-                if policy.mode == ExecMode::ScalarReference {
-                    fused.run_reference(self.scorer.datapath_mut(), &mut [&mut runner]);
-                } else {
-                    fused.run(self.scorer.datapath_mut(), &mut [&mut runner]);
-                }
-                let (collect, candidates) = runner.finish();
-                self.stats.box_beats += collect.box_beats;
-                candidates
-            }
             ExecMode::Parallel { shards } => {
                 self.filter_candidates_parallel(queries, shards.requested_threads())
             }
+            _ => self.collect(queries, policy, 0).0,
         }
     }
 
@@ -724,9 +683,9 @@ impl HierarchicalSearch {
         let Some((shards, pool)) =
             crate::parallel::shard_chunks(queries, threads, Self::MIN_QUERIES_PER_SHARD, |shard| {
                 let mut datapath = RayFlexDatapath::new(config);
-                let mut scheduler: WavefrontScheduler<CollectWork> = WavefrontScheduler::new();
-                let mut collect = CollectQuery::new(bvh, shard);
-                let candidates = scheduler.run(&mut datapath, &mut collect);
+                let mut runner = StreamRunner::new(CollectQuery::new(bvh, shard));
+                FusedScheduler::new().run(&mut datapath, &mut [&mut runner]);
+                let (collect, candidates) = runner.finish();
                 (candidates, collect.box_beats)
             })
         else {

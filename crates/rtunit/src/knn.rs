@@ -1,11 +1,11 @@
 //! k-nearest-neighbour search on the extended datapath (case study §V-A).
 //!
 //! Candidate scoring is a batched query: every candidate vector is one item of a
-//! [`QueryKind::Distance`] run through the generic wavefront scheduler.  A candidate appends its
-//! whole beat train (16-lane Euclidean or 8-lane cosine beats, accumulator reset asserted on the
-//! last) in a single build call, so the beats stay adjacent in the dispatched batch and the
-//! datapath's shared accumulator sees each candidate contiguously — which is what lets any number
-//! of candidates (and unrelated beats) share one bulk pass.  The single-pair distance methods are
+//! [`QueryKind::Distance`] stream run through the generic batched scheduler.  A candidate
+//! appends its whole beat train (16-lane Euclidean or 8-lane cosine beats, accumulator reset
+//! asserted on the last) in a single build call, so the beats stay adjacent in the dispatched
+//! batch and the datapath's shared accumulator sees each candidate contiguously — which is what
+//! lets any number of candidates (and unrelated beats) share one bulk pass.  The single-pair distance methods are
 //! one-candidate instantiations of the same query; there is no separate scalar drive loop.
 //!
 //! The public entry points ([`KnnEngine::distances`], [`KnnEngine::k_nearest`]) take an
@@ -20,7 +20,7 @@ use rayflex_geometry::golden::distance::{COSINE_LANES, EUCLIDEAN_LANES};
 
 use crate::error::{PartialResult, QueryError, QueryOutcome};
 use crate::policy::{ExecMode, ExecPolicy};
-use crate::query::{BatchQuery, FusedScheduler, QueryKind, StreamRunner, WavefrontScheduler};
+use crate::query::{BatchQuery, FusedScheduler, QueryKind, RunnerArena, StreamRunner};
 use crate::scene::Scene;
 
 /// The distance metric used by a search.
@@ -299,10 +299,10 @@ pub struct KnnEngine {
     /// Work-stealing pool counters accumulated across parallel scoring runs (scheduling
     /// artefacts, kept apart from the mode-invariant [`KnnStats`]).
     pool: crate::parallel::PoolStats,
-    scheduler: WavefrontScheduler<DistanceWork>,
-    /// Drives the scalar round-robin reference and fused dispatch disciplines of the policy
-    /// entry points.
+    /// The batched scheduler every policy entry point scores through.
     fused: FusedScheduler,
+    /// Reusable buffers of the scoring stream, recycled across chunks and calls.
+    arena: RunnerArena<DistanceWork>,
 }
 
 impl KnnEngine {
@@ -327,8 +327,8 @@ impl KnnEngine {
             datapath: RayFlexDatapath::new(config),
             stats: KnnStats::default(),
             pool: crate::parallel::PoolStats::default(),
-            scheduler: WavefrontScheduler::new(),
             fused: FusedScheduler::new(),
+            arena: RunnerArena::default(),
         }
     }
 
@@ -393,8 +393,7 @@ impl KnnEngine {
     /// * [`ExecMode::ScalarReference`] — every beat executes one at a time through the
     ///   register-accurate emulated path (the streams' round-robin reference discipline);
     /// * [`ExecMode::Wavefront`] — candidates share bulk datapath dispatches;
-    /// * [`ExecMode::Fused`] — the same bulk passes through the fused scheduler (honouring the
-    ///   policy's beat budget);
+    /// * [`ExecMode::Fused`] — the same bulk passes, honouring the policy's beat budget;
     /// * [`ExecMode::Parallel`] — the candidate set shards contiguously across workers, each
     ///   with a private datapath.
     ///
@@ -428,38 +427,34 @@ impl KnnEngine {
 
         let mut results = Vec::with_capacity(candidates.len());
         for chunk in candidates.chunks(chunk_len) {
-            match policy.mode {
-                ExecMode::Wavefront => {
-                    let mut batch = DistanceQuery::new(query, chunk, metric);
-                    results.extend(self.scheduler.run(&mut self.datapath, &mut batch));
-                    self.stats.merge(&batch.stats);
-                }
-                ExecMode::ScalarReference | ExecMode::Fused => {
-                    let mut runner = StreamRunner::new(DistanceQuery::new(query, chunk, metric));
-                    // The beat budget is a Fused-mode knob; every other mode ignores it (the
-                    // documented `ExecPolicy` contract).
-                    self.fused
-                        .set_beat_budget(if policy.mode == ExecMode::Fused {
-                            policy.beat_budget_per_stream
-                        } else {
-                            0
-                        });
-                    self.fused.set_admission_order(policy.admission_order);
-                    self.fused.set_stream_deadlines(&[]);
-                    if policy.mode == ExecMode::ScalarReference {
-                        self.fused
-                            .run_reference(&mut self.datapath, &mut [&mut runner]);
-                    } else {
-                        self.fused.run(&mut self.datapath, &mut [&mut runner]);
-                    }
-                    let (batch, distances) = runner.finish();
-                    results.extend(distances);
-                    self.stats.merge(&batch.stats);
-                }
-                ExecMode::Parallel { .. } => unreachable!("handled above"),
-            }
+            let (distances, _) = self.score_chunk(query, chunk, metric, policy, 0);
+            results.extend(distances);
         }
         results
+    }
+
+    /// Scores one chunk of candidates on this engine's datapath, dispatched as `policy` says
+    /// ([`FusedScheduler::run_policy`]) and capped at `cap` beats (`0` = uncapped).  Returns
+    /// the distances of the completed candidate prefix and the run's progress.
+    fn score_chunk<C: AsRef<[f32]>>(
+        &mut self,
+        query: &[f32],
+        chunk: &[C],
+        metric: KnnMetric,
+        policy: &ExecPolicy,
+        cap: u64,
+    ) -> (Vec<f32>, crate::CappedFusedRun) {
+        let mut runner = StreamRunner::with_arena(
+            DistanceQuery::new(query, chunk, metric),
+            core::mem::take(&mut self.arena),
+        );
+        let progress = self
+            .fused
+            .run_policy(&mut self.datapath, &mut [&mut runner], policy, cap);
+        let (batch, distances, arena) = runner.into_parts();
+        self.arena = arena;
+        self.stats.merge(&batch.stats);
+        (distances, progress)
     }
 
     /// The [`ExecMode::Parallel`] backend of [`KnnEngine::distances`]: contiguous candidate
@@ -622,45 +617,10 @@ impl KnnEngine {
                 complete = false;
                 break;
             }
-            let chunk_complete = match policy.mode {
-                ExecMode::Wavefront | ExecMode::Parallel { .. } => {
-                    let mut batch = DistanceQuery::new(query, chunk, metric);
-                    let run = self
-                        .scheduler
-                        .run_capped(&mut self.datapath, &mut batch, remaining);
-                    beats_spent += run.beats;
-                    results.extend(run.outputs);
-                    self.stats.merge(&batch.stats);
-                    run.complete
-                }
-                ExecMode::ScalarReference | ExecMode::Fused => {
-                    let mut runner = StreamRunner::new(DistanceQuery::new(query, chunk, metric));
-                    self.fused
-                        .set_beat_budget(if policy.mode == ExecMode::Fused {
-                            policy.beat_budget_per_stream
-                        } else {
-                            0
-                        });
-                    self.fused.set_admission_order(policy.admission_order);
-                    self.fused.set_stream_deadlines(&[]);
-                    let run = if policy.mode == ExecMode::ScalarReference {
-                        self.fused.run_reference_capped(
-                            &mut self.datapath,
-                            &mut [&mut runner],
-                            remaining,
-                        )
-                    } else {
-                        self.fused
-                            .run_capped(&mut self.datapath, &mut [&mut runner], remaining)
-                    };
-                    let (batch, outputs, _total) = runner.finish_partial();
-                    beats_spent += run.beats;
-                    results.extend(outputs);
-                    self.stats.merge(&batch.stats);
-                    run.complete
-                }
-            };
-            if !chunk_complete {
+            let (distances, run) = self.score_chunk(query, chunk, metric, policy, remaining);
+            beats_spent += run.beats;
+            results.extend(distances);
+            if !run.complete {
                 complete = false;
                 break;
             }

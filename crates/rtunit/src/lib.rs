@@ -19,13 +19,13 @@
 //!   [`KnnEngine::k_nearest`], [`HierarchicalSearch::radius_queries`]), each dispatchable as
 //!   the scalar register-accurate reference, a batched wavefront, a thread-parallel sharding or
 //!   a fused multi-kind run — bit-identical outputs and statistics across all modes,
-//! * [`WavefrontScheduler`] / [`BatchQuery`] — the generic batched query engine: one wavefront
-//!   scheduler (active-set management, pooled per-item state, bulk beat dispatch) that every
-//!   query kind — closest-hit, any-hit/shadow, rendering, distance scoring — instantiates with
-//!   its own per-item state machine,
-//! * [`FusedScheduler`] / [`FusedStream`] — the fused multi-stream layer merging heterogeneous
-//!   query kinds into shared bulk passes, with a per-stream **beat budget** admission policy
-//!   ([`ExecPolicy::beat_budget_per_stream`]) modelling QoS between concurrent workloads,
+//! * [`BatchQuery`] / [`StreamRunner`] / [`FusedScheduler`] — the generic batched query engine:
+//!   one scheduler (active-set management, pooled per-item state, bulk beat dispatch) that every
+//!   query kind — closest-hit, any-hit/shadow, rendering, candidate collection, distance
+//!   scoring — instantiates with its own per-item state machine, running one stream alone (the
+//!   wavefront) or merging heterogeneous [`FusedStream`]s into shared bulk passes, with a
+//!   per-stream **beat budget** admission policy ([`ExecPolicy::beat_budget_per_stream`])
+//!   modelling QoS between concurrent workloads,
 //! * [`TraversalEngine`] — closest-hit and any-hit/shadow traversal behind one policy-driven
 //!   [`TraversalEngine::trace`] entry point ([`TraceRequest`] carries one or both ray streams),
 //! * [`RtUnitConfig::estimate`] — a simplified single-issue RT-unit timing model over the
@@ -84,10 +84,7 @@ pub use parallel::{
     default_parallelism, PoolStats, CHUNKS_PER_WORKER, MIN_ANY_RAYS_PER_SHARD, MIN_RAYS_PER_SHARD,
 };
 pub use policy::{AdmissionOrder, CoherenceMode, ExecMode, ExecPolicy, ShardHint};
-pub use query::{
-    BatchQuery, CappedFusedRun, CappedRun, FusedScheduler, FusedStream, QueryKind, StreamRunner,
-    WavefrontScheduler,
-};
+pub use query::{BatchQuery, CappedFusedRun, FusedScheduler, FusedStream, QueryKind, StreamRunner};
 pub use renderer::{
     default_light_dir, extract_surfels, shade, shade_deferred, Camera, CameraBasis, FrameDesc,
     Image, RenderPasses, Renderer,

@@ -301,7 +301,7 @@ pub(crate) struct PairPoolTrace {
     pub any: Vec<Option<TraversalHit>>,
     /// Summed traversal statistics (bit-identical to every single-threaded mode).
     pub stats: TraversalStats,
-    /// Work-stealing pool utilisation (observability only; empty for inline runs).
+    /// Work-stealing pool utilisation (observability only).
     pub pool: PoolStats,
 }
 
@@ -361,36 +361,10 @@ pub(crate) fn fused_pair_sharded_checked(
     stream_aware: bool,
 ) -> Result<PairPoolTrace, usize> {
     let threads = pair_effective_threads(closest_rays.len(), any_rays.len(), threads);
-    if threads <= 1 {
-        // Inline single-engine path: one fused (or single-kind wavefront) run on the calling
-        // thread — no spawn, no join, identical results.
-        let mut engine = TraversalEngine::with_config(config);
-        engine.set_simd_lanes(simd_lanes);
-        engine.set_coherence(coherence);
-        let (closest, any) = if any_rays.is_empty() {
-            (
-                engine.wavefront_closest_hits(view, closest_rays),
-                Vec::new(),
-            )
-        } else if closest_rays.is_empty() {
-            (Vec::new(), engine.wavefront_any_hits(view, any_rays))
-        } else {
-            engine.fused_pair(
-                view,
-                closest_rays,
-                any_rays,
-                0,
-                crate::policy::AdmissionOrder::Fifo,
-                [0, 0],
-            )
-        };
-        return Ok(PairPoolTrace {
-            closest,
-            any,
-            stats: engine.stats(),
-            pool: PoolStats::default(),
-        });
-    }
+    debug_assert!(threads > 1, "callers trace unshardable requests inline");
+    let policy = ExecPolicy::wavefront()
+        .with_simd_lanes(simd_lanes)
+        .with_coherence(coherence);
     // Stream-aware plan: each stream is chunked independently against the same worker budget,
     // closest chunks first.  Chunk indices — the identity `fault::shard_checkpoint` sees — are
     // fixed by this plan, not by which worker steals what.  Under `stream_aware` (the
@@ -412,13 +386,23 @@ pub(crate) fn fused_pair_sharded_checked(
         .collect();
     let (results, pool) = steal_map(&chunks, threads, |chunk| {
         let mut engine = TraversalEngine::with_config(config);
-        engine.set_simd_lanes(simd_lanes);
-        engine.set_coherence(coherence);
         let hits = match chunk {
             PairChunk::Closest(range) => {
-                engine.wavefront_closest_hits(view, &closest_rays[range.clone()])
+                engine
+                    .trace(
+                        &TraceRequest::pair_view(view, &closest_rays[range.clone()], &[]),
+                        &policy,
+                    )
+                    .closest
             }
-            PairChunk::Any(range) => engine.wavefront_any_hits(view, &any_rays[range.clone()]),
+            PairChunk::Any(range) => {
+                engine
+                    .trace(
+                        &TraceRequest::pair_view(view, &[], &any_rays[range.clone()]),
+                        &policy,
+                    )
+                    .any
+            }
         };
         (hits, engine.stats())
     });

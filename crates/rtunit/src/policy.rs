@@ -18,8 +18,9 @@
 //! The cross-policy contract is the repository's tentpole invariant, stated once and enforced
 //! everywhere by `rtunit/tests/proptest_policy.rs`: **every [`ExecMode`] produces bit-identical
 //! outputs and identical statistics** for the same request.  Modes differ only in dispatch —
-//! per-beat emulated execution, bulk wavefront passes, shared fused passes, or sharded worker
-//! threads — never in the per-item beat sequence.
+//! per-beat emulated execution, or bulk passes through the one batched scheduler
+//! ([`FusedScheduler`](crate::FusedScheduler)) with each stream alone (wavefront), all streams
+//! together (fused), or sharded across worker threads — never in the per-item beat sequence.
 
 /// How many worker shards an [`ExecMode::Parallel`] run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,30 +64,23 @@ pub enum CoherenceMode {
     Off,
     /// Sort the admission order once by ray octant + origin Morton key
     /// ([`RayOperand::coherence_key`](rayflex_core::RayOperand::coherence_key)), so rays that
-    /// traverse similar node sequences build adjacent pass slots.
-    SortOnly,
-    /// [`CoherenceMode::SortOnly`] plus opcode-bucketed pass packing: each pass's ray–triangle
-    /// trains are deferred behind its ray–box beats, so box beats pair into eight-wide issues
-    /// and triangle trains concatenate into long same-opcode runs.  The default for the batched
-    /// modes.
+    /// traverse similar node sequences build adjacent pass slots, and bucket each pass by
+    /// opcode: ray–triangle trains are deferred behind the ray–box beats, so box beats pack
+    /// into wide issues and triangle trains concatenate into long same-opcode runs.  The
+    /// default for the batched modes — it nearly halves the lane slots `Off` occupies.
     #[default]
     SortAndCompact,
 }
 
 impl CoherenceMode {
     /// Every coherence mode, in off-first order (the sweep order of the policy matrix tests).
-    pub const ALL: [CoherenceMode; 3] = [
-        CoherenceMode::Off,
-        CoherenceMode::SortOnly,
-        CoherenceMode::SortAndCompact,
-    ];
+    pub const ALL: [CoherenceMode; 2] = [CoherenceMode::Off, CoherenceMode::SortAndCompact];
 
-    /// A short stable name for reports and CLI flags (`off`, `sort`, `sort-compact`).
+    /// A short stable name for reports and CLI flags (`off`, `sort-compact`).
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
             CoherenceMode::Off => "off",
-            CoherenceMode::SortOnly => "sort",
             CoherenceMode::SortAndCompact => "sort-compact",
         }
     }
@@ -158,7 +152,7 @@ impl core::fmt::Display for AdmissionOrder {
 /// | Mode | Dispatch | Models |
 /// |---|---|---|
 /// | [`ScalarReference`](ExecMode::ScalarReference) | one emulated beat at a time | the register-accurate reference |
-/// | [`Wavefront`](ExecMode::Wavefront) | bulk single-kind passes | one RT unit, one query kind in flight |
+/// | [`Wavefront`](ExecMode::Wavefront) | bulk single-kind passes, one stream at a time | one RT unit, one query kind in flight |
 /// | [`Parallel`](ExecMode::Parallel) | sharded worker threads | several RT units side by side |
 /// | [`Fused`](ExecMode::Fused) | shared mixed-kind bulk passes | one unified RT unit time-multiplexing kinds |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -167,7 +161,8 @@ pub enum ExecMode {
     /// emulated datapath.  Slow, and the semantic anchor every other mode is pinned against.
     ScalarReference,
     /// The batched wavefront: the whole stream stays in flight and each pass dispatches one bulk
-    /// batch of beats through the fast model.  The single-threaded throughput mode.
+    /// batch of beats through the fast model; a request's streams run one after another
+    /// (closest-hit first).  The single-threaded throughput mode.
     #[default]
     Wavefront,
     /// The wavefront sharded across worker threads, each worker a private datapath.  Per-shard
@@ -258,7 +253,6 @@ pub struct ExecPolicy {
     /// may spend before cancelling, or `0` (the default) for no deadline.
     ///
     /// The budget is checked **at pass boundaries** (the cooperative cancellation points of
-    /// [`WavefrontScheduler`](crate::WavefrontScheduler) and
     /// [`FusedScheduler`](crate::FusedScheduler)), so a run never stops mid-pass: the first pass
     /// always executes, and the run may overshoot the budget by the beats of the pass in flight
     /// when it crossed the line.  A cancelled run returns a typed partial result — the outputs
@@ -520,13 +514,13 @@ mod tests {
         assert_eq!(off.mode, ExecMode::Wavefront);
         let composed = ExecPolicy::fused()
             .with_beat_budget(2)
-            .with_coherence(CoherenceMode::SortOnly)
+            .with_coherence(CoherenceMode::Off)
             .with_simd_lanes(8);
-        assert_eq!(composed.coherence, CoherenceMode::SortOnly);
+        assert_eq!(composed.coherence, CoherenceMode::Off);
         assert_eq!(composed.beat_budget_per_stream, 2);
         assert_eq!(composed.simd_lanes, 8);
         let names: Vec<_> = CoherenceMode::ALL.iter().map(|c| c.name()).collect();
-        assert_eq!(names, ["off", "sort", "sort-compact"]);
+        assert_eq!(names, ["off", "sort-compact"]);
     }
 
     #[test]

@@ -1,26 +1,28 @@
-//! The generic batched query engine: one wavefront scheduler for every query kind the RT unit
-//! supports.
+//! The generic batched query engine: one scheduler for every query kind the RT unit supports.
 //!
-//! PR 1 introduced a throughput-oriented wavefront frontend for closest-hit traversal: keep a
-//! whole stream of queries in flight, build one request buffer per pass, dispatch it through
-//! [`RayFlexDatapath::execute_batch_into`] in bulk, apply the responses, repeat until every query
-//! retires.  That scheduling core is independent of *what* is being queried — the same loop
-//! drives closest-hit rays, any-hit/shadow rays, primary-ray rendering and distance scoring —
-//! so this module extracts it into a reusable pair:
+//! Every batched mode keeps a whole stream of queries in flight: build one request buffer per
+//! pass, dispatch it to the datapath in bulk, apply the responses, repeat until every query
+//! retires.  That loop is independent of *what* is being queried — the same loop drives
+//! closest-hit rays, any-hit/shadow rays, primary-ray rendering, candidate collection and
+//! distance scoring — so it lives here once, in three pieces:
 //!
 //! * [`BatchQuery`] — the per-item state machine a query kind implements: how to initialise an
 //!   item, which beats it wants next, how a response advances it, and what it yields when it
 //!   retires;
-//! * [`WavefrontScheduler`] — the engine that owns the pooled per-item states and the reusable
-//!   request/response/ownership buffers and runs any [`BatchQuery`] to completion against a
-//!   datapath.
+//! * [`StreamRunner`] — one query plus its per-item states for one run, driving the item
+//!   protocol behind the type-erased [`FusedStream`] face: coherent admission, admission-slot
+//!   addressing, opcode bucketing and budget-capped pass segments;
+//! * [`FusedScheduler`] — merges the pass segments of any number of streams into shared bulk
+//!   passes over one datapath and demuxes the responses back per stream.
 //!
-//! Consumers instantiate the scheduler once and reuse it: a steady-state stream performs no
-//! per-item allocation, exactly as the hand-rolled wavefront loop did.  Because the scheduler
-//! preserves each item's own beat order (an item's beats are built in sequence, and the beats an
-//! item appends within one pass stay adjacent in the batch), every query kind retains the
-//! semantics — and, where a scalar reference exists, the bit-identical results and statistics —
-//! of its scalar drive loop.
+//! A stream run alone at budget 0 is the classic wavefront
+//! ([`ExecMode::Wavefront`](crate::ExecMode::Wavefront)); several streams in one run are the
+//! fused discipline ([`ExecMode::Fused`](crate::ExecMode::Fused)).  The engines keep each
+//! runner's buffers in a reusable arena between runs, so a steady-state stream performs no
+//! per-item allocation.  Because the runner preserves each item's own beat order (an item's
+//! beats are built in sequence, and the beats an item appends within one pass stay adjacent in
+//! the batch), every query kind retains the semantics — and, where a scalar reference exists,
+//! the bit-identical results and statistics — of its scalar drive loop.
 //!
 //! Multi-beat accumulator jobs (the Euclidean/cosine distance operations) are safe under
 //! interleaving *between* items precisely because of that adjacency guarantee: a distance query
@@ -28,19 +30,15 @@
 //! accumulator sees each candidate's beat train contiguously and resets at its end, no matter
 //! how many unrelated items share the pass.
 //!
-//! On top of the single-stream scheduler sits the **fused** layer: [`FusedScheduler`] owns any
-//! number of type-erased [`FusedStream`]s — heterogeneous query kinds wrapped in
-//! [`StreamRunner`]s — and merges their per-pass beats into *shared mixed-opcode bulk passes*
-//! over one datapath, demuxing the responses back per stream.  Because each stream's own
-//! build/apply order is exactly what it would be under a private [`WavefrontScheduler`] run (the
+//! A stream's own build/apply order does not depend on which other streams share its passes (a
 //! fused pass merely concatenates per-stream segments, and no datapath state crosses segment
-//! boundaries mid-item), every stream's outputs and statistics are bit-identical to sequential
-//! scheduling — pinned by `rtunit/tests/proptest_fused.rs` and by the scalar round-robin
+//! boundaries mid-item), so every stream's outputs and statistics are bit-identical to running
+//! it alone — pinned by `rtunit/tests/proptest_fused.rs` and by the scalar round-robin
 //! reference mode ([`FusedScheduler::run_reference`]).
 
 use rayflex_core::{Opcode, RayFlexDatapath, RayFlexRequest, RayFlexResponse};
 
-use crate::policy::CoherenceMode;
+use crate::policy::{CoherenceMode, ExecMode, ExecPolicy};
 
 pub use rayflex_core::QueryKind;
 
@@ -118,37 +116,6 @@ pub trait BatchQuery {
     }
 }
 
-/// Flush threshold (in beats) of the schedulers' tiled pass dispatch: one logical pass is built,
-/// dispatched and applied in tiles of roughly this many beats, so the request/response buffers
-/// stay cache-resident instead of streaming a whole multi-thousand-beat pass through memory
-/// three times (build-write, dispatch-read, apply-read).  Tiles flush only at item boundaries —
-/// an item's beat train never splits — and pass accounting is per logical pass, not per tile
-/// ([`RayFlexDatapath::record_pass`]), so pass counters and all outputs are tile-size-invariant;
-/// only where same-opcode lane runs split moves.  At 1024 beats a tile's requests + responses
-/// occupy ~264 KiB, comfortably inside per-core L2 (a measured sweet spot: smaller tiles split
-/// more lane runs at tile boundaries, larger ones fall out of L2).
-const PASS_TILE_BEATS: usize = 1024;
-
-/// The result of a deadline-capped scheduler run ([`WavefrontScheduler::run_capped`]): the
-/// outputs of the longest fully-retired item prefix, plus how far the run got.
-///
-/// The prefix discipline makes a cancelled run safe to consume: an item either appears with its
-/// complete output — bit-identical to what the uncapped run returns for it, because
-/// cancellation never alters a surviving item's beat sequence — or not at all.  Items that
-/// happened to retire beyond the first still-active item are discarded rather than surfaced out
-/// of order.
-#[derive(Debug)]
-pub struct CappedRun<T> {
-    /// Outputs of the retired prefix, in item order (`total` outputs when `complete`).
-    pub outputs: Vec<T>,
-    /// Items the run was admitted with.
-    pub total: usize,
-    /// Beats the run dispatched before finishing or cancelling.
-    pub beats: u64,
-    /// `true` when every item retired — the cap (if any) never fired.
-    pub complete: bool,
-}
-
 /// Progress report of a deadline-capped fused run ([`FusedScheduler::run_capped`] /
 /// [`FusedScheduler::run_reference_capped`]): how many beats the run spent and whether every
 /// stream drained.  A cancelled run leaves its streams mid-flight; extract each stream's
@@ -159,349 +126,6 @@ pub struct CappedFusedRun {
     pub beats: u64,
     /// `true` when every stream drained — the cap (if any) never fired.
     pub complete: bool,
-}
-
-/// The wavefront scheduler: active-set management, pooled per-item state and reusable beat
-/// buffers around [`RayFlexDatapath::execute_batch_into`], generic over the query kind.
-///
-/// One scheduler instance serves any number of runs; its pools and buffers amortise across them.
-/// The type parameter is the pooled state, so an engine serving several query kinds with the
-/// same state type (closest-hit and any-hit traversal, say) needs only one scheduler.
-#[derive(Debug)]
-pub struct WavefrontScheduler<S> {
-    /// Pooled per-item states, recycled across runs.
-    pool: Vec<S>,
-    /// Reusable per-run state roster (one checked-out pooled state per item); parked empty
-    /// between runs so a steady-state stream never reallocates it.
-    states: Vec<S>,
-    /// Reusable request buffer: one batch per pass.
-    requests: Vec<RayFlexRequest>,
-    /// Reusable response buffer, parallel to `requests` after dispatch.
-    responses: Vec<RayFlexResponse>,
-    /// Admission slot owning each in-flight beat (parallel to `requests`).
-    beat_owner: Vec<usize>,
-    /// Admission slots still in flight, always in ascending slot order (retirement compacts in
-    /// place), so the build loop walks the state roster sequentially.
-    active: Vec<usize>,
-    /// The run's admission permutation: `order[slot] = item`.  Identity when coherence is off;
-    /// otherwise the coherence sort of the item indices.  Results reassemble through it, so any
-    /// admission order is output-identical.
-    order: Vec<usize>,
-    /// Inverse of `order` (`slot_of[item] = slot`): where an item's state lives in the roster.
-    slot_of: Vec<usize>,
-    /// Reusable per-item coherence keys (indexed by item; filled when sorting is on).
-    keys: Vec<u64>,
-    /// Reusable tail buffer of [`CoherenceMode::SortAndCompact`]: ray–triangle trains deferred
-    /// behind the pass's other beats (cleared every pass by the append).
-    deferred: Vec<RayFlexRequest>,
-    /// Item owning each deferred beat (parallel to `deferred`).
-    deferred_owner: Vec<usize>,
-    /// Coherence discipline of subsequent runs (see [`WavefrontScheduler::set_coherence`]).
-    coherence: CoherenceMode,
-}
-
-impl<S> Default for WavefrontScheduler<S> {
-    fn default() -> Self {
-        WavefrontScheduler {
-            pool: Vec::new(),
-            states: Vec::new(),
-            requests: Vec::new(),
-            responses: Vec::new(),
-            beat_owner: Vec::new(),
-            active: Vec::new(),
-            order: Vec::new(),
-            slot_of: Vec::new(),
-            keys: Vec::new(),
-            deferred: Vec::new(),
-            deferred_owner: Vec::new(),
-            coherence: CoherenceMode::Off,
-        }
-    }
-}
-
-impl<S: Default> WavefrontScheduler<S> {
-    /// Creates an empty scheduler (pools grow on first use).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the coherence discipline of subsequent runs (see
-    /// [`CoherenceMode`](crate::CoherenceMode)).  A directly-driven scheduler defaults to
-    /// [`CoherenceMode::Off`] — caller admission order, exactly the pre-coherence behaviour;
-    /// the policy engines wire [`ExecPolicy::coherence`](crate::ExecPolicy::coherence) through
-    /// here.  Outputs and per-item statistics are identical in every mode.
-    pub fn set_coherence(&mut self, coherence: CoherenceMode) {
-        self.coherence = coherence;
-    }
-
-    /// Number of states currently parked in the pool (diagnostics / pooling tests).
-    #[must_use]
-    pub fn pooled_states(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Runs `query` to completion against `datapath`, returning one output per item in item
-    /// order.
-    ///
-    /// Every pass builds the beats of all active items into one request buffer, dispatches them
-    /// in bulk, and applies the responses to the owning items.  Items retire in place; the run
-    /// ends when no item is active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a beat's opcode is not supported by the datapath configuration (propagated from
-    /// [`RayFlexDatapath::execute_batch_into`]).
-    pub fn run<Q>(&mut self, datapath: &mut RayFlexDatapath, query: &mut Q) -> Vec<Q::Output>
-    where
-        Q: BatchQuery<State = S>,
-    {
-        self.run_capped(datapath, query, 0).outputs
-    }
-
-    /// Runs `query` like [`WavefrontScheduler::run`], but cooperatively cancels at the first
-    /// pass boundary where the run has spent at least `max_total_beats` datapath beats
-    /// (`0` disables the cap — the run is then identical to [`WavefrontScheduler::run`]).
-    ///
-    /// Cancellation is **cooperative**: the check sits at the top of the pass loop, so the pass
-    /// in flight when the budget crosses the line completes, and the run may overshoot the cap
-    /// by that pass's beats.  With a cap of at least one, the first pass always executes, so a
-    /// capped run always makes forward progress.  A cancelled run yields the outputs of the
-    /// longest fully-retired item prefix (see [`CappedRun`]); cancelled items' states never
-    /// surface — a mid-flight traversal's "best hit so far" is not a result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a beat's opcode is not supported by the datapath configuration (propagated from
-    /// [`RayFlexDatapath::execute_batch_into`]).
-    pub fn run_capped<Q>(
-        &mut self,
-        datapath: &mut RayFlexDatapath,
-        query: &mut Q,
-        max_total_beats: u64,
-    ) -> CappedRun<Q::Output>
-    where
-        Q: BatchQuery<State = S>,
-    {
-        let items = query.items();
-
-        // Coherent admission: compute the run's admission order once — identity, or the
-        // coherence sort of the item indices by the query's key (ties broken by item index, so
-        // identity keys keep caller order and the sort is deterministic).  Results reassemble
-        // through the permutation, so any admission order is output-identical — only which pass
-        // slot a ray occupies moves.
-        self.order.clear();
-        self.order.extend(0..items);
-        let mut slot_addressed = false;
-        if self.coherence != CoherenceMode::Off && items > 1 {
-            self.keys.clear();
-            self.keys
-                .extend((0..items).map(|item| query.sort_key(item)));
-            let keys = &self.keys;
-            self.order.sort_unstable_by_key(|&item| (keys[item], item));
-            // A query that gathers its operand tables into admission order is addressed by
-            // slot from here on (see `BatchQuery::reorder`).
-            slot_addressed = query.reorder(&self.order);
-        }
-        self.slot_of.clear();
-        self.slot_of.resize(items, 0);
-        for (slot, &item) in self.order.iter().enumerate() {
-            self.slot_of[item] = slot;
-        }
-
-        // Check out one pooled state per item into the reusable roster (taken out of `self` so
-        // `query.build` can borrow a state while the pass buffers are borrowed too).  The roster
-        // is indexed by admission slot — `states[slot]` belongs to item `order[slot]` — so the
-        // build loop, which walks active slots in ascending order, touches it sequentially.
-        let mut states = core::mem::take(&mut self.states);
-        states.clear();
-        states.reserve(items);
-        for slot in 0..items {
-            let mut state = self.pool.pop().unwrap_or_default();
-            query.reset(
-                if slot_addressed {
-                    slot
-                } else {
-                    self.order[slot]
-                },
-                &mut state,
-            );
-            states.push(state);
-        }
-
-        self.active.clear();
-        self.active.extend(0..items);
-        crate::fault::scramble_checkpoint(&mut self.active);
-        let bucketed = self.coherence == CoherenceMode::SortAndCompact;
-        // Which bucket trains build into directly (the other side pays a move-out copy); adapted
-        // per tile to the observed mix so the copy always lands on the minority opcode.  `false`
-        // to start: a traversal run's first pass is all root box beats.
-        let mut tri_direct = false;
-        let kind = query.kind();
-
-        let mut beats_spent = 0u64;
-        let mut cancelled = false;
-        while !self.active.is_empty() {
-            // The pass boundary is the cooperative cancellation point of the deadline knob.
-            if max_total_beats != 0 && beats_spent >= max_total_beats {
-                cancelled = true;
-                break;
-            }
-
-            // One logical pass, dispatched in cache-resident tiles (see [`PASS_TILE_BEATS`]):
-            // each active item appends its next beat(s) — items with no further beats retire in
-            // place — and every time the tile fills, it is dispatched and its responses applied
-            // before the build resumes.  Applying a tile early is invisible to the items: a
-            // response only ever touches its own item's state, and an item builds exactly once
-            // per pass either way.
-            let total = self.active.len();
-            let mut pass_beats = 0usize;
-            let mut pass_counted = false;
-            let mut still_active = 0usize;
-            let mut cursor = 0usize;
-            while cursor < total {
-                self.requests.clear();
-                self.beat_owner.clear();
-                self.deferred.clear();
-                self.deferred_owner.clear();
-                while cursor < total && self.requests.len() + self.deferred.len() < PASS_TILE_BEATS
-                {
-                    let slot = self.active[cursor];
-                    cursor += 1;
-                    let index = if slot_addressed {
-                        slot
-                    } else {
-                        self.order[slot]
-                    };
-                    // Opcode bucketing ([`CoherenceMode::SortAndCompact`]): the tile keeps two
-                    // buckets — mixed/box beats in `requests`, all-triangle trains in
-                    // `deferred` — so box beats pack adjacently (eight-wide pairs) and triangle
-                    // trains concatenate into long same-opcode runs.  Trains build straight
-                    // into whichever bucket dominated the previous tile (`tri_direct`) and the
-                    // minority trains move out, so the common case never copies on either a
-                    // leaf-grinding or a node-hopping workload.  Safe because a train moves
-                    // intact (per-item beat order unchanged) and ray beats are stateless — only
-                    // the accumulator-chained distance beats order across items, and those are
-                    // never bucketed.
-                    let out = if bucketed && tri_direct {
-                        &mut self.deferred
-                    } else {
-                        &mut self.requests
-                    };
-                    let before = out.len();
-                    if query.build(index, &mut states[slot], out) {
-                        debug_assert!(
-                            out.len() > before,
-                            "{kind} query item {index} stayed active without appending a beat",
-                        );
-                        if bucketed {
-                            if tri_direct {
-                                if self.deferred[before..]
-                                    .iter()
-                                    .all(|r| r.opcode == Opcode::RayTriangle)
-                                {
-                                    self.deferred_owner.resize(self.deferred.len(), slot);
-                                } else {
-                                    self.requests.extend(self.deferred.drain(before..));
-                                    self.beat_owner.resize(self.requests.len(), slot);
-                                }
-                            } else if self.requests[before..]
-                                .iter()
-                                .all(|r| r.opcode == Opcode::RayTriangle)
-                            {
-                                self.deferred.extend(self.requests.drain(before..));
-                                self.deferred_owner.resize(self.deferred.len(), slot);
-                            } else {
-                                self.beat_owner.resize(self.requests.len(), slot);
-                            }
-                        } else {
-                            self.beat_owner.resize(self.requests.len(), slot);
-                        }
-                        self.active[still_active] = slot;
-                        still_active += 1;
-                    } else {
-                        debug_assert_eq!(
-                            if bucketed && tri_direct {
-                                self.deferred.len()
-                            } else {
-                                self.requests.len()
-                            },
-                            before,
-                            "{kind} query item {index} appended beats while retiring",
-                        );
-                    }
-                }
-                let tile_beats = self.requests.len() + self.deferred.len();
-                if tile_beats == 0 {
-                    continue;
-                }
-                if !pass_counted {
-                    // Pass accounting is per logical pass, not per tile, so the BeatMix pass
-                    // counters match the untiled schedule exactly.
-                    datapath.record_pass(&[(kind, tile_beats)]);
-                    pass_counted = true;
-                }
-                pass_beats += tile_beats;
-
-                // Dispatch and apply the buckets back to back: mixed/box beats first, triangle
-                // trains behind them — the same beat order the single-buffer schedule had, just
-                // without physically concatenating the buckets.  No lane run spans the bucket
-                // boundary (the buckets hold different opcodes), so lane accounting is
-                // unchanged, and apply order across items never matters (per-item state only).
-                for (chunk, owners) in [
-                    (&self.requests, &self.beat_owner),
-                    (&self.deferred, &self.deferred_owner),
-                ] {
-                    if chunk.is_empty() {
-                        continue;
-                    }
-                    datapath.execute_pass_chunk(chunk, kind, &mut self.responses);
-                    for (response, &slot) in self.responses.iter().zip(owners) {
-                        let index = if slot_addressed {
-                            slot
-                        } else {
-                            self.order[slot]
-                        };
-                        query.apply(index, &mut states[slot], response);
-                    }
-                }
-                tri_direct = self.deferred.len() > self.requests.len();
-            }
-            self.active.truncate(still_active);
-            if pass_beats == 0 {
-                break;
-            }
-            beats_spent += pass_beats as u64;
-        }
-
-        // The retired prefix ends at the lowest still-active item (coherent admission may
-        // reorder the admission slots, so "first" is not "lowest" in general).
-        let retired_prefix = if cancelled {
-            self.active
-                .iter()
-                .map(|&slot| self.order[slot])
-                .min()
-                .unwrap_or(items)
-        } else {
-            items
-        };
-
-        // Collect the prefix outputs in item order, return every state (finished or not) to the
-        // pool, and park the emptied roster for the next run.
-        let mut outputs = Vec::with_capacity(retired_prefix);
-        for item in 0..retired_prefix {
-            let slot = self.slot_of[item];
-            outputs.push(query.finish(if slot_addressed { slot } else { item }, &mut states[slot]));
-        }
-        self.pool.append(&mut states);
-        self.states = states;
-        CappedRun {
-            outputs,
-            total: items,
-            beats: beats_spent,
-            complete: !cancelled,
-        }
-    }
 }
 
 /// A type-erased query stream inside a fused run: the object-safe face of a
@@ -536,42 +160,90 @@ pub trait FusedStream {
     fn build_pass(&mut self, out: &mut Vec<RayFlexRequest>, max_beats: usize) -> usize;
 
     /// Applies the responses to the beats this stream appended in the matching
-    /// [`FusedStream::build_pass`] call, in append order.
+    /// [`FusedStream::build_pass`] call, in append order.  The scheduler may hand one pass's
+    /// responses over in several consecutive slices (see
+    /// [`RayFlexDatapath::execute_batch_streamed`]), so a slice can end inside an item's train.
     fn apply_pass(&mut self, responses: &[RayFlexResponse]);
 }
 
-/// Owns one [`BatchQuery`] and its per-item states for the duration of a fused run, implementing
-/// the type-erased [`FusedStream`] protocol over it.
-///
-/// A runner reproduces the [`WavefrontScheduler`] build/apply loop for its own query exactly —
-/// same per-item beat order, same retire-in-place active set — so running several runners fused
-/// yields per-stream results bit-identical to running each query alone.  After the run drains,
-/// [`StreamRunner::finish`] yields the query back (for its statistics) together with one output
-/// per item.
+/// The reusable buffers of a [`StreamRunner`]: the per-item states and the admission and pass
+/// bookkeeping.  An engine keeps one arena per stream it runs and lends it to each new runner
+/// ([`StreamRunner::with_arena`] / [`StreamRunner::into_parts`]), so a warm run reuses every
+/// buffer — each state's own heap storage (a traversal stack, say) included.
 #[derive(Debug)]
-pub struct StreamRunner<Q: BatchQuery> {
-    query: Q,
+pub(crate) struct RunnerArena<S> {
     /// Per-item states, indexed by admission slot (`states[slot]` belongs to item
-    /// `order[slot]`), so the build loop walks them in admission order.
-    states: Vec<Q::State>,
+    /// `order[slot]`), so the build loop walks them in admission order.  Never shrinks: states
+    /// past the current run's item count wait for a larger run.
+    states: Vec<S>,
     /// Admission slots still in flight, in admission order.
     active: Vec<usize>,
     /// `(admission slot, beat count)` of each item's beat train in the current pass, in pass
-    /// order (cleared per pass; one entry per item, so it never grows with the beat count).
+    /// order (one entry per item, so it never grows with the beat count).
     spans: Vec<(usize, usize)>,
     /// The run's admission permutation (`order[slot] = item`); identity when coherence is off.
     order: Vec<usize>,
     /// Inverse of `order` (`slot_of[item] = slot`).
     slot_of: Vec<usize>,
+    /// Per-item coherence keys (indexed by item; filled when sorting is on).
+    keys: Vec<u64>,
+    /// The minority bucket of [`CoherenceMode::SortAndCompact`]: the pass's trains of
+    /// whichever opcode class is not kept in place (see [`StreamRunner::build_pass`]'s
+    /// bucketing), moved back into the segment when it closes.
+    aside: Vec<RayFlexRequest>,
+    /// `(admission slot, beat count)` of each train set aside, in `aside` order.
+    aside_spans: Vec<(usize, usize)>,
+}
+
+impl<S> Default for RunnerArena<S> {
+    fn default() -> Self {
+        RunnerArena {
+            states: Vec::new(),
+            active: Vec::new(),
+            spans: Vec::new(),
+            order: Vec::new(),
+            slot_of: Vec::new(),
+            keys: Vec::new(),
+            aside: Vec::new(),
+            aside_spans: Vec::new(),
+        }
+    }
+}
+
+impl<S> RunnerArena<S> {
+    /// Number of per-item states the arena holds (pooling tests).
+    #[cfg(test)]
+    pub(crate) fn pooled_states(&self) -> usize {
+        self.states.len()
+    }
+}
+
+/// Owns one [`BatchQuery`] and its per-item states for the duration of a run, implementing the
+/// type-erased [`FusedStream`] protocol over it.
+///
+/// Each pass builds every active item's next beat train (items with none retire in place) and
+/// applies the responses to the owning items.  A runner's per-item beat order never depends on
+/// the streams it shares passes with, so running several runners fused yields per-stream
+/// results bit-identical to running each alone.  After the run drains,
+/// [`StreamRunner::finish`] yields the query back (for its statistics) together with one output
+/// per item.
+#[derive(Debug)]
+pub struct StreamRunner<Q: BatchQuery> {
+    query: Q,
+    arena: RunnerArena<Q::State>,
+    /// Items of the current run (`query.items()` when it started).
+    items: usize,
     /// Whether the query opted into admission-slot addressing (see [`BatchQuery::reorder`]).
     slot_addressed: bool,
-    /// Reusable per-item coherence keys (indexed by item; filled when sorting is on).
-    keys: Vec<u64>,
-    /// Reusable tail buffer of [`CoherenceMode::SortAndCompact`]: ray–triangle trains deferred
-    /// behind this stream's other beats of the pass (drained back every pass).
-    deferred: Vec<RayFlexRequest>,
-    /// `(admission slot, beat count)` of each deferred train, in `deferred` order.
-    deferred_spans: Vec<(usize, usize)>,
+    /// Whether all-triangle trains stay where they are built (box trains are set aside) or
+    /// the other way round: set per pass to whichever class dominated the previous one, so
+    /// the move-out copy lands on the minority.
+    triangles_stay: bool,
+    /// Whether this stream's segments fill their passes alone (see [`StreamRunner::lone`]).
+    lone: bool,
+    /// `(span, beats of it applied)`: where the current pass's responses resume, since a
+    /// pass's responses may arrive over several [`FusedStream::apply_pass`] calls.
+    applied: (usize, usize),
     /// Coherence discipline of subsequent runs (see [`StreamRunner::set_coherence`]).
     coherence: CoherenceMode,
     started: bool,
@@ -582,25 +254,28 @@ impl<Q: BatchQuery> StreamRunner<Q> {
     /// [`FusedStream::start`] when a run begins.
     #[must_use]
     pub fn new(query: Q) -> Self {
+        Self::with_arena(query, RunnerArena::default())
+    }
+
+    /// [`StreamRunner::new`] over a recycled arena (see [`RunnerArena`]).
+    pub(crate) fn with_arena(query: Q, arena: RunnerArena<Q::State>) -> Self {
         StreamRunner {
             query,
-            states: Vec::new(),
-            active: Vec::new(),
-            spans: Vec::new(),
-            order: Vec::new(),
-            slot_of: Vec::new(),
+            arena,
+            items: 0,
             slot_addressed: false,
-            keys: Vec::new(),
-            deferred: Vec::new(),
-            deferred_spans: Vec::new(),
+            triangles_stay: false,
+            lone: false,
+            applied: (0, 0),
             coherence: CoherenceMode::Off,
             started: false,
         }
     }
 
     /// Sets the coherence discipline of subsequent runs (see
-    /// [`CoherenceMode`](crate::CoherenceMode) and [`WavefrontScheduler::set_coherence`]);
-    /// defaults to [`CoherenceMode::Off`].  Takes effect at the next [`FusedStream::start`].
+    /// [`CoherenceMode`](crate::CoherenceMode)); defaults to [`CoherenceMode::Off`] — caller
+    /// admission order.  Takes effect at the next [`FusedStream::start`].  Outputs and per-item
+    /// statistics are identical in every mode.
     pub fn set_coherence(&mut self, coherence: CoherenceMode) {
         self.coherence = coherence;
     }
@@ -612,6 +287,36 @@ impl<Q: BatchQuery> StreamRunner<Q> {
         self
     }
 
+    /// Declares whether every pass of this stream's run carries its segment alone (no other
+    /// stream contributes beats).  A lone segment's same-opcode runs never meet another
+    /// segment's, so its two opcode buckets may close in either order with the same lane
+    /// accounting, and the bucket kept in place never moves; beside other segments the order
+    /// stays box trains first, so runs meet across segments the same way every time.
+    pub(crate) fn lone(mut self, lone: bool) -> Self {
+        self.lone = lone;
+        self
+    }
+
+    /// The outputs of the longest fully-retired item prefix, in item order.  The lowest
+    /// still-active item bounds the prefix (coherent admission may reorder the admission
+    /// slots, so "first" is not "lowest" in general).
+    fn retired_outputs(&mut self) -> Vec<Q::Output> {
+        let arena = &mut self.arena;
+        let prefix = arena
+            .active
+            .iter()
+            .map(|&slot| arena.order[slot])
+            .min()
+            .unwrap_or(self.items);
+        (0..prefix)
+            .map(|item| {
+                let slot = arena.slot_of[item];
+                let index = if self.slot_addressed { slot } else { item };
+                self.query.finish(index, &mut arena.states[slot])
+            })
+            .collect()
+    }
+
     /// Extracts the query and one output per item after the run drained the stream.
     ///
     /// # Panics
@@ -620,16 +325,10 @@ impl<Q: BatchQuery> StreamRunner<Q> {
     #[must_use]
     pub fn finish(mut self) -> (Q, Vec<Q::Output>) {
         assert!(
-            self.started && self.active.is_empty(),
+            self.started && self.arena.active.is_empty(),
             "a fused stream must be run to completion before finishing"
         );
-        let total = self.states.len();
-        let mut outputs = Vec::with_capacity(total);
-        for item in 0..total {
-            let slot = self.slot_of[item];
-            let index = if self.slot_addressed { slot } else { item };
-            outputs.push(self.query.finish(index, &mut self.states[slot]));
-        }
+        let outputs = self.retired_outputs();
         (self.query, outputs)
     }
 
@@ -651,22 +350,14 @@ impl<Q: BatchQuery> StreamRunner<Q> {
             self.started,
             "a fused stream must be run before finishing partially"
         );
-        let total = self.states.len();
-        // The lowest still-active item bounds the retired prefix (coherent admission may
-        // reorder the admission slots, so "first" is not "lowest" in general).
-        let prefix = self
-            .active
-            .iter()
-            .map(|&slot| self.order[slot])
-            .min()
-            .unwrap_or(total);
-        let mut outputs = Vec::with_capacity(prefix);
-        for item in 0..prefix {
-            let slot = self.slot_of[item];
-            let index = if self.slot_addressed { slot } else { item };
-            outputs.push(self.query.finish(index, &mut self.states[slot]));
-        }
-        (self.query, outputs, total)
+        let outputs = self.retired_outputs();
+        (self.query, outputs, self.items)
+    }
+
+    /// [`StreamRunner::finish_partial`] handing the arena back for the next run.
+    pub(crate) fn into_parts(mut self) -> (Q, Vec<Q::Output>, RunnerArena<Q::State>) {
+        let outputs = self.retired_outputs();
+        (self.query, outputs, self.arena)
     }
 }
 
@@ -677,91 +368,109 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
 
     fn start(&mut self) {
         let items = self.query.items();
-        // Coherent admission, exactly as in `WavefrontScheduler::run_capped`: one sort of the
-        // admission permutation up front, output-identical by construction.
-        self.order.clear();
-        self.order.extend(0..items);
+        let arena = &mut self.arena;
+        // Coherent admission: one sort of the admission permutation up front (ties broken by
+        // item index, so identity keys keep caller order and the sort is deterministic).
+        // Results reassemble through the permutation, so any admission order is
+        // output-identical — only which pass slot an item occupies moves.
+        arena.order.clear();
+        arena.order.extend(0..items);
         self.slot_addressed = false;
         if self.coherence != CoherenceMode::Off && items > 1 {
-            self.keys.clear();
+            arena.keys.clear();
             let query = &self.query;
-            self.keys
+            arena
+                .keys
                 .extend((0..items).map(|item| query.sort_key(item)));
-            let keys = &self.keys;
-            self.order.sort_unstable_by_key(|&item| (keys[item], item));
-            self.slot_addressed = self.query.reorder(&self.order);
+            let keys = &arena.keys;
+            arena.order.sort_unstable_by_key(|&item| (keys[item], item));
+            self.slot_addressed = self.query.reorder(&arena.order);
         }
-        self.slot_of.clear();
-        self.slot_of.resize(items, 0);
-        for (slot, &item) in self.order.iter().enumerate() {
-            self.slot_of[item] = slot;
+        arena.slot_of.clear();
+        arena.slot_of.resize(items, 0);
+        for (slot, &item) in arena.order.iter().enumerate() {
+            arena.slot_of[item] = slot;
         }
-        self.states.clear();
-        self.states.resize_with(items, Q::State::default);
+        if arena.states.len() < items {
+            arena.states.resize_with(items, Q::State::default);
+        }
         for slot in 0..items {
             let index = if self.slot_addressed {
                 slot
             } else {
-                self.order[slot]
+                arena.order[slot]
             };
-            self.query.reset(index, &mut self.states[slot]);
+            self.query.reset(index, &mut arena.states[slot]);
         }
-        self.active.clear();
-        self.active.extend(0..items);
-        crate::fault::scramble_checkpoint(&mut self.active);
+        arena.active.clear();
+        arena.active.extend(0..items);
+        crate::fault::scramble_checkpoint(&mut arena.active);
+        self.items = items;
+        // A traversal run's first pass is all root box beats.
+        self.triangles_stay = false;
         self.started = true;
     }
 
     fn is_active(&self) -> bool {
-        !self.active.is_empty()
+        !self.arena.active.is_empty()
     }
 
     fn build_pass(&mut self, out: &mut Vec<RayFlexRequest>, max_beats: usize) -> usize {
         let pass_start = out.len();
-        debug_assert!(self.deferred.is_empty());
+        let arena = &mut self.arena;
+        debug_assert!(arena.aside.is_empty());
         let bucketed = self.coherence == CoherenceMode::SortAndCompact;
-        let total = self.active.len();
-        self.spans.clear();
-        self.spans.reserve(total);
+        let triangles_stay = bucketed && self.triangles_stay;
+        let total = arena.active.len();
+        // Every active item appends at least one beat or retires, so reserve the common case
+        // once instead of doubling up to it.
+        out.reserve(total);
+        arena.spans.clear();
+        arena.spans.reserve(total);
         if bucketed {
-            self.deferred_spans.reserve(total);
+            arena.aside_spans.reserve(total);
         }
         let mut still_active = 0;
         let mut processed = 0;
         while processed < total {
             // Budget admission: stop (leaving the rest of the active list untouched, in order)
-            // once this pass's segment — built beats plus the deferred triangle tail — reached
-            // the per-stream beat budget.
-            if max_beats != 0 && (out.len() - pass_start) + self.deferred.len() >= max_beats {
+            // once this pass's segment — both buckets — reached the per-stream beat budget.
+            if max_beats != 0 && (out.len() - pass_start) + arena.aside.len() >= max_beats {
                 break;
             }
-            let slot = self.active[processed];
+            let slot = arena.active[processed];
             let index = if self.slot_addressed {
                 slot
             } else {
-                self.order[slot]
+                arena.order[slot]
             };
             let before = out.len();
-            if self.query.build(index, &mut self.states[slot], out) {
+            if self.query.build(index, &mut arena.states[slot], out) {
+                let beats = out.len() - before;
                 debug_assert!(
-                    out.len() > before,
+                    beats > 0,
                     "{} stream item {index} stayed active without appending a beat",
                     self.query.kind()
                 );
-                if bucketed
+                // Opcode bucketing ([`CoherenceMode::SortAndCompact`]): the segment closes as
+                // mixed/box trains followed by all-triangle trains, so box beats pack adjacently
+                // and triangle trains concatenate into long same-opcode runs.  Trains of the
+                // class that dominated the previous pass stay where they were built; the
+                // minority class is set aside and moved back when the segment closes.  Safe
+                // because a train moves intact (per-item beat order unchanged) and ray beats
+                // are stateless; only the accumulator-chained distance beats order across
+                // items, and those are never bucketed.
+                let all_triangles = bucketed
                     && out[before..]
                         .iter()
-                        .all(|r| r.opcode == Opcode::RayTriangle)
-                {
-                    // Opcode bucketing within this stream's segment (see the matching branch
-                    // in `WavefrontScheduler::run_capped`): the train moves intact to the
-                    // segment tail, never across the segment boundary.
-                    self.deferred_spans.push((slot, out.len() - before));
-                    self.deferred.extend(out.drain(before..));
+                        .all(|r| r.opcode == Opcode::RayTriangle);
+                if all_triangles == triangles_stay {
+                    arena.spans.push((slot, beats));
                 } else {
-                    self.spans.push((slot, out.len() - before));
+                    arena.aside.extend(out.drain(before..));
+                    arena.aside_spans.push((slot, beats));
                 }
-                self.active[still_active] = slot;
+                arena.active[still_active] = slot;
                 still_active += 1;
             } else {
                 debug_assert_eq!(
@@ -776,32 +485,53 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
         // Compact: survivors of the processed prefix, then the unprocessed (budget-deferred)
         // suffix — relative item order is preserved either way.
         if processed < total {
-            self.active.copy_within(processed..total, still_active);
+            arena.active.copy_within(processed..total, still_active);
         }
-        self.active.truncate(still_active + (total - processed));
-        // Append the deferred triangle trains behind the segment's other beats.
-        out.append(&mut self.deferred);
-        self.spans.append(&mut self.deferred_spans);
+        arena.active.truncate(still_active + (total - processed));
+        // Close the segment: box trains first, triangle trains behind them — or, for a lone
+        // segment, whichever class stayed in place first.
+        let stayed = out.len() - pass_start;
+        let set_aside = arena.aside.len();
+        if triangles_stay && !self.lone {
+            out.splice(pass_start..pass_start, arena.aside.drain(..));
+            arena.aside_spans.append(&mut arena.spans);
+            core::mem::swap(&mut arena.spans, &mut arena.aside_spans);
+        } else {
+            out.append(&mut arena.aside);
+            arena.spans.append(&mut arena.aside_spans);
+        }
+        self.triangles_stay = if triangles_stay {
+            stayed > set_aside
+        } else {
+            set_aside > stayed
+        };
+        self.applied = (0, 0);
         out.len() - pass_start
     }
 
-    fn apply_pass(&mut self, responses: &[RayFlexResponse]) {
-        debug_assert_eq!(
-            responses.len(),
-            self.spans.iter().map(|&(_, beats)| beats).sum::<usize>()
-        );
-        let mut offset = 0;
-        for &(slot, beats) in &self.spans {
+    fn apply_pass(&mut self, mut responses: &[RayFlexResponse]) {
+        let arena = &mut self.arena;
+        // Resume where the previous slice of this pass stopped, possibly inside a train.
+        let (mut span, mut applied) = self.applied;
+        while !responses.is_empty() {
+            let (slot, beats) = arena.spans[span];
             let index = if self.slot_addressed {
                 slot
             } else {
-                self.order[slot]
+                arena.order[slot]
             };
-            for response in &responses[offset..offset + beats] {
-                self.query.apply(index, &mut self.states[slot], response);
+            let take = (beats - applied).min(responses.len());
+            for response in &responses[..take] {
+                self.query.apply(index, &mut arena.states[slot], response);
             }
-            offset += beats;
+            responses = &responses[take..];
+            applied += take;
+            if applied == beats {
+                span += 1;
+                applied = 0;
+            }
         }
+        self.applied = (span, applied);
     }
 }
 
@@ -858,9 +588,11 @@ pub(crate) use delegate_fused_stream_to_runner;
 ///   any stream's outputs or statistics (only the pass structure moves).
 /// * **Pass merging** — each pass concatenates the streams' beat segments in admission order
 ///   into one request buffer and dispatches it with a single
-///   [`RayFlexDatapath::execute_batch_segmented`] call, which attributes every beat to its
+///   [`RayFlexDatapath::execute_batch_streamed`] call, which attributes every beat to its
 ///   stream's [`QueryKind`] in the per-kind `BeatMix` table (and counts the pass as *fused* when
-///   at least two kinds contributed).
+///   at least two kinds contributed).  The responses stream back in windows of about a
+///   thousand, each handed to its streams at once, so a pass never holds a whole pass of
+///   responses beside its requests.
 /// * **Per-stream bit-identity** — a stream's own beat order is untouched by fusion (segments
 ///   are contiguous, items never interleave within a `build` call, and the datapath carries no
 ///   state across beats except the distance accumulators, whose beat trains stay contiguous
@@ -873,7 +605,7 @@ pub(crate) use delegate_fused_stream_to_runner;
 pub struct FusedScheduler {
     /// Reusable merged request buffer: one mixed-kind batch per pass.
     requests: Vec<RayFlexRequest>,
-    /// Reusable response buffer, parallel to `requests` after dispatch.
+    /// Reusable response window of the streamed dispatch.
     responses: Vec<RayFlexResponse>,
     /// `(kind, beat_count)` per stream for the current pass, in admission order.
     segments: Vec<(QueryKind, usize)>,
@@ -1054,16 +786,31 @@ impl FusedScheduler {
             self.last_run_passes += 1;
             beats_spent += self.requests.len() as u64;
 
-            // One bulk dispatch for the merged mixed-kind pass.
-            datapath.execute_batch_segmented(&self.requests, &self.segments, &mut self.responses);
-
-            // Demux phase: hand each stream its contiguous slice of the responses, walking the
-            // same admission order the build phase used.
-            let mut offset = 0;
-            for (&index, &(_, beats)) in self.order.iter().zip(&self.segments) {
-                streams[index].apply_pass(&self.responses[offset..offset + beats]);
-                offset += beats;
-            }
+            // One bulk dispatch for the merged mixed-kind pass, its responses streamed back in
+            // windows.  Demux: hand each stream its contiguous share of every window, walking
+            // the same admission order the build phase used.
+            let (order, segments) = (&self.order, &self.segments);
+            let (mut position, mut applied) = (0, 0);
+            datapath.execute_batch_streamed(
+                &self.requests,
+                segments,
+                &mut self.responses,
+                |mut window| {
+                    while !window.is_empty() {
+                        let beats = segments[position].1;
+                        let take = (beats - applied).min(window.len());
+                        if take > 0 {
+                            streams[order[position]].apply_pass(&window[..take]);
+                        }
+                        window = &window[take..];
+                        applied += take;
+                        if applied == beats {
+                            position += 1;
+                            applied = 0;
+                        }
+                    }
+                },
+            );
         }
         CappedFusedRun {
             beats: beats_spent,
@@ -1159,6 +906,31 @@ impl FusedScheduler {
             complete: true,
         }
     }
+
+    /// Runs `streams` the way `policy` dispatches them, capped at `max_total_beats` (`0` =
+    /// uncapped): the per-stream beat budget is a [`ExecMode::Fused`] knob (every other mode
+    /// runs at budget 0), [`ExecMode::ScalarReference`] executes beat by beat through
+    /// [`FusedScheduler::run_reference_capped`] and every other mode in bulk, and the
+    /// admission order is the policy's.  Stream deadlines are the caller's to register.
+    pub(crate) fn run_policy(
+        &mut self,
+        datapath: &mut RayFlexDatapath,
+        streams: &mut [&mut dyn FusedStream],
+        policy: &ExecPolicy,
+        max_total_beats: u64,
+    ) -> CappedFusedRun {
+        self.set_beat_budget(if policy.mode == ExecMode::Fused {
+            policy.beat_budget_per_stream
+        } else {
+            0
+        });
+        self.set_admission_order(policy.admission_order);
+        if policy.mode == ExecMode::ScalarReference {
+            self.run_reference_capped(datapath, streams, max_total_beats)
+        } else {
+            self.run_capped(datapath, streams, max_total_beats)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1250,35 +1022,54 @@ mod tests {
         }
     }
 
+    /// Runs `query` alone through a fresh fused scheduler at budget 0 — the wavefront
+    /// discipline — and returns the query and its outputs.
+    fn run_alone<Q: BatchQuery>(datapath: &mut RayFlexDatapath, query: Q) -> (Q, Vec<Q::Output>) {
+        let mut runner = StreamRunner::new(query);
+        FusedScheduler::new().run(datapath, &mut [&mut runner]);
+        runner.finish()
+    }
+
     #[test]
     fn the_scheduler_runs_every_item_to_completion() {
-        let mut scheduler = WavefrontScheduler::new();
         let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let mut query = toy_query(9, 3);
-        let outputs = scheduler.run(&mut datapath, &mut query);
+        let (query, outputs) = run_alone(&mut datapath, toy_query(9, 3));
         assert_eq!(outputs, vec![3; 9], "every round of every item hit");
         assert_eq!(query.built, 9 * 3);
         assert_eq!(datapath.executed_beats(), 9 * 3);
+        assert_eq!(datapath.beat_mix().passes(), 3, "one bulk pass per round");
     }
 
     #[test]
     fn states_return_to_the_pool_and_are_recycled() {
-        let mut scheduler = WavefrontScheduler::new();
+        let mut fused = FusedScheduler::new();
         let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let first = scheduler.run(&mut datapath, &mut toy_query(6, 2));
-        assert_eq!(scheduler.pooled_states(), 6);
-        let second = scheduler.run(&mut datapath, &mut toy_query(6, 2));
+        let mut runner = StreamRunner::new(toy_query(6, 2));
+        fused.run(&mut datapath, &mut [&mut runner]);
+        let (_, first, arena) = runner.into_parts();
+        assert_eq!(arena.pooled_states(), 6);
+
+        let mut runner = StreamRunner::with_arena(toy_query(6, 2), arena);
+        fused.run(&mut datapath, &mut [&mut runner]);
+        let (_, second, arena) = runner.into_parts();
         assert_eq!(first, second);
-        assert_eq!(scheduler.pooled_states(), 6, "states recycled, not leaked");
+        assert_eq!(arena.pooled_states(), 6, "states recycled, not leaked");
+
+        // A smaller run leaves the spare states parked for the next larger one.
+        let mut runner = StreamRunner::with_arena(toy_query(2, 1), arena);
+        fused.run(&mut datapath, &mut [&mut runner]);
+        let (_, small, arena) = runner.into_parts();
+        assert_eq!(small, vec![1; 2]);
+        assert_eq!(arena.pooled_states(), 6);
     }
 
     #[test]
     fn empty_runs_are_fine() {
-        let mut scheduler: WavefrontScheduler<CountingState> = WavefrontScheduler::new();
         let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let outputs = scheduler.run(&mut datapath, &mut toy_query(0, 5));
+        let (_, outputs) = run_alone(&mut datapath, toy_query(0, 5));
         assert!(outputs.is_empty());
         assert_eq!(datapath.executed_beats(), 0);
+        assert_eq!(datapath.beat_mix().passes(), 0);
     }
 
     #[test]
@@ -1359,13 +1150,21 @@ mod tests {
 
     #[test]
     fn an_uncapped_run_capped_call_is_the_plain_run() {
-        let mut scheduler = WavefrontScheduler::new();
+        let mut fused = FusedScheduler::new();
         let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let run = scheduler.run_capped(&mut datapath, &mut toy_query(6, 2), 0);
-        assert!(run.complete, "a zero cap disables the deadline entirely");
-        assert_eq!(run.outputs, vec![2; 6]);
-        assert_eq!(run.total, 6);
-        assert_eq!(run.beats, 12);
+        let mut runner = StreamRunner::new(toy_query(6, 2));
+        let run = fused.run_capped(&mut datapath, &mut [&mut runner], 0);
+        assert_eq!(
+            run,
+            CappedFusedRun {
+                beats: 12,
+                complete: true
+            },
+            "a zero cap disables the deadline entirely"
+        );
+        let (_, outputs, total) = runner.finish_partial();
+        assert_eq!(outputs, vec![2; 6]);
+        assert_eq!(total, 6);
     }
 
     #[test]
@@ -1373,31 +1172,31 @@ mod tests {
         // Nine items in lockstep: every pass carries nine beats.  A cap of 10 lets pass 1 (9
         // beats) through, admits pass 2 (9 < 10), and cancels at the pass-3 boundary with 18
         // beats spent — the pass in flight when the budget crosses the line always completes.
-        let mut scheduler = WavefrontScheduler::new();
+        let mut fused = FusedScheduler::new();
         let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let run = scheduler.run_capped(&mut datapath, &mut toy_query(9, 3), 10);
+        let mut runner = StreamRunner::new(toy_query(9, 3));
+        let run = fused.run_capped(&mut datapath, &mut [&mut runner], 10);
         assert!(!run.complete);
         assert_eq!(
             run.beats, 18,
             "cancellation overshoots by the pass in flight"
         );
-        assert_eq!(run.total, 9);
+        let (_, outputs, arena) = runner.into_parts();
         assert!(
-            run.outputs.is_empty(),
+            outputs.is_empty(),
             "lockstep items are all still in flight: the retired prefix is empty"
         );
         assert_eq!(
-            scheduler.pooled_states(),
+            arena.pooled_states(),
             9,
-            "cancelled items' states still return to the pool"
+            "cancelled items' states stay in the arena"
         );
     }
 
     #[test]
     fn a_capped_staggered_run_yields_the_retired_prefix() {
-        let mut scheduler = WavefrontScheduler::new();
         let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let expected = scheduler.run(&mut datapath, &mut staggered_query(&[1, 2, 3, 4]));
+        let (_, expected) = run_alone(&mut datapath, staggered_query(&[1, 2, 3, 4]));
         assert_eq!(expected, vec![1, 2, 3, 4], "every round of every item hit");
 
         // Passes carry 4, 3 and 2 beats (items retire as their rounds run out).  A cap of 8
@@ -1405,16 +1204,22 @@ mod tests {
         // with 9 beats spent.  An item retires on the pass AFTER its last beat (build returns
         // false), so by then only items 0 and 1 have retired: the prefix is 2.
         let mut capped_dp = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let run = scheduler.run_capped(&mut capped_dp, &mut staggered_query(&[1, 2, 3, 4]), 8);
-        assert!(!run.complete);
-        assert_eq!(run.beats, 9);
-        assert_eq!(run.total, 4);
+        let mut runner = StreamRunner::new(staggered_query(&[1, 2, 3, 4]));
+        let run = FusedScheduler::new().run_capped(&mut capped_dp, &mut [&mut runner], 8);
         assert_eq!(
-            run.outputs,
+            run,
+            CappedFusedRun {
+                beats: 9,
+                complete: false
+            }
+        );
+        let (_, outputs, total) = runner.finish_partial();
+        assert_eq!(total, 4);
+        assert_eq!(
+            outputs,
             expected[..2],
             "the retired prefix is bit-identical to the uncapped run"
         );
-        assert_eq!(scheduler.pooled_states(), 4);
     }
 
     #[test]
@@ -1472,14 +1277,15 @@ mod tests {
 
     #[test]
     fn fused_streams_match_sequential_scheduling_and_share_passes() {
-        // Sequential reference: each stream runs alone through the single-stream scheduler.
-        let mut scheduler = WavefrontScheduler::new();
+        // Sequential reference: each stream runs alone.
         let mut sequential_dp = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let expected_a = scheduler.run(&mut sequential_dp, &mut toy_query(7, 3));
-        let expected_b = scheduler.run(
+        let (_, expected_a) = run_alone(&mut sequential_dp, toy_query(7, 3));
+        let (_, expected_b) = run_alone(
             &mut sequential_dp,
-            &mut toy_query_of_kind(QueryKind::AnyHit, 4, 5),
+            toy_query_of_kind(QueryKind::AnyHit, 4, 5),
         );
+        assert_eq!(sequential_dp.beat_mix().passes(), 3 + 5);
+        assert_eq!(sequential_dp.beat_mix().fused_passes(), 0);
 
         // Fused: both streams share every pass of one datapath.
         let mut fused_dp = RayFlexDatapath::new(PipelineConfig::baseline_unified());

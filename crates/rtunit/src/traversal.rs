@@ -8,15 +8,16 @@
 //!   completion, issuing one register-accurate emulated beat at a time — the reference every
 //!   other mode is tested against;
 //! * [`ExecMode::Wavefront`](crate::ExecMode::Wavefront) keeps each whole ray stream in flight
-//!   through the generic [`WavefrontScheduler`](crate::WavefrontScheduler): every pass builds
-//!   one beat per active ray into a reusable request buffer, dispatches them through
-//!   [`RayFlexDatapath::execute_batch_into`](rayflex_core::RayFlexDatapath::execute_batch_into)
-//!   in bulk, then applies the responses to the per-ray states.  Per-ray state (traversal stack,
-//!   pending-leaf queue) comes from the scheduler's pool, so a steady-state stream performs no
-//!   allocation per ray;
-//! * [`ExecMode::Fused`](crate::ExecMode::Fused) traces the request's closest-hit and any-hit
-//!   streams in **shared mixed-kind bulk passes** over the engine's single datapath (the
-//!   unified RT unit of §V-A), honouring the policy's per-stream beat budget;
+//!   through the generic [`FusedScheduler`], one stream at a time: every pass builds one beat
+//!   train per active ray into a reusable request buffer, dispatches it through
+//!   [`RayFlexDatapath::execute_batch_streamed`](rayflex_core::RayFlexDatapath::execute_batch_streamed)
+//!   in bulk, and applies the responses to the per-ray states as they stream back.  Per-ray
+//!   state (traversal stack, pending leaf range) lives in the engine's reusable arenas, so a
+//!   steady-state stream performs no allocation per ray;
+//! * [`ExecMode::Fused`](crate::ExecMode::Fused) runs the request's closest-hit and any-hit
+//!   streams through the same scheduler together, in **shared mixed-kind bulk passes** over the
+//!   engine's single datapath (the unified RT unit of §V-A), honouring the policy's per-stream
+//!   beat budget;
 //! * [`ExecMode::Parallel`](crate::ExecMode::Parallel) shards the streams contiguously across
 //!   worker threads, each worker a private datapath running the fused discipline over its slice.
 //!
@@ -30,16 +31,20 @@
 //! [`QueryKind::AnyHit`]) of the [`BatchQuery`] state machine; the renderer and the k-NN /
 //! hierarchical engines run their own kinds through the same scheduler under the same policies.
 
+use core::ops::Range;
 use rayflex_core::{
     BeatMix, PipelineConfig, RayFlexDatapath, RayFlexRequest, RayFlexResponse, RayOperand,
 };
+
 use rayflex_geometry::Ray;
 
 use crate::bvh::ChildRef;
 use crate::error::{validate_rays, PartialResult, QueryError, QueryOutcome, SceneValidator};
 use crate::policy::{CoherenceMode, ExecMode, ExecPolicy};
-use crate::query::{BatchQuery, FusedScheduler, QueryKind, StreamRunner, WavefrontScheduler};
-use crate::scene::{handle, handle_low, NodeStep, Scene, SceneView};
+use crate::query::{
+    BatchQuery, CappedFusedRun, FusedScheduler, QueryKind, RunnerArena, StreamRunner,
+};
+use crate::scene::{handle, NodeStep, Scene, SceneView};
 
 /// The closest hit found by a traversal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -251,19 +256,21 @@ impl TraceOutput {
     }
 }
 
-/// Per-ray wavefront traversal state, shared by the closest-hit and any-hit queries.  The vectors
-/// are pooled by the scheduler and reused across rays and calls.
+/// Per-ray wavefront traversal state, shared by the closest-hit and any-hit queries.  The stack
+/// lives in the engine's runner arenas and is reused across rays and calls.
 ///
-/// Stack and pending entries are traversal *handles* (see `crate::scene`): a context id in the
-/// high bits — the top-level structure, or one instance's BLAS — and a node / mesh-local
-/// primitive index in the low bits, so one stack walks a flat BVH and a two-level TLAS/BLAS
-/// hierarchy with the same machinery.
+/// Stack entries are traversal *handles* (see `crate::scene`): a context id in the high bits —
+/// the top-level structure, or one instance's BLAS — and a node / mesh-local primitive index in
+/// the low bits, so one stack walks a flat BVH and a two-level TLAS/BLAS hierarchy with the same
+/// machinery.
 #[derive(Debug, Default)]
 pub struct RayWork {
     stack: Vec<u64>,
-    /// Leaf primitives awaiting their ray–triangle beat, tested back-to-front (`pop`), so they
-    /// are pushed in reverse leaf order to preserve the scalar path's test order.
-    pending: Vec<u64>,
+    /// Leaf positions awaiting their ray–triangle beat, tested front to back in leaf order like
+    /// the scalar path: the untested rest of one leaf (a leaf drains before the next pops).
+    pending: Range<u32>,
+    /// Context the pending positions live in.
+    pending_ctx: u32,
     best: Option<TraversalHit>,
 }
 
@@ -271,8 +278,13 @@ impl RayWork {
     fn reset(&mut self, root: u64) {
         self.stack.clear();
         self.stack.push(root);
-        self.pending.clear();
+        self.pending = 0..0;
         self.best = None;
+    }
+
+    /// The handle of the next pending primitive.
+    fn next_pending(&self) -> u64 {
+        handle(self.pending_ctx, self.pending.start)
     }
 }
 
@@ -288,29 +300,22 @@ struct TraversalQuery<'a> {
     /// One prebuilt datapath operand per ray: the operand is constant across every beat of a
     /// ray's traversal, so converting it once here keeps the per-beat build path to two copies
     /// (operand + geometry) instead of a full [`Ray`] → operand conversion per beat.  Indexed
-    /// by item until [`BatchQuery::reorder`] gathers it into admission order, after which the
+    /// by item until [`BatchQuery::reorder`] rebuilds it in admission order, after which the
     /// scheduler addresses the query by admission slot and every access here is sequential.
     operands: Vec<RayOperand>,
-    /// Scratch for the [`BatchQuery::reorder`] gather, pooled alongside `operands`.
-    scratch: Vec<RayOperand>,
     stats: TraversalStats,
 }
 
 impl<'a> TraversalQuery<'a> {
-    fn new(kind: QueryKind, view: SceneView<'a>, rays: &'a [Ray]) -> Self {
-        Self::with_operand_buffer(kind, view, rays, Vec::new(), Vec::new())
-    }
-
-    /// [`TraversalQuery::new`] recycling caller-pooled operand buffers: the buffers are cleared
-    /// and refilled, so warm buffers make query construction allocation-free — the engine
-    /// reclaims them via [`TraversalQuery::into_buffers`] after the run (the zero-alloc
-    /// steady-state contract of the wavefront hot path).
+    /// A query over `rays`, recycling a caller-pooled operand buffer: the buffer is cleared
+    /// and refilled, so a warm buffer makes query construction allocation-free — the engine
+    /// reclaims it after the run (the zero-alloc steady-state contract of the batched hot
+    /// path).
     fn with_operand_buffer(
         kind: QueryKind,
         view: SceneView<'a>,
         rays: &'a [Ray],
         mut operands: Vec<RayOperand>,
-        scratch: Vec<RayOperand>,
     ) -> Self {
         debug_assert!(matches!(kind, QueryKind::ClosestHit | QueryKind::AnyHit));
         operands.clear();
@@ -320,17 +325,11 @@ impl<'a> TraversalQuery<'a> {
             view,
             rays,
             operands,
-            scratch,
             stats: TraversalStats {
                 rays: rays.len() as u64,
                 ..TraversalStats::default()
             },
         }
-    }
-
-    /// Consumes the query, handing its operand and scratch buffers back to the owner's pool.
-    fn into_buffers(self) -> (Vec<RayOperand>, Vec<RayOperand>) {
-        (self.operands, self.scratch)
     }
 
     /// Builds the next beat for one ray, advancing its state; `false` retires the ray.
@@ -362,21 +361,18 @@ impl<'a> TraversalQuery<'a> {
                     let operand = &self.operands[item];
                     match &self.view {
                         SceneView::Flat(mesh) => {
-                            let triangles = mesh.leaf_triangles();
-                            out.extend(state.pending.iter().rev().map(|&entry| {
-                                RayFlexRequest::ray_triangle_operand(
-                                    item as u64,
-                                    operand,
-                                    &triangles[handle_low(entry) as usize],
-                                )
+                            let leaf = state.pending.start as usize..state.pending.end as usize;
+                            out.extend(mesh.leaf_triangles()[leaf].iter().map(|triangle| {
+                                RayFlexRequest::ray_triangle_operand(item as u64, operand, triangle)
                             }));
                         }
                         view => {
-                            out.extend(state.pending.iter().rev().map(|&entry| {
+                            let ctx = state.pending_ctx;
+                            out.extend(state.pending.clone().map(|position| {
                                 RayFlexRequest::ray_triangle_operand(
                                     item as u64,
                                     operand,
-                                    &view.pending_triangle(entry),
+                                    &view.pending_triangle(handle(ctx, position)),
                                 )
                             }));
                         }
@@ -384,14 +380,11 @@ impl<'a> TraversalQuery<'a> {
                 } else {
                     // Any-hit stops at the first accepted hit, so beats past it must never
                     // issue: one beat per pass keeps the count identical to the scalar walk.
-                    let Some(&entry) = state.pending.last() else {
-                        unreachable!("pending is non-empty");
-                    };
                     self.stats.triangle_ops += 1;
                     out.push(RayFlexRequest::ray_triangle_operand(
                         item as u64,
                         &self.operands[item],
-                        &self.view.pending_triangle(entry),
+                        &self.view.pending_triangle(state.next_pending()),
                     ));
                 }
                 return true;
@@ -402,10 +395,8 @@ impl<'a> TraversalQuery<'a> {
             match self.view.step(popped) {
                 NodeStep::Leaf { positions, ctx } => {
                     self.stats.leaves_visited += 1;
-                    // Reversed so `pop` tests primitives in leaf order, like the scalar path.
-                    state
-                        .pending
-                        .extend(positions.rev().map(|position| handle(ctx, position)));
+                    state.pending = positions;
+                    state.pending_ctx = ctx;
                 }
                 NodeStep::Instances { ids } => {
                     // A TLAS leaf costs no beat: each instance descends straight to its BLAS
@@ -454,16 +445,20 @@ impl BatchQuery for TraversalQuery<'_> {
         self.operands[item].coherence_key()
     }
 
-    /// Gathers the operand table into admission order, switching the query to admission-slot
+    /// Rebuilds the operand table in admission order, switching the query to admission-slot
     /// addressing: a sorted run's build/apply loops then walk `operands` sequentially instead of
-    /// striding through it in item order.  Everything else the query touches is either shared
-    /// and read-only (the scene view), owned by the addressed state (stack, pending, best hit),
-    /// or an order-insensitive aggregate (the statistics), so slot addressing is output-exact.
+    /// striding through it in item order.  The item-order table has served its one purpose (the
+    /// sort keys), and an operand is a plain copy of its ray's fields, so the rebuild needs no
+    /// second buffer.  Everything else the query touches is either shared and read-only (the
+    /// scene view), owned by the addressed state (stack, pending, best hit), or an
+    /// order-insensitive aggregate (the statistics), so slot addressing is output-exact.
     fn reorder(&mut self, order: &[usize]) -> bool {
-        self.scratch.clear();
-        self.scratch
-            .extend(order.iter().map(|&item| self.operands[item]));
-        core::mem::swap(&mut self.operands, &mut self.scratch);
+        self.operands.clear();
+        self.operands.extend(
+            order
+                .iter()
+                .map(|&item| RayOperand::from_ray(&self.rays[item])),
+        );
         true
     }
 
@@ -482,9 +477,10 @@ impl BatchQuery for TraversalQuery<'_> {
 
     fn apply(&mut self, item: usize, state: &mut RayWork, response: &RayFlexResponse) {
         if let Some(result) = response.triangle_result {
-            let Some(entry) = state.pending.pop() else {
+            let Some(position) = state.pending.next() else {
                 unreachable!("a triangle beat always has a pending primitive");
             };
+            let entry = handle(state.pending_ctx, position);
             // The parametric extent comes from the operand table (same values as the source
             // ray's), so apply works under both item and admission-slot addressing.  The
             // global-primitive decode happens only on an accepted hit — most triangle tests
@@ -517,7 +513,7 @@ impl BatchQuery for TraversalQuery<'_> {
                                 t,
                             });
                             state.stack.clear();
-                            state.pending.clear();
+                            state.pending = 0..0;
                         }
                     }
                 }
@@ -539,15 +535,23 @@ impl BatchQuery for TraversalQuery<'_> {
     }
 }
 
+/// The reusable buffers of one traversal stream: the runner arena (per-ray states and pass
+/// bookkeeping) plus the query's operand table.
+#[derive(Debug, Default)]
+struct TraversalArena {
+    runner: RunnerArena<RayWork>,
+    operands: Vec<RayOperand>,
+}
+
 /// A traversal ray stream packaged for **fused** scheduling: a closest-hit or any-hit query over
 /// one scene and ray slice, runnable side by side with other
 /// [`FusedStream`](crate::FusedStream)s (another traversal
 /// stream, distance scoring, candidate collection) in the shared passes of a
 /// [`FusedScheduler`].
 ///
-/// Because the per-ray state machine is exactly the one the engine's wavefront frontend runs,
-/// the hits and [`TraversalStats`] a fused stream yields are bit-identical to
-/// [`TraversalEngine::trace`] under any [`ExecPolicy`](crate::ExecPolicy) over the same rays.
+/// Because the per-ray state machine is exactly the one the engine runs, the hits and
+/// [`TraversalStats`] a fused stream yields are bit-identical to [`TraversalEngine::trace`]
+/// under any [`ExecPolicy`](crate::ExecPolicy) over the same rays.
 #[derive(Debug)]
 pub struct TraversalStream<'a> {
     runner: StreamRunner<TraversalQuery<'a>>,
@@ -557,24 +561,39 @@ impl<'a> TraversalStream<'a> {
     /// A closest-hit stream over `rays` against `scene`.
     #[must_use]
     pub fn closest_hit(scene: &'a Scene, rays: &'a [Ray]) -> Self {
-        Self::closest_hit_view(scene.view(), rays)
+        Self::with_arena(
+            QueryKind::ClosestHit,
+            scene.view(),
+            rays,
+            TraversalArena::default(),
+            false,
+        )
     }
 
     /// An any-hit (shadow/occlusion) stream over `rays` against `scene`.
     #[must_use]
     pub fn any_hit(scene: &'a Scene, rays: &'a [Ray]) -> Self {
-        Self::any_hit_view(scene.view(), rays)
+        Self::with_arena(
+            QueryKind::AnyHit,
+            scene.view(),
+            rays,
+            TraversalArena::default(),
+            false,
+        )
     }
 
-    pub(crate) fn closest_hit_view(view: SceneView<'a>, rays: &'a [Ray]) -> Self {
+    /// A `kind` stream over a borrowed view, built in a recycled arena; `lone` as
+    /// [`StreamRunner::lone`].
+    fn with_arena(
+        kind: QueryKind,
+        view: SceneView<'a>,
+        rays: &'a [Ray],
+        arena: TraversalArena,
+        lone: bool,
+    ) -> Self {
+        let query = TraversalQuery::with_operand_buffer(kind, view, rays, arena.operands);
         TraversalStream {
-            runner: StreamRunner::new(TraversalQuery::new(QueryKind::ClosestHit, view, rays)),
-        }
-    }
-
-    pub(crate) fn any_hit_view(view: SceneView<'a>, rays: &'a [Ray]) -> Self {
-        TraversalStream {
-            runner: StreamRunner::new(TraversalQuery::new(QueryKind::AnyHit, view, rays)),
+            runner: StreamRunner::with_arena(query, arena.runner).lone(lone),
         }
     }
 
@@ -607,13 +626,23 @@ impl<'a> TraversalStream<'a> {
     /// Like [`TraversalStream::finish`], but tolerant of a budget-cancelled run: yields the
     /// hits of the longest fully-retired item prefix (everything, if the run completed), the
     /// prefix length, and the stream's statistics.  Rays cancelled mid-flight surface nothing —
-    /// a premature best-hit would be silently wrong.  A server mapping
-    /// [`CappedFusedRun::Incomplete`](crate::CappedFusedRun) onto a partial protocol response
-    /// calls this to salvage the completed prefix.
+    /// a premature best-hit would be silently wrong.  A server mapping an incomplete
+    /// [`CappedFusedRun`](crate::CappedFusedRun) onto a partial protocol response calls this to
+    /// salvage the completed prefix.
     #[must_use]
     pub fn finish_partial(self) -> (Vec<Option<TraversalHit>>, usize, TraversalStats) {
         let (query, hits, prefix) = self.runner.finish_partial();
         (hits, prefix, query.stats)
+    }
+
+    /// [`TraversalStream::finish_partial`] handing the arena back for the next run.
+    fn into_parts(self) -> (Vec<Option<TraversalHit>>, TraversalStats, TraversalArena) {
+        let (query, hits, runner) = self.runner.into_parts();
+        let arena = TraversalArena {
+            runner,
+            operands: query.operands,
+        };
+        (hits, query.stats, arena)
     }
 }
 
@@ -638,19 +667,12 @@ pub struct TraversalEngine {
     next_tag: u64,
     /// Pooled traversal stacks (of handles) for the scalar paths.
     stack_pool: Vec<Vec<u64>>,
-    /// The generic wavefront scheduler; both traversal query kinds share its state pool.
-    scheduler: WavefrontScheduler<RayWork>,
-    /// The fused multi-stream scheduler for passes shared between query kinds.
+    /// The batched scheduler every non-scalar mode runs its streams through.
     fused: FusedScheduler,
-    /// Coherence mode applied to batched admissions (octant-sorted wavefronts); the policy
-    /// entry points overwrite it per call, [`ExecMode::ScalarReference`] forces it off.
-    coherence: CoherenceMode,
-    /// Pooled per-ray operand buffer recycled across wavefront runs, so a steady-state trace
-    /// call builds its query without allocating.
-    operand_pool: Vec<RayOperand>,
-    /// Pooled scratch for the coherence reorder gather (see [`BatchQuery::reorder`]), recycled
-    /// like [`TraversalEngine::operand_pool`].
-    operand_scratch: Vec<RayOperand>,
+    /// Reusable buffers of the request's two streams (the wavefront, running one stream at a
+    /// time, needs only the first), so a steady-state trace call allocates nothing but its
+    /// output.
+    arenas: [TraversalArena; 2],
 }
 
 impl TraversalEngine {
@@ -669,11 +691,8 @@ impl TraversalEngine {
             pool: crate::parallel::PoolStats::default(),
             next_tag: 0,
             stack_pool: Vec::new(),
-            scheduler: WavefrontScheduler::new(),
             fused: FusedScheduler::new(),
-            coherence: CoherenceMode::default(),
-            operand_pool: Vec::new(),
-            operand_scratch: Vec::new(),
+            arenas: Default::default(),
         }
     }
 
@@ -710,43 +729,13 @@ impl TraversalEngine {
         self.pool
     }
 
-    /// Sets the SIMD lane width of this engine's datapath fast path (clamped to
-    /// `[1, rayflex_core::MAX_SIMD_LANES]`).  [`ExecPolicy::simd_lanes`] applies this
-    /// automatically at every `trace`/`try_trace` entry; the setter is public for callers
-    /// driving the engine's wavefront frontends directly.
-    pub fn set_simd_lanes(&mut self, lanes: usize) {
-        self.datapath.set_simd_lanes(lanes);
-    }
-
-    /// Selects the coherence mode the engine's batched frontends admit work under (octant-sorted
-    /// wavefronts, active-lane compaction — see [`CoherenceMode`]).
-    /// [`ExecPolicy::coherence`](crate::ExecPolicy) applies this automatically at every
-    /// `trace`/`try_trace` entry; the setter is public for callers driving the engine's
-    /// wavefront frontends directly.  Hits and [`TraversalStats`] are coherence-invariant —
-    /// the knob only reorders dispatch.
-    pub fn set_coherence(&mut self, coherence: CoherenceMode) {
-        self.coherence = coherence;
-    }
-
-    /// The coherence mode the engine's batched frontends currently admit work under.
-    #[must_use]
-    pub fn coherence(&self) -> CoherenceMode {
-        self.coherence
-    }
-
-    /// The effective (clamped) SIMD lane width of this engine's datapath fast path.
-    #[must_use]
-    pub fn simd_lanes(&self) -> usize {
-        self.datapath.simd_lanes()
-    }
-
     /// Traces a [`TraceRequest`] under an execution policy — **the** traversal entry point, for
     /// both query kinds and every [`ExecMode`]:
     ///
     /// * [`ExecMode::ScalarReference`] — every ray walks to completion one register-accurate
     ///   emulated beat at a time (closest-hit stream first, then any-hit);
-    /// * [`ExecMode::Wavefront`] — each stream runs as one bulk-dispatch wavefront through the
-    ///   shared scheduler;
+    /// * [`ExecMode::Wavefront`] — each stream runs alone as one bulk-dispatch wavefront through
+    ///   the engine's scheduler, closest-hit first;
     /// * [`ExecMode::Fused`] — both streams merge into shared mixed-kind passes over this
     ///   engine's single datapath, with at most
     ///   [`beat_budget_per_stream`](ExecPolicy::beat_budget_per_stream) beats per stream per
@@ -777,11 +766,9 @@ impl TraversalEngine {
     /// assert!(hits[0].is_some());
     /// ```
     pub fn trace(&mut self, request: &TraceRequest<'_>, policy: &ExecPolicy) -> TraceOutput {
-        self.datapath.set_simd_lanes(policy.effective_simd_lanes());
-        self.coherence = policy.effective_coherence();
-        let view = request.view();
-        match policy.mode {
-            ExecMode::ScalarReference => TraceOutput {
+        if policy.mode == ExecMode::ScalarReference {
+            let view = request.view();
+            return TraceOutput {
                 closest: request
                     .closest
                     .iter()
@@ -792,57 +779,19 @@ impl TraversalEngine {
                     .iter()
                     .map(|ray| self.scalar_any_hit(view, ray))
                     .collect(),
-            },
-            ExecMode::Wavefront => TraceOutput {
-                closest: self.wavefront_closest_hits(view, request.closest),
-                any: self.wavefront_any_hits(view, request.any),
-            },
-            ExecMode::Fused => {
-                let (closest, any) = self.fused_pair(
-                    view,
-                    request.closest,
-                    request.any,
-                    policy.beat_budget_per_stream,
-                    policy.admission_order,
-                    request.deadlines,
-                );
-                TraceOutput { closest, any }
-            }
-            ExecMode::Parallel { shards } => {
-                let threads = shards.requested_threads();
-                let auto_tuned = crate::parallel::pair_effective_threads(
-                    request.closest.len(),
-                    request.any.len(),
-                    threads,
-                );
-                if auto_tuned <= 1 {
-                    // Too small to shard profitably: run inline on this engine (keeping its
-                    // pools and beat attribution) rather than spinning up a throwaway worker.
-                    if request.any.is_empty() {
-                        return TraceOutput {
-                            closest: self.wavefront_closest_hits(view, request.closest),
-                            any: Vec::new(),
-                        };
-                    }
-                    if request.closest.is_empty() {
-                        return TraceOutput {
-                            closest: Vec::new(),
-                            any: self.wavefront_any_hits(view, request.any),
-                        };
-                    }
-                    let (closest, any) = self.fused_pair(
-                        view,
-                        request.closest,
-                        request.any,
-                        0,
-                        policy.admission_order,
-                        request.deadlines,
-                    );
-                    return TraceOutput { closest, any };
-                }
+            };
+        }
+        if let ExecMode::Parallel { shards } = policy.mode {
+            let threads = shards.requested_threads();
+            if crate::parallel::pair_effective_threads(
+                request.closest.len(),
+                request.any.len(),
+                threads,
+            ) > 1
+            {
                 let out = crate::parallel::fused_pair_sharded(
                     *self.config(),
-                    view,
+                    request.view(),
                     request.closest,
                     request.any,
                     threads,
@@ -852,12 +801,15 @@ impl TraversalEngine {
                 );
                 self.stats.merge(&out.stats);
                 self.pool.merge(&out.pool);
-                TraceOutput {
+                return TraceOutput {
                     closest: out.closest,
                     any: out.any,
-                }
+                };
             }
+            // Too small to shard profitably: run inline on this engine (keeping its arenas and
+            // beat attribution) rather than spinning up a throwaway worker.
         }
+        self.run_streams(request, policy, 0).0
     }
 
     /// [`TraversalEngine::trace`] with the hardened failure contract: structured errors instead
@@ -964,101 +916,20 @@ impl TraversalEngine {
     }
 
     /// The deadline-capped `try_trace` body: runs the request under
-    /// [`ExecPolicy::max_total_beats`] and maps the capped machinery's progress onto the
-    /// [`QueryOutcome`] contract.
+    /// [`ExecPolicy::max_total_beats`] and maps the run's progress onto the [`QueryOutcome`]
+    /// contract.
     ///
     /// Capped runs always execute inline on this engine's datapath — cooperative cancellation
     /// is a single-unit admission policy, so [`ExecMode::Parallel`] does not shard here (hits
-    /// of the completed prefix are bit-identical in every mode regardless).  The wavefront mode
-    /// runs its streams closest-first, threading the remaining budget into the second stream;
-    /// the other modes run both streams through the fused machinery (scalar via the
-    /// register-accurate reference walk).
+    /// of the completed prefix are bit-identical in every mode regardless).
     pub(crate) fn trace_capped(
         &mut self,
         request: &TraceRequest<'_>,
         policy: &ExecPolicy,
     ) -> Result<QueryOutcome<TraceOutput>, QueryError> {
-        self.datapath.set_simd_lanes(policy.effective_simd_lanes());
-        self.coherence = policy.effective_coherence();
-        self.scheduler.set_coherence(self.coherence);
         let cap = policy.max_total_beats;
-        let total = request.closest.len() + request.any.len();
-        let (output, complete, beats) = if policy.mode == ExecMode::Wavefront {
-            let mut closest_query = TraversalQuery::with_operand_buffer(
-                QueryKind::ClosestHit,
-                request.view(),
-                request.closest,
-                core::mem::take(&mut self.operand_pool),
-                core::mem::take(&mut self.operand_scratch),
-            );
-            let closest = self
-                .scheduler
-                .run_capped(&mut self.datapath, &mut closest_query, cap);
-            self.stats.merge(&closest_query.stats);
-            (self.operand_pool, self.operand_scratch) = closest_query.into_buffers();
-            let mut beats = closest.beats;
-            let mut any_hits = Vec::new();
-            let mut any_complete = request.any.is_empty();
-            let remaining = cap.saturating_sub(beats);
-            if closest.complete && !request.any.is_empty() && remaining > 0 {
-                let mut any_query = TraversalQuery::with_operand_buffer(
-                    QueryKind::AnyHit,
-                    request.view(),
-                    request.any,
-                    core::mem::take(&mut self.operand_pool),
-                    core::mem::take(&mut self.operand_scratch),
-                );
-                let any = self
-                    .scheduler
-                    .run_capped(&mut self.datapath, &mut any_query, remaining);
-                self.stats.merge(&any_query.stats);
-                (self.operand_pool, self.operand_scratch) = any_query.into_buffers();
-                beats += any.beats;
-                any_hits = any.outputs;
-                any_complete = any.complete;
-            }
-            (
-                TraceOutput {
-                    closest: closest.outputs,
-                    any: any_hits,
-                },
-                closest.complete && any_complete,
-                beats,
-            )
-        } else {
-            let mut closest = TraversalStream::closest_hit_view(request.view(), request.closest);
-            let mut any = TraversalStream::any_hit_view(request.view(), request.any);
-            closest.set_coherence(self.coherence);
-            any.set_coherence(self.coherence);
-            let budget = if policy.mode == ExecMode::Fused {
-                policy.beat_budget_per_stream
-            } else {
-                0
-            };
-            self.fused.set_beat_budget(budget);
-            self.fused.set_admission_order(policy.admission_order);
-            self.fused.set_stream_deadlines(&request.deadlines);
-            let streams: &mut [&mut dyn crate::query::FusedStream] = &mut [&mut closest, &mut any];
-            let progress = if policy.mode == ExecMode::ScalarReference {
-                self.fused
-                    .run_reference_capped(&mut self.datapath, streams, cap)
-            } else {
-                self.fused.run_capped(&mut self.datapath, streams, cap)
-            };
-            let (closest_hits, _, closest_stats) = closest.finish_partial();
-            let (any_hits, _, any_stats) = any.finish_partial();
-            self.stats.merge(&closest_stats);
-            self.stats.merge(&any_stats);
-            (
-                TraceOutput {
-                    closest: closest_hits,
-                    any: any_hits,
-                },
-                progress.complete,
-                progress.beats,
-            )
-        };
-        if complete {
+        let (output, progress) = self.run_streams(request, policy, cap);
+        if progress.complete {
             return Ok(QueryOutcome::Complete(output));
         }
         let completed = output.closest.len() + output.any.len();
@@ -1070,10 +941,101 @@ impl TraversalEngine {
         Ok(QueryOutcome::Partial(PartialResult {
             output,
             completed,
-            total,
-            beats_spent: beats,
+            total: request.closest.len() + request.any.len(),
+            beats_spent: progress.beats,
             progress: self.beat_mix(),
         }))
+    }
+
+    /// Runs the request's streams on this engine's datapath through its scheduler, dispatched
+    /// as `policy` says ([`FusedScheduler::run_policy`]) and capped at `cap` beats (`0` =
+    /// uncapped).  Returns each stream's retired prefix and the run's progress.
+    fn run_streams(
+        &mut self,
+        request: &TraceRequest<'_>,
+        policy: &ExecPolicy,
+        cap: u64,
+    ) -> (TraceOutput, CappedFusedRun) {
+        self.datapath.set_simd_lanes(policy.effective_simd_lanes());
+        self.fused.set_stream_deadlines(&request.deadlines);
+        let coherence = policy.effective_coherence();
+        let stream = |kind, rays, arena, lone| {
+            let mut stream = TraversalStream::with_arena(kind, request.view(), rays, arena, lone);
+            stream.set_coherence(coherence);
+            stream
+        };
+        if policy.mode != ExecMode::Wavefront {
+            // Both streams in shared passes, each in its own arena (a stream whose partner is
+            // empty still fills its passes alone).
+            let [first, second] = core::mem::take(&mut self.arenas);
+            let mut closest = stream(
+                QueryKind::ClosestHit,
+                request.closest,
+                first,
+                request.any.is_empty(),
+            );
+            let mut any = stream(
+                QueryKind::AnyHit,
+                request.any,
+                second,
+                request.closest.is_empty(),
+            );
+            let progress = self.fused.run_policy(
+                &mut self.datapath,
+                &mut [&mut closest, &mut any],
+                policy,
+                cap,
+            );
+            let (closest, closest_stats, first) = closest.into_parts();
+            let (any, any_stats, second) = any.into_parts();
+            self.arenas = [first, second];
+            self.stats.merge(&closest_stats);
+            self.stats.merge(&any_stats);
+            return (TraceOutput { closest, any }, progress);
+        }
+        // The wavefront runs one stream at a time, closest-hit first, so both share the first
+        // arena; the any-hit stream runs on what the closest-hit stream left of the cap.
+        let mut output = TraceOutput {
+            closest: Vec::new(),
+            any: Vec::new(),
+        };
+        let mut progress = CappedFusedRun {
+            beats: 0,
+            complete: true,
+        };
+        for (kind, rays) in [
+            (QueryKind::ClosestHit, request.closest),
+            (QueryKind::AnyHit, request.any),
+        ] {
+            if rays.is_empty() {
+                continue;
+            }
+            if cap != 0 && progress.beats >= cap {
+                progress.complete = false;
+                break;
+            }
+            let mut alone = stream(kind, rays, core::mem::take(&mut self.arenas[0]), true);
+            let run = self.fused.run_policy(
+                &mut self.datapath,
+                &mut [&mut alone],
+                policy,
+                if cap == 0 { 0 } else { cap - progress.beats },
+            );
+            let (hits, stats, arena) = alone.into_parts();
+            self.arenas[0] = arena;
+            self.stats.merge(&stats);
+            if kind == QueryKind::ClosestHit {
+                output.closest = hits;
+            } else {
+                output.any = hits;
+            }
+            progress.beats += run.beats;
+            if !run.complete {
+                progress.complete = false;
+                break;
+            }
+        }
+        (output, progress)
     }
 
     /// The scalar register-accurate walk of one closest-hit ray (the
@@ -1201,74 +1163,6 @@ impl TraversalEngine {
         found
     }
 
-    /// One wavefront run of the closest-hit stream through the shared scheduler (the
-    /// [`ExecMode::Wavefront`] workhorse, also used per shard by the parallel mode's workers).
-    pub(crate) fn wavefront_closest_hits(
-        &mut self,
-        view: SceneView<'_>,
-        rays: &[Ray],
-    ) -> Vec<Option<TraversalHit>> {
-        self.wavefront_hits(QueryKind::ClosestHit, view, rays)
-    }
-
-    /// One wavefront run of the any-hit stream through the shared scheduler.
-    pub(crate) fn wavefront_any_hits(
-        &mut self,
-        view: SceneView<'_>,
-        rays: &[Ray],
-    ) -> Vec<Option<TraversalHit>> {
-        self.wavefront_hits(QueryKind::AnyHit, view, rays)
-    }
-
-    /// The shared wavefront frontend body: build the query over pooled operand storage, run it
-    /// under the engine's coherence mode, merge its statistics and reclaim the buffer — in
-    /// steady state the only allocation left is the returned hit vector.
-    fn wavefront_hits(
-        &mut self,
-        kind: QueryKind,
-        view: SceneView<'_>,
-        rays: &[Ray],
-    ) -> Vec<Option<TraversalHit>> {
-        let operands = core::mem::take(&mut self.operand_pool);
-        let scratch = core::mem::take(&mut self.operand_scratch);
-        let mut query = TraversalQuery::with_operand_buffer(kind, view, rays, operands, scratch);
-        self.scheduler.set_coherence(self.coherence);
-        let hits = self.scheduler.run(&mut self.datapath, &mut query);
-        self.stats.merge(&query.stats);
-        (self.operand_pool, self.operand_scratch) = query.into_buffers();
-        hits
-    }
-
-    /// The fused pair: the closest-hit and any-hit streams merged into shared mixed-kind bulk
-    /// passes over this engine's datapath, under the given per-stream beat budget (`0` =
-    /// unlimited).  The fusion is observable in the datapath's per-kind [`BeatMix`] counters and
-    /// its `fused_passes` count; hits and merged [`TraversalStats`] equal sequential wavefront
-    /// scheduling exactly.
-    pub(crate) fn fused_pair(
-        &mut self,
-        view: SceneView<'_>,
-        closest_rays: &[Ray],
-        any_rays: &[Ray],
-        beat_budget_per_stream: usize,
-        admission_order: crate::policy::AdmissionOrder,
-        deadlines: [u64; 2],
-    ) -> (Vec<Option<TraversalHit>>, Vec<Option<TraversalHit>>) {
-        let mut closest = TraversalStream::closest_hit_view(view, closest_rays);
-        let mut any = TraversalStream::any_hit_view(view, any_rays);
-        closest.set_coherence(self.coherence);
-        any.set_coherence(self.coherence);
-        self.fused.set_beat_budget(beat_budget_per_stream);
-        self.fused.set_admission_order(admission_order);
-        self.fused.set_stream_deadlines(&deadlines);
-        self.fused
-            .run(&mut self.datapath, &mut [&mut closest, &mut any]);
-        let (closest_hits, closest_stats) = closest.finish();
-        let (any_hits, any_stats) = any.finish();
-        self.stats.merge(&closest_stats);
-        self.stats.merge(&any_stats);
-        (closest_hits, any_hits)
-    }
-
     /// Number of bulk passes the engine's most recent fused run dispatched (how a beat budget
     /// reshapes the pass structure — diagnostics for the fairness knob).
     #[must_use]
@@ -1282,9 +1176,12 @@ impl TraversalEngine {
         tag
     }
 
+    /// Per-ray states parked in the two stream arenas.
     #[cfg(test)]
-    fn work_pool_len(&self) -> usize {
-        self.scheduler.pooled_states()
+    fn pooled_states(&self) -> [usize; 2] {
+        self.arenas
+            .each_ref()
+            .map(|arena| arena.runner.pooled_states())
     }
 }
 
@@ -1600,20 +1497,26 @@ mod tests {
         let request = TraceRequest::closest_hit(&scene, &rays);
         let mut engine = TraversalEngine::baseline();
         let first = engine.trace(&request, &ExecPolicy::wavefront());
-        assert_eq!(engine.work_pool_len(), rays.len());
+        assert_eq!(engine.pooled_states(), [rays.len(), 0]);
         let second = engine.trace(&request, &ExecPolicy::wavefront());
         assert_eq!(first, second);
         assert_eq!(
-            engine.work_pool_len(),
-            rays.len(),
-            "states returned to the pool"
+            engine.pooled_states(),
+            [rays.len(), 0],
+            "states recycled, not leaked"
         );
-        // The any-hit query shares the same pool.
+        // The wavefront runs one stream at a time, so the any-hit stream reuses the same
+        // parked states; only streams sharing passes need the second arena.
         let _ = engine.trace(
-            &TraceRequest::any_hit(&scene, &rays),
+            &TraceRequest::any_hit(&scene, &rays[..5]),
             &ExecPolicy::wavefront(),
         );
-        assert_eq!(engine.work_pool_len(), rays.len());
+        assert_eq!(engine.pooled_states(), [rays.len(), 0]);
+        let _ = engine.trace(
+            &TraceRequest::pair(&scene, &rays[..5], &rays),
+            &ExecPolicy::fused(),
+        );
+        assert_eq!(engine.pooled_states(), [rays.len(), rays.len()]);
     }
 
     #[test]

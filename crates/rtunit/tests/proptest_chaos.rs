@@ -24,29 +24,22 @@ use rayflex_rtunit::{
 use rayflex_workloads::{adversarial, rays, scenes};
 
 /// Every execution discipline the matrix sweeps, including both beat-budget edge values, the
-/// SIMD lane widths of the lane-batched fast path and the three coherence disciplines (the
-/// defaulted entries already run `SortAndCompact`; `Off` and `SortOnly` are crossed in
-/// explicitly), so starved, capped and faulted runs cover the lane kernels, the coherent
-/// admission sorter and the work-stealing pool, not just the scalar fast path.
+/// SIMD lane widths of the lane-batched fast path and the two coherence disciplines (the
+/// defaulted entries already run `SortAndCompact`; `Off` is crossed in explicitly), so
+/// starved, capped and faulted runs cover the lane kernels, the coherent admission sorter and
+/// the work-stealing pool, not just the scalar fast path.
 fn swept_policies() -> Vec<ExecPolicy> {
     vec![
         ExecPolicy::scalar(),
         ExecPolicy::wavefront(),
         ExecPolicy::wavefront().with_simd_lanes(4),
         ExecPolicy::wavefront().with_coherence(CoherenceMode::Off),
-        ExecPolicy::wavefront()
-            .with_coherence(CoherenceMode::SortOnly)
-            .with_simd_lanes(8),
         ExecPolicy::parallel(2),
         ExecPolicy::parallel(2).with_simd_lanes(8),
-        ExecPolicy::parallel(2).with_coherence(CoherenceMode::SortOnly),
         ExecPolicy::fused(),
         ExecPolicy::fused().with_coherence(CoherenceMode::Off),
         ExecPolicy::fused().with_beat_budget(1),
         ExecPolicy::fused().with_beat_budget(1).with_simd_lanes(8),
-        ExecPolicy::fused()
-            .with_beat_budget(1)
-            .with_coherence(CoherenceMode::SortOnly),
     ]
 }
 

@@ -110,7 +110,7 @@ fn build_scene(meshes: &[Vec<Triangle>], placements: &[(usize, Affine)]) -> Scen
     )
 }
 
-/// Every ExecMode × simd_lanes ∈ {1, 4, 8} × CoherenceMode ∈ {Off, SortOnly, SortAndCompact} —
+/// Every ExecMode × simd_lanes ∈ {1, 4, 8} × CoherenceMode ∈ {Off, SortAndCompact} —
 /// the full matrix the instanced representation must hold the cross-policy invariant over.  The
 /// coherence axis rotates through the lane sweep (every discipline crosses every mode, and every
 /// mode × lane pair appears) to keep the case count tractable; the defaulted budgeted entry runs
@@ -119,11 +119,9 @@ fn swept_policies() -> Vec<ExecPolicy> {
     let mut policies = Vec::new();
     for (lanes, coherence) in [
         (1usize, CoherenceMode::Off),
-        (4, CoherenceMode::SortOnly),
         (8, CoherenceMode::SortAndCompact),
         (8, CoherenceMode::Off),
         (4, CoherenceMode::SortAndCompact),
-        (1, CoherenceMode::SortOnly),
     ] {
         policies.push(
             ExecPolicy::wavefront()

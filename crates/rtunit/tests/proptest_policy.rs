@@ -10,12 +10,12 @@
 
 use proptest::prelude::*;
 
-use rayflex_core::PipelineConfig;
+use rayflex_core::{PipelineConfig, RayFlexDatapath};
 use rayflex_geometry::{Ray, Triangle, Vec3};
 use rayflex_rtunit::{
-    AdmissionOrder, Bvh4, Camera, CoherenceMode, ExecMode, ExecPolicy, FrameDesc,
+    AdmissionOrder, Bvh4, Camera, CoherenceMode, ExecMode, ExecPolicy, FrameDesc, FusedScheduler,
     HierarchicalSearch, KnnEngine, KnnMetric, RenderPasses, Renderer, Scene, TraceRequest,
-    TraversalEngine,
+    TraversalEngine, TraversalStream,
 };
 
 fn coordinate() -> impl Strategy<Value = f32> {
@@ -93,8 +93,8 @@ fn radius_queries() -> impl Strategy<Value = Vec<(Vec3, f32)>> {
 /// The non-reference policies of the matrix sweep, including both beat-budget edge values
 /// (`0` = unlimited, `1` = strict round-robin), a mid value, the SIMD lane widths of the
 /// lane-batched fast path (1 = plain scalar fast path, 4 and 8 engage the lane kernels) and the
-/// three coherence disciplines (the defaulted entries already run
-/// [`CoherenceMode::SortAndCompact`]; `Off` and `SortOnly` are crossed in explicitly), all over
+/// two coherence disciplines (the defaulted entries already run
+/// [`CoherenceMode::SortAndCompact`]; `Off` is crossed in explicitly), all over
 /// the dispatch modes they feed (wavefront, the work-stealing parallel pool, and fused —
 /// including fused under a strict beat budget).
 fn swept_policies() -> Vec<ExecPolicy> {
@@ -103,27 +103,19 @@ fn swept_policies() -> Vec<ExecPolicy> {
         ExecPolicy::wavefront().with_simd_lanes(4),
         ExecPolicy::wavefront().with_simd_lanes(8),
         ExecPolicy::wavefront().with_coherence(CoherenceMode::Off),
-        ExecPolicy::wavefront()
-            .with_coherence(CoherenceMode::SortOnly)
-            .with_simd_lanes(8),
         ExecPolicy::parallel(3),
         ExecPolicy::parallel(3).with_simd_lanes(8),
         ExecPolicy::parallel(3)
             .with_coherence(CoherenceMode::Off)
             .with_simd_lanes(4),
         ExecPolicy::parallel_auto(),
-        ExecPolicy::parallel_auto().with_coherence(CoherenceMode::SortOnly),
         ExecPolicy::fused(),
         ExecPolicy::fused().with_simd_lanes(4),
-        ExecPolicy::fused().with_coherence(CoherenceMode::SortOnly),
         ExecPolicy::fused()
             .with_coherence(CoherenceMode::Off)
             .with_simd_lanes(8),
         ExecPolicy::fused().with_beat_budget(1),
         ExecPolicy::fused().with_beat_budget(1).with_simd_lanes(8),
-        ExecPolicy::fused()
-            .with_beat_budget(1)
-            .with_coherence(CoherenceMode::SortOnly),
         ExecPolicy::fused().with_beat_budget(4),
         ExecPolicy::fused()
             .with_beat_budget(4)
@@ -161,6 +153,42 @@ proptest! {
             let got = engine.trace(&request, &policy);
             prop_assert_eq!(&got, &expected, "{} hits diverged", policy.mode);
             prop_assert_eq!(engine.stats(), reference.stats(), "{} stats diverged", policy.mode);
+
+            // One scheduler: a single stream under the wavefront is the fused run at budget 0,
+            // down to the pass count and the lane pair — and so is the same stream driven by
+            // hand through a public `TraversalStream`, whose segments close box trains first.
+            if policy.mode == ExecMode::Wavefront {
+                let fused = ExecPolicy { mode: ExecMode::Fused, ..policy };
+                for (single, stream) in [
+                    (
+                        TraceRequest::closest_hit(&scene, &closest_rays),
+                        TraversalStream::closest_hit(&scene, &closest_rays),
+                    ),
+                    (
+                        TraceRequest::any_hit(&scene, &shadow_rays),
+                        TraversalStream::any_hit(&scene, &shadow_rays),
+                    ),
+                ] {
+                    let mut wavefront_engine = TraversalEngine::baseline();
+                    let _ = wavefront_engine.trace(&single, &policy);
+                    let mut fused_engine = TraversalEngine::baseline();
+                    let _ = fused_engine.trace(&single, &fused);
+                    prop_assert_eq!(
+                        wavefront_engine.beat_mix(),
+                        fused_engine.beat_mix(),
+                        "wavefront and budget-0 fused beat mixes diverged"
+                    );
+                    let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
+                    datapath.set_simd_lanes(policy.effective_simd_lanes());
+                    let mut stream = stream.with_coherence(policy.effective_coherence());
+                    FusedScheduler::new().run(&mut datapath, &mut [&mut stream]);
+                    prop_assert_eq!(
+                        wavefront_engine.beat_mix(),
+                        datapath.beat_mix(),
+                        "the engine's lone stream and a hand-driven stream diverged"
+                    );
+                }
+            }
         }
     }
 
