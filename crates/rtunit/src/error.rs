@@ -29,6 +29,7 @@ use rayflex_core::{guard, BeatMix};
 use rayflex_geometry::{Aabb, Ray, Triangle};
 
 use crate::bvh::{Bvh4, ChildRef};
+use crate::query::CappedFusedRun;
 use crate::scene::{Blas, InstancedScene, Scene, SceneView};
 
 /// A structured failure of a `try_*` query entry point.
@@ -136,6 +137,33 @@ pub enum QueryOutcome<T> {
 }
 
 impl<T> QueryOutcome<T> {
+    /// Maps a run capped at `max_total_beats` onto the `try_*` contract: a run that finished is
+    /// [`QueryOutcome::Complete`], a cancelled run that retired `completed` of the request's
+    /// `total` items is [`QueryOutcome::Partial`] with `progress` as its beat report, and one
+    /// that retired nothing fails [`QueryError::BudgetExhausted`].
+    pub(crate) fn from_run(
+        output: T,
+        completed: usize,
+        total: usize,
+        run: CappedFusedRun,
+        max_total_beats: u64,
+        progress: BeatMix,
+    ) -> Result<Self, QueryError> {
+        if run.complete {
+            return Ok(QueryOutcome::Complete(output));
+        }
+        if completed == 0 {
+            return Err(QueryError::BudgetExhausted { max_total_beats });
+        }
+        Ok(QueryOutcome::Partial(PartialResult {
+            output,
+            completed,
+            total,
+            beats_spent: run.beats,
+            progress,
+        }))
+    }
+
     /// `true` for [`QueryOutcome::Complete`].
     #[must_use]
     pub fn is_complete(&self) -> bool {
@@ -647,13 +675,18 @@ mod tests {
         assert_eq!(complete.output(), &vec![1, 2, 3]);
         assert_eq!(complete.into_output(), vec![1, 2, 3]);
 
-        let partial = QueryOutcome::Partial(PartialResult {
-            output: vec![1u32],
-            completed: 1,
-            total: 3,
-            beats_spent: 9,
-            progress: BeatMix::default(),
-        });
+        let cancelled = CappedFusedRun {
+            beats: 9,
+            complete: false,
+        };
+        let exhausted =
+            QueryOutcome::from_run(Vec::<u32>::new(), 0, 3, cancelled, 8, BeatMix::default());
+        assert_eq!(
+            exhausted,
+            Err(QueryError::BudgetExhausted { max_total_beats: 8 })
+        );
+        let partial = QueryOutcome::from_run(vec![1u32], 1, 3, cancelled, 8, BeatMix::default())
+            .expect("a retired prefix is a partial result");
         assert!(!partial.is_complete());
         let report = partial.partial().expect("partial report");
         assert_eq!(

@@ -23,9 +23,13 @@ use rayflex_core::{Opcode, PipelineConfig, RayFlexDatapath, RayFlexRequest, RayF
 use rayflex_geometry::{Ray, Sphere, Vec3};
 
 use crate::bvh::ChildRef;
-use crate::error::{PartialResult, QueryError, QueryOutcome};
+use crate::error::{QueryError, QueryOutcome};
+use crate::knn::sort_nearest_first;
 use crate::policy::{ExecMode, ExecPolicy};
-use crate::query::{BatchQuery, FusedScheduler, QueryKind, RunnerArena, StreamRunner};
+use crate::query::{
+    remaining_beats, BatchQuery, CappedFusedRun, FusedScheduler, QueryKind, RunnerArena,
+    StreamRunner,
+};
 use crate::{Bvh4, KnnEngine, Neighbor};
 
 /// Statistics of one hierarchical query.
@@ -222,6 +226,42 @@ impl<'a> CollectStream<'a> {
 
 crate::query::delegate_fused_stream_to_runner!(CollectStream<'_>);
 
+/// The candidate-collection filter's scheduler and reusable buffers (its `CollectWork` states
+/// are recycled across runs): one per search engine, and a fresh one per parallel filter shard.
+#[derive(Debug, Default)]
+struct Collector {
+    fused: FusedScheduler,
+    arena: RunnerArena<CollectWork>,
+}
+
+impl Collector {
+    /// One collection run of `queries` over `bvh` on `datapath` at the policy's lane width and
+    /// coherence, dispatched as `policy` says ([`FusedScheduler::run_policy`]) and capped at
+    /// `cap` beats (`0` = uncapped): the candidate lists of the completed query prefix, the
+    /// ray–box beats the filter issued, and the run's progress.
+    fn run(
+        &mut self,
+        datapath: &mut RayFlexDatapath,
+        bvh: &Bvh4,
+        queries: &[(Vec3, f32)],
+        policy: &ExecPolicy,
+        cap: u64,
+    ) -> (Vec<Vec<usize>>, u64, CappedFusedRun) {
+        datapath.set_simd_lanes(policy.effective_simd_lanes());
+        let mut runner = StreamRunner::with_arena(
+            CollectQuery::new(bvh, queries),
+            core::mem::take(&mut self.arena),
+        )
+        .with_coherence(policy.effective_coherence());
+        let run = self
+            .fused
+            .run_policy(datapath, &mut [&mut runner], policy, cap);
+        let (collect, candidates, arena) = runner.into_parts();
+        self.arena = arena;
+        (candidates, collect.box_beats, run)
+    }
+}
+
 /// A radius / nearest-neighbour search engine over 3-D points, implemented entirely with
 /// datapath beats: BVH filtering through the ray–box operation and exact scoring through the
 /// Euclidean-distance operation of the extended datapath.
@@ -231,11 +271,8 @@ pub struct HierarchicalSearch {
     spheres: Vec<Sphere>,
     bvh: Bvh4,
     scorer: KnnEngine,
-    /// The batched scheduler of the candidate-collection filter.
-    fused: FusedScheduler,
-    /// Reusable buffers of the collection stream (its `CollectWork` states are recycled across
-    /// queries).
-    collector: RunnerArena<CollectWork>,
+    /// The candidate-collection filter's scheduler and buffers.
+    collector: Collector,
     stats: HierarchicalStats,
     /// Work-stealing pool counters of the parallel filter phase (the scoring phase's counters
     /// live on the embedded [`KnnEngine`]; [`HierarchicalSearch::pool_stats`] merges both).
@@ -267,8 +304,7 @@ impl HierarchicalSearch {
             spheres,
             bvh,
             scorer: KnnEngine::with_config(config),
-            fused: FusedScheduler::new(),
-            collector: RunnerArena::default(),
+            collector: Collector::default(),
             stats: HierarchicalStats {
                 dataset_size,
                 ..HierarchicalStats::default()
@@ -340,23 +376,7 @@ impl HierarchicalSearch {
         queries: &[(Vec3, f32)],
         policy: &ExecPolicy,
     ) -> Vec<Vec<Neighbor>> {
-        let per_query_candidates = self.filter_candidates_batch(queries, policy);
-        queries
-            .iter()
-            .zip(per_query_candidates)
-            .map(|(&(query, radius), candidates)| {
-                let radius_sq = radius * radius;
-                let mut results = self.score_candidates(query, &candidates, policy);
-                results.retain(|n| n.distance <= radius_sq);
-                results.sort_by(|a, b| {
-                    a.distance
-                        .partial_cmp(&b.distance)
-                        .unwrap_or(core::cmp::Ordering::Equal)
-                        .then(a.index.cmp(&b.index))
-                });
-                results
-            })
-            .collect()
+        self.run_radius(queries, policy, 0).0
     }
 
     /// Returns the nearest dataset point to `query`, searching with an expanding radius (each
@@ -367,24 +387,8 @@ impl HierarchicalSearch {
         initial_radius: f32,
         policy: &ExecPolicy,
     ) -> Option<Neighbor> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let mut radius = initial_radius.max(f32::EPSILON);
-        let scene = self.bvh.scene_bounds();
-        let scene_diagonal = (scene.max - scene.min).length().max(1.0);
-        loop {
-            if let Some(&nearest) = self.radius_query(query, radius, policy).first() {
-                return Some(nearest);
-            }
-            if radius > 2.0 * scene_diagonal {
-                // The query is farther from every point than the whole scene extent; fall back to
-                // scoring everything once.
-                let all: Vec<usize> = (0..self.points.len()).collect();
-                return self.score_exactly(query, &all, policy).into_iter().next();
-            }
-            radius *= 2.0;
-        }
+        self.run_nearest(query, initial_radius, policy, 0)
+            .unwrap_or_else(|_| unreachable!("an uncapped search always completes"))
     }
 
     /// Runs one radius query with up-front validation and deadline-aware cancellation — the
@@ -433,10 +437,17 @@ impl HierarchicalSearch {
         policy: &ExecPolicy,
     ) -> Result<QueryOutcome<Vec<Vec<Neighbor>>>, QueryError> {
         validate_radius_queries(queries)?;
-        if policy.max_total_beats == 0 {
-            return Ok(QueryOutcome::Complete(self.radius_queries(queries, policy)));
-        }
-        self.radius_queries_capped(queries, policy)
+        let cap = policy.max_total_beats;
+        let (lists, run) = self.run_radius(queries, policy, cap);
+        let completed = lists.len();
+        QueryOutcome::from_run(
+            lists,
+            completed,
+            queries.len(),
+            run,
+            cap,
+            self.scorer.beat_mix(),
+        )
     }
 
     /// Finds the nearest dataset point with up-front validation and deadline-aware
@@ -467,9 +478,24 @@ impl HierarchicalSearch {
             });
         }
         let cap = policy.max_total_beats;
-        if cap == 0 {
-            return Ok(self.nearest(query, initial_radius, policy));
-        }
+        self.run_nearest(query, initial_radius, policy, cap)
+            .map_err(|beats_spent| QueryError::DeadlineExceeded {
+                beats_spent,
+                max_total_beats: cap,
+            })
+    }
+
+    /// The one nearest-neighbour search behind [`HierarchicalSearch::nearest`] and
+    /// [`HierarchicalSearch::try_nearest`]: expanding-radius rounds, then — once the radius
+    /// outgrows the scene — one brute-force scoring of every point, all capped at `cap` beats
+    /// together (`0` = uncapped).  `Err(beats_spent)` when the cap fired first.
+    fn run_nearest(
+        &mut self,
+        query: Vec3,
+        initial_radius: f32,
+        policy: &ExecPolicy,
+        cap: u64,
+    ) -> Result<Option<Neighbor>, u64> {
         if self.points.is_empty() {
             return Ok(None);
         }
@@ -478,238 +504,128 @@ impl HierarchicalSearch {
         let scene = self.bvh.scene_bounds();
         let scene_diagonal = (scene.max - scene.min).length().max(1.0);
         loop {
-            let remaining = cap.saturating_sub(beats_spent);
-            if remaining == 0 {
-                return Err(QueryError::DeadlineExceeded {
-                    beats_spent,
-                    max_total_beats: cap,
-                });
-            }
-            let before = self.stats;
-            let round = self
-                .radius_queries_capped(&[(query, radius)], &policy.with_max_total_beats(remaining));
-            beats_spent += (self.stats.box_beats + self.stats.euclidean_beats)
-                - (before.box_beats + before.euclidean_beats);
-            match round {
-                Ok(QueryOutcome::Complete(lists)) => {
-                    if let Some(&nearest) = lists.first().and_then(|list| list.first()) {
-                        return Ok(Some(nearest));
-                    }
-                }
+            let remaining = remaining_beats(cap, beats_spent).ok_or(beats_spent)?;
+            let (lists, round) = self.run_radius(&[(query, radius)], policy, remaining);
+            beats_spent += round.beats;
+            if !round.complete {
                 // The round itself crossed the line: no later round can be cheaper.
-                Ok(QueryOutcome::Partial(_)) | Err(QueryError::BudgetExhausted { .. }) => {
-                    return Err(QueryError::DeadlineExceeded {
-                        beats_spent,
-                        max_total_beats: cap,
-                    });
-                }
-                Err(other) => return Err(other),
+                return Err(beats_spent);
+            }
+            if let Some(&nearest) = lists.first().and_then(|list| list.first()) {
+                return Ok(Some(nearest));
             }
             if radius > 2.0 * scene_diagonal {
-                // Farther than the whole scene extent: score everything once, under whatever
-                // budget is left.
-                let remaining = cap.saturating_sub(beats_spent);
+                // The query is farther from every point than the whole scene extent: score
+                // everything once, under whatever budget is left.
+                let remaining = remaining_beats(cap, beats_spent).ok_or(beats_spent)?;
                 let all: Vec<usize> = (0..self.points.len()).collect();
-                let before = self.scorer.stats().beats;
-                let scored = if remaining == 0 {
-                    None
-                } else {
-                    self.score_candidates_capped(query, &all, policy, remaining)
-                };
-                beats_spent += self.scorer.stats().beats - before;
-                let Some(mut results) = scored else {
-                    return Err(QueryError::DeadlineExceeded {
-                        beats_spent,
-                        max_total_beats: cap,
-                    });
-                };
-                results.sort_by(|a, b| {
-                    a.distance
-                        .partial_cmp(&b.distance)
-                        .unwrap_or(core::cmp::Ordering::Equal)
-                        .then(a.index.cmp(&b.index))
-                });
+                let (scored, beats) = self.score_candidates(query, &all, policy, remaining);
+                beats_spent += beats;
+                let mut results = scored.ok_or(beats_spent)?;
+                sort_nearest_first(&mut results);
                 return Ok(results.into_iter().next());
             }
             radius *= 2.0;
         }
     }
 
-    /// The deadline-capped backend of [`HierarchicalSearch::try_radius_queries`]: a capped
-    /// filter run, then per-query capped scoring against the remaining budget.  The filter runs
-    /// inline on the scorer's datapath in every mode — cooperative cancellation is a single-unit
-    /// admission discipline, so [`ExecMode::Parallel`] does not shard under a deadline.
-    fn radius_queries_capped(
+    /// The one radius-batch run behind every radius entry point: the hierarchy filter of the
+    /// whole batch ([`HierarchicalSearch::collect`]), then each query's surviving candidates
+    /// scored exactly, capped at `cap` beats across both phases (`0` = uncapped).  Returns the
+    /// neighbour lists (within the radius, nearest first) of the completed query prefix — a
+    /// query counts only when its filter *and* its scoring finished — with the run's progress.
+    fn run_radius(
         &mut self,
         queries: &[(Vec3, f32)],
         policy: &ExecPolicy,
-    ) -> Result<QueryOutcome<Vec<Vec<Neighbor>>>, QueryError> {
-        let cap = policy.max_total_beats;
-        let (candidates, filter) = self.collect(queries, policy, cap);
-        let mut beats_spent = filter.beats;
+        cap: u64,
+    ) -> (Vec<Vec<Neighbor>>, CappedFusedRun) {
+        let (candidates, mut progress) = self.collect(queries, policy, cap);
         let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(candidates.len());
-        let mut complete = filter.complete;
         for (&(query, radius), candidates) in queries.iter().zip(&candidates) {
-            let remaining = cap.saturating_sub(beats_spent);
-            let before = self.scorer.stats().beats;
-            let scored = if remaining == 0 {
-                None
-            } else {
-                self.score_candidates_capped(query, candidates, policy, remaining)
+            let Some(remaining) = remaining_beats(cap, progress.beats) else {
+                progress.complete = false;
+                break;
             };
-            beats_spent += self.scorer.stats().beats - before;
+            let (scored, beats) = self.score_candidates(query, candidates, policy, remaining);
+            progress.beats += beats;
             let Some(mut neighbors) = scored else {
-                complete = false;
+                progress.complete = false;
                 break;
             };
             let radius_sq = radius * radius;
             neighbors.retain(|n| n.distance <= radius_sq);
-            neighbors.sort_by(|a, b| {
-                a.distance
-                    .partial_cmp(&b.distance)
-                    .unwrap_or(core::cmp::Ordering::Equal)
-                    .then(a.index.cmp(&b.index))
-            });
+            sort_nearest_first(&mut neighbors);
             results.push(neighbors);
         }
-        if complete && results.len() == queries.len() {
-            return Ok(QueryOutcome::Complete(results));
-        }
-        if results.is_empty() {
-            return Err(QueryError::BudgetExhausted {
-                max_total_beats: cap,
-            });
-        }
-        let completed = results.len();
-        Ok(QueryOutcome::Partial(PartialResult {
-            output: results,
-            completed,
-            total: queries.len(),
-            beats_spent,
-            progress: self.scorer.beat_mix(),
-        }))
+        (results, progress)
     }
 
-    /// One collection run of `queries` on the scorer's datapath, dispatched as `policy` says
-    /// ([`FusedScheduler::run_policy`]) and capped at `cap` beats (`0` = uncapped): the
-    /// candidate lists of the completed query prefix and the run's progress.
+    /// Hierarchy filter of a query batch: one [`QueryKind::Collect`] run walking the sphere BVH
+    /// (the paper's query-as-a-short-ray formulation), returning, per query of the completed
+    /// prefix, the indices of every point whose leaf the query reaches, with the run's
+    /// progress.  Dispatched as `policy` says at its lane width and coherence — per-beat
+    /// emulated reference or bulk ray–box passes shared by the whole batch on the scorer's
+    /// datapath, capped at `cap` beats (`0` = uncapped) — except that an uncapped
+    /// [`ExecMode::Parallel`] run shards the batch contiguously across private datapaths.  The
+    /// per-query walk order is policy-invariant, so the candidate lists — and the `box_beats`
+    /// accounting — never change.
     fn collect(
         &mut self,
         queries: &[(Vec3, f32)],
         policy: &ExecPolicy,
         cap: u64,
-    ) -> (Vec<Vec<usize>>, crate::CappedFusedRun) {
-        let mut runner = StreamRunner::with_arena(
-            CollectQuery::new(&self.bvh, queries),
-            core::mem::take(&mut self.collector),
-        );
-        let run =
-            self.fused
-                .run_policy(self.scorer.datapath_mut(), &mut [&mut runner], policy, cap);
-        let (collect, candidates, arena) = runner.into_parts();
-        self.collector = arena;
-        self.stats.box_beats += collect.box_beats;
+    ) -> (Vec<Vec<usize>>, CappedFusedRun) {
+        if let (0, ExecMode::Parallel { shards }) = (cap, policy.mode) {
+            let config = *self.scorer.config();
+            let bvh = &self.bvh;
+            let sharded = crate::parallel::shard_chunks(
+                queries,
+                shards.requested_threads(),
+                Self::MIN_QUERIES_PER_SHARD,
+                |shard| {
+                    let mut datapath = RayFlexDatapath::new(config);
+                    let (candidates, box_beats, _) =
+                        Collector::default().run(&mut datapath, bvh, shard, policy, 0);
+                    (candidates, box_beats)
+                },
+            );
+            if let Some((shards, pool)) = sharded {
+                self.pool.merge(&pool);
+                let mut results = Vec::with_capacity(queries.len());
+                let mut beats = 0;
+                for (shard_candidates, box_beats) in shards {
+                    results.extend(shard_candidates);
+                    beats += box_beats;
+                }
+                self.stats.box_beats += beats;
+                return (
+                    results,
+                    CappedFusedRun {
+                        beats,
+                        complete: true,
+                    },
+                );
+            }
+        }
+        let (candidates, box_beats, run) =
+            self.collector
+                .run(self.scorer.datapath_mut(), &self.bvh, queries, policy, cap);
+        self.stats.box_beats += box_beats;
         (candidates, run)
     }
 
-    /// The deadline-capped sibling of [`HierarchicalSearch::score_candidates`]: `None` when
-    /// the scoring run could not complete within `remaining` beats (a partially-scored query
-    /// has no meaningful neighbour list).
-    fn score_candidates_capped(
-        &mut self,
-        query: Vec3,
-        candidates: &[usize],
-        policy: &ExecPolicy,
-        remaining: u64,
-    ) -> Option<Vec<Neighbor>> {
-        let query_vec = [query.x, query.y, query.z];
-        let points: Vec<[f32; 3]> = candidates
-            .iter()
-            .map(|&index| {
-                let p = self.points[index];
-                [p.x, p.y, p.z]
-            })
-            .collect();
-        let beats_before = self.scorer.stats().beats;
-        let outcome = self.scorer.distances_capped(
-            &query_vec,
-            &points,
-            crate::KnnMetric::Euclidean,
-            &policy.with_max_total_beats(remaining),
-        );
-        self.stats.euclidean_beats += self.scorer.stats().beats - beats_before;
-        let Ok(QueryOutcome::Complete(distances)) = outcome else {
-            return None;
-        };
-        self.stats.candidates_scored += candidates.len() as u64;
-        Some(
-            candidates
-                .iter()
-                .zip(distances)
-                .map(|(&index, distance)| Neighbor { index, distance })
-                .collect(),
-        )
-    }
-
-    /// Hierarchy filter of a query batch: one [`QueryKind::Collect`] run walking the sphere BVH
-    /// (the paper's query-as-a-short-ray formulation), returning, per query, the indices of
-    /// every point whose leaf the query reaches.  The policy selects the dispatch: per-beat
-    /// emulated reference, bulk ray–box passes shared by the whole batch (wavefront/fused), or
-    /// contiguous query shards on private datapaths (parallel).  The per-query walk order is
-    /// policy-invariant, so the candidate lists — and the `box_beats` accounting — never change.
-    fn filter_candidates_batch(
-        &mut self,
-        queries: &[(Vec3, f32)],
-        policy: &ExecPolicy,
-    ) -> Vec<Vec<usize>> {
-        match policy.mode {
-            ExecMode::Parallel { shards } => {
-                self.filter_candidates_parallel(queries, shards.requested_threads())
-            }
-            _ => self.collect(queries, policy, 0).0,
-        }
-    }
-
-    /// The parallel filter backend: contiguous query shards, each walked through a private
-    /// datapath of the scorer's configuration by its own wavefront run.  Queries are
-    /// independent, so shard boundaries never change a candidate list.
-    fn filter_candidates_parallel(
-        &mut self,
-        queries: &[(Vec3, f32)],
-        threads: usize,
-    ) -> Vec<Vec<usize>> {
-        let config = *self.scorer.config();
-        let bvh = &self.bvh;
-        let Some((shards, pool)) =
-            crate::parallel::shard_chunks(queries, threads, Self::MIN_QUERIES_PER_SHARD, |shard| {
-                let mut datapath = RayFlexDatapath::new(config);
-                let mut runner = StreamRunner::new(CollectQuery::new(bvh, shard));
-                FusedScheduler::new().run(&mut datapath, &mut [&mut runner]);
-                let (collect, candidates) = runner.finish();
-                (candidates, collect.box_beats)
-            })
-        else {
-            // Too small to shard profitably: run the batched wavefront inline.
-            return self.filter_candidates_batch(queries, &ExecPolicy::wavefront());
-        };
-        self.pool.merge(&pool);
-        let mut results = Vec::with_capacity(queries.len());
-        for (shard_candidates, box_beats) in shards {
-            results.extend(shard_candidates);
-            self.stats.box_beats += box_beats;
-        }
-        results
-    }
-
-    /// Scores an explicit candidate list against the query as one batched distance run under
-    /// the policy, returning one [`Neighbor`] per candidate in candidate order (unsorted,
-    /// unfiltered).
+    /// Scores an explicit candidate list against the query as one distance run under the
+    /// policy, capped at `cap` beats (`0` = uncapped).  Returns one [`Neighbor`] per candidate
+    /// in candidate order (unsorted, unfiltered) — or `None` when the run could not complete,
+    /// since a partially-scored query has no meaningful neighbour list — and the beats spent.
     fn score_candidates(
         &mut self,
         query: Vec3,
         candidates: &[usize],
         policy: &ExecPolicy,
-    ) -> Vec<Neighbor> {
+        cap: u64,
+    ) -> (Option<Vec<Neighbor>>, u64) {
         let query_vec = [query.x, query.y, query.z];
         let points: Vec<[f32; 3]> = candidates
             .iter()
@@ -718,34 +634,24 @@ impl HierarchicalSearch {
                 [p.x, p.y, p.z]
             })
             .collect();
+        let (distances, run) = self.scorer.run_distances(
+            &query_vec,
+            &points,
+            crate::KnnMetric::Euclidean,
+            policy,
+            cap,
+        );
+        self.stats.euclidean_beats += run.beats;
+        if !run.complete {
+            return (None, run.beats);
+        }
         self.stats.candidates_scored += candidates.len() as u64;
-        let beats_before = self.scorer.stats().beats;
-        let distances =
-            self.scorer
-                .distances(&query_vec, &points, crate::KnnMetric::Euclidean, policy);
-        self.stats.euclidean_beats += self.scorer.stats().beats - beats_before;
-        candidates
+        let neighbors = candidates
             .iter()
             .zip(distances)
             .map(|(&index, distance)| Neighbor { index, distance })
-            .collect()
-    }
-
-    /// Exact scoring of an explicit candidate list (used by the brute-force fallback).
-    fn score_exactly(
-        &mut self,
-        query: Vec3,
-        candidates: &[usize],
-        policy: &ExecPolicy,
-    ) -> Vec<Neighbor> {
-        let mut results = self.score_candidates(query, candidates, policy);
-        results.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .unwrap_or(core::cmp::Ordering::Equal)
-                .then(a.index.cmp(&b.index))
-        });
-        results
+            .collect();
+        (Some(neighbors), run.beats)
     }
 
     /// Number of spheres in the underlying BVH (equal to the dataset size).
@@ -988,7 +894,7 @@ mod tests {
 
         let mut search =
             HierarchicalSearch::build(points, 0.01, PipelineConfig::extended_unified());
-        let expected = search.filter_candidates_batch(&queries, &ExecPolicy::wavefront());
+        let (expected, _) = search.collect(&queries, &ExecPolicy::wavefront(), 0);
 
         let mut datapath = RayFlexDatapath::new(PipelineConfig::extended_unified());
         let mut stream = CollectStream::new(&bvh, &queries);
@@ -997,6 +903,23 @@ mod tests {
         let (candidates, box_beats) = stream.finish();
         assert_eq!(candidates, expected);
         assert_eq!(box_beats, search.stats().box_beats);
+    }
+
+    #[test]
+    fn the_filter_lane_width_comes_from_the_policy_not_the_previous_call() {
+        // The filter shares the scorer's datapath with the distance runs, so a filter that
+        // never set its own lane width would inherit whatever the last scoring run left
+        // behind: two identical calls must charge identical lane slots.
+        let points = random_points(41, 500, 50.0);
+        let mut search =
+            HierarchicalSearch::build(points, 0.01, PipelineConfig::extended_unified());
+        let queries = [(Vec3::new(5.0, -3.0, 12.0), 8.0), (Vec3::ZERO, 6.0)];
+        let policy = ExecPolicy::wavefront().with_simd_lanes(16);
+        let _ = search.radius_queries(&queries, &policy);
+        let first = search.scorer.beat_mix().simd_lane_slots();
+        let _ = search.radius_queries(&queries, &policy);
+        let second = search.scorer.beat_mix().simd_lane_slots() - first;
+        assert_eq!(first, second, "lane slots of two identical calls");
     }
 
     #[test]

@@ -18,9 +18,12 @@ use rayflex_core::{
 };
 use rayflex_geometry::golden::distance::{COSINE_LANES, EUCLIDEAN_LANES};
 
-use crate::error::{PartialResult, QueryError, QueryOutcome};
+use crate::error::{QueryError, QueryOutcome};
 use crate::policy::{ExecMode, ExecPolicy};
-use crate::query::{BatchQuery, FusedScheduler, QueryKind, RunnerArena, StreamRunner};
+use crate::query::{
+    remaining_beats, BatchQuery, CappedFusedRun, FusedScheduler, QueryKind, RunnerArena,
+    StreamRunner,
+};
 use crate::scene::Scene;
 
 /// The distance metric used by a search.
@@ -413,81 +416,107 @@ impl KnnEngine {
         metric: KnnMetric,
         policy: &ExecPolicy,
     ) -> Vec<f32> {
-        let lanes = match metric {
-            KnnMetric::Euclidean => EUCLIDEAN_LANES,
-            KnnMetric::Cosine => COSINE_LANES,
-        };
-        let beats_per_candidate = query.len().div_ceil(lanes).max(1);
-        let chunk_len = (Self::MAX_BEATS_PER_PASS / beats_per_candidate).max(1);
-
-        if let ExecMode::Parallel { shards } = policy.mode {
-            return self.distances_parallel(query, candidates, metric, shards.requested_threads());
-        }
-        self.datapath.set_simd_lanes(policy.effective_simd_lanes());
-
-        let mut results = Vec::with_capacity(candidates.len());
-        for chunk in candidates.chunks(chunk_len) {
-            let (distances, _) = self.score_chunk(query, chunk, metric, policy, 0);
-            results.extend(distances);
-        }
-        results
+        self.run_distances(query, candidates, metric, policy, 0).0
     }
 
-    /// Scores one chunk of candidates on this engine's datapath, dispatched as `policy` says
-    /// ([`FusedScheduler::run_policy`]) and capped at `cap` beats (`0` = uncapped).  Returns
-    /// the distances of the completed candidate prefix and the run's progress.
-    fn score_chunk<C: AsRef<[f32]>>(
-        &mut self,
-        query: &[f32],
-        chunk: &[C],
-        metric: KnnMetric,
-        policy: &ExecPolicy,
-        cap: u64,
-    ) -> (Vec<f32>, crate::CappedFusedRun) {
-        let mut runner = StreamRunner::with_arena(
-            DistanceQuery::new(query, chunk, metric),
-            core::mem::take(&mut self.arena),
-        );
-        let progress = self
-            .fused
-            .run_policy(&mut self.datapath, &mut [&mut runner], policy, cap);
-        let (batch, distances, arena) = runner.into_parts();
-        self.arena = arena;
-        self.stats.merge(&batch.stats);
-        (distances, progress)
-    }
-
-    /// The [`ExecMode::Parallel`] backend of [`KnnEngine::distances`]: contiguous candidate
-    /// shards, one private datapath per worker, shard statistics merged into this engine's
-    /// totals.  Candidates are independent, so shard boundaries never change a bit.
-    fn distances_parallel<C: AsRef<[f32]> + Sync>(
+    /// The one scoring run behind every Distance-kind entry point: scores `candidates` as
+    /// `policy` says, capped at `cap` beats (`0` = uncapped), and returns the distances of the
+    /// completed candidate prefix with the run's progress.
+    ///
+    /// Only an uncapped [`ExecMode::Parallel`] run shards: contiguous candidate shards, each
+    /// scored under the caller's policy on a worker's private datapath, shard statistics merged
+    /// into this engine's totals.  Candidates are independent, so shard boundaries never change
+    /// a bit.  A capped run — cooperative cancellation is a single-unit discipline — and a
+    /// request too small to shard score inline.  Crate-visible so the hierarchical search can
+    /// score under a shared deadline without re-validating per query.
+    pub(crate) fn run_distances<C: AsRef<[f32]> + Sync>(
         &mut self,
         query: &[f32],
         candidates: &[C],
         metric: KnnMetric,
-        threads: usize,
-    ) -> Vec<f32> {
-        let config = *self.datapath.config();
-        let Some((shards, pool)) = crate::parallel::shard_chunks(
-            candidates,
-            threads,
-            Self::MIN_CANDIDATES_PER_SHARD,
-            |shard| {
-                let mut engine = KnnEngine::with_config(config);
-                let distances = engine.distances(query, shard, metric, &ExecPolicy::wavefront());
-                (distances, engine.stats())
-            },
-        ) else {
-            // Too small to shard profitably: run the batched wavefront inline.
-            return self.distances(query, candidates, metric, &ExecPolicy::wavefront());
-        };
-        self.pool.merge(&pool);
-        let mut results = Vec::with_capacity(candidates.len());
-        for (shard_distances, shard_stats) in shards {
-            results.extend(shard_distances);
-            self.stats.merge(&shard_stats);
+        policy: &ExecPolicy,
+        cap: u64,
+    ) -> (Vec<f32>, CappedFusedRun) {
+        if let (0, ExecMode::Parallel { shards }) = (cap, policy.mode) {
+            let config = *self.config();
+            let sharded = crate::parallel::shard_chunks(
+                candidates,
+                shards.requested_threads(),
+                Self::MIN_CANDIDATES_PER_SHARD,
+                |shard| {
+                    let mut engine = KnnEngine::with_config(config);
+                    let (distances, _) = engine.score(query, shard, metric, policy, 0);
+                    (distances, engine.stats())
+                },
+            );
+            if let Some((shards, pool)) = sharded {
+                self.pool.merge(&pool);
+                let before = self.stats.beats;
+                let mut results = Vec::with_capacity(candidates.len());
+                for (shard_distances, shard_stats) in shards {
+                    results.extend(shard_distances);
+                    self.stats.merge(&shard_stats);
+                }
+                let beats = self.stats.beats - before;
+                return (
+                    results,
+                    CappedFusedRun {
+                        beats,
+                        complete: true,
+                    },
+                );
+            }
         }
-        results
+        self.score(query, candidates, metric, policy, cap)
+    }
+
+    /// Scores `candidates` inline on this engine's datapath at the policy's lane width,
+    /// dispatched as `policy` says ([`FusedScheduler::run_policy`]), with what is left of the
+    /// `cap` threaded through the runs.  The candidate set is chunked so no pass materialises
+    /// more than `MAX_BEATS_PER_PASS` beats; a candidate's own beat train is never split, so
+    /// chunking never changes a bit.
+    fn score<C: AsRef<[f32]>>(
+        &mut self,
+        query: &[f32],
+        candidates: &[C],
+        metric: KnnMetric,
+        policy: &ExecPolicy,
+        cap: u64,
+    ) -> (Vec<f32>, CappedFusedRun) {
+        let lanes = match metric {
+            KnnMetric::Euclidean => EUCLIDEAN_LANES,
+            KnnMetric::Cosine => COSINE_LANES,
+        };
+        let chunk_len = (Self::MAX_BEATS_PER_PASS / query.len().div_ceil(lanes).max(1)).max(1);
+        self.datapath.set_simd_lanes(policy.effective_simd_lanes());
+        let mut results = Vec::with_capacity(candidates.len());
+        let mut progress = CappedFusedRun {
+            beats: 0,
+            complete: true,
+        };
+        for chunk in candidates.chunks(chunk_len) {
+            let Some(remaining) = remaining_beats(cap, progress.beats) else {
+                progress.complete = false;
+                break;
+            };
+            let mut runner = StreamRunner::with_arena(
+                DistanceQuery::new(query, chunk, metric),
+                core::mem::take(&mut self.arena),
+            );
+            let run =
+                self.fused
+                    .run_policy(&mut self.datapath, &mut [&mut runner], policy, remaining);
+            let (batch, distances, arena) = runner.into_parts();
+            self.arena = arena;
+            self.stats.merge(&batch.stats);
+            results.extend(distances);
+            progress.beats += run.beats;
+            if !run.complete {
+                progress.complete = false;
+                break;
+            }
+        }
+        (results, progress)
     }
 
     /// Squared Euclidean distance between two vectors of arbitrary equal dimension, computed on
@@ -560,9 +589,9 @@ impl KnnEngine {
     /// `Result`-returning variant of [`KnnEngine::distances`].
     ///
     /// Dimension mismatches and non-finite vectors surface as
-    /// [`QueryError::InvalidRequest`] instead of a panic, before any beat is issued.  Without a
-    /// deadline the outcome is [`QueryOutcome::Complete`] and bit-identical to
-    /// [`KnnEngine::distances`].  With [`ExecPolicy::max_total_beats`] set, the run cancels
+    /// [`QueryError::InvalidRequest`] instead of a panic, before any beat is issued.
+    /// [`KnnEngine::distances`] is this same run at cap 0, so without a deadline the outcome is
+    /// [`QueryOutcome::Complete`] and bit-identical to it.  With [`ExecPolicy::max_total_beats`] set, the run cancels
     /// cooperatively at a pass boundary and yields the completed candidate **prefix** as
     /// [`QueryOutcome::Partial`] (each surfaced distance bit-identical to the uncapped run), or
     /// [`QueryError::BudgetExhausted`] when not even one candidate finished.  Capped runs
@@ -581,67 +610,17 @@ impl KnnEngine {
         policy: &ExecPolicy,
     ) -> Result<QueryOutcome<Vec<f32>>, QueryError> {
         validate_vectors(query, candidates)?;
-        if policy.max_total_beats == 0 {
-            return Ok(QueryOutcome::Complete(
-                self.distances(query, candidates, metric, policy),
-            ));
-        }
-        self.distances_capped(query, candidates, metric, policy)
-    }
-
-    /// The deadline-capped backend of [`KnnEngine::try_distances`]: chunked like the plain
-    /// path, with the remaining budget threaded through each chunk's capped scheduler run.
-    /// Crate-visible so the hierarchical search can run its scoring phase under a shared
-    /// deadline without re-validating per query.
-    pub(crate) fn distances_capped<C: AsRef<[f32]>>(
-        &mut self,
-        query: &[f32],
-        candidates: &[C],
-        metric: KnnMetric,
-        policy: &ExecPolicy,
-    ) -> Result<QueryOutcome<Vec<f32>>, QueryError> {
         let cap = policy.max_total_beats;
-        let lanes = match metric {
-            KnnMetric::Euclidean => EUCLIDEAN_LANES,
-            KnnMetric::Cosine => COSINE_LANES,
-        };
-        let beats_per_candidate = query.len().div_ceil(lanes).max(1);
-        let chunk_len = (Self::MAX_BEATS_PER_PASS / beats_per_candidate).max(1);
-
-        let mut results = Vec::with_capacity(candidates.len());
-        let mut beats_spent = 0u64;
-        let mut complete = true;
-        for chunk in candidates.chunks(chunk_len) {
-            let remaining = cap.saturating_sub(beats_spent);
-            if remaining == 0 {
-                complete = false;
-                break;
-            }
-            let (distances, run) = self.score_chunk(query, chunk, metric, policy, remaining);
-            beats_spent += run.beats;
-            results.extend(distances);
-            if !run.complete {
-                complete = false;
-                break;
-            }
-        }
-
-        if complete {
-            return Ok(QueryOutcome::Complete(results));
-        }
-        if results.is_empty() {
-            return Err(QueryError::BudgetExhausted {
-                max_total_beats: cap,
-            });
-        }
-        let completed = results.len();
-        Ok(QueryOutcome::Partial(PartialResult {
-            output: results,
+        let (distances, run) = self.run_distances(query, candidates, metric, policy, cap);
+        let completed = distances.len();
+        QueryOutcome::from_run(
+            distances,
             completed,
-            total: candidates.len(),
-            beats_spent,
-            progress: self.beat_mix(),
-        }))
+            candidates.len(),
+            run,
+            cap,
+            self.beat_mix(),
+        )
     }
 
     /// Finds the `k` nearest neighbours with up-front validation and deadline-aware
@@ -777,6 +756,17 @@ pub fn select_k_nearest(distances: &[f32], k: usize) -> Vec<Neighbor> {
         }
     }
     best
+}
+
+/// Sorts neighbours nearest first, ties (and unordered `NaN` distances) broken by index — the
+/// `(distance, index)` order every sorted neighbour list uses.
+pub(crate) fn sort_nearest_first(neighbors: &mut [Neighbor]) {
+    neighbors.sort_by(|a, b| {
+        a.distance
+            .partial_cmp(&b.distance)
+            .unwrap_or(core::cmp::Ordering::Equal)
+            .then(a.index.cmp(&b.index))
+    });
 }
 
 impl Default for KnnEngine {
@@ -925,12 +915,7 @@ mod tests {
             .enumerate()
             .map(|(index, &distance)| Neighbor { index, distance })
             .collect();
-        scored.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .unwrap_or(core::cmp::Ordering::Equal)
-                .then(a.index.cmp(&b.index))
-        });
+        sort_nearest_first(&mut scored);
         scored.truncate(k);
         scored
     }

@@ -47,9 +47,12 @@
 //! [`fault::shard_checkpoint`](crate::fault) on entry — one relaxed atomic load — so the
 //! deterministic chaos harness can poison a chosen shard.
 //!
-//! The policy API reaches this machinery through
-//! [`TraversalEngine::trace`](crate::TraversalEngine::trace) and the other engines' policy
-//! entry points.
+//! The policy API reaches this machinery from each engine's one run function, and only for
+//! uncapped runs: [`TraversalEngine::trace`](crate::TraversalEngine::trace) (through
+//! [`fused_pair_sharded_checked`]) and the other engines' policy entry points (through
+//! [`shard_chunks`]), plus their `try_*` twins when no deadline is set.  A run capped by
+//! [`ExecPolicy::max_total_beats`] always executes inline, because cooperative cancellation is a
+//! single-unit discipline.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -59,10 +62,9 @@ use rayflex_core::PipelineConfig;
 use rayflex_geometry::Ray;
 
 use crate::fault;
-use crate::policy::CoherenceMode;
+use crate::policy::{ExecMode, ExecPolicy, ShardHint};
 use crate::scene::SceneView;
-use crate::traversal::{TraceRequest, TraversalEngine, TraversalHit, TraversalStats};
-use crate::ExecPolicy;
+use crate::traversal::{TraceOutput, TraceRequest, TraversalEngine, TraversalStats};
 
 /// Target chunks per worker in the work-stealing pool: enough surplus that a worker finishing
 /// early has something to steal, small enough that chunk bookkeeping stays negligible next to
@@ -199,14 +201,6 @@ fn lock_queue(queue: &Mutex<VecDeque<usize>>) -> std::sync::MutexGuard<'_, VecDe
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The result triple of a fused closest-hit + any-hit pair trace: the two hit streams (in the
-/// caller's ray order) and the summed traversal statistics.
-type PairTraceResult = (
-    Vec<Option<TraversalHit>>,
-    Vec<Option<TraversalHit>>,
-    TraversalStats,
-);
-
 /// Minimum rays a shard must carry before an extra worker thread pays for itself.  Below this,
 /// per-spawn overhead dominates the wavefront's per-ray cost and the batched single-engine path
 /// wins (measured on the PR 1 baseline scenes).
@@ -244,11 +238,10 @@ fn effective_threads(threads: usize, items: usize) -> usize {
     effective_threads_for(threads, items, MIN_RAYS_PER_SHARD)
 }
 
-/// The worker count a traversal pair request resolves to — exposed so
-/// [`TraversalEngine::trace`] can run small [`ExecMode::Parallel`](crate::ExecMode::Parallel)
-/// requests inline on the calling engine (keeping its pools and beat attribution) instead of
-/// spinning up a throwaway single worker.
-pub(crate) fn pair_effective_threads(closest_len: usize, any_len: usize, threads: usize) -> usize {
+/// The worker count a traversal pair request resolves to; at one, the request runs inline on
+/// the calling engine (keeping its pools and beat attribution) instead of spinning up a
+/// throwaway single worker.
+fn pair_effective_threads(closest_len: usize, any_len: usize, threads: usize) -> usize {
     let total = closest_len.max(any_len);
     effective_threads(threads, closest_len + any_len).min(total.max(1))
 }
@@ -257,8 +250,8 @@ pub(crate) fn pair_effective_threads(closest_len: usize, any_len: usize, threads
 /// per-chunk results in item order, or returns `None` when auto-tuning decides the work should
 /// run inline (fewer than two chunks of at least `min_per_shard` items would result).  The
 /// skeleton the single-slice parallel backends (the k-NN candidate scorer and the hierarchical
-/// filter) share; the traversal pair backend ([`fused_pair_sharded`]) plans its own stream-aware
-/// chunk set but drains it through the same pool.  A chunk whose worker panicked is retried once
+/// filter) share; the traversal pair backend ([`fused_pair_sharded_checked`]) plans its own
+/// stream-aware chunk set but drains it through the same pool.  A chunk whose worker panicked is retried once
 /// inline (the work is deterministic); a second panic propagates to the caller.
 pub(crate) fn shard_chunks<T: Sync, R: Send>(
     items: &[T],
@@ -295,82 +288,53 @@ enum PairChunk {
 /// The result of a pool-backed pair trace: both hit streams (in the caller's ray order), the
 /// summed domain statistics and the pool's utilisation counters.
 pub(crate) struct PairPoolTrace {
-    /// Closest-hit results, in input order.
-    pub closest: Vec<Option<TraversalHit>>,
-    /// Any-hit results, in input order.
-    pub any: Vec<Option<TraversalHit>>,
+    /// Both streams' hits, in input order.
+    pub output: TraceOutput,
     /// Summed traversal statistics (bit-identical to every single-threaded mode).
     pub stats: TraversalStats,
     /// Work-stealing pool utilisation (observability only).
     pub pool: PoolStats,
 }
 
-/// The [`ExecMode::Parallel`](crate::ExecMode::Parallel) backend for traversal requests: plans a
-/// stream-aware chunk set over the (closest-hit, any-hit) pair and drains it through the
-/// work-stealing pool, each chunk a private engine running the batched wavefront over its slice.
-/// Either stream may be empty and the streams may have different lengths — each stream is
-/// chunked independently.
+/// The [`ExecMode::Parallel`] backend for traversal requests: plans a stream-aware chunk set
+/// over the request's (closest-hit, any-hit) pair and drains it through the work-stealing pool,
+/// each chunk a private engine running the batched wavefront over its slice at the policy's
+/// lane width and coherence.  Either stream may be empty and the streams may have different
+/// lengths — each stream is chunked independently.  `Ok(None)` means the request is too small
+/// to shard (or the policy is not parallel) and belongs inline on the caller's engine.
 ///
 /// Returns hits in input order and summed statistics; all bit-identical to every
-/// single-threaded execution mode.
-///
-/// # Panics
-///
-/// Panics if a worker chunk panics **and** the one-shot scalar retry of its range panics too —
-/// the behaviour the pre-hardening code had for any worker panic.  Use
-/// [`fused_pair_sharded_checked`] to get the chunk index back instead.
-#[allow(clippy::too_many_arguments)] // mirrors the checked variant's full plan description
-pub(crate) fn fused_pair_sharded(
-    config: PipelineConfig,
-    view: SceneView<'_>,
-    closest_rays: &[Ray],
-    any_rays: &[Ray],
-    threads: usize,
-    simd_lanes: usize,
-    coherence: CoherenceMode,
-    stream_aware: bool,
-) -> PairPoolTrace {
-    fused_pair_sharded_checked(
-        config,
-        view,
-        closest_rays,
-        any_rays,
-        threads,
-        simd_lanes,
-        coherence,
-        stream_aware,
-    )
-    .unwrap_or_else(|shard| {
-        panic!("fused traversal worker panicked (shard {shard}) and its scalar retry failed")
-    })
-}
-
-/// [`fused_pair_sharded`] with panic isolation surfaced instead of propagated: a worker chunk
-/// that panics is retried once through the scalar reference path (bit-identical results, the
-/// fallback counted in [`TraversalStats::shard_fallbacks`]); `Err(shard)` reports the chunk
-/// index whose retry *also* panicked — the one failure this layer cannot absorb.
-#[allow(clippy::too_many_arguments)] // the full shard plan: geometry, streams, budget, knobs
+/// single-threaded execution mode.  A worker chunk that panics is retried once through the
+/// scalar reference path (bit-identical results, the fallback counted in
+/// [`TraversalStats::shard_fallbacks`]); `Err(shard)` reports the chunk index whose retry
+/// *also* panicked — the one failure this layer cannot absorb.
 pub(crate) fn fused_pair_sharded_checked(
     config: PipelineConfig,
-    view: SceneView<'_>,
-    closest_rays: &[Ray],
-    any_rays: &[Ray],
-    threads: usize,
-    simd_lanes: usize,
-    coherence: CoherenceMode,
-    stream_aware: bool,
-) -> Result<PairPoolTrace, usize> {
-    let threads = pair_effective_threads(closest_rays.len(), any_rays.len(), threads);
-    debug_assert!(threads > 1, "callers trace unshardable requests inline");
-    let policy = ExecPolicy::wavefront()
-        .with_simd_lanes(simd_lanes)
-        .with_coherence(coherence);
+    request: &TraceRequest<'_>,
+    policy: &ExecPolicy,
+) -> Result<Option<PairPoolTrace>, usize> {
+    let ExecMode::Parallel { shards } = policy.mode else {
+        return Ok(None);
+    };
+    let (view, closest_rays, any_rays) =
+        (request.view(), request.closest_rays(), request.any_rays());
+    let threads = pair_effective_threads(
+        closest_rays.len(),
+        any_rays.len(),
+        shards.requested_threads(),
+    );
+    if threads <= 1 {
+        return Ok(None);
+    }
+    let worker = ExecPolicy::wavefront()
+        .with_simd_lanes(policy.simd_lanes)
+        .with_coherence(policy.coherence);
     // Stream-aware plan: each stream is chunked independently against the same worker budget,
     // closest chunks first.  Chunk indices — the identity `fault::shard_checkpoint` sees — are
-    // fixed by this plan, not by which worker steals what.  Under `stream_aware` (the
-    // [`ShardHint::Auto`](crate::ShardHint::Auto) resolution) the any-hit stream plans against
-    // its smaller retirement-rate-derived floor.
-    let any_floor = if stream_aware {
+    // fixed by this plan, not by which worker steals what.  Under
+    // [`ShardHint::Auto`] the any-hit stream plans against its smaller
+    // retirement-rate-derived floor.
+    let any_floor = if shards == ShardHint::Auto {
         MIN_ANY_RAYS_PER_SHARD
     } else {
         MIN_RAYS_PER_SHARD
@@ -384,66 +348,40 @@ pub(crate) fn fused_pair_sharded_checked(
                 .map(PairChunk::Any),
         )
         .collect();
+    let slices = |chunk: &PairChunk| match chunk {
+        PairChunk::Closest(range) => (&closest_rays[range.clone()], &any_rays[..0]),
+        PairChunk::Any(range) => (&closest_rays[..0], &any_rays[range.clone()]),
+    };
     let (results, pool) = steal_map(&chunks, threads, |chunk| {
+        let (closest, any) = slices(chunk);
         let mut engine = TraversalEngine::with_config(config);
-        let hits = match chunk {
-            PairChunk::Closest(range) => {
-                engine
-                    .trace(
-                        &TraceRequest::pair_view(view, &closest_rays[range.clone()], &[]),
-                        &policy,
-                    )
-                    .closest
-            }
-            PairChunk::Any(range) => {
-                engine
-                    .trace(
-                        &TraceRequest::pair_view(view, &[], &any_rays[range.clone()]),
-                        &policy,
-                    )
-                    .any
-            }
-        };
-        (hits, engine.stats())
+        let output = engine.trace(&TraceRequest::pair_view(view, closest, any), &worker);
+        (output, engine.stats())
     });
-    let mut closest = Vec::with_capacity(closest_rays.len());
-    let mut any = Vec::with_capacity(any_rays.len());
+    let mut output = TraceOutput {
+        closest: Vec::with_capacity(closest_rays.len()),
+        any: Vec::with_capacity(any_rays.len()),
+    };
     let mut stats = TraversalStats::default();
     for (index, (chunk, result)) in chunks.iter().zip(results).enumerate() {
+        // A chunk that panicked gets one scalar-reference retry of just its range, with the
+        // fallback recorded; `Err(index)` if the retry dies too.
         let (hits, chunk_stats) = match result {
             Some(result) => result,
             None => {
-                // The chunk panicked: one scalar-reference retry of just its range, with the
-                // fallback recorded.  `Err(index)` if the retry dies too.
-                let (closest_range, any_range) = match chunk {
-                    PairChunk::Closest(range) => (range.clone(), 0..0),
-                    PairChunk::Any(range) => (0..0, range.clone()),
-                };
-                let (retry_closest, retry_any, retry_stats) = retry_range_scalar(
-                    config,
-                    view,
-                    &closest_rays[closest_range],
-                    &any_rays[any_range],
-                )
-                .ok_or(index)?;
-                match chunk {
-                    PairChunk::Closest(_) => (retry_closest, retry_stats),
-                    PairChunk::Any(_) => (retry_any, retry_stats),
-                }
+                let (closest, any) = slices(chunk);
+                retry_range_scalar(config, view, closest, any).ok_or(index)?
             }
         };
-        match chunk {
-            PairChunk::Closest(_) => closest.extend(hits),
-            PairChunk::Any(_) => any.extend(hits),
-        }
+        output.closest.extend(hits.closest);
+        output.any.extend(hits.any);
         stats.merge(&chunk_stats);
     }
-    Ok(PairPoolTrace {
-        closest,
-        any,
+    Ok(Some(PairPoolTrace {
+        output,
         stats,
         pool,
-    })
+    }))
 }
 
 /// The one-shot recovery path for a poisoned traversal shard: re-trace just its index range
@@ -456,7 +394,7 @@ fn retry_range_scalar(
     view: SceneView<'_>,
     closest_rays: &[Ray],
     any_rays: &[Ray],
-) -> Option<PairTraceResult> {
+) -> Option<(TraceOutput, TraversalStats)> {
     catch_unwind(AssertUnwindSafe(|| {
         let mut engine = TraversalEngine::with_config(config);
         let output = engine.trace(
@@ -465,7 +403,7 @@ fn retry_range_scalar(
         );
         let mut stats = engine.stats();
         stats.shard_fallbacks += 1;
-        (output.closest, output.any, stats)
+        (output, stats)
     }))
     .ok()
 }

@@ -128,6 +128,16 @@ pub struct CappedFusedRun {
     pub complete: bool,
 }
 
+/// What is left of a `cap`-beat budget after `spent` beats, as the cap of the next run: `0`
+/// (uncapped) when `cap` is `0`, `None` once the budget is spent.
+pub(crate) fn remaining_beats(cap: u64, spent: u64) -> Option<u64> {
+    match cap {
+        0 => Some(0),
+        _ if spent >= cap => None,
+        _ => Some(cap - spent),
+    }
+}
+
 /// A type-erased query stream inside a fused run: the object-safe face of a
 /// [`StreamRunner`], which is how heterogeneous [`BatchQuery`] implementations (different state
 /// and output types) share one [`FusedScheduler`] pass schedule.

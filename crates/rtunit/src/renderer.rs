@@ -28,8 +28,9 @@ use rayflex_core::PipelineConfig;
 use rayflex_geometry::{Ray, Triangle, Vec3};
 use rayflex_workloads::rays::{ambient_occlusion_rays, surfel_reflection_rays, surfel_shadow_rays};
 
-use crate::error::{QueryError, QueryOutcome, SceneValidator};
+use crate::error::{QueryError, SceneValidator};
 use crate::policy::ExecPolicy;
+use crate::query::remaining_beats;
 use crate::traversal::{TraceOutput, TraceRequest};
 use crate::{Scene, TraversalEngine, TraversalHit, TraversalStats};
 
@@ -506,8 +507,8 @@ fn validate_frame(frame: &FrameDesc) -> Result<(), QueryError> {
 }
 
 /// The traversal backend of a frame: one engine, one scene, one policy.  Every pass stream —
-/// single-kind or the fused bounce+shadow pair — routes through
-/// [`TraversalEngine::trace`] under the same [`ExecPolicy`], which is what makes all execution
+/// single-kind or the fused bounce+shadow pair — routes through the engine's one run (the run
+/// behind [`TraversalEngine::trace`]) under the same [`ExecPolicy`], which is what makes all execution
 /// modes bit-identical by construction: the pipeline around the tracer is common code.
 struct FrameTracer<'a> {
     engine: &'a mut TraversalEngine,
@@ -526,26 +527,18 @@ struct FrameTracer<'a> {
 }
 
 impl FrameTracer<'_> {
-    /// Routes one request through the engine, enforcing the frame-level beat budget when one is
-    /// set: a request starting past the deadline — or cancelled mid-run by the capped
-    /// scheduler — marks the tracer exhausted.
+    /// Routes one request through the engine's run, capped at what is left of the frame-level
+    /// beat budget (uncapped when there is none): a request starting past the deadline — or
+    /// cancelled mid-run by the capped scheduler — marks the tracer exhausted.
     fn run(&mut self, request: &TraceRequest<'_>) -> TraceOutput {
-        if self.budget == 0 {
-            return self.engine.trace(request, &self.policy);
-        }
-        if !self.exhausted {
-            let spent = self.engine.stats().total_ops() - self.baseline_ops;
-            let remaining = self.budget.saturating_sub(spent);
-            if remaining > 0 {
-                let capped = self.policy.with_max_total_beats(remaining);
-                if let Ok(QueryOutcome::Complete(output)) =
-                    self.engine.trace_capped(request, &capped)
-                {
-                    return output;
-                }
+        let spent = self.engine.stats().total_ops() - self.baseline_ops;
+        if let Some(cap) = remaining_beats(self.budget, spent).filter(|_| !self.exhausted) {
+            let (output, progress) = self.engine.run_or_panic(request, &self.policy, cap);
+            if progress.complete {
+                return output;
             }
-            self.exhausted = true;
         }
+        self.exhausted = true;
         TraceOutput {
             closest: vec![None; request.closest_rays().len()],
             any: vec![None; request.any_rays().len()],
@@ -845,15 +838,30 @@ impl Renderer {
     /// assert!(image.coverage() > 0.0);
     /// ```
     pub fn render(&mut self, scene: &Scene, frame: &FrameDesc, policy: &ExecPolicy) -> Image {
+        self.render_frame(scene, frame, policy, 0)
+            .unwrap_or_else(|_| unreachable!("an uncapped frame always completes"))
+    }
+
+    /// The one frame body behind [`Renderer::render`] (budget 0) and [`Renderer::try_render`]:
+    /// every pass stream traced under `policy` against a frame-wide `budget` of beats (`0` =
+    /// uncapped).  `Err(beats_spent)` when the frame crossed the budget.
+    fn render_frame(
+        &mut self,
+        scene: &Scene,
+        frame: &FrameDesc,
+        policy: &ExecPolicy,
+        budget: u64,
+    ) -> Result<Image, u64> {
+        let baseline_ops = self.engine.stats().total_ops();
         let mut tracer = FrameTracer {
             engine: &mut self.engine,
             scene,
             policy: *policy,
-            budget: 0,
-            baseline_ops: 0,
+            budget,
+            baseline_ops,
             exhausted: false,
         };
-        match &frame.passes {
+        let image = match &frame.passes {
             None => primary_frame(&frame.camera, frame.width, frame.height, &mut tracer),
             Some(passes) => deferred_frame(
                 &frame.camera,
@@ -862,7 +870,11 @@ impl Renderer {
                 passes,
                 &mut tracer,
             ),
+        };
+        if tracer.exhausted {
+            return Err(self.engine.stats().total_ops() - baseline_ops);
         }
+        Ok(image)
     }
 
     /// Renders one frame with up-front validation and deadline-aware cancellation — the
@@ -920,33 +932,11 @@ impl Renderer {
     ) -> Result<Image, QueryError> {
         SceneValidator::validate_scene(scene)?;
         validate_frame(frame)?;
-        let baseline_ops = self.engine.stats().total_ops();
-        let mut tracer = FrameTracer {
-            engine: &mut self.engine,
-            scene,
-            policy: *policy,
-            budget: policy.max_total_beats,
-            baseline_ops,
-            exhausted: false,
-        };
-        let image = match &frame.passes {
-            None => primary_frame(&frame.camera, frame.width, frame.height, &mut tracer),
-            Some(passes) => deferred_frame(
-                &frame.camera,
-                frame.width,
-                frame.height,
-                passes,
-                &mut tracer,
-            ),
-        };
-        let exhausted = tracer.exhausted;
-        if exhausted {
-            return Err(QueryError::DeadlineExceeded {
-                beats_spent: self.engine.stats().total_ops() - baseline_ops,
+        self.render_frame(scene, frame, policy, policy.max_total_beats)
+            .map_err(|beats_spent| QueryError::DeadlineExceeded {
+                beats_spent,
                 max_total_beats: policy.max_total_beats,
-            });
-        }
-        Ok(image)
+            })
     }
 
     /// Per-opcode (and per-query-kind) breakdown of every beat the renderer's datapath has

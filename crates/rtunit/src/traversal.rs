@@ -39,10 +39,11 @@ use rayflex_core::{
 use rayflex_geometry::Ray;
 
 use crate::bvh::ChildRef;
-use crate::error::{validate_rays, PartialResult, QueryError, QueryOutcome, SceneValidator};
+use crate::error::{validate_rays, QueryError, QueryOutcome, SceneValidator};
 use crate::policy::{CoherenceMode, ExecMode, ExecPolicy};
 use crate::query::{
-    BatchQuery, CappedFusedRun, FusedScheduler, QueryKind, RunnerArena, StreamRunner,
+    remaining_beats, BatchQuery, CappedFusedRun, FusedScheduler, QueryKind, RunnerArena,
+    StreamRunner,
 };
 use crate::scene::{handle, NodeStep, Scene, SceneView};
 
@@ -624,15 +625,15 @@ impl<'a> TraversalStream<'a> {
     }
 
     /// Like [`TraversalStream::finish`], but tolerant of a budget-cancelled run: yields the
-    /// hits of the longest fully-retired item prefix (everything, if the run completed), the
-    /// prefix length, and the stream's statistics.  Rays cancelled mid-flight surface nothing —
-    /// a premature best-hit would be silently wrong.  A server mapping an incomplete
-    /// [`CappedFusedRun`](crate::CappedFusedRun) onto a partial protocol response calls this to
-    /// salvage the completed prefix.
+    /// hits of the longest fully-retired item prefix (everything, if the run completed; the
+    /// prefix length is the vector's length) and the stream's statistics.  Rays cancelled
+    /// mid-flight surface nothing — a premature best-hit would be silently wrong.  A server
+    /// mapping an incomplete [`CappedFusedRun`](crate::CappedFusedRun) onto a partial protocol
+    /// response calls this to salvage the completed prefix.
     #[must_use]
-    pub fn finish_partial(self) -> (Vec<Option<TraversalHit>>, usize, TraversalStats) {
-        let (query, hits, prefix) = self.runner.finish_partial();
-        (hits, prefix, query.stats)
+    pub fn finish_partial(self) -> (Vec<Option<TraversalHit>>, TraversalStats) {
+        let (query, hits, _items) = self.runner.finish_partial();
+        (hits, query.stats)
     }
 
     /// [`TraversalStream::finish_partial`] handing the arena back for the next run.
@@ -766,50 +767,7 @@ impl TraversalEngine {
     /// assert!(hits[0].is_some());
     /// ```
     pub fn trace(&mut self, request: &TraceRequest<'_>, policy: &ExecPolicy) -> TraceOutput {
-        if policy.mode == ExecMode::ScalarReference {
-            let view = request.view();
-            return TraceOutput {
-                closest: request
-                    .closest
-                    .iter()
-                    .map(|ray| self.scalar_closest_hit(view, ray))
-                    .collect(),
-                any: request
-                    .any
-                    .iter()
-                    .map(|ray| self.scalar_any_hit(view, ray))
-                    .collect(),
-            };
-        }
-        if let ExecMode::Parallel { shards } = policy.mode {
-            let threads = shards.requested_threads();
-            if crate::parallel::pair_effective_threads(
-                request.closest.len(),
-                request.any.len(),
-                threads,
-            ) > 1
-            {
-                let out = crate::parallel::fused_pair_sharded(
-                    *self.config(),
-                    request.view(),
-                    request.closest,
-                    request.any,
-                    threads,
-                    policy.effective_simd_lanes(),
-                    policy.coherence,
-                    matches!(shards, crate::policy::ShardHint::Auto),
-                );
-                self.stats.merge(&out.stats);
-                self.pool.merge(&out.pool);
-                return TraceOutput {
-                    closest: out.closest,
-                    any: out.any,
-                };
-            }
-            // Too small to shard profitably: run inline on this engine (keeping its arenas and
-            // beat attribution) rather than spinning up a throwaway worker.
-        }
-        self.run_streams(request, policy, 0).0
+        self.run_or_panic(request, policy, 0).0
     }
 
     /// [`TraversalEngine::trace`] with the hardened failure contract: structured errors instead
@@ -827,11 +785,12 @@ impl TraversalEngine {
     ///   boundary once the budget is spent and returns [`QueryOutcome::Partial`]: the hits of
     ///   the longest fully-retired item prefix — bit-identical to the same prefix of the
     ///   uncapped run — plus progress counters.  A cap too small to retire a single item fails
-    ///   [`QueryError::BudgetExhausted`].
+    ///   [`QueryError::BudgetExhausted`].  Capped runs never shard: they execute inline on this
+    ///   engine's datapath in every mode.
     ///
-    /// A run that completes within its budget (or with no budget) returns
-    /// [`QueryOutcome::Complete`] carrying exactly what [`TraversalEngine::trace`] would have
-    /// — the plain entry point stays the fast path; this one adds O(scene + rays) validation.
+    /// [`TraversalEngine::trace`] is this same run at cap 0, so a run that completes within its
+    /// budget (or with no budget) returns [`QueryOutcome::Complete`] carrying exactly what
+    /// `trace` would have; this entry point only adds O(scene + rays) validation.
     ///
     /// # Errors
     ///
@@ -870,81 +829,81 @@ impl TraversalEngine {
         SceneValidator::validate_view(request.view())?;
         validate_rays(request.closest, "closest-hit")?;
         validate_rays(request.any, "any-hit")?;
-        if policy.max_total_beats == 0 {
-            return self
-                .trace_isolated(request, policy)
-                .map(QueryOutcome::Complete);
-        }
-        self.trace_capped(request, policy)
+        let cap = policy.max_total_beats;
+        let (output, progress) = self
+            .run(request, policy, cap)
+            .map_err(|shard| QueryError::ShardPanicked { shard })?;
+        let completed = output.closest.len() + output.any.len();
+        let total = request.closest.len() + request.any.len();
+        QueryOutcome::from_run(output, completed, total, progress, cap, self.beat_mix())
     }
 
-    /// The uncapped `try_trace` body: [`TraversalEngine::trace`], except that parallel worker
-    /// panics surface as [`QueryError::ShardPanicked`] instead of unwinding.
-    fn trace_isolated(
+    /// [`TraversalEngine::run`] for the plain entry points, which keep the panic of a parallel
+    /// shard whose scalar retry died too.
+    pub(crate) fn run_or_panic(
         &mut self,
         request: &TraceRequest<'_>,
         policy: &ExecPolicy,
-    ) -> Result<TraceOutput, QueryError> {
-        if let ExecMode::Parallel { shards } = policy.mode {
-            let threads = shards.requested_threads();
-            let auto_tuned = crate::parallel::pair_effective_threads(
-                request.closest.len(),
-                request.any.len(),
-                threads,
-            );
-            if auto_tuned > 1 {
-                let out = crate::parallel::fused_pair_sharded_checked(
-                    *self.config(),
-                    request.view(),
-                    request.closest,
-                    request.any,
-                    threads,
-                    policy.effective_simd_lanes(),
-                    policy.coherence,
-                    matches!(shards, crate::policy::ShardHint::Auto),
-                )
-                .map_err(|shard| QueryError::ShardPanicked { shard })?;
-                self.stats.merge(&out.stats);
-                self.pool.merge(&out.pool);
-                return Ok(TraceOutput {
-                    closest: out.closest,
-                    any: out.any,
-                });
+        cap: u64,
+    ) -> (TraceOutput, CappedFusedRun) {
+        self.run(request, policy, cap).unwrap_or_else(|shard| {
+            panic!("fused traversal worker panicked (shard {shard}) and its scalar retry failed")
+        })
+    }
+
+    /// The one traversal run behind every entry point: traces `request` as `policy` says,
+    /// capped at `cap` beats (`0` = uncapped), and returns each stream's retired prefix with the
+    /// run's progress.
+    ///
+    /// Only an uncapped run leaves this engine's scheduler: under [`ExecMode::Parallel`] it
+    /// shards across workers (when the request is large enough to pay for them), and under
+    /// [`ExecMode::ScalarReference`] each ray walks alone.  A capped run cancels at pass
+    /// boundaries, a single-unit discipline, so it always runs inline through
+    /// [`FusedScheduler::run_policy`] (whose reference discipline cancels at round boundaries).
+    /// `Err(shard)` names a parallel shard whose scalar retry panicked too.
+    fn run(
+        &mut self,
+        request: &TraceRequest<'_>,
+        policy: &ExecPolicy,
+        cap: u64,
+    ) -> Result<(TraceOutput, CappedFusedRun), usize> {
+        if cap == 0 {
+            let before = self.stats.total_ops();
+            let output = match policy.mode {
+                ExecMode::ScalarReference => {
+                    let view = request.view();
+                    let mut walk = |kind, rays: &[Ray]| {
+                        rays.iter()
+                            .map(|ray| self.scalar_walk(view, ray, kind))
+                            .collect()
+                    };
+                    Some(TraceOutput {
+                        closest: walk(QueryKind::ClosestHit, request.closest),
+                        any: walk(QueryKind::AnyHit, request.any),
+                    })
+                }
+                ExecMode::Parallel { .. } => {
+                    crate::parallel::fused_pair_sharded_checked(*self.config(), request, policy)?
+                        .map(|out| {
+                            self.stats.merge(&out.stats);
+                            self.pool.merge(&out.pool);
+                            out.output
+                        })
+                }
+                _ => None,
+            };
+            if let Some(output) = output {
+                let beats = self.stats.total_ops() - before;
+                return Ok((
+                    output,
+                    CappedFusedRun {
+                        beats,
+                        complete: true,
+                    },
+                ));
             }
         }
-        Ok(self.trace(request, policy))
-    }
-
-    /// The deadline-capped `try_trace` body: runs the request under
-    /// [`ExecPolicy::max_total_beats`] and maps the run's progress onto the [`QueryOutcome`]
-    /// contract.
-    ///
-    /// Capped runs always execute inline on this engine's datapath — cooperative cancellation
-    /// is a single-unit admission policy, so [`ExecMode::Parallel`] does not shard here (hits
-    /// of the completed prefix are bit-identical in every mode regardless).
-    pub(crate) fn trace_capped(
-        &mut self,
-        request: &TraceRequest<'_>,
-        policy: &ExecPolicy,
-    ) -> Result<QueryOutcome<TraceOutput>, QueryError> {
-        let cap = policy.max_total_beats;
-        let (output, progress) = self.run_streams(request, policy, cap);
-        if progress.complete {
-            return Ok(QueryOutcome::Complete(output));
-        }
-        let completed = output.closest.len() + output.any.len();
-        if completed == 0 {
-            return Err(QueryError::BudgetExhausted {
-                max_total_beats: cap,
-            });
-        }
-        Ok(QueryOutcome::Partial(PartialResult {
-            output,
-            completed,
-            total: request.closest.len() + request.any.len(),
-            beats_spent: progress.beats,
-            progress: self.beat_mix(),
-        }))
+        Ok(self.run_streams(request, policy, cap))
     }
 
     /// Runs the request's streams on this engine's datapath through its scheduler, dispatched
@@ -1010,17 +969,14 @@ impl TraversalEngine {
             if rays.is_empty() {
                 continue;
             }
-            if cap != 0 && progress.beats >= cap {
+            let Some(remaining) = remaining_beats(cap, progress.beats) else {
                 progress.complete = false;
                 break;
-            }
+            };
             let mut alone = stream(kind, rays, core::mem::take(&mut self.arenas[0]), true);
-            let run = self.fused.run_policy(
-                &mut self.datapath,
-                &mut [&mut alone],
-                policy,
-                if cap == 0 { 0 } else { cap - progress.beats },
-            );
+            let run =
+                self.fused
+                    .run_policy(&mut self.datapath, &mut [&mut alone], policy, remaining);
             let (hits, stats, arena) = alone.into_parts();
             self.arenas[0] = arena;
             self.stats.merge(&stats);
@@ -1038,20 +994,32 @@ impl TraversalEngine {
         (output, progress)
     }
 
-    /// The scalar register-accurate walk of one closest-hit ray (the
+    /// The scalar register-accurate walk of one ray of either traversal kind (the
     /// [`ExecMode::ScalarReference`] per-ray loop).
+    ///
+    /// Closest-hit prunes box children farther than the best hit so far.  Any-hit never prunes
+    /// and stops at the first accepted triangle beat, so occluded rays cost far fewer beats;
+    /// "first" means first in the deterministic traversal order (nearest-child-first), not
+    /// necessarily the geometrically nearest hit — only the hit/no-hit verdict is meaningful to
+    /// shadow tests.
     ///
     /// Box beats are tagged with the node's traversal handle (TLAS-phase bit included), exactly
     /// like the batched modes' beats, so the datapath's beat attribution sees the same tags in
     /// every mode; triangle beats use the engine's running tag counter.
-    fn scalar_closest_hit(&mut self, view: SceneView<'_>, ray: &Ray) -> Option<TraversalHit> {
+    fn scalar_walk(
+        &mut self,
+        view: SceneView<'_>,
+        ray: &Ray,
+        kind: QueryKind,
+    ) -> Option<TraversalHit> {
+        let any_hit = kind == QueryKind::AnyHit;
         self.stats.rays += 1;
         let mut best: Option<TraversalHit> = None;
         let mut stack = self.stack_pool.pop().unwrap_or_default();
         stack.clear();
         stack.push(view.root_handle());
 
-        while let Some(popped) = stack.pop() {
+        'walk: while let Some(popped) = stack.pop() {
             match view.step(popped) {
                 NodeStep::Leaf { positions, ctx } => {
                     self.stats.leaves_visited += 1;
@@ -1066,71 +1034,8 @@ impl TraversalEngine {
                         };
                         let prim = view.global_primitive(entry);
                         record_triangle_hit(&mut best, &result, prim, ray.t_beg, ray.t_end);
-                    }
-                }
-                NodeStep::Instances { ids } => {
-                    self.stats.instances_visited += ids.len() as u64;
-                    stack.extend(ids.iter().rev().map(|&inst| view.instance_root(inst)));
-                }
-                NodeStep::BoxBeat {
-                    tag,
-                    bounds,
-                    children,
-                    ctx,
-                    tlas,
-                } => {
-                    self.stats.nodes_visited += 1;
-                    self.stats.box_ops += 1;
-                    if tlas {
-                        self.stats.tlas_box_ops += 1;
-                    }
-                    let request = RayFlexRequest::ray_box(tag, ray, bounds.as_array());
-                    let response = self.datapath.execute(&request);
-                    let Some(result) = response.box_result else {
-                        unreachable!("a box beat always returns a box result");
-                    };
-                    push_hit_children(&mut stack, &result, children, ctx, best.as_ref());
-                }
-            }
-        }
-        self.stack_pool.push(stack);
-        best
-    }
-
-    /// The scalar register-accurate walk of one any-hit ray.
-    ///
-    /// "First" means first in the deterministic traversal order (nearest-child-first), not
-    /// necessarily the geometrically nearest hit; only the hit/no-hit verdict is meaningful to
-    /// shadow tests.  Children are never pruned against a best hit, and the traversal stops at
-    /// the first accepted triangle beat, so occluded rays cost far fewer beats than a closest-hit
-    /// traversal of the same scene.
-    fn scalar_any_hit(&mut self, view: SceneView<'_>, ray: &Ray) -> Option<TraversalHit> {
-        self.stats.rays += 1;
-        let mut found: Option<TraversalHit> = None;
-        let mut stack = self.stack_pool.pop().unwrap_or_default();
-        stack.clear();
-        stack.push(view.root_handle());
-
-        'traversal: while let Some(popped) = stack.pop() {
-            match view.step(popped) {
-                NodeStep::Leaf { positions, ctx } => {
-                    self.stats.leaves_visited += 1;
-                    for position in positions {
-                        self.stats.triangle_ops += 1;
-                        let entry = handle(ctx, position);
-                        let triangle = view.pending_triangle(entry);
-                        let request = RayFlexRequest::ray_triangle(self.tag(), ray, &triangle);
-                        let response = self.datapath.execute(&request);
-                        let Some(result) = response.triangle_result else {
-                            unreachable!("a triangle beat always returns a triangle result");
-                        };
-                        if result.hit {
-                            let t = result.distance();
-                            if t >= ray.t_beg && t <= ray.t_end {
-                                let primitive = view.global_primitive(entry);
-                                found = Some(TraversalHit { primitive, t });
-                                break 'traversal;
-                            }
+                        if any_hit && best.is_some() {
+                            break 'walk;
                         }
                     }
                 }
@@ -1155,12 +1060,13 @@ impl TraversalEngine {
                     let Some(result) = response.box_result else {
                         unreachable!("a box beat always returns a box result");
                     };
-                    push_hit_children(&mut stack, &result, children, ctx, None);
+                    let prune = if any_hit { None } else { best.as_ref() };
+                    push_hit_children(&mut stack, &result, children, ctx, prune);
                 }
             }
         }
         self.stack_pool.push(stack);
-        found
+        best
     }
 
     /// Number of bulk passes the engine's most recent fused run dispatched (how a beat budget

@@ -349,7 +349,8 @@ impl BatchExecutor {
         for entry in streams {
             match entry {
                 BatchStream::Trace { stream, job, rays } => {
-                    let (hits, prefix, _stats) = stream.finish_partial();
+                    let (hits, _stats) = stream.finish_partial();
+                    let prefix = hits.len();
                     bodies[job] = Some(if prefix == rays {
                         ResponseBody::Hits {
                             hits: hits.iter().map(wire_hit).collect(),
@@ -619,23 +620,31 @@ mod tests {
 
     #[test]
     fn a_tiny_batch_cap_degrades_to_partials_or_structured_errors() {
-        let mut exec = BatchExecutor::new(
-            Arc::new(Registry::preload().expect("catalog preloads")),
-            ExecConfig {
-                beat_budget: 1,
-                max_batch_beats: 1,
-                ..ExecConfig::default()
-            },
-        );
-        let rays = catalog::sample_rays("soup", 3, 8).expect("catalog rays");
-        let jobs = vec![job(9, "soup", RequestBody::Trace { rays })];
-        let responses = exec.execute(&jobs);
-        match &responses[0].body {
-            ResponseBody::Hits { .. } | ResponseBody::PartialHits { .. } => {}
-            ResponseBody::Error { code: got, .. } => {
-                assert_eq!(*got, code::BUDGET_EXHAUSTED);
+        // One 64-ray `soup` trace job at one beat per stream per pass, so the batch beat cap
+        // fires after a few rays retire.
+        let rays = catalog::sample_rays("soup", 3, 64).expect("catalog rays");
+        let answer = |max_batch_beats| {
+            let mut exec = BatchExecutor::new(
+                Arc::new(Registry::preload().expect("catalog preloads")),
+                ExecConfig {
+                    beat_budget: 1,
+                    max_batch_beats,
+                    ..ExecConfig::default()
+                },
+            );
+            let jobs = vec![job(9, "soup", RequestBody::Trace { rays: rays.clone() })];
+            exec.execute(&jobs).remove(0).body
+        };
+        match answer(1) {
+            ResponseBody::Error { code: got, .. } => assert_eq!(got, code::BUDGET_EXHAUSTED),
+            other => panic!("a one-beat cap retires no ray, got {other:?}"),
+        }
+        match answer(40) {
+            ResponseBody::PartialHits { total, hits } => {
+                assert_eq!(total, 64);
+                assert!(!hits.is_empty() && hits.len() < 64, "{} hits", hits.len());
             }
-            other => panic!("unexpected body {other:?}"),
+            other => panic!("a 40-beat cap retires a strict prefix, got {other:?}"),
         }
     }
 }
