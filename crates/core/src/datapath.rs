@@ -1,9 +1,11 @@
 //! The functional (un-timed) model of the datapath.
 
+use core::ops::Range;
+
 use crate::stages;
 use crate::{
-    AccumulatorState, Opcode, PipelineConfig, QueryKind, RayFlexRequest, RayFlexResponse,
-    SharedRayFlexData,
+    AccumulatorState, BeatSource, Opcode, PipelineConfig, QueryKind, RayFlexRequest,
+    RayFlexResponse, SharedRayFlexData,
 };
 
 /// Per-opcode — and, for attributed dispatches, per-query-kind × per-opcode — counters of the
@@ -209,13 +211,31 @@ pub struct RayFlexDatapath {
     simd_lanes: usize,
 }
 
-/// Responses per window of [`RayFlexDatapath::execute_batch_streamed`]: 1024 responses take
-/// 80 KiB, so a streamed pass holds that much response memory however many beats it carries
-/// (a whole 15 416-beat pass of responses would take 1.2 MB beside its 2.7 MB of requests).
+/// Responses per window of a streamed pass ([`RayFlexDatapath::execute_window`]): 1024
+/// responses take 80 KiB, so a streamed pass holds that much response memory however many
+/// beats it carries (a whole 15 416-beat pass of responses would take 1.2 MB).
 const RESPONSE_WINDOW: usize = 1024;
 
-/// Where [`RayFlexDatapath::execute_batch_streamed`] hands each window of responses.
-type ResponseSink<'a> = &'a mut dyn FnMut(&[RayFlexResponse]);
+/// A segmented bulk pass in flight through [`RayFlexDatapath::execute_window`]: where the next
+/// window resumes, and which segment's beats it is attributing.  Opened by
+/// [`RayFlexDatapath::begin_streamed_pass`], which has already counted the pass.
+#[derive(Debug, Clone)]
+pub struct StreamedPass {
+    /// Beats the pass carries.
+    beats: usize,
+    /// First beat the next window dispatches.
+    next: usize,
+    /// Attribution state, carried from window to window.
+    cursor: SegmentCursor,
+}
+
+impl StreamedPass {
+    /// `true` once every beat of the pass has been dispatched.
+    #[must_use]
+    pub fn is_finished(&self) -> bool {
+        self.next == self.beats
+    }
+}
 
 impl RayFlexDatapath {
     /// Creates a functional datapath for the given configuration.
@@ -281,6 +301,8 @@ impl RayFlexDatapath {
     pub fn execute(&mut self, request: &RayFlexRequest) -> RayFlexResponse {
         self.admit_run(
             core::slice::from_ref(request),
+            0..1,
+            &[],
             &mut SegmentCursor::Single(None),
         );
         self.emulated_beat(request)
@@ -291,8 +313,14 @@ impl RayFlexDatapath {
     /// per the cursor's segments, or unattributed) and the TLAS-phase box count.  Keeping this
     /// in one place is what keeps the per-beat and bulk, attributed and unattributed interfaces
     /// bit-identical in everything but their counters.
-    fn admit_run(&mut self, run: &[RayFlexRequest], cursor: &mut SegmentCursor<'_>) {
-        let opcode = run[0].opcode;
+    fn admit_run<S: BeatSource + ?Sized>(
+        &mut self,
+        source: &S,
+        run: Range<usize>,
+        segments: &[(QueryKind, usize)],
+        cursor: &mut SegmentCursor,
+    ) {
+        let opcode = source.opcode(run.start);
         assert!(
             self.config.supports(opcode),
             "opcode {} is not supported by the {} configuration",
@@ -300,13 +328,12 @@ impl RayFlexDatapath {
             self.config.name()
         );
         self.executed += run.len() as u64;
-        cursor.take_run(run.len(), |kind, count| {
+        cursor.take_run(segments, run.len(), |kind, count| {
             self.mix.record_run(opcode, kind, count as u64);
         });
         if opcode == Opcode::RayBox {
             self.mix.tlas_box_beats += run
-                .iter()
-                .filter(|request| request.tag & crate::TLAS_PHASE_TAG != 0)
+                .filter(|&beat| source.tag(beat) & crate::TLAS_PHASE_TAG != 0)
                 .count() as u64;
         }
     }
@@ -353,12 +380,20 @@ impl RayFlexDatapath {
     ) {
         responses.clear();
         responses.reserve(requests.len());
-        self.fast_run(requests, SegmentCursor::Single(None), responses, None);
+        self.fast_run(
+            requests,
+            &[],
+            &mut SegmentCursor::Single(None),
+            0,
+            responses,
+            usize::MAX,
+        );
     }
 
-    /// The bulk dispatch loop of every batched interface: admits every beat — attributed to the
-    /// [`QueryKind`] the segment cursor assigns it, or unattributed — and executes it on the
-    /// native fast model, grouping adjacent beats into the run kernels.
+    /// The bulk dispatch loop of every batched interface: admits every beat of `source` from
+    /// `start` on — attributed to the [`QueryKind`] the segment cursor assigns it from
+    /// `segments`, or unattributed — and executes it on the native fast model, grouping
+    /// adjacent beats into the run kernels.  Returns the first beat it left undispatched.
     ///
     /// Grouping relies on the scheduler adjacency the bulk interfaces already guarantee — a
     /// wavefront pass emits one beat per active item, so items in the same traversal phase sit
@@ -373,26 +408,24 @@ impl RayFlexDatapath {
     /// attribution is identical to dispatching each segment alone, and every grouping is
     /// bit-identical to the per-beat path.
     ///
-    /// With a `consume` sink the responses are handed over (and the buffer cleared) whenever at
-    /// least `RESPONSE_WINDOW` have accumulated, always between two groups; distance runs,
-    /// which occupy no lanes, are cut at the window so they cannot outgrow it.  Without one,
-    /// every response stays in `responses`.
-    fn fast_run(
+    /// The loop stops between two groups once `responses` holds at least `window` responses
+    /// (`usize::MAX` runs the whole source); distance runs, which occupy no lanes, are cut at
+    /// the window so they cannot outgrow it.  The kernels read every operand through `source`,
+    /// so the responses and counters depend only on what it presents.
+    fn fast_run<S: BeatSource + ?Sized>(
         &mut self,
-        requests: &[RayFlexRequest],
-        mut cursor: SegmentCursor<'_>,
+        source: &S,
+        segments: &[(QueryKind, usize)],
+        cursor: &mut SegmentCursor,
+        start: usize,
         responses: &mut Vec<RayFlexResponse>,
-        mut consume: Option<ResponseSink<'_>>,
-    ) {
+        window: usize,
+    ) -> usize {
         let wide = self.simd_lanes >= crate::fastpath::MIN_SIMD_LANES;
-        let window = if consume.is_some() {
-            RESPONSE_WINDOW
-        } else {
-            usize::MAX
-        };
-        let mut index = 0;
-        while index < requests.len() {
-            let opcode = requests[index].opcode;
+        let beats = source.beat_count();
+        let mut index = start;
+        while index < beats && responses.len() < window {
+            let opcode = source.opcode(index);
             let width = match opcode {
                 // The device carries `simd_lanes / 4` box beats per pass over the slab stages
                 // (four beats at sixteen lanes, two at eight, one below).
@@ -401,26 +434,29 @@ impl RayFlexDatapath {
                 Opcode::RayBox | Opcode::RayTriangle => 1,
                 Opcode::Euclidean | Opcode::Cosine => window - responses.len(),
             };
-            let limit = index.saturating_add(width).min(requests.len());
+            let limit = index.saturating_add(width).min(beats);
             let mut end = index + 1;
-            while end < limit && requests[end].opcode == opcode {
+            while end < limit && source.opcode(end) == opcode {
                 end += 1;
             }
-            let run = &requests[index..end];
-            self.admit_run(run, &mut cursor);
+            let run = index..end;
+            self.admit_run(source, run.clone(), segments, cursor);
             match opcode {
-                Opcode::RayBox if wide => self.issue_box_group(run, responses),
-                Opcode::RayBox => responses.push(crate::fastpath::box_response_scalar(&run[0])),
+                Opcode::RayBox if wide => self.issue_box_group(source, run, responses),
+                Opcode::RayBox => {
+                    responses.push(crate::fastpath::box_response_scalar(source, index));
+                }
                 Opcode::RayTriangle => {
                     if wide {
                         let (busy, slots) =
                             crate::fastpath::triangle_lane_accounting(run.len(), self.simd_lanes);
                         self.mix.record_lanes(busy, slots);
                     }
-                    crate::fastpath::execute_fast_triangles(run, responses);
+                    crate::fastpath::execute_fast_triangles(source, run, responses);
                 }
                 Opcode::Euclidean | Opcode::Cosine => {
                     crate::fastpath::execute_fast_distance_run(
+                        source,
                         run,
                         &mut self.accumulators,
                         responses,
@@ -428,29 +464,30 @@ impl RayFlexDatapath {
                 }
             }
             index = end;
-            if let Some(consume) = consume.as_mut() {
-                if responses.len() >= window {
-                    consume(responses);
-                    responses.clear();
-                }
-            }
         }
+        index
     }
 
     /// Dispatches a run of one to four adjacent ray–box beats as a single lane-group issue and
     /// records its occupancy: each beat's four AABBs fill one lane quartet, and the issue is
     /// charged the full device width, so the partially filled groups a short solo stream is
     /// stuck with show up as idle lanes ([`BeatMix::simd_lane_occupancy`]).
-    fn issue_box_group(&mut self, beats: &[RayFlexRequest], responses: &mut Vec<RayFlexResponse>) {
-        debug_assert!((1..=4).contains(&beats.len()));
-        debug_assert!(beats.len() * 4 <= self.simd_lanes);
+    fn issue_box_group<S: BeatSource + ?Sized>(
+        &mut self,
+        source: &S,
+        run: Range<usize>,
+        responses: &mut Vec<RayFlexResponse>,
+    ) {
+        debug_assert!((1..=4).contains(&run.len()));
+        debug_assert!(run.len() * 4 <= self.simd_lanes);
         self.mix
-            .record_lanes((beats.len() * 4) as u64, self.simd_lanes as u64);
-        match beats.len() {
-            1 => responses.push(crate::fastpath::execute_fast_box_lanes(&beats[0])),
-            2 => crate::fastpath::execute_fast_box_lanes_group::<8>(beats, responses),
-            3 => crate::fastpath::execute_fast_box_lanes_group::<12>(beats, responses),
-            _ => crate::fastpath::execute_fast_box_lanes_group::<16>(beats, responses),
+            .record_lanes((run.len() * 4) as u64, self.simd_lanes as u64);
+        let first = run.start;
+        match run.len() {
+            1 => responses.push(crate::fastpath::execute_fast_box_lanes(source, first)),
+            2 => crate::fastpath::execute_fast_box_lanes_group::<8, S>(source, first, responses),
+            3 => crate::fastpath::execute_fast_box_lanes_group::<12, S>(source, first, responses),
+            _ => crate::fastpath::execute_fast_box_lanes_group::<16, S>(source, first, responses),
         }
     }
 
@@ -468,6 +505,8 @@ impl RayFlexDatapath {
     ) -> RayFlexResponse {
         self.admit_run(
             core::slice::from_ref(request),
+            0..1,
+            &[],
             &mut SegmentCursor::Single(Some(kind)),
         );
         self.emulated_beat(request)
@@ -500,16 +539,33 @@ impl RayFlexDatapath {
         segments: &[(QueryKind, usize)],
         responses: &mut Vec<RayFlexResponse>,
     ) {
-        let covered: usize = segments.iter().map(|&(_, len)| len).sum();
-        assert_eq!(
-            covered,
-            requests.len(),
-            "segments must cover the request batch exactly"
-        );
-        self.passes_accounting(segments);
+        self.execute_beats_segmented(requests, segments, responses);
+    }
+
+    /// [`RayFlexDatapath::execute_batch_segmented`] over any [`BeatSource`]: the same single
+    /// pass, with every operand read through `source`.  Responses and counters equal those of
+    /// the request slice presenting the same beats.
+    ///
+    /// # Panics
+    ///
+    /// As [`RayFlexDatapath::execute_batch_segmented`].
+    pub fn execute_beats_segmented<S: BeatSource + ?Sized>(
+        &mut self,
+        source: &S,
+        segments: &[(QueryKind, usize)],
+        responses: &mut Vec<RayFlexResponse>,
+    ) {
+        self.count_pass(source.beat_count(), segments);
         responses.clear();
-        responses.reserve(requests.len());
-        self.fast_run(requests, SegmentCursor::table(segments), responses, None);
+        responses.reserve(source.beat_count());
+        self.fast_run(
+            source,
+            segments,
+            &mut SegmentCursor::table(),
+            0,
+            responses,
+            usize::MAX,
+        );
     }
 
     /// [`RayFlexDatapath::execute_batch_segmented`] for passes too large to hold all their
@@ -529,26 +585,82 @@ impl RayFlexDatapath {
         window: &mut Vec<RayFlexResponse>,
         mut consume: impl FnMut(&[RayFlexResponse]),
     ) {
-        let covered: usize = segments.iter().map(|&(_, len)| len).sum();
-        assert_eq!(
-            covered,
-            requests.len(),
-            "segments must cover the request batch exactly"
-        );
-        self.passes_accounting(segments);
+        let mut pass = self.begin_streamed_pass(requests.len(), segments, window);
+        while !pass.is_finished() {
+            self.execute_window(requests, segments, &mut pass, window);
+            consume(window);
+        }
+    }
+
+    /// Opens a streamed segmented pass of `beats` beats: counts the pass and sizes `window`
+    /// for [`RayFlexDatapath::execute_window`], which then dispatches it a window at a time.
+    /// This is [`RayFlexDatapath::execute_batch_streamed`] taken apart, for a caller that
+    /// must act on each window (apply the responses, say) before the next one runs and so
+    /// cannot keep its beat source borrowed across the whole pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment lengths do not sum to `beats`.
+    pub fn begin_streamed_pass(
+        &mut self,
+        beats: usize,
+        segments: &[(QueryKind, usize)],
+        window: &mut Vec<RayFlexResponse>,
+    ) -> StreamedPass {
+        self.count_pass(beats, segments);
         // A window closes at the first group boundary at or past `RESPONSE_WINDOW`, so it never
         // holds more than one group (at most `MAX_SIMD_LANES` beats) beyond that.
         window.clear();
-        window.reserve_exact(requests.len().min(RESPONSE_WINDOW + crate::MAX_SIMD_LANES));
-        self.fast_run(
-            requests,
-            SegmentCursor::table(segments),
-            window,
-            Some(&mut consume),
-        );
-        if !window.is_empty() {
-            consume(window);
+        window.reserve_exact(beats.min(RESPONSE_WINDOW + crate::MAX_SIMD_LANES));
+        StreamedPass {
+            beats,
+            next: 0,
+            cursor: SegmentCursor::table(),
         }
+    }
+
+    /// Dispatches the next window of a streamed pass: clears `window` and fills it with the
+    /// responses of the following beats of `source` — about a thousand, always ending between
+    /// two run groups (none once the pass [is finished](StreamedPass::is_finished)).  The
+    /// windows of a pass together give exactly the responses and counters of
+    /// [`RayFlexDatapath::execute_beats_segmented`] over the same source; `source` must present
+    /// the same beats to every window of one pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` holds a different number of beats than the pass was opened with, or
+    /// if any beat's opcode is unsupported (see [`RayFlexDatapath::execute`]).
+    pub fn execute_window<S: BeatSource + ?Sized>(
+        &mut self,
+        source: &S,
+        segments: &[(QueryKind, usize)],
+        pass: &mut StreamedPass,
+        window: &mut Vec<RayFlexResponse>,
+    ) {
+        assert_eq!(
+            source.beat_count(),
+            pass.beats,
+            "a streamed pass dispatches the beats it was opened with"
+        );
+        window.clear();
+        pass.next = self.fast_run(
+            source,
+            segments,
+            &mut pass.cursor,
+            pass.next,
+            window,
+            RESPONSE_WINDOW,
+        );
+    }
+
+    /// Checks that `segments` cover a pass of `beats` beats and counts the pass.
+    fn count_pass(&mut self, beats: usize, segments: &[(QueryKind, usize)]) {
+        let covered: usize = segments.iter().map(|&(_, len)| len).sum();
+        assert_eq!(
+            covered, beats,
+            "segments must cover the request batch exactly"
+        );
+        self.passes_accounting(segments);
     }
 
     /// Counts one segmented pass, detecting whether its non-empty segments mix distinct kinds.
@@ -587,39 +699,37 @@ impl RayFlexDatapath {
     }
 }
 
-/// Yields the owning [`QueryKind`] of each beat of a bulk dispatch in request order — the
+/// Yields the owning [`QueryKind`] of each beat of a bulk dispatch in beat order — the
 /// attribution side of [`RayFlexDatapath::fast_run`]'s cross-segment grouping.  An unsegmented
 /// dispatch is one segment covering the whole batch (`None` = unattributed); a segmented pass
-/// walks its `(kind, len)` table alongside the merged request slice.
-enum SegmentCursor<'a> {
+/// walks its `(kind, len)` table alongside the merged beats.
+#[derive(Debug, Clone, Copy)]
+enum SegmentCursor {
     /// Every beat belongs to one segment.
     Single(Option<QueryKind>),
-    /// A pass's segment table, with the current segment and the beats consumed from it.
-    Table {
-        segments: &'a [(QueryKind, usize)],
-        segment: usize,
-        consumed: usize,
-    },
+    /// Position in a pass's segment table: the current segment and the beats consumed from it.
+    Table { segment: usize, consumed: usize },
 }
 
-impl<'a> SegmentCursor<'a> {
-    fn table(segments: &'a [(QueryKind, usize)]) -> Self {
+impl SegmentCursor {
+    fn table() -> Self {
         SegmentCursor::Table {
-            segments,
             segment: 0,
             consumed: 0,
         }
     }
 
-    /// Splits a run of `count` beats into its per-segment `(kind, span)` pieces, in order.
-    fn take_run(&mut self, count: usize, mut span: impl FnMut(Option<QueryKind>, usize)) {
+    /// Splits a run of `count` beats into its per-segment `(kind, span)` pieces of `segments`,
+    /// in order.
+    fn take_run(
+        &mut self,
+        segments: &[(QueryKind, usize)],
+        count: usize,
+        mut span: impl FnMut(Option<QueryKind>, usize),
+    ) {
         match self {
             SegmentCursor::Single(kind) => span(*kind, count),
-            SegmentCursor::Table {
-                segments,
-                segment,
-                consumed,
-            } => {
+            SegmentCursor::Table { segment, consumed } => {
                 let mut left = count;
                 while left > 0 {
                     while *consumed == segments[*segment].1 {

@@ -17,12 +17,14 @@
 //! [`canonicalize_nan`] so degenerate beats (coplanar rays, masked-off infinite lanes) match the
 //! emulated response bit-for-bit too.
 
+use core::ops::Range;
+
 use rayflex_geometry::golden::distance::COSINE_LANES;
 use rayflex_geometry::{golden, Aabb, Axis, Ray, ShearConstants, Vec3};
 use rayflex_softfloat::RecF32;
 
 use crate::io::{BoxResult, DistanceResult, RayOperand, TriangleResult, DISABLED_BOXES};
-use crate::{AccumulatorState, Opcode, RayFlexRequest, RayFlexResponse};
+use crate::{AccumulatorState, BeatSource, Opcode, RayFlexResponse};
 
 /// The canonical quiet-NaN bit pattern the recoded format reports for every NaN.
 const CANONICAL_NAN: u32 = 0x7FC0_0000;
@@ -103,34 +105,49 @@ fn ray_from_operand(operand: &RayOperand) -> Ray {
     }
 }
 
-/// The scalar ray–box beat: the golden slab test of each of the four boxes, in input order.
-/// The per-beat box path of the scalar dispatch (`simd_lanes < 4`).
-pub(crate) fn box_response_scalar(request: &RayFlexRequest) -> RayFlexResponse {
-    let (ray, boxes) = request.box_operands();
-    let ray = ray_from_operand(ray);
-    let hits: [golden::slab::BoxHit; 4] =
-        core::array::from_fn(|slot| golden::slab::ray_box(&ray, &boxes[slot]));
+/// The response of ray–box beat `beat` of `source` from its four slab results, in input order.
+fn box_response<S: BeatSource + ?Sized>(
+    source: &S,
+    beat: usize,
+    hits: &[golden::slab::BoxHit; 4],
+) -> RayFlexResponse {
     RayFlexResponse {
-        opcode: request.opcode,
-        tag: request.tag,
+        opcode: source.opcode(beat),
+        tag: source.tag(beat),
         box_result: Some(BoxResult {
             hit: core::array::from_fn(|slot| hits[slot].hit),
             t_entry: core::array::from_fn(|slot| canonicalize_nan(hits[slot].t_entry)),
-            traversal_order: golden::slab::sort_boxes(&hits),
+            traversal_order: golden::slab::sort_boxes(hits),
         }),
         triangle_result: None,
         distance_result: None,
     }
 }
 
+/// The scalar ray–box beat: the golden slab test of each of the four boxes, in input order.
+/// The per-beat box path of the scalar dispatch (`simd_lanes < 4`).
+pub(crate) fn box_response_scalar<S: BeatSource + ?Sized>(
+    source: &S,
+    beat: usize,
+) -> RayFlexResponse {
+    let (ray, boxes) = source.box_operands(beat);
+    let ray = ray_from_operand(ray);
+    let hits: [golden::slab::BoxHit; 4] =
+        core::array::from_fn(|slot| golden::slab::ray_box(&ray, &boxes[slot]));
+    box_response(source, beat, &hits)
+}
+
 /// The scalar ray–triangle beat, shared by the scalar dispatch and the lane-kernel remainder
 /// path so both produce the same response object field-for-field.
-pub(crate) fn triangle_response_scalar(request: &RayFlexRequest) -> RayFlexResponse {
-    let (ray, triangle) = request.triangle_operands();
+pub(crate) fn triangle_response_scalar<S: BeatSource + ?Sized>(
+    source: &S,
+    beat: usize,
+) -> RayFlexResponse {
+    let (ray, triangle) = source.triangle_operands(beat);
     let hit = golden::watertight::ray_triangle(&ray_from_operand(ray), triangle);
     RayFlexResponse {
-        opcode: request.opcode,
-        tag: request.tag,
+        opcode: source.opcode(beat),
+        tag: source.tag(beat),
         box_result: None,
         triangle_result: Some(TriangleResult {
             hit: hit.hit,
@@ -158,27 +175,29 @@ pub(crate) fn triangle_response_scalar(request: &RayFlexRequest) -> RayFlexRespo
 /// passed through [`canonicalize_nan`], and the recoded write-back canonicalises NaN, so NaN
 /// payloads never show.  A reset beat reports its updated value and clears the register to
 /// `+0`, which is [`RecF32::ZERO`].
-pub(crate) fn execute_fast_distance_run(
-    requests: &[RayFlexRequest],
+pub(crate) fn execute_fast_distance_run<S: BeatSource + ?Sized>(
+    source: &S,
+    run: Range<usize>,
     acc: &mut AccumulatorState,
     responses: &mut Vec<RayFlexResponse>,
 ) {
-    let Some(first) = requests.first() else {
+    if run.is_empty() {
         return;
-    };
-    debug_assert!(requests.iter().all(|r| r.opcode == first.opcode));
-    match first.opcode {
+    }
+    let opcode = source.opcode(run.start);
+    debug_assert!(run.clone().all(|beat| source.opcode(beat) == opcode));
+    match opcode {
         Opcode::Euclidean => {
             let mut running = acc.euclidean.to_f32();
-            responses.extend(requests.iter().map(|request| {
-                let (vector, reset) = request.vector_operands();
+            responses.extend(run.map(|beat| {
+                let (vector, reset) = source.vector_operands(beat);
                 let partial =
                     golden::distance::euclidean_partial(&vector.a, &vector.b, vector.mask);
                 let updated = running + partial;
                 running = if reset { 0.0 } else { updated };
                 RayFlexResponse {
-                    opcode: request.opcode,
-                    tag: request.tag,
+                    opcode,
+                    tag: source.tag(beat),
                     box_result: None,
                     triangle_result: None,
                     distance_result: Some(DistanceResult {
@@ -195,8 +214,8 @@ pub(crate) fn execute_fast_distance_run(
         Opcode::Cosine => {
             let mut dot = acc.angular_dot.to_f32();
             let mut norm = acc.angular_norm.to_f32();
-            responses.extend(requests.iter().map(|request| {
-                let (vector, reset) = request.vector_operands();
+            responses.extend(run.map(|beat| {
+                let (vector, reset) = source.vector_operands(beat);
                 let a: [f32; COSINE_LANES] = core::array::from_fn(|lane| vector.a[lane]);
                 let b: [f32; COSINE_LANES] = core::array::from_fn(|lane| vector.b[lane]);
                 let partial = golden::distance::cosine_partial(&a, &b, (vector.mask & 0xFF) as u8);
@@ -208,8 +227,8 @@ pub(crate) fn execute_fast_distance_run(
                     (updated_dot, updated_norm)
                 };
                 RayFlexResponse {
-                    opcode: request.opcode,
-                    tag: request.tag,
+                    opcode,
+                    tag: source.tag(beat),
                     box_result: None,
                     triangle_result: None,
                     distance_result: Some(DistanceResult {
@@ -238,9 +257,12 @@ pub(crate) fn execute_fast_distance_run(
 /// operations of [`golden::slab::ray_box`] in the same order — the transpose only regroups
 /// *independent* computations, never reassociates within one — and [`sel_min`]/[`sel_max`] are
 /// operand-for-operand selects matching the reference comparators.
-pub(crate) fn execute_fast_box_lanes(request: &RayFlexRequest) -> RayFlexResponse {
+pub(crate) fn execute_fast_box_lanes<S: BeatSource + ?Sized>(
+    source: &S,
+    beat: usize,
+) -> RayFlexResponse {
     const L: usize = 4;
-    let (ray, boxes) = request.box_operands();
+    let (ray, boxes) = source.box_operands(beat);
     let origin = ray.origin;
     let inv_dir = ray.inv_dir;
     let (t_beg, t_end) = (ray.t_beg, ray.t_end);
@@ -279,35 +301,28 @@ pub(crate) fn execute_fast_box_lanes(request: &RayFlexRequest) -> RayFlexRespons
         t_entry: t_entry[l],
         t_exit: t_exit[l],
     });
-    RayFlexResponse {
-        opcode: request.opcode,
-        tag: request.tag,
-        box_result: Some(BoxResult {
-            hit: core::array::from_fn(|l| hits[l].hit),
-            t_entry: core::array::from_fn(|l| canonicalize_nan(hits[l].t_entry)),
-            traversal_order: golden::slab::sort_boxes(&hits),
-        }),
-        triangle_result: None,
-        distance_result: None,
-    }
+    box_response(source, beat, &hits)
 }
 
-/// `L`-lane ray–box kernel over `L / 4` adjacent beats: lanes `4·b .. 4·b + 3` carry beat `b`'s
+/// `L`-lane ray–box kernel over the `L / 4` adjacent beats from `first` on: lanes
+/// `4·b .. 4·b + 3` carry beat `first + b`'s
 /// four AABBs against its own ray, so one pass over the slab stages serves every beat in the
 /// group.  Each lane performs exactly the operations of [`golden::slab::ray_box`] in the same
 /// order — per-lane ray operands simply vary across the quartets — and each beat's traversal
 /// order is sorted from its own four lanes, so the responses are bit-identical to running
 /// [`execute_fast_box_lanes`] on each beat alone.
-pub(crate) fn execute_fast_box_lanes_group<const L: usize>(
-    beats: &[RayFlexRequest],
+pub(crate) fn execute_fast_box_lanes_group<const L: usize, S: BeatSource + ?Sized>(
+    source: &S,
+    first: usize,
     responses: &mut Vec<RayFlexResponse>,
 ) {
-    debug_assert_eq!(beats.len() * 4, L);
-    // Bind each beat's operands with one match per beat, not one per lane.
+    let beats = L / 4;
+    debug_assert!((2..=4).contains(&beats) && L.is_multiple_of(4));
+    // Resolve each beat's operands once per beat, not once per lane.
     let mut rays = [&RayOperand::DISABLED; 4];
     let mut tables: [&[Aabb; 4]; 4] = [&DISABLED_BOXES; 4];
-    for (beat, request) in beats.iter().enumerate() {
-        (rays[beat], tables[beat]) = request.box_operands();
+    for beat in 0..beats {
+        (rays[beat], tables[beat]) = source.box_operands(first + beat);
     }
     let ray = |l: usize| rays[l / 4];
     let aabb = |l: usize| &tables[l / 4][l % 4];
@@ -350,7 +365,7 @@ pub(crate) fn execute_fast_box_lanes_group<const L: usize>(
     let t_exit: [f32; L] =
         core::array::from_fn(|l| sel_min(sel_min(far_x[l], far_y[l]), sel_min(far_z[l], t_end[l])));
 
-    for (beat, request) in beats.iter().enumerate() {
+    for beat in 0..beats {
         let hits: [golden::slab::BoxHit; 4] = core::array::from_fn(|slot| {
             let l = beat * 4 + slot;
             golden::slab::BoxHit {
@@ -359,32 +374,21 @@ pub(crate) fn execute_fast_box_lanes_group<const L: usize>(
                 t_exit: t_exit[l],
             }
         });
-        responses.push(RayFlexResponse {
-            opcode: request.opcode,
-            tag: request.tag,
-            box_result: Some(BoxResult {
-                hit: core::array::from_fn(|slot| hits[slot].hit),
-                t_entry: core::array::from_fn(|slot| canonicalize_nan(hits[slot].t_entry)),
-                traversal_order: golden::slab::sort_boxes(&hits),
-            }),
-            triangle_result: None,
-            distance_result: None,
-        });
+        responses.push(box_response(source, first + beat, &hits));
     }
 }
 
-/// Lane-batched ray–triangle kernel over `L` adjacent beats.  The per-ray axis renaming and
+/// Lane-batched ray–triangle kernel over the `L` adjacent beats from `first` on.  The per-ray axis renaming and
 /// vertex translation are gathered scalar (they need per-lane dynamic indexing), after which
 /// every watertight stage (Fig. 4b steps 4–9) runs elementwise over `[f32; L]` arrays.
 ///
 /// Each lane performs exactly the operations of [`golden::watertight::ray_triangle`] in the same
 /// order, so the results are bit-identical to the scalar path for every lane independently.
-fn triangle_lanes<const L: usize>(
-    requests: &[RayFlexRequest],
+fn triangle_lanes<const L: usize, S: BeatSource + ?Sized>(
+    source: &S,
+    first: usize,
     responses: &mut Vec<RayFlexResponse>,
 ) {
-    debug_assert_eq!(requests.len(), L);
-
     // Gather — per-lane translate (stage 2) and axis selection into SoA lanes.
     let mut a_kx = [0.0f32; L];
     let mut a_ky = [0.0f32; L];
@@ -399,7 +403,7 @@ fn triangle_lanes<const L: usize>(
     let mut sy = [0.0f32; L];
     let mut sz = [0.0f32; L];
     for lane in 0..L {
-        let (ray, triangle) = requests[lane].triangle_operands();
+        let (ray, triangle) = source.triangle_operands(first + lane);
         let origin = Vec3::from_array(ray.origin);
         let kx = Axis::from_index(ray.k[0] as usize);
         let ky = Axis::from_index(ray.k[1] as usize);
@@ -458,8 +462,8 @@ fn triangle_lanes<const L: usize>(
             && det[lane] > 0.0
             && t_num[lane] >= 0.0;
         RayFlexResponse {
-            opcode: requests[lane].opcode,
-            tag: requests[lane].tag,
+            opcode: Opcode::RayTriangle,
+            tag: source.tag(first + lane),
             box_result: None,
             triangle_result: Some(TriangleResult {
                 hit,
@@ -477,26 +481,25 @@ fn triangle_lanes<const L: usize>(
 /// Executes a run of adjacent ray–triangle beats through the widest lane kernel that fits:
 /// groups of eight, then four, then the scalar remainder.  Responses are appended in request
 /// order and are bit-identical to the per-beat path regardless of how the run splits.
-pub(crate) fn execute_fast_triangles(
-    requests: &[RayFlexRequest],
+pub(crate) fn execute_fast_triangles<S: BeatSource + ?Sized>(
+    source: &S,
+    run: Range<usize>,
     responses: &mut Vec<RayFlexResponse>,
 ) {
-    let mut rest = requests;
-    while rest.len() >= 16 {
-        triangle_lanes::<16>(&rest[..16], responses);
-        rest = &rest[16..];
+    let mut first = run.start;
+    while run.end - first >= 16 {
+        triangle_lanes::<16, S>(source, first, responses);
+        first += 16;
     }
-    while rest.len() >= 8 {
-        triangle_lanes::<8>(&rest[..8], responses);
-        rest = &rest[8..];
+    while run.end - first >= 8 {
+        triangle_lanes::<8, S>(source, first, responses);
+        first += 8;
     }
-    while rest.len() >= MIN_SIMD_LANES {
-        triangle_lanes::<4>(&rest[..4], responses);
-        rest = &rest[4..];
+    while run.end - first >= MIN_SIMD_LANES {
+        triangle_lanes::<4, S>(source, first, responses);
+        first += 4;
     }
-    for request in rest {
-        responses.push(triangle_response_scalar(request));
-    }
+    responses.extend((first..run.end).map(|beat| triangle_response_scalar(source, beat)));
 }
 
 /// Lane-occupancy accounting of one same-opcode triangle run dispatched at `lanes` width,
@@ -525,7 +528,7 @@ pub fn triangle_lane_accounting(run: usize, lanes: usize) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PipelineConfig, RayFlexDatapath};
+    use crate::{PipelineConfig, RayFlexDatapath, RayFlexRequest};
     use rayflex_geometry::{Aabb, Triangle};
 
     fn sample_ray() -> Ray {
@@ -562,7 +565,7 @@ mod tests {
             let request = RayFlexRequest::ray_box(7, &ray, &boxes);
             let mut emulated = RayFlexDatapath::new(PipelineConfig::baseline_unified());
             let expected = emulated.execute(&request);
-            let got = box_response_scalar(&request);
+            let got = box_response_scalar(core::slice::from_ref(&request), 0);
             let (expected, got) = (expected.box_result.unwrap(), got.box_result.unwrap());
             assert_eq!(expected.hit, got.hit);
             assert_eq!(expected.traversal_order, got.traversal_order);
@@ -586,7 +589,9 @@ mod tests {
         let request = RayFlexRequest::ray_triangle(3, &sample_ray(), &tri);
         let mut emulated = RayFlexDatapath::new(PipelineConfig::baseline_unified());
         let expected = emulated.execute(&request).triangle_result.unwrap();
-        let got = triangle_response_scalar(&request).triangle_result.unwrap();
+        let got = triangle_response_scalar(core::slice::from_ref(&request), 0)
+            .triangle_result
+            .unwrap();
         assert_eq!(expected.hit, got.hit);
         for (e, g) in [
             (expected.t_num, got.t_num),
@@ -641,8 +646,9 @@ mod tests {
         ];
         for (tag, ray) in [sample_ray(), coplanar].into_iter().enumerate() {
             let request = RayFlexRequest::ray_box(tag as u64, &ray, &boxes);
-            let expected = box_response_scalar(&request);
-            let got = execute_fast_box_lanes(&request);
+            let single = core::slice::from_ref(&request);
+            let expected = box_response_scalar(single, 0);
+            let got = execute_fast_box_lanes(single, 0);
             assert_eq!(expected.tag, got.tag);
             let (expected, got) = (expected.box_result.unwrap(), got.box_result.unwrap());
             assert_eq!(expected.hit, got.hit);
@@ -697,10 +703,10 @@ mod tests {
                 })
                 .collect();
             let mut got = Vec::new();
-            execute_fast_triangles(&requests, &mut got);
+            execute_fast_triangles(requests.as_slice(), 0..group, &mut got);
             assert_eq!(got.len(), group);
-            for (request, got) in requests.iter().zip(&got) {
-                let expected = triangle_response_scalar(request);
+            for (beat, got) in got.iter().enumerate() {
+                let expected = triangle_response_scalar(requests.as_slice(), beat);
                 assert_eq!(expected.tag, got.tag);
                 let (e, g) = (
                     expected.triangle_result.unwrap(),

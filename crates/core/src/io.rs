@@ -175,6 +175,57 @@ pub enum BeatOperand {
     },
 }
 
+impl BeatOperand {
+    /// The ray, or [`RayOperand::DISABLED`] when the operand carries none (a distance beat).
+    #[inline]
+    #[must_use]
+    pub fn ray_operand(&self) -> &RayOperand {
+        match self {
+            BeatOperand::Boxes { ray, .. } | BeatOperand::Triangle { ray, .. } => ray,
+            BeatOperand::Vector { .. } => &RayOperand::DISABLED,
+        }
+    }
+
+    /// The ray and boxes of a ray–box operand in one match — the per-beat binding the lane
+    /// kernels use, so no kernel re-matches the union once per SIMD lane.  Other operands
+    /// present their ray (or the disabled one) and four degenerate zero boxes.
+    #[inline]
+    #[must_use]
+    pub fn box_operands(&self) -> (&RayOperand, &[Aabb; 4]) {
+        match self {
+            BeatOperand::Boxes { ray, boxes } => (ray, boxes),
+            _ => (self.ray_operand(), &DISABLED_BOXES),
+        }
+    }
+
+    /// The ray and triangle of a ray–triangle operand in one match (see
+    /// [`BeatOperand::box_operands`]); other operands present a unit right triangle at the
+    /// origin.
+    #[inline]
+    #[must_use]
+    pub fn triangle_operands(&self) -> (&RayOperand, &Triangle) {
+        match self {
+            BeatOperand::Triangle { ray, triangle } => (ray, triangle),
+            _ => (self.ray_operand(), &DISABLED_TRIANGLE),
+        }
+    }
+
+    /// The vector pair and reset flag of a distance operand in one match (see
+    /// [`BeatOperand::box_operands`]); ray operands present [`VectorOperand::DISABLED`] and a
+    /// clear flag.
+    #[inline]
+    #[must_use]
+    pub fn vector_operands(&self) -> (&VectorOperand, bool) {
+        match self {
+            BeatOperand::Vector {
+                vector,
+                reset_accumulator,
+            } => (vector, *reset_accumulator),
+            _ => (&VectorOperand::DISABLED, false),
+        }
+    }
+}
+
 /// The box table a beat presents when its operand holds none: fixed degenerate zero boxes, so
 /// unconditional consumers (the SRFDS ingest stage) observe the same operand on every such beat.
 pub(crate) const DISABLED_BOXES: [Aabb; 4] = [Aabb::new(Vec3::ZERO, Vec3::ZERO); 4];
@@ -218,10 +269,7 @@ impl RayFlexRequest {
     #[inline]
     #[must_use]
     pub fn ray_operand(&self) -> &RayOperand {
-        match &self.operand {
-            BeatOperand::Boxes { ray, .. } | BeatOperand::Triangle { ray, .. } => ray,
-            BeatOperand::Vector { .. } => &RayOperand::DISABLED,
-        }
+        self.operand.ray_operand()
     }
 
     /// The box-table operand of this beat, or four degenerate zero boxes when the beat carries
@@ -229,7 +277,7 @@ impl RayFlexRequest {
     #[inline]
     #[must_use]
     pub fn boxes_operand(&self) -> &[Aabb; 4] {
-        self.box_operands().1
+        self.operand.box_operands().1
     }
 
     /// The triangle operand of this beat, or a disabled placeholder (unit right triangle at the
@@ -237,7 +285,7 @@ impl RayFlexRequest {
     #[inline]
     #[must_use]
     pub fn triangle_operand(&self) -> &Triangle {
-        self.triangle_operands().1
+        self.operand.triangle_operands().1
     }
 
     /// The vector operand of this beat, or [`VectorOperand::DISABLED`] when the beat carries
@@ -246,47 +294,14 @@ impl RayFlexRequest {
     #[inline]
     #[must_use]
     pub fn vector_operand(&self) -> &VectorOperand {
-        self.vector_operands().0
+        self.operand.vector_operands().0
     }
 
     /// The accumulator-reset flag of this beat (always clear on ray beats).
     #[inline]
     #[must_use]
     pub fn reset_accumulator(&self) -> bool {
-        self.vector_operands().1
-    }
-
-    /// The ray and boxes of a ray–box beat in one match — the per-beat binding the lane kernels
-    /// use, so no kernel re-matches the union once per SIMD lane.
-    #[inline]
-    pub(crate) fn box_operands(&self) -> (&RayOperand, &[Aabb; 4]) {
-        match &self.operand {
-            BeatOperand::Boxes { ray, boxes } => (ray, boxes),
-            _ => (self.ray_operand(), &DISABLED_BOXES),
-        }
-    }
-
-    /// The ray and triangle of a ray–triangle beat in one match (see
-    /// [`RayFlexRequest::box_operands`]).
-    #[inline]
-    pub(crate) fn triangle_operands(&self) -> (&RayOperand, &Triangle) {
-        match &self.operand {
-            BeatOperand::Triangle { ray, triangle } => (ray, triangle),
-            _ => (self.ray_operand(), &DISABLED_TRIANGLE),
-        }
-    }
-
-    /// The vector pair and reset flag of a distance beat in one match (see
-    /// [`RayFlexRequest::box_operands`]).
-    #[inline]
-    pub(crate) fn vector_operands(&self) -> (&VectorOperand, bool) {
-        match &self.operand {
-            BeatOperand::Vector {
-                vector,
-                reset_accumulator,
-            } => (vector, *reset_accumulator),
-            _ => (&VectorOperand::DISABLED, false),
-        }
+        self.operand.vector_operands().1
     }
 
     /// A ray–box beat: test `ray` against four candidate child boxes.

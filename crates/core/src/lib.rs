@@ -60,13 +60,14 @@ pub mod liveness;
 mod opcode;
 mod pipeline;
 pub mod quad_sort;
+mod source;
 mod srfds;
 pub mod stages;
 pub mod validation;
 
 pub use accumulator::AccumulatorState;
 pub use config::{FeatureSet, FuSharing, PipelineConfig};
-pub use datapath::{BeatMix, RayFlexDatapath};
+pub use datapath::{BeatMix, RayFlexDatapath, StreamedPass};
 pub use fastpath::{clamp_simd_lanes, MAX_SIMD_LANES};
 pub use io::{
     BeatOperand, BoxResult, DistanceResult, RayFlexRequest, RayFlexResponse, RayOperand,
@@ -74,4 +75,5 @@ pub use io::{
 };
 pub use opcode::{Opcode, QueryKind};
 pub use pipeline::{PipelineStats, RayFlexPipeline, PIPELINE_DEPTH};
+pub use source::BeatSource;
 pub use srfds::SharedRayFlexData;

@@ -22,6 +22,7 @@
 use rayflex_core::{Opcode, PipelineConfig, RayFlexDatapath, RayFlexRequest, RayFlexResponse};
 use rayflex_geometry::{Ray, Sphere, Vec3};
 
+use crate::beat::BeatPass;
 use crate::bvh::ChildRef;
 use crate::error::{QueryError, QueryOutcome};
 use crate::knn::sort_nearest_first;
@@ -138,12 +139,7 @@ impl BatchQuery for CollectQuery<'_> {
         state.found.clear();
     }
 
-    fn build(
-        &mut self,
-        item: usize,
-        state: &mut CollectWork,
-        out: &mut Vec<RayFlexRequest>,
-    ) -> bool {
+    fn build(&mut self, item: usize, state: &mut CollectWork, out: &mut BeatPass) -> bool {
         let _ = item;
         while let Some(child) = state.stack.pop() {
             let Some(index) = child.node_index() else {
@@ -168,7 +164,7 @@ impl BatchQuery for CollectQuery<'_> {
             let Some(ray) = state.ray.as_ref() else {
                 unreachable!("reset built the filter ray");
             };
-            out.push(RayFlexRequest::ray_box(index as u64, ray, &boxes));
+            out.push_request(RayFlexRequest::ray_box(index as u64, ray, &boxes));
             return true;
         }
         false

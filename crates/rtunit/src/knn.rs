@@ -18,6 +18,7 @@ use rayflex_core::{
 };
 use rayflex_geometry::golden::distance::{COSINE_LANES, EUCLIDEAN_LANES};
 
+use crate::beat::BeatPass;
 use crate::error::{QueryError, QueryOutcome};
 use crate::policy::{ExecMode, ExecPolicy};
 use crate::query::{
@@ -133,12 +134,7 @@ impl<C: AsRef<[f32]>> BatchQuery for DistanceQuery<'_, C> {
         *state = DistanceWork::default();
     }
 
-    fn build(
-        &mut self,
-        item: usize,
-        state: &mut DistanceWork,
-        out: &mut Vec<RayFlexRequest>,
-    ) -> bool {
+    fn build(&mut self, item: usize, state: &mut DistanceWork, out: &mut BeatPass) -> bool {
         if state.issued {
             return false;
         }
@@ -237,7 +233,7 @@ crate::query::delegate_fused_stream_to_runner!([C: AsRef<[f32]>] DistanceStream<
 /// Appends the Euclidean beat train of one `(query, candidate)` pair (16 lanes per beat, reset
 /// asserted on the last) and returns the number of beats appended.  Zero-dimensional vectors
 /// still cost one (fully masked) beat, as on the hardware.
-fn append_euclidean_beats(tag: u64, a: &[f32], b: &[f32], out: &mut Vec<RayFlexRequest>) -> u64 {
+fn append_euclidean_beats(tag: u64, a: &[f32], b: &[f32], out: &mut BeatPass) -> u64 {
     append_beats::<EUCLIDEAN_LANES>(a, b, out, |a, b, lanes, last| {
         RayFlexRequest::euclidean(tag, a, b, lane_mask(lanes) as u16, last)
     })
@@ -245,7 +241,7 @@ fn append_euclidean_beats(tag: u64, a: &[f32], b: &[f32], out: &mut Vec<RayFlexR
 
 /// Appends the cosine beat train of one `(query, candidate)` pair (8 lanes per beat, reset
 /// asserted on the last) and returns the number of beats appended.
-fn append_cosine_beats(tag: u64, a: &[f32], b: &[f32], out: &mut Vec<RayFlexRequest>) -> u64 {
+fn append_cosine_beats(tag: u64, a: &[f32], b: &[f32], out: &mut BeatPass) -> u64 {
     append_beats::<COSINE_LANES>(a, b, out, |a, b, lanes, last| {
         RayFlexRequest::cosine(tag, a, b, lane_mask(lanes) as u8, last)
     })
@@ -256,15 +252,15 @@ fn lane_mask(lanes: usize) -> u32 {
     (1u32 << lanes) - 1
 }
 
-/// Appends the `N`-lane beat train of one `(query, candidate)` pair in place: every exact
-/// `N`-element chunk becomes a full-mask beat through one `extend`, and only the masked tail
-/// (or the single fully masked beat of a zero-dimensional pair) is zero-padded by hand.
+/// Appends the `N`-lane beat train of one `(query, candidate)` pair as owned beats: every exact
+/// `N`-element chunk becomes a full-mask beat, and only the masked tail (or the single fully
+/// masked beat of a zero-dimensional pair) is zero-padded by hand.
 /// `beat(a, b, lanes, last)` builds one beat of `lanes` live lanes, `last` marking the reset
 /// beat.  Returns the number of beats appended.
 fn append_beats<const N: usize>(
     a: &[f32],
     b: &[f32],
-    out: &mut Vec<RayFlexRequest>,
+    out: &mut BeatPass,
     beat: impl Fn([f32; N], [f32; N], usize, bool) -> RayFlexRequest,
 ) -> u64 {
     let (a_chunks, a_tail) = a.as_chunks::<N>();
@@ -273,7 +269,7 @@ fn append_beats<const N: usize>(
     let padded = !a_tail.is_empty() || full == 0;
     // The reset rides the last exact chunk unless a padded beat follows it.
     let last_full = if padded { full } else { full - 1 };
-    out.extend(
+    out.extend_requests(
         a_chunks
             .iter()
             .zip(b_chunks)
@@ -285,7 +281,7 @@ fn append_beats<const N: usize>(
         let mut beat_b = [0.0f32; N];
         beat_a[..a_tail.len()].copy_from_slice(a_tail);
         beat_b[..b_tail.len()].copy_from_slice(b_tail);
-        out.push(beat(beat_a, beat_b, a_tail.len(), true));
+        out.push_request(beat(beat_a, beat_b, a_tail.len(), true));
     }
     (full + usize::from(padded)) as u64
 }
@@ -381,7 +377,7 @@ impl KnnEngine {
     }
 
     /// Upper bound on the beats a single scheduler pass materialises while scoring candidates.
-    /// Scoring runs chunk the candidate set so the reusable request buffer stays bounded no
+    /// Scoring runs chunk the candidate set so the reusable pass buffers stay bounded no
     /// matter how large the dataset is (a candidate's own beat train is never split, so results
     /// stay bit-identical to an unchunked run).
     const MAX_BEATS_PER_PASS: usize = 1 << 16;

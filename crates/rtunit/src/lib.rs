@@ -63,6 +63,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
+mod beat;
 mod bvh;
 mod error;
 pub mod fault;
@@ -76,6 +77,7 @@ mod rt_unit;
 mod scene;
 mod traversal;
 
+pub use beat::{BeatPass, BeatTables};
 pub use bvh::{Bvh4, Bvh4Node, ChildRef, Primitive};
 pub use error::{PartialResult, QueryError, QueryOutcome, SceneValidator};
 pub use hierarchical::{CollectStream, CollectWork, HierarchicalSearch, HierarchicalStats};

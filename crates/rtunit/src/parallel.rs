@@ -119,16 +119,21 @@ fn chunk_ranges(
 /// The work-stealing pool core: runs `work` over every chunk on up to `workers` scoped threads
 /// and returns the per-chunk results **in chunk order** plus the pool's utilisation counters.
 ///
-/// Chunks are dealt round-robin onto per-worker deques; a worker pops its own deque from the
-/// front (preserving the locality of the initial deal) and, when empty, steals from the back of
-/// the first non-empty victim deque.  Every chunk runs under [`fault::shard_checkpoint`] with its
-/// *global chunk index* — deterministic no matter which worker executes it — and inside a
-/// per-chunk `catch_unwind`, so a poisoned chunk never takes its worker (or sibling chunks) down:
-/// the slot stays `None` and the caller decides the retry semantics.
-fn steal_map<C: Sync, R: Send>(
+/// Each worker owns one state, built by `state` before its first chunk and handed to `work`
+/// for every chunk it runs, so per-worker resources (a traversal engine and its warm arenas)
+/// are paid for once per worker rather than once per chunk.  Chunks are dealt round-robin onto
+/// per-worker deques; a worker pops its own deque from the front (preserving the locality of
+/// the initial deal) and, when empty, steals from the back of the first non-empty victim
+/// deque.  Every chunk runs under [`fault::shard_checkpoint`] with its *global chunk index* —
+/// deterministic no matter which worker executes it — and inside a per-chunk `catch_unwind`, so
+/// a poisoned chunk never takes its worker (or sibling chunks) down: the slot stays `None`, the
+/// caller decides the retry semantics, and the worker rebuilds its state before the next chunk
+/// rather than trust what the panic left behind.
+fn steal_map<C: Sync, W, R: Send>(
     chunks: &[C],
     workers: usize,
-    work: impl Fn(&C) -> R + Sync,
+    state: impl Fn() -> W + Sync,
+    work: impl Fn(&mut W, &C) -> R + Sync,
 ) -> (Vec<Option<R>>, PoolStats) {
     let workers = workers.clamp(1, chunks.len().max(1));
     let queues: Vec<Mutex<VecDeque<usize>>> =
@@ -142,7 +147,7 @@ fn steal_map<C: Sync, R: Send>(
         chunks: chunks.len() as u64,
         steals: 0,
     };
-    let work = &work;
+    let (state, work) = (&state, &work);
     let queues = &queues;
     let worker_outputs = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -150,6 +155,7 @@ fn steal_map<C: Sync, R: Send>(
                 scope.spawn(move || {
                     let mut local: Vec<(usize, R)> = Vec::new();
                     let mut steals = 0u64;
+                    let mut owned: Option<W> = None;
                     loop {
                         let mut next = lock_queue(&queues[worker]).pop_front();
                         if next.is_none() {
@@ -163,12 +169,14 @@ fn steal_map<C: Sync, R: Send>(
                             }
                         }
                         let Some(index) = next else { break };
+                        let worker_state = owned.get_or_insert_with(state);
                         let result = catch_unwind(AssertUnwindSafe(|| {
                             fault::shard_checkpoint(index);
-                            work(&chunks[index])
+                            work(worker_state, &chunks[index])
                         }));
-                        if let Ok(result) = result {
-                            local.push((index, result));
+                        match result {
+                            Ok(result) => local.push((index, result)),
+                            Err(_) => owned = None,
                         }
                     }
                     (local, steals)
@@ -264,7 +272,12 @@ pub(crate) fn shard_chunks<T: Sync, R: Send>(
         return None;
     }
     let ranges = chunk_ranges(items.len(), workers, min_per_shard);
-    let (results, pool) = steal_map(&ranges, workers, |range| work(&items[range.clone()]));
+    let (results, pool) = steal_map(
+        &ranges,
+        workers,
+        || (),
+        |(), range| work(&items[range.clone()]),
+    );
     let collected = ranges
         .iter()
         .zip(results)
@@ -298,8 +311,9 @@ pub(crate) struct PairPoolTrace {
 
 /// The [`ExecMode::Parallel`] backend for traversal requests: plans a stream-aware chunk set
 /// over the request's (closest-hit, any-hit) pair and drains it through the work-stealing pool,
-/// each chunk a private engine running the batched wavefront over its slice at the policy's
-/// lane width and coherence.  Either stream may be empty and the streams may have different
+/// each worker one private engine running the batched wavefront over each chunk it takes, at
+/// the policy's lane width and coherence (the engine's counters are reset per chunk, so each
+/// chunk reports its own statistics).  Either stream may be empty and the streams may have different
 /// lengths — each stream is chunked independently.  `Ok(None)` means the request is too small
 /// to shard (or the policy is not parallel) and belongs inline on the caller's engine.
 ///
@@ -352,12 +366,17 @@ pub(crate) fn fused_pair_sharded_checked(
         PairChunk::Closest(range) => (&closest_rays[range.clone()], &any_rays[..0]),
         PairChunk::Any(range) => (&closest_rays[..0], &any_rays[range.clone()]),
     };
-    let (results, pool) = steal_map(&chunks, threads, |chunk| {
-        let (closest, any) = slices(chunk);
-        let mut engine = TraversalEngine::with_config(config);
-        let output = engine.trace(&TraceRequest::pair_view(view, closest, any), &worker);
-        (output, engine.stats())
-    });
+    let (results, pool) = steal_map(
+        &chunks,
+        threads,
+        || TraversalEngine::with_config(config),
+        |engine, chunk| {
+            let (closest, any) = slices(chunk);
+            engine.reset_stats();
+            let output = engine.trace(&TraceRequest::pair_view(view, closest, any), &worker);
+            (output, engine.stats())
+        },
+    );
     let mut output = TraceOutput {
         closest: Vec::with_capacity(closest_rays.len()),
         any: Vec::with_capacity(any_rays.len()),
@@ -541,6 +560,34 @@ mod tests {
         );
         assert!(output.closest.is_empty() && output.any.is_empty());
         assert_eq!(engine.stats(), TraversalStats::default());
+    }
+
+    #[test]
+    fn each_worker_builds_its_state_once_and_again_after_a_panic() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let built = AtomicUsize::new(0);
+        let chunks: Vec<usize> = (0..12).collect();
+        let (results, pool) = steal_map(
+            &chunks,
+            3,
+            || built.fetch_add(1, Ordering::Relaxed),
+            |_, &chunk| {
+                assert_ne!(chunk, 5, "chunk 5 is poisoned");
+                chunk * 2
+            },
+        );
+        for (chunk, result) in results.iter().enumerate() {
+            let expected = (chunk != 5).then_some(chunk * 2);
+            assert_eq!(*result, expected, "chunk {chunk}");
+        }
+        // One state per worker that ran a chunk, plus at most one rebuild after the panic —
+        // not one per chunk.
+        let built = built.load(Ordering::Relaxed) as u64;
+        assert!(
+            (1..=pool.workers + 1).contains(&built),
+            "{built} states for {} workers",
+            pool.workers
+        );
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The generic batched query engine: one scheduler for every query kind the RT unit supports.
 //!
-//! Every batched mode keeps a whole stream of queries in flight: build one request buffer per
-//! pass, dispatch it to the datapath in bulk, apply the responses, repeat until every query
-//! retires.  That loop is independent of *what* is being queried — the same loop drives
+//! Every batched mode keeps a whole stream of queries in flight: build one pass of beat
+//! descriptors, dispatch it to the datapath in bulk, apply the responses, repeat until every
+//! query retires.  That loop is independent of *what* is being queried — the same loop drives
 //! closest-hit rays, any-hit/shadow rays, primary-ray rendering, candidate collection and
 //! distance scoring — so it lives here once, in three pieces:
 //!
 //! * [`BatchQuery`] — the per-item state machine a query kind implements: how to initialise an
-//!   item, which beats it wants next, how a response advances it, and what it yields when it
-//!   retires;
+//!   item, which beats it wants next (as [`BeatPass`] descriptors, see `crate::beat`), how a
+//!   response advances it, and what it yields when it retires;
 //! * [`StreamRunner`] — one query plus its per-item states for one run, driving the item
 //!   protocol behind the type-erased [`FusedStream`] face: coherent admission, admission-slot
 //!   addressing, opcode bucketing and budget-capped pass segments;
@@ -38,6 +38,7 @@
 
 use rayflex_core::{Opcode, RayFlexDatapath, RayFlexRequest, RayFlexResponse};
 
+use crate::beat::{Beat, BeatPass, BeatTables};
 use crate::policy::{CoherenceMode, ExecMode, ExecPolicy};
 
 pub use rayflex_core::QueryKind;
@@ -74,13 +75,16 @@ pub trait BatchQuery {
     fn reset(&mut self, item: usize, state: &mut Self::State);
 
     /// Appends the item's next beat(s) to `out` and returns `true`, or returns `false` (having
-    /// appended nothing) to retire the item.
-    fn build(
-        &mut self,
-        item: usize,
-        state: &mut Self::State,
-        out: &mut Vec<RayFlexRequest>,
-    ) -> bool;
+    /// appended nothing) to retire the item.  A query outside this crate appends owned beats
+    /// ([`BeatPass::push_request`]); the crate's traversal queries append descriptors that
+    /// resolve against [`BatchQuery::tables`].
+    fn build(&mut self, item: usize, state: &mut Self::State, out: &mut BeatPass) -> bool;
+
+    /// The tables this query's beat descriptors resolve against; none (the default) when every
+    /// beat it builds is owned.
+    fn tables(&self) -> BeatTables<'_> {
+        BeatTables::default()
+    }
 
     /// Applies one response to a beat this item appended.
     fn apply(&mut self, item: usize, state: &mut Self::State, response: &RayFlexResponse);
@@ -170,10 +174,29 @@ pub trait FusedStream {
     fn build_pass(&mut self, out: &mut Vec<RayFlexRequest>, max_beats: usize) -> usize;
 
     /// Applies the responses to the beats this stream appended in the matching
-    /// [`FusedStream::build_pass`] call, in append order.  The scheduler may hand one pass's
-    /// responses over in several consecutive slices (see
-    /// [`RayFlexDatapath::execute_batch_streamed`]), so a slice can end inside an item's train.
+    /// [`FusedStream::build_pass`] (or [`FusedStream::build_beats`]) call, in append order.
+    /// The scheduler may hand one pass's responses over in several consecutive slices (see
+    /// [`RayFlexDatapath::execute_window`]), so a slice can end inside an item's train.
     fn apply_pass(&mut self, responses: &[RayFlexResponse]);
+
+    /// [`FusedStream::build_pass`] in the form the [`FusedScheduler`] dispatches: appends the
+    /// same beats, under the same budget, to `pass` as descriptors and returns how many.  The
+    /// kernels then fetch each descriptor's operands from [`FusedStream::beat_tables`] (or
+    /// from the pass's owned side table) instead of reading a copied request.
+    ///
+    /// The default runs [`FusedStream::build_pass`] and carries the requests it builds as
+    /// owned beats, so every implementation works as it is; the library's streams override
+    /// this method and [`FusedStream::beat_tables`] together, and an implementation that
+    /// overrides one must override both.
+    fn build_beats(&mut self, pass: &mut BeatPass, max_beats: usize) -> usize {
+        pass.build_owned(|requests| self.build_pass(requests, max_beats))
+    }
+
+    /// The tables the descriptors of [`FusedStream::build_beats`] resolve against (none for
+    /// the default, whose beats are all owned).
+    fn beat_tables(&self) -> BeatTables<'_> {
+        BeatTables::default()
+    }
 }
 
 /// The reusable buffers of a [`StreamRunner`]: the per-item states and the admission and pass
@@ -198,11 +221,13 @@ pub(crate) struct RunnerArena<S> {
     /// Per-item coherence keys (indexed by item; filled when sorting is on).
     keys: Vec<u64>,
     /// The minority bucket of [`CoherenceMode::SortAndCompact`]: the pass's trains of
-    /// whichever opcode class is not kept in place (see [`StreamRunner::build_pass`]'s
-    /// bucketing), moved back into the segment when it closes.
-    aside: Vec<RayFlexRequest>,
+    /// whichever opcode class is not kept in place (see [`StreamRunner`]'s bucketing), moved
+    /// back into the segment when it closes.
+    aside: Vec<Beat>,
     /// `(admission slot, beat count)` of each train set aside, in `aside` order.
     aside_spans: Vec<(usize, usize)>,
+    /// The pass [`FusedStream::build_pass`] builds descriptors into before expanding them.
+    expansion: BeatPass,
 }
 
 impl<S> Default for RunnerArena<S> {
@@ -216,6 +241,7 @@ impl<S> Default for RunnerArena<S> {
             keys: Vec::new(),
             aside: Vec::new(),
             aside_spans: Vec::new(),
+            expansion: BeatPass::default(),
         }
     }
 }
@@ -425,8 +451,23 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
         !self.arena.active.is_empty()
     }
 
+    /// Builds the pass as descriptors, then expands them into `out`: the only place the
+    /// batched path still makes requests, for callers that want them.
     fn build_pass(&mut self, out: &mut Vec<RayFlexRequest>, max_beats: usize) -> usize {
-        let pass_start = out.len();
+        let mut pass = core::mem::take(&mut self.arena.expansion);
+        pass.clear();
+        let beats = self.build_beats(&mut pass, max_beats);
+        pass.expand_into(self.query.tables(), out);
+        self.arena.expansion = pass;
+        beats
+    }
+
+    fn beat_tables(&self) -> BeatTables<'_> {
+        self.query.tables()
+    }
+
+    fn build_beats(&mut self, pass: &mut BeatPass, max_beats: usize) -> usize {
+        let pass_start = pass.len();
         let arena = &mut self.arena;
         debug_assert!(arena.aside.is_empty());
         let bucketed = self.coherence == CoherenceMode::SortAndCompact;
@@ -434,7 +475,7 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
         let total = arena.active.len();
         // Every active item appends at least one beat or retires, so reserve the common case
         // once instead of doubling up to it.
-        out.reserve(total);
+        pass.beats_mut().reserve(total);
         arena.spans.clear();
         arena.spans.reserve(total);
         if bucketed {
@@ -445,7 +486,7 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
         while processed < total {
             // Budget admission: stop (leaving the rest of the active list untouched, in order)
             // once this pass's segment — both buckets — reached the per-stream beat budget.
-            if max_beats != 0 && (out.len() - pass_start) + arena.aside.len() >= max_beats {
+            if max_beats != 0 && (pass.len() - pass_start) + arena.aside.len() >= max_beats {
                 break;
             }
             let slot = arena.active[processed];
@@ -454,8 +495,10 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
             } else {
                 arena.order[slot]
             };
-            let before = out.len();
-            if self.query.build(index, &mut arena.states[slot], out) {
+            let before = pass.len();
+            let built = self.query.build(index, &mut arena.states[slot], pass);
+            let out = pass.beats_mut();
+            if built {
                 let beats = out.len() - before;
                 debug_assert!(
                     beats > 0,
@@ -473,7 +516,7 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
                 let all_triangles = bucketed
                     && out[before..]
                         .iter()
-                        .all(|r| r.opcode == Opcode::RayTriangle);
+                        .all(|beat| beat.opcode() == Opcode::RayTriangle);
                 if all_triangles == triangles_stay {
                     arena.spans.push((slot, beats));
                 } else {
@@ -500,6 +543,7 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
         arena.active.truncate(still_active + (total - processed));
         // Close the segment: box trains first, triangle trains behind them — or, for a lone
         // segment, whichever class stayed in place first.
+        let out = pass.beats_mut();
         let stayed = out.len() - pass_start;
         let set_aside = arena.aside.len();
         if triangles_stay && !self.lone {
@@ -572,6 +616,12 @@ macro_rules! delegate_fused_stream_to_runner {
             fn apply_pass(&mut self, responses: &[rayflex_core::RayFlexResponse]) {
                 $crate::query::FusedStream::apply_pass(&mut self.runner, responses);
             }
+            fn build_beats(&mut self, pass: &mut $crate::beat::BeatPass, max_beats: usize) -> usize {
+                $crate::query::FusedStream::build_beats(&mut self.runner, pass, max_beats)
+            }
+            fn beat_tables(&self) -> $crate::beat::BeatTables<'_> {
+                $crate::query::FusedStream::beat_tables(&self.runner)
+            }
         }
     };
     ($ty:ty) => {
@@ -597,12 +647,13 @@ pub(crate) use delegate_fused_stream_to_runner;
 ///   QoS between concurrent workloads, `0` the classic unlimited discipline — without changing
 ///   any stream's outputs or statistics (only the pass structure moves).
 /// * **Pass merging** — each pass concatenates the streams' beat segments in admission order
-///   into one request buffer and dispatches it with a single
-///   [`RayFlexDatapath::execute_batch_streamed`] call, which attributes every beat to its
-///   stream's [`QueryKind`] in the per-kind `BeatMix` table (and counts the pass as *fused* when
-///   at least two kinds contributed).  The responses stream back in windows of about a
-///   thousand, each handed to its streams at once, so a pass never holds a whole pass of
-///   responses beside its requests.
+///   into one [`BeatPass`] of 16-byte descriptors ([`FusedStream::build_beats`]) and dispatches
+///   it as one streamed pass ([`RayFlexDatapath::execute_window`]), which attributes every
+///   beat to its stream's [`QueryKind`] in the per-kind `BeatMix` table (and counts the pass
+///   as *fused* when at least two kinds contributed).  The kernels fetch each beat's operands
+///   from its stream's [`FusedStream::beat_tables`].  The responses stream back in windows of
+///   about a thousand, each handed to its streams before the next window runs, so a pass never
+///   holds a whole pass of responses.
 /// * **Per-stream bit-identity** — a stream's own beat order is untouched by fusion (segments
 ///   are contiguous, items never interleave within a `build` call, and the datapath carries no
 ///   state across beats except the distance accumulators, whose beat trains stay contiguous
@@ -613,7 +664,9 @@ pub(crate) use delegate_fused_stream_to_runner;
 /// allocation.
 #[derive(Debug, Default)]
 pub struct FusedScheduler {
-    /// Reusable merged request buffer: one mixed-kind batch per pass.
+    /// Reusable merged pass: one mixed-kind batch of beat descriptors per pass.
+    pass: BeatPass,
+    /// Reusable request buffer of the scalar reference discipline, which executes requests.
     requests: Vec<RayFlexRequest>,
     /// Reusable response window of the streamed dispatch.
     responses: Vec<RayFlexResponse>,
@@ -779,48 +832,56 @@ impl FusedScheduler {
             }
 
             // Build phase: every stream appends its (budget-limited) segment of the merged
-            // pass, in admission order (slice order, or earliest-deadline-first).
-            self.requests.clear();
+            // pass, in admission order (slice order, or earliest-deadline-first).  Segment
+            // `position` belongs to stream `order[position]`.
+            self.pass.clear();
             self.segments.clear();
-            for &index in &self.order {
+            for (position, &index) in self.order.iter().enumerate() {
                 let stream = &mut *streams[index];
-                let beats = stream.build_pass(&mut self.requests, self.beat_budget_per_stream);
+                self.pass.begin_segment(position);
+                let beats = stream.build_beats(&mut self.pass, self.beat_budget_per_stream);
                 self.segments.push((stream.kind(), beats));
                 self.stream_passes[index] += u64::from(beats > 0);
             }
-            if self.requests.is_empty() {
+            if self.pass.is_empty() {
                 // Every remaining item retired during the build (beatless drains exist — a
                 // collection item whose whole subtree is leaves, say).
                 break;
             }
             self.last_run_passes += 1;
-            beats_spent += self.requests.len() as u64;
+            beats_spent += self.pass.len() as u64;
 
-            // One bulk dispatch for the merged mixed-kind pass, its responses streamed back in
-            // windows.  Demux: hand each stream its contiguous share of every window, walking
-            // the same admission order the build phase used.
+            // One bulk dispatch for the merged mixed-kind pass, a window of responses at a
+            // time: the kernels resolve each window against the streams' tables, then each
+            // stream gets its contiguous share of the window, walking the same admission order
+            // the build phase used.
             let (order, segments) = (&self.order, &self.segments);
+            let mut dispatch =
+                datapath.begin_streamed_pass(self.pass.len(), segments, &mut self.responses);
             let (mut position, mut applied) = (0, 0);
-            datapath.execute_batch_streamed(
-                &self.requests,
-                segments,
-                &mut self.responses,
-                |mut window| {
-                    while !window.is_empty() {
-                        let beats = segments[position].1;
-                        let take = (beats - applied).min(window.len());
-                        if take > 0 {
-                            streams[order[position]].apply_pass(&window[..take]);
-                        }
-                        window = &window[take..];
-                        applied += take;
-                        if applied == beats {
-                            position += 1;
-                            applied = 0;
-                        }
+            while !dispatch.is_finished() {
+                {
+                    let tables: &[&mut dyn FusedStream] = streams;
+                    let source = self
+                        .pass
+                        .source(|segment| tables[order[segment]].beat_tables());
+                    datapath.execute_window(&source, segments, &mut dispatch, &mut self.responses);
+                }
+                let mut window = &self.responses[..];
+                while !window.is_empty() {
+                    let beats = segments[position].1;
+                    let take = (beats - applied).min(window.len());
+                    if take > 0 {
+                        streams[order[position]].apply_pass(&window[..take]);
                     }
-                },
-            );
+                    window = &window[take..];
+                    applied += take;
+                    if applied == beats {
+                        position += 1;
+                        applied = 0;
+                    }
+                }
+            }
         }
         CappedFusedRun {
             beats: beats_spent,
@@ -982,18 +1043,13 @@ mod tests {
             state.hits = 0;
         }
 
-        fn build(
-            &mut self,
-            item: usize,
-            state: &mut CountingState,
-            out: &mut Vec<RayFlexRequest>,
-        ) -> bool {
+        fn build(&mut self, item: usize, state: &mut CountingState, out: &mut BeatPass) -> bool {
             if state.remaining == 0 {
                 return false;
             }
             state.remaining -= 1;
             self.built += 1;
-            out.push(RayFlexRequest::ray_box(
+            out.push_request(RayFlexRequest::ray_box(
                 item as u64,
                 &self.rays[item],
                 &self.boxes,
@@ -1115,17 +1171,12 @@ mod tests {
             state.hits = 0;
         }
 
-        fn build(
-            &mut self,
-            item: usize,
-            state: &mut CountingState,
-            out: &mut Vec<RayFlexRequest>,
-        ) -> bool {
+        fn build(&mut self, item: usize, state: &mut CountingState, out: &mut BeatPass) -> bool {
             if state.remaining == 0 {
                 return false;
             }
             state.remaining -= 1;
-            out.push(RayFlexRequest::ray_box(
+            out.push_request(RayFlexRequest::ray_box(
                 item as u64,
                 &self.rays[item],
                 &self.boxes,

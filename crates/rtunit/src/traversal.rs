@@ -9,9 +9,10 @@
 //!   other mode is tested against;
 //! * [`ExecMode::Wavefront`](crate::ExecMode::Wavefront) keeps each whole ray stream in flight
 //!   through the generic [`FusedScheduler`], one stream at a time: every pass builds one beat
-//!   train per active ray into a reusable request buffer, dispatches it through
-//!   [`RayFlexDatapath::execute_batch_streamed`](rayflex_core::RayFlexDatapath::execute_batch_streamed)
-//!   in bulk, and applies the responses to the per-ray states as they stream back.  Per-ray
+//!   train per active ray into a reusable pass of 16-byte beat descriptors, dispatches it in
+//!   bulk — the kernels fetch each beat's ray from the stream's operand table and its boxes or
+//!   triangle straight from the scene — and applies the responses to the per-ray states as
+//!   they stream back.  Per-ray
 //!   state (traversal stack, pending leaf range) lives in the engine's reusable arenas, so a
 //!   steady-state stream performs no allocation per ray;
 //! * [`ExecMode::Fused`](crate::ExecMode::Fused) runs the request's closest-hit and any-hit
@@ -38,6 +39,7 @@ use rayflex_core::{
 
 use rayflex_geometry::Ray;
 
+use crate::beat::{BeatPass, BeatTables};
 use crate::bvh::ChildRef;
 use crate::error::{validate_rays, QueryError, QueryOutcome, SceneValidator};
 use crate::policy::{CoherenceMode, ExecMode, ExecPolicy};
@@ -45,7 +47,7 @@ use crate::query::{
     remaining_beats, BatchQuery, CappedFusedRun, FusedScheduler, QueryKind, RunnerArena,
     StreamRunner,
 };
-use crate::scene::{handle, NodeStep, Scene, SceneView};
+use crate::scene::{handle, handle_low, BoxBounds, NodeStep, Scene, SceneView};
 
 /// The closest hit found by a traversal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -298,11 +300,10 @@ struct TraversalQuery<'a> {
     kind: QueryKind,
     view: SceneView<'a>,
     rays: &'a [Ray],
-    /// One prebuilt datapath operand per ray: the operand is constant across every beat of a
-    /// ray's traversal, so converting it once here keeps the per-beat build path to two copies
-    /// (operand + geometry) instead of a full [`Ray`] → operand conversion per beat.  Indexed
-    /// by item until [`BatchQuery::reorder`] rebuilds it in admission order, after which the
-    /// scheduler addresses the query by admission slot and every access here is sequential.
+    /// One prebuilt datapath operand per ray — the operand table the stream's beat descriptors
+    /// name by slot, so a beat carries no copy of its ray.  Indexed by item until
+    /// [`BatchQuery::reorder`] rebuilds it in admission order, after which the scheduler
+    /// addresses the query by admission slot and every access here is sequential.
     operands: Vec<RayOperand>,
     stats: TraversalStats,
 }
@@ -319,6 +320,10 @@ impl<'a> TraversalQuery<'a> {
         mut operands: Vec<RayOperand>,
     ) -> Self {
         debug_assert!(matches!(kind, QueryKind::ClosestHit | QueryKind::AnyHit));
+        assert!(
+            u32::try_from(rays.len()).is_ok(),
+            "a traversal stream addresses its rays with 32-bit operand slots"
+        );
         operands.clear();
         operands.extend(rays.iter().map(RayOperand::from_ray));
         TraversalQuery {
@@ -342,51 +347,41 @@ impl<'a> TraversalQuery<'a> {
     /// the node's child table (TLAS-phase beats additionally carry
     /// [`TLAS_PHASE_TAG`](rayflex_core::TLAS_PHASE_TAG) for the datapath's beat attribution);
     /// triangle beats carry the ray index.
-    fn build_next_beat(
-        &mut self,
-        item: usize,
-        state: &mut RayWork,
-        out: &mut Vec<RayFlexRequest>,
-    ) -> bool {
+    ///
+    /// Beats are descriptors: a flat scene's box and triangle beats, and a two-level scene's
+    /// TLAS box beats, name their node or leaf position and the ray's operand slot, and the
+    /// kernels fetch the operands from [`BatchQuery::tables`].  A BLAS-phase beat tests bounds
+    /// or a triangle transformed for this visit, which exist in no table, so it carries them in
+    /// the pass's owned side table.
+    fn build_next_beat(&mut self, item: usize, state: &mut RayWork, out: &mut BeatPass) -> bool {
         loop {
             if !state.pending.is_empty() {
                 if self.kind == QueryKind::ClosestHit {
                     // Closest-hit tests every primitive of the leaf unconditionally (exactly as
                     // the scalar walk does), so the whole pending run is emitted as one beat
-                    // train: same beats, same order, but contiguous in the pass buffer — which
-                    // is what lets the lane-batched triangle kernel engage across them.  The
-                    // train is the hottest emission loop in the engine, so it is written as one
-                    // `extend` (a single capacity reservation, requests constructed in place)
-                    // with the scene-view dispatch hoisted out of the per-beat body.
+                    // train: same beats, same order, but contiguous in the pass — which is what
+                    // lets the lane-batched triangle kernel engage across them.
                     self.stats.triangle_ops += state.pending.len() as u64;
-                    let operand = &self.operands[item];
                     match &self.view {
-                        SceneView::Flat(mesh) => {
-                            let leaf = state.pending.start as usize..state.pending.end as usize;
-                            out.extend(mesh.leaf_triangles()[leaf].iter().map(|triangle| {
-                                RayFlexRequest::ray_triangle_operand(item as u64, operand, triangle)
-                            }));
-                        }
+                        SceneView::Flat(_) => out.extend_leaf(item, state.pending.clone()),
                         view => {
-                            let ctx = state.pending_ctx;
-                            out.extend(state.pending.clone().map(|position| {
-                                RayFlexRequest::ray_triangle_operand(
-                                    item as u64,
-                                    operand,
-                                    &view.pending_triangle(handle(ctx, position)),
-                                )
-                            }));
+                            for position in state.pending.clone() {
+                                let pending = handle(state.pending_ctx, position);
+                                out.push_triangle(item, view.pending_triangle(pending));
+                            }
                         }
                     }
                 } else {
                     // Any-hit stops at the first accepted hit, so beats past it must never
                     // issue: one beat per pass keeps the count identical to the scalar walk.
                     self.stats.triangle_ops += 1;
-                    out.push(RayFlexRequest::ray_triangle_operand(
-                        item as u64,
-                        &self.operands[item],
-                        &self.view.pending_triangle(state.next_pending()),
-                    ));
+                    let next = state.pending.start;
+                    match &self.view {
+                        SceneView::Flat(_) => out.extend_leaf(item, next..next + 1),
+                        view => {
+                            out.push_triangle(item, view.pending_triangle(state.next_pending()))
+                        }
+                    }
                 }
                 return true;
             }
@@ -415,11 +410,10 @@ impl<'a> TraversalQuery<'a> {
                     if tlas {
                         self.stats.tlas_box_ops += 1;
                     }
-                    out.push(RayFlexRequest::ray_box_operand(
-                        tag,
-                        &self.operands[item],
-                        bounds.as_array(),
-                    ));
+                    match bounds {
+                        BoxBounds::Borrowed(_) => out.push_node(item, handle_low(tag), tlas),
+                        BoxBounds::Owned(boxes) => out.push_boxes(item, tag, boxes),
+                    }
                     return true;
                 }
             }
@@ -467,7 +461,18 @@ impl BatchQuery for TraversalQuery<'_> {
         state.reset(self.view.root_handle());
     }
 
-    fn build(&mut self, item: usize, state: &mut RayWork, out: &mut Vec<RayFlexRequest>) -> bool {
+    /// The top-level structure's node table (the flat BVH, or the TLAS of a two-level scene),
+    /// a flat scene's leaf-order triangles, and the ray operands.
+    fn tables(&self) -> BeatTables<'_> {
+        match self.view {
+            SceneView::Flat(mesh) => {
+                BeatTables::new(mesh.bvh().nodes(), mesh.leaf_triangles(), &self.operands)
+            }
+            SceneView::Instanced(scene) => BeatTables::new(scene.tlas.nodes(), &[], &self.operands),
+        }
+    }
+
+    fn build(&mut self, item: usize, state: &mut RayWork, out: &mut BeatPass) -> bool {
         // Any-hit: a recorded hit terminates the ray before any further beat is issued, so the
         // per-ray beat count matches the scalar path, which stops right after the hitting beat.
         if self.kind == QueryKind::AnyHit && state.best.is_some() {
