@@ -19,7 +19,7 @@
 
 use core::ops::Range;
 
-use rayflex_geometry::golden::distance::COSINE_LANES;
+use rayflex_geometry::golden::distance::{COSINE_LANES, EUCLIDEAN_LANES};
 use rayflex_geometry::{golden, Aabb, Axis, Ray, ShearConstants, Vec3};
 use rayflex_softfloat::RecF32;
 
@@ -161,6 +161,41 @@ pub(crate) fn triangle_response_scalar<S: BeatSource + ?Sized>(
     }
 }
 
+/// Lane-batched twin of [`golden::distance::euclidean_partial`]: the sixteen lanes are taken
+/// as four quartets, every lane subtracts and a select zeroes the masked ones, so each quartet's
+/// subtract/select/square is one vector operation and the reduction tree pairs lanes in
+/// registers.  Bit-identical to the reference by construction: a masked lane contributes
+/// `+0 * +0` either way, and the pairwise tree is the reference's, lane for lane (pinned
+/// against the emulated stages, special values and random masks included, by
+/// `crates/core/tests/proptest_batch.rs`).
+#[inline]
+fn euclidean_partial_lanes(
+    a: &[f32; EUCLIDEAN_LANES],
+    b: &[f32; EUCLIDEAN_LANES],
+    mask: u16,
+) -> f32 {
+    let (a, b) = (a.as_chunks::<4>().0, b.as_chunks::<4>().0);
+    let squares: [[f32; 4]; 4] = core::array::from_fn(|quad| {
+        let bits = mask >> (4 * quad);
+        let diff: [f32; 4] = core::array::from_fn(|lane| a[quad][lane] - b[quad][lane]);
+        core::array::from_fn(|lane| {
+            let diff = if bits & (1 << lane) != 0 {
+                diff[lane]
+            } else {
+                0.0
+            };
+            diff * diff
+        })
+    });
+    let s8: [f32; 8] = core::array::from_fn(|i| {
+        let quad = &squares[i / 2];
+        quad[2 * (i % 2)] + quad[2 * (i % 2) + 1]
+    });
+    let s4: [f32; 4] = core::array::from_fn(|i| s8[2 * i] + s8[2 * i + 1]);
+    let s2: [f32; 2] = core::array::from_fn(|i| s4[2 * i] + s4[2 * i + 1]);
+    s2[0] + s2[1]
+}
+
 /// Executes a run of adjacent same-opcode distance beats (all Euclidean or all cosine),
 /// chaining the opcode's accumulator registers through the run exactly as the emulated path
 /// would, and appends one response per beat.
@@ -191,8 +226,11 @@ pub(crate) fn execute_fast_distance_run<S: BeatSource + ?Sized>(
             let mut running = acc.euclidean.to_f32();
             responses.extend(run.map(|beat| {
                 let (vector, reset) = source.vector_operands(beat);
-                let partial =
-                    golden::distance::euclidean_partial(&vector.a, &vector.b, vector.mask);
+                // A full-width beat (every beat of a train but its tail) folds the mask away.
+                let partial = match vector.mask {
+                    u16::MAX => euclidean_partial_lanes(&vector.a, &vector.b, u16::MAX),
+                    mask => euclidean_partial_lanes(&vector.a, &vector.b, mask),
+                };
                 let updated = running + partial;
                 running = if reset { 0.0 } else { updated };
                 RayFlexResponse {

@@ -35,8 +35,11 @@ pub trait BeatSource {
     /// The ray and triangle of a ray–triangle beat.
     fn triangle_operands(&self, beat: usize) -> (&RayOperand, &Triangle);
 
-    /// The vector pair and accumulator-reset flag of a Euclidean or cosine beat.
-    fn vector_operands(&self, beat: usize) -> (&VectorOperand, bool);
+    /// The vector pair, lane mask and accumulator-reset flag of a Euclidean or cosine beat, by
+    /// value: a source that fetches its vectors chunk by chunk (a candidate row of a dataset)
+    /// assembles the lanes, zero-padded past the mask, where they are read.  A cosine beat
+    /// presents its eight lanes in the low half of each array.
+    fn vector_operands(&self, beat: usize) -> (VectorOperand, bool);
 }
 
 impl BeatSource for [RayFlexRequest] {
@@ -66,7 +69,8 @@ impl BeatSource for [RayFlexRequest] {
     }
 
     #[inline]
-    fn vector_operands(&self, beat: usize) -> (&VectorOperand, bool) {
-        self[beat].operand.vector_operands()
+    fn vector_operands(&self, beat: usize) -> (VectorOperand, bool) {
+        let (vector, reset) = self[beat].operand.vector_operands();
+        (*vector, reset)
     }
 }

@@ -2,18 +2,21 @@
 //!
 //! A [`RayFlexRequest`] carries its operands by value — a ray–box request copies the ray and
 //! four child boxes into 176 bytes.  The RT unit does not work that way: it fetches a node's
-//! boxes or a leaf's triangle and the datapath consumes them.  The batched scheduler follows
-//! the hardware.  Each beat of a pass is a [`Beat`] descriptor naming *where* its operands
-//! live — an operand slot in its stream's ray table, a node index or a leaf position — and the
-//! lane kernels fetch the operands through [`PassSource`] when they issue the beat: the ray from
-//! the stream's operand table, the boxes straight from [`Bvh4Node::child_bounds`], the triangle
-//! from the scene's leaf-order storage ([`BeatTables`]).
+//! boxes, a leaf's triangle or a candidate's vector chunk and the datapath consumes them.  The
+//! batched scheduler follows the hardware.  Each beat of a pass is a [`Beat`] descriptor naming
+//! *where* its operands live — an operand slot in its stream's ray table, a node index or a
+//! leaf position, or a candidate and chunk index — and the lane kernels fetch the operands
+//! through [`PassSource`] when they issue the beat: the ray from the stream's operand table, the
+//! boxes straight from [`Bvh4Node::child_bounds`], the triangle from the scene's leaf-order
+//! storage, the query and candidate chunks from the stream's query vector and the caller's
+//! dataset, read in place ([`BeatTables`]).  A distance beat's lane mask and accumulator reset
+//! follow from its chunk and the dimension, and its tail chunk is zero-padded where it is read.
 //!
 //! Operands that exist nowhere in that form ride in the pass's **owned side tables** instead.
 //! A BLAS-phase beat of an instanced scene tests bounds or a triangle transformed for this
-//! visit, so the pass owns that payload (its ray still comes from the operand table).  Distance
-//! beats (a vector pair per candidate chunk), candidate-collection beats (radius-inflated
-//! boxes) and the beats of any [`FusedStream`] that builds requests itself are owned whole, as
+//! visit, and a candidate-collection beat tests a node's radius-inflated bounds, so the pass
+//! owns that payload and its tag (the ray still comes from the operand table).  Only the beats
+//! of a [`FusedStream`] that builds requests itself (and of test queries) are owned whole, as
 //! requests.  Either way the kernels see the same opcode, tag and operand values a request
 //! would present, so responses and counters are bit-identical to dispatching the expanded
 //! requests ([`BeatPass::expand_into`]) — which is how the per-beat API, the scalar reference
@@ -26,14 +29,15 @@ use core::cell::Cell;
 use core::ops::Range;
 
 use rayflex_core::{
-    BeatOperand, BeatSource, Opcode, RayFlexRequest, RayOperand, VectorOperand, TLAS_PHASE_TAG,
+    BeatOperand, BeatSource, Opcode, RayFlexRequest, RayOperand, VectorOperand, COSINE_LANES,
+    EUCLIDEAN_LANES, TLAS_PHASE_TAG,
 };
 use rayflex_geometry::{Aabb, Triangle};
 
 use crate::bvh::Bvh4Node;
 
-/// Where a descriptor's operands live.  Every kind but [`Fetch::Request`] takes its ray from
-/// operand `slot` of its segment's operand table.
+/// Where a descriptor's operands live.  Every ray kind takes its ray from operand `slot` of its
+/// segment's operand table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Fetch {
     /// A ray–box beat over node `index` of its segment's node table (a flat scene's BVH),
@@ -46,26 +50,33 @@ enum Fetch {
     /// with its operand slot.
     Leaf,
     /// A ray–box beat over the owned bounds `index` (with their tag) — a BLAS-phase node
-    /// whose bounds were transformed for this visit.
+    /// whose bounds were transformed for this visit, or a collection node's bounds inflated by
+    /// the query radius.
     Boxes,
     /// A ray–triangle beat over the owned triangle `index`, tagged with its operand slot — a
     /// BLAS-phase triangle transformed for this visit.
     Triangle,
-    /// A beat whose tag and operands are owned request `index`.
+    /// A Euclidean or cosine beat over chunk `slot` of candidate `index` of its segment's
+    /// vector rows and the same chunk of the segment's query, tagged with the candidate index.
+    /// The lane mask and the accumulator reset follow from the chunk and the dimension.
+    Vector,
+    /// A beat whose tag and operands are owned request `index` — the beats of a stream that
+    /// builds requests itself.
     Request,
 }
 
 /// One beat of a bulk pass, in 16 bytes: its opcode, its pass segment, the operand slot of its
-/// ray and the node index or leaf position it tests (or its owned side-table entry).
+/// ray and the node index or leaf position it tests (or its owned side-table entry) — or, for a
+/// distance beat, its candidate and chunk.
 ///
 /// Table-resolved nodes and leaves always live in the top-level structure (a flat BVH or a
 /// TLAS), so the context a traversal handle carries is implied by [`Fetch`]: a BLAS-phase beat
 /// under an instance transform carries its transformed payload, and its tag, in a side table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Beat {
-    /// Node index, leaf position or side-table entry (see [`Fetch`]).
+    /// Node index, leaf position, side-table entry or candidate (see [`Fetch`]).
     index: u32,
-    /// The beat's ray in its segment's operand table.
+    /// The beat's ray in its segment's operand table, or a distance beat's chunk.
     slot: u32,
     /// The pass segment (stream) whose tables the beat resolves against.
     segment: u32,
@@ -86,14 +97,46 @@ impl Beat {
     }
 }
 
+/// Row access to the candidate vectors a distance stream scores: the caller's dataset, read in
+/// place, whatever its row type.
+pub(crate) trait VectorRows {
+    /// The vector of candidate `index`.
+    fn row(&self, index: usize) -> &[f32];
+}
+
+impl<C: AsRef<[f32]>> VectorRows for &[C] {
+    #[inline]
+    fn row(&self, index: usize) -> &[f32] {
+        self[index].as_ref()
+    }
+}
+
+impl core::fmt::Debug for dyn VectorRows + '_ {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str("VectorRows")
+    }
+}
+
+/// The rows of a stream without distance beats.
+const NO_ROWS: &dyn VectorRows = &(&[] as &[&[f32]]);
+
 /// The tables a stream's beat descriptors resolve against: the node table its box beats test,
 /// the leaf-order triangles its triangle beats test and the ray operand table their slots
-/// index.  A stream whose beats are all owned has none (the `Default`).
-#[derive(Debug, Clone, Copy, Default)]
+/// index — or the query vector and candidate rows its distance beats score.  A stream whose
+/// beats are all owned has none (the `Default`).
+#[derive(Debug, Clone, Copy)]
 pub struct BeatTables<'a> {
     nodes: &'a [Bvh4Node],
     triangles: &'a [Triangle],
     operands: &'a [RayOperand],
+    query: &'a [f32],
+    candidates: &'a dyn VectorRows,
+}
+
+impl Default for BeatTables<'_> {
+    fn default() -> Self {
+        BeatTables::new(&[], &[], &[])
+    }
 }
 
 impl<'a> BeatTables<'a> {
@@ -107,8 +150,79 @@ impl<'a> BeatTables<'a> {
             nodes,
             triangles,
             operands,
+            query: &[],
+            candidates: NO_ROWS,
         }
     }
+
+    /// Tables of a distance stream scoring the `candidates` rows against `query`.
+    pub(crate) fn vectors(query: &'a [f32], candidates: &'a dyn VectorRows) -> Self {
+        BeatTables {
+            query,
+            candidates,
+            ..BeatTables::default()
+        }
+    }
+}
+
+/// Chunk `chunk` of the pair `(query, candidate)` as a distance beat of `opcode` consumes it
+/// (see [`chunk_lanes`]).
+#[inline]
+fn vector_chunk(
+    opcode: Opcode,
+    query: &[f32],
+    candidate: &[f32],
+    chunk: usize,
+) -> (VectorOperand, bool) {
+    match opcode {
+        Opcode::Cosine => chunk_lanes::<COSINE_LANES>(query, candidate, chunk),
+        _ => chunk_lanes::<EUCLIDEAN_LANES>(query, candidate, chunk),
+    }
+}
+
+/// Chunk `chunk` of the pair `(query, candidate)` at `N` lanes a beat: the chunk's live lanes
+/// in the low lanes of a sixteen-lane operand, zero-padded past the dimension, their mask, and
+/// the reset flag, set on the train's last chunk (the one reaching the dimension; a
+/// zero-dimensional pair's only chunk reaches it at once).  A full chunk — every chunk of a
+/// train but its tail — carries the constant full mask, which the kernel folds away.
+#[inline]
+fn chunk_lanes<const N: usize>(
+    query: &[f32],
+    candidate: &[f32],
+    chunk: usize,
+) -> (VectorOperand, bool) {
+    let start = chunk * N;
+    let end = start + N;
+    let vector = match (query.get(start..end), candidate.get(start..end)) {
+        (Some(a), Some(b)) => VectorOperand {
+            a: widen::<N>(a),
+            b: widen::<N>(b),
+            mask: (u32::MAX >> (32 - N)) as u16,
+        },
+        _ => {
+            let (a, b) = (&query[start..], &candidate[start..]);
+            VectorOperand {
+                a: padded(a),
+                b: padded(b),
+                mask: ((1u32 << a.len()) - 1) as u16,
+            }
+        }
+    };
+    (vector, end >= query.len())
+}
+
+/// The `N` lanes of a full chunk in the low lanes of a sixteen-lane operand, the rest zero.
+/// Built lane by lane: copying the chunk into a zeroed operand made the warm executor's kNN
+/// requests about half again slower.
+#[inline]
+fn widen<const N: usize>(lanes: &[f32]) -> [f32; EUCLIDEAN_LANES] {
+    core::array::from_fn(|lane| if lane < N { lanes[lane] } else { 0.0 })
+}
+
+/// A tail chunk's lanes in the low lanes of a sixteen-lane operand, the rest zero.
+#[inline]
+fn padded(lanes: &[f32]) -> [f32; EUCLIDEAN_LANES] {
+    core::array::from_fn(|lane| lanes.get(lane).copied().unwrap_or(0.0))
 }
 
 /// The beats of one bulk pass: 16-byte beat descriptors in dispatch order plus the owned side
@@ -141,25 +255,9 @@ impl BeatPass {
     /// Appends a beat owning `request` — how a [`BatchQuery`](crate::BatchQuery) whose
     /// operands live in no shared table emits a beat.
     pub fn push_request(&mut self, request: RayFlexRequest) {
-        self.extend_requests(core::iter::once(request));
-    }
-
-    /// Appends a beat owning each of `requests`, in order (see [`BeatPass::push_request`]).
-    pub(crate) fn extend_requests(&mut self, requests: impl IntoIterator<Item = RayFlexRequest>) {
-        self.reserve_requests();
-        let first = self.requests.len();
-        self.requests.extend(requests);
-        self.own_requests_from(first);
-    }
-
-    /// Grows a full request table by the descriptor room the pass has reserved (a scheduler
-    /// reserves one beat per active item), so a pass of owned beats sizes its table once
-    /// instead of doubling up to it.
-    fn reserve_requests(&mut self) {
-        if self.requests.len() == self.requests.capacity() {
-            self.requests
-                .reserve(self.beats.capacity() - self.beats.len());
-        }
+        let index = index_u32(self.requests.len());
+        self.push(request.opcode, Fetch::Request, 0, index);
+        self.requests.push(request);
     }
 
     /// Appends a [`Fetch::Request`] beat for every request from `first` on.
@@ -216,6 +314,33 @@ impl BeatPass {
         let index = index_u32(self.boxes.len());
         self.boxes.push((tag, boxes));
         self.push(Opcode::RayBox, Fetch::Boxes, slot, index);
+    }
+
+    /// Appends the distance beat train of candidate `candidate` against its segment's query —
+    /// a Euclidean (16 lanes a beat) or cosine (8 lanes) train over `dimension` dimensions,
+    /// reset on its last beat — and returns the number of beats appended.
+    pub(crate) fn extend_vector(
+        &mut self,
+        opcode: Opcode,
+        candidate: usize,
+        dimension: usize,
+    ) -> usize {
+        // One beat per started chunk, and one fully masked beat for a zero-dimensional pair,
+        // as on the hardware.
+        let beats = match opcode {
+            Opcode::Cosine => dimension.div_ceil(COSINE_LANES),
+            _ => dimension.div_ceil(EUCLIDEAN_LANES),
+        }
+        .max(1);
+        let (index, segment) = (index_u32(candidate), self.segment);
+        self.beats.extend((0..beats).map(|chunk| Beat {
+            index,
+            slot: chunk as u32,
+            segment,
+            opcode,
+            fetch: Fetch::Vector,
+        }));
+        beats
     }
 
     /// Appends a ray–triangle beat of ray `slot` over a triangle the pass owns.
@@ -344,6 +469,13 @@ impl<'p, F: Fn(usize) -> BeatTables<'p>> PassSource<'p, F> {
                     triangle: *triangle,
                 }
             }
+            Fetch::Vector => {
+                let (vector, reset_accumulator) = self.vector_operands(beat);
+                BeatOperand::Vector {
+                    vector,
+                    reset_accumulator,
+                }
+            }
         };
         RayFlexRequest {
             opcode: descriptor.opcode,
@@ -372,6 +504,7 @@ impl<'p, F: Fn(usize) -> BeatTables<'p>> BeatSource for PassSource<'p, F> {
             Fetch::Node => u64::from(descriptor.index),
             Fetch::TlasNode => u64::from(descriptor.index) | TLAS_PHASE_TAG,
             Fetch::Leaf | Fetch::Triangle => u64::from(descriptor.slot),
+            Fetch::Vector => u64::from(descriptor.index),
             Fetch::Boxes => self.pass.boxes[index].0,
             Fetch::Request => self.pass.requests[index].tag,
         }
@@ -391,8 +524,8 @@ impl<'p, F: Fn(usize) -> BeatTables<'p>> BeatSource for PassSource<'p, F> {
             }
             Fetch::Boxes => (self.ray(descriptor), &self.pass.boxes[index].1),
             Fetch::Request => self.pass.requests[index].operand.box_operands(),
-            Fetch::Leaf | Fetch::Triangle => {
-                unreachable!("a triangle descriptor is not a box beat")
+            Fetch::Leaf | Fetch::Triangle | Fetch::Vector => {
+                unreachable!("a {:?} descriptor is not a box beat", descriptor.fetch)
             }
         }
     }
@@ -411,20 +544,31 @@ impl<'p, F: Fn(usize) -> BeatTables<'p>> BeatSource for PassSource<'p, F> {
             }
             Fetch::Triangle => (self.ray(descriptor), &self.pass.triangles[index]),
             Fetch::Request => self.pass.requests[index].operand.triangle_operands(),
-            Fetch::Node | Fetch::TlasNode | Fetch::Boxes => {
-                unreachable!("a box descriptor is not a triangle beat")
+            Fetch::Node | Fetch::TlasNode | Fetch::Boxes | Fetch::Vector => {
+                unreachable!("a {:?} descriptor is not a triangle beat", descriptor.fetch)
             }
         }
     }
 
     #[inline]
-    fn vector_operands(&self, beat: usize) -> (&VectorOperand, bool) {
+    fn vector_operands(&self, beat: usize) -> (VectorOperand, bool) {
         let descriptor = &self.pass.beats[beat];
         match descriptor.fetch {
-            Fetch::Request => self.pass.requests[descriptor.index as usize]
-                .operand
-                .vector_operands(),
-            _ => unreachable!("distance beats are owned requests"),
+            Fetch::Vector => {
+                let tables = self.tables(descriptor.segment);
+                vector_chunk(
+                    descriptor.opcode,
+                    tables.query,
+                    tables.candidates.row(descriptor.index as usize),
+                    descriptor.slot as usize,
+                )
+            }
+            Fetch::Request => {
+                let request = &self.pass.requests[descriptor.index as usize];
+                let (vector, reset) = request.operand.vector_operands();
+                (*vector, reset)
+            }
+            _ => unreachable!("a {:?} descriptor is not a distance beat", descriptor.fetch),
         }
     }
 }
@@ -439,16 +583,40 @@ mod tests {
     use rayflex_core::{PipelineConfig, QueryKind, RayFlexDatapath, RayFlexResponse};
     use rayflex_geometry::{Ray, Vec3};
 
+    /// The dimensions the distance descriptors are checked at: empty, one lane, a cosine beat
+    /// exactly, one lane short of, exactly at and one past a Euclidean beat, and two full
+    /// Euclidean beats plus a masked tail.
+    const DIMENSIONS: [usize; 7] = [0, 1, 8, 15, 16, 17, 40];
+
     /// One segment's tables: what a stream's descriptors resolve against.
     struct Tables {
         nodes: Vec<Bvh4Node>,
         triangles: Vec<Triangle>,
         operands: Vec<RayOperand>,
+        query: Vec<f32>,
+        candidates: Vec<Vec<f32>>,
+    }
+
+    impl VectorRows for Vec<Vec<f32>> {
+        fn row(&self, index: usize) -> &[f32] {
+            &self[index]
+        }
+    }
+
+    fn random_vector(rng: &mut StdRng, dimension: usize) -> Vec<f32> {
+        (0..dimension)
+            .map(|_| rng.gen_range(-2.0f32..2.0))
+            .collect()
     }
 
     impl Tables {
         fn random(rng: &mut StdRng) -> Self {
+            let dimension = DIMENSIONS[rng.gen_range(0..DIMENSIONS.len())];
             Tables {
+                query: random_vector(rng, dimension),
+                candidates: (0..rng.gen_range(1..6usize))
+                    .map(|_| random_vector(rng, dimension))
+                    .collect(),
                 nodes: (0..rng.gen_range(1..12usize))
                     .map(|_| Bvh4Node {
                         child_bounds: core::array::from_fn(|_| random_box(rng)),
@@ -472,8 +640,47 @@ mod tests {
         }
 
         fn view(&self) -> BeatTables<'_> {
-            BeatTables::new(&self.nodes, &self.triangles, &self.operands)
+            BeatTables {
+                query: &self.query,
+                candidates: &self.candidates,
+                ..BeatTables::new(&self.nodes, &self.triangles, &self.operands)
+            }
         }
+    }
+
+    /// The requests of one `(query, candidate)` distance train as a request-building stream
+    /// emits them: every exact chunk at full mask, then the zero-padded, masked tail (or the
+    /// one fully masked beat of a zero-dimensional pair), the reset on the last beat.
+    fn expected_train(
+        opcode: Opcode,
+        tag: u64,
+        query: &[f32],
+        candidate: &[f32],
+    ) -> Vec<RayFlexRequest> {
+        let lanes = if opcode == Opcode::Cosine {
+            COSINE_LANES
+        } else {
+            EUCLIDEAN_LANES
+        };
+        let chunks = query.len().div_ceil(lanes).max(1);
+        (0..chunks)
+            .map(|chunk| {
+                let range = chunk * lanes..((chunk + 1) * lanes).min(query.len());
+                let live = range.len();
+                let mut a = [0.0f32; EUCLIDEAN_LANES];
+                let mut b = [0.0f32; EUCLIDEAN_LANES];
+                a[..live].copy_from_slice(&query[range.clone()]);
+                b[..live].copy_from_slice(&candidate[range]);
+                let mask = (1u32 << live) - 1;
+                let last = chunk + 1 == chunks;
+                if opcode == Opcode::Cosine {
+                    let low = |v: [f32; EUCLIDEAN_LANES]| core::array::from_fn(|lane| v[lane]);
+                    RayFlexRequest::cosine(tag, low(a), low(b), mask as u8, last)
+                } else {
+                    RayFlexRequest::euclidean(tag, a, b, mask as u16, last)
+                }
+            })
+            .collect()
     }
 
     fn random_point(rng: &mut StdRng, extent: f32) -> Vec3 {
@@ -512,7 +719,8 @@ mod tests {
     }
 
     /// A [`RandomPass`] mixing table-resolved node and leaf beats, instanced-BLAS payload
-    /// beats, owned ray–box requests and distance beat trains.
+    /// beats, candidate-collection beats, table-resolved Euclidean and cosine trains, and owned
+    /// ray–box requests and distance trains.
     fn random_pass(seed: u64) -> RandomPass {
         let mut rng = StdRng::seed_from_u64(seed);
         let segments = rng.gen_range(1..5usize);
@@ -529,7 +737,7 @@ mod tests {
             while pass.len() - start < quota {
                 let slot = rng.gen_range(0..table.operands.len());
                 let ray = table.operands[slot];
-                match rng.gen_range(0..6u32) {
+                match rng.gen_range(0..8u32) {
                     0 => {
                         let node = rng.gen_range(0..table.nodes.len()) as u32;
                         let tlas = rng.gen_bool(0.3);
@@ -562,6 +770,32 @@ mod tests {
                         ));
                     }
                     4 => {
+                        // A collection beat: a node's child bounds inflated by the query
+                        // radius, tagged with the node, its filter ray from the table.
+                        let node = rng.gen_range(0..table.nodes.len());
+                        let radius = rng.gen_range(0.0f32..2.0);
+                        let boxes = table.nodes[node].child_bounds.map(|b| b.inflated(radius));
+                        pass.push_boxes(slot, node as u64, boxes);
+                        expected.push(RayFlexRequest::ray_box_operand(node as u64, &ray, &boxes));
+                    }
+                    5 => {
+                        let candidate = rng.gen_range(0..table.candidates.len());
+                        let opcode = if rng.gen_bool(0.5) {
+                            Opcode::Cosine
+                        } else {
+                            Opcode::Euclidean
+                        };
+                        let train = expected_train(
+                            opcode,
+                            candidate as u64,
+                            &table.query,
+                            &table.candidates[candidate],
+                        );
+                        let beats = pass.extend_vector(opcode, candidate, table.query.len());
+                        assert_eq!(beats, train.len(), "{opcode:?} train length");
+                        expected.extend(train);
+                    }
+                    6 => {
                         let request = RayFlexRequest::ray_box(
                             rng.gen(),
                             &Ray::new(random_point(&mut rng, 5.0), Vec3::new(0.3, -0.2, 1.0)),

@@ -19,10 +19,10 @@
 //! *fused* scheduling, so candidate collection can share passes with traversal and distance
 //! streams of unrelated workloads.
 
-use rayflex_core::{Opcode, PipelineConfig, RayFlexDatapath, RayFlexRequest, RayFlexResponse};
+use rayflex_core::{Opcode, PipelineConfig, RayFlexDatapath, RayFlexResponse, RayOperand};
 use rayflex_geometry::{Ray, Sphere, Vec3};
 
-use crate::beat::BeatPass;
+use crate::beat::{BeatPass, BeatTables};
 use crate::bvh::ChildRef;
 use crate::error::{QueryError, QueryOutcome};
 use crate::knn::sort_nearest_first;
@@ -75,11 +75,10 @@ impl HierarchicalStats {
     }
 }
 
-/// Per-query state of a batched candidate-collection run: the filter ray, the inflation radius,
-/// the traversal stack and the candidates collected so far.  Pooled by the scheduler.
+/// Per-query state of a batched candidate-collection run: the inflation radius, the traversal
+/// stack and the candidates collected so far.  Pooled by the scheduler.
 #[derive(Debug, Default)]
 pub struct CollectWork {
-    ray: Option<Ray>,
     radius: f32,
     stack: Vec<ChildRef>,
     found: Vec<usize>,
@@ -93,18 +92,36 @@ pub struct CollectWork {
 /// push in slot order — so the collected candidate lists are identical; only the dispatch
 /// changes, from one `execute` call per beat to bulk passes shared by every query in the batch
 /// (and, under a fused run, by unrelated query kinds).
+///
+/// A beat is a [`BeatPass::push_boxes`] descriptor: the node's radius-inflated child bounds
+/// and its tag go in the pass's side table, and the filter ray is the query's entry in the
+/// stream's ray operand table.
 #[derive(Debug)]
 struct CollectQuery<'a> {
     bvh: &'a Bvh4,
     queries: &'a [(Vec3, f32)],
+    /// The filter ray of each query, built once per run.
+    rays: Vec<RayOperand>,
     box_beats: u64,
 }
 
 impl<'a> CollectQuery<'a> {
     fn new(bvh: &'a Bvh4, queries: &'a [(Vec3, f32)]) -> Self {
+        let rays = queries.iter().map(|&(query, radius)| {
+            // A short ray through the query point along +x with extent [0, 2r], starting at
+            // query - (r, 0, 0): exactly the formulation RTNN-style systems use.  Inflating the
+            // child bounds by the radius makes the box test conservative in y/z as well.
+            RayOperand::from_ray(&Ray::with_extent(
+                query - Vec3::new(radius, 0.0, 0.0),
+                Vec3::new(1.0, 0.0, 0.0),
+                0.0,
+                2.0 * radius,
+            ))
+        });
         CollectQuery {
             bvh,
             queries,
+            rays: rays.collect(),
             box_beats: 0,
         }
     }
@@ -123,24 +140,13 @@ impl BatchQuery for CollectQuery<'_> {
     }
 
     fn reset(&mut self, item: usize, state: &mut CollectWork) {
-        let (query, radius) = self.queries[item];
-        // A short ray through the query point along +x with extent [0, 2r], starting at
-        // query - (r, 0, 0): exactly the formulation RTNN-style systems use.  Inflating the
-        // child bounds by the radius makes the box test conservative in y/z as well.
-        state.ray = Some(Ray::with_extent(
-            query - Vec3::new(radius, 0.0, 0.0),
-            Vec3::new(1.0, 0.0, 0.0),
-            0.0,
-            2.0 * radius,
-        ));
-        state.radius = radius;
+        state.radius = self.queries[item].1;
         state.stack.clear();
         state.stack.push(self.bvh.root());
         state.found.clear();
     }
 
     fn build(&mut self, item: usize, state: &mut CollectWork, out: &mut BeatPass) -> bool {
-        let _ = item;
         while let Some(child) = state.stack.pop() {
             let Some(index) = child.node_index() else {
                 let points = self.bvh.leaf_primitives(child);
@@ -161,13 +167,14 @@ impl BatchQuery for CollectQuery<'_> {
                     node.child_bounds[i].inflated(radius)
                 }
             });
-            let Some(ray) = state.ray.as_ref() else {
-                unreachable!("reset built the filter ray");
-            };
-            out.push_request(RayFlexRequest::ray_box(index as u64, ray, &boxes));
+            out.push_boxes(item, index as u64, boxes);
             return true;
         }
         false
+    }
+
+    fn tables(&self) -> BeatTables<'_> {
+        BeatTables::new(&[], &[], &self.rays)
     }
 
     fn apply(&mut self, _item: usize, state: &mut CollectWork, response: &RayFlexResponse) {

@@ -5,20 +5,21 @@
 //! appends its whole beat train (16-lane Euclidean or 8-lane cosine beats, accumulator reset
 //! asserted on the last) in a single build call, so the beats stay adjacent in the dispatched
 //! batch and the datapath's shared accumulator sees each candidate contiguously — which is what
-//! lets any number of candidates (and unrelated beats) share one bulk pass.  The single-pair distance methods are
-//! one-candidate instantiations of the same query; there is no separate scalar drive loop.
+//! lets any number of candidates (and unrelated beats) share one bulk pass.  Each beat is a
+//! 16-byte descriptor naming the candidate and the chunk; the kernel reads the query chunk and
+//! the candidate chunk in place, from the query and the caller's dataset, so scoring copies no
+//! vector.  The single-pair distance methods are one-candidate instantiations of the same query;
+//! there is no separate scalar drive loop.
 //!
 //! The public entry points ([`KnnEngine::distances`], [`KnnEngine::k_nearest`]) take an
 //! [`ExecPolicy`](crate::ExecPolicy): the same candidate beat trains dispatch one emulated beat
 //! at a time (scalar reference), in bulk wavefront passes, in fused shared passes, or sharded
 //! across worker threads — distances and [`KnnStats`] bit-identical in every mode.
 
-use rayflex_core::{
-    quad_sort, BeatMix, Opcode, PipelineConfig, RayFlexDatapath, RayFlexRequest, RayFlexResponse,
-};
+use rayflex_core::{quad_sort, BeatMix, Opcode, PipelineConfig, RayFlexDatapath, RayFlexResponse};
 use rayflex_geometry::golden::distance::{COSINE_LANES, EUCLIDEAN_LANES};
 
-use crate::beat::BeatPass;
+use crate::beat::{BeatPass, BeatTables};
 use crate::error::{QueryError, QueryOutcome};
 use crate::policy::{ExecMode, ExecPolicy};
 use crate::query::{
@@ -146,11 +147,16 @@ impl<C: AsRef<[f32]>> BatchQuery for DistanceQuery<'_, C> {
             "vector dimensions must match"
         );
         self.stats.candidates += 1;
-        self.stats.beats += match self.metric {
-            KnnMetric::Euclidean => append_euclidean_beats(item as u64, self.query, candidate, out),
-            KnnMetric::Cosine => append_cosine_beats(item as u64, self.query, candidate, out),
+        let opcode = match self.metric {
+            KnnMetric::Euclidean => Opcode::Euclidean,
+            KnnMetric::Cosine => Opcode::Cosine,
         };
+        self.stats.beats += out.extend_vector(opcode, item, self.query.len()) as u64;
         true
+    }
+
+    fn tables(&self) -> BeatTables<'_> {
+        BeatTables::vectors(self.query, &self.candidates)
     }
 
     fn apply(&mut self, _item: usize, state: &mut DistanceWork, response: &RayFlexResponse) {
@@ -199,8 +205,10 @@ impl<C: AsRef<[f32]>> BatchQuery for DistanceQuery<'_, C> {
 ///
 /// Unlike [`KnnEngine::distances`], a fused stream does **not** chunk its candidate set: every
 /// candidate's beat train lands in the first shared pass, so the pass buffer scales with
-/// `candidates × ceil(dim / lanes)` beats.  Callers fusing very large scoring workloads should
-/// split the candidate slice into several streams (or several fused runs) themselves.
+/// `candidates × ceil(dim / lanes)` beats.  Each is a 16-byte descriptor naming its candidate
+/// and chunk (the kernel reads both vectors in place), so 65 536 beats take 1 MiB.  Callers
+/// fusing very large scoring workloads should split the candidate slice into several streams
+/// (or several fused runs) themselves.
 #[derive(Debug)]
 pub struct DistanceStream<'a, C: AsRef<[f32]>> {
     runner: StreamRunner<DistanceQuery<'a, C>>,
@@ -229,62 +237,6 @@ impl<'a, C: AsRef<[f32]>> DistanceStream<'a, C> {
 }
 
 crate::query::delegate_fused_stream_to_runner!([C: AsRef<[f32]>] DistanceStream<'_, C>);
-
-/// Appends the Euclidean beat train of one `(query, candidate)` pair (16 lanes per beat, reset
-/// asserted on the last) and returns the number of beats appended.  Zero-dimensional vectors
-/// still cost one (fully masked) beat, as on the hardware.
-fn append_euclidean_beats(tag: u64, a: &[f32], b: &[f32], out: &mut BeatPass) -> u64 {
-    append_beats::<EUCLIDEAN_LANES>(a, b, out, |a, b, lanes, last| {
-        RayFlexRequest::euclidean(tag, a, b, lane_mask(lanes) as u16, last)
-    })
-}
-
-/// Appends the cosine beat train of one `(query, candidate)` pair (8 lanes per beat, reset
-/// asserted on the last) and returns the number of beats appended.
-fn append_cosine_beats(tag: u64, a: &[f32], b: &[f32], out: &mut BeatPass) -> u64 {
-    append_beats::<COSINE_LANES>(a, b, out, |a, b, lanes, last| {
-        RayFlexRequest::cosine(tag, a, b, lane_mask(lanes) as u8, last)
-    })
-}
-
-/// The mask of the low `lanes` lanes.
-fn lane_mask(lanes: usize) -> u32 {
-    (1u32 << lanes) - 1
-}
-
-/// Appends the `N`-lane beat train of one `(query, candidate)` pair as owned beats: every exact
-/// `N`-element chunk becomes a full-mask beat, and only the masked tail (or the single fully
-/// masked beat of a zero-dimensional pair) is zero-padded by hand.
-/// `beat(a, b, lanes, last)` builds one beat of `lanes` live lanes, `last` marking the reset
-/// beat.  Returns the number of beats appended.
-fn append_beats<const N: usize>(
-    a: &[f32],
-    b: &[f32],
-    out: &mut BeatPass,
-    beat: impl Fn([f32; N], [f32; N], usize, bool) -> RayFlexRequest,
-) -> u64 {
-    let (a_chunks, a_tail) = a.as_chunks::<N>();
-    let (b_chunks, b_tail) = b.as_chunks::<N>();
-    let full = a_chunks.len();
-    let padded = !a_tail.is_empty() || full == 0;
-    // The reset rides the last exact chunk unless a padded beat follows it.
-    let last_full = if padded { full } else { full - 1 };
-    out.extend_requests(
-        a_chunks
-            .iter()
-            .zip(b_chunks)
-            .enumerate()
-            .map(|(i, (a, b))| beat(*a, *b, N, i == last_full)),
-    );
-    if padded {
-        let mut beat_a = [0.0f32; N];
-        let mut beat_b = [0.0f32; N];
-        beat_a[..a_tail.len()].copy_from_slice(a_tail);
-        beat_b[..b_tail.len()].copy_from_slice(b_tail);
-        out.push_request(beat(beat_a, beat_b, a_tail.len(), true));
-    }
-    (full + usize::from(padded)) as u64
-}
 
 /// A k-nearest-neighbour engine that streams candidate vectors through the extended RayFlex
 /// datapath, exactly as the hierarchical-search accelerators the paper cites would: each

@@ -76,7 +76,7 @@ pub trait BatchQuery {
 
     /// Appends the item's next beat(s) to `out` and returns `true`, or returns `false` (having
     /// appended nothing) to retire the item.  A query outside this crate appends owned beats
-    /// ([`BeatPass::push_request`]); the crate's traversal queries append descriptors that
+    /// ([`BeatPass::push_request`]); the crate's own queries append descriptors that
     /// resolve against [`BatchQuery::tables`].
     fn build(&mut self, item: usize, state: &mut Self::State, out: &mut BeatPass) -> bool;
 

@@ -1,7 +1,7 @@
 //! The zero-alloc contract of the distance path, verified by a counting global allocator:
-//! a distance beat is a fixed-size value (its vector pair lives inline in the request's operand
-//! union), so a warm scoring run allocates a small constant — its output vectors — however many
-//! beats it issues.
+//! a distance beat is a 16-byte descriptor naming its candidate and chunk (the kernel reads
+//! both vectors in place, from the query and the caller's dataset), so a warm scoring run
+//! allocates a small constant — its output vectors — however many beats it issues.
 //!
 //! This file deliberately holds a single `#[test]` (plus the allocator plumbing): the counting
 //! allocator tallies process-wide, so a sibling test running on another harness thread would
