@@ -175,16 +175,15 @@ impl BeatMix {
 /// model for workload-level studies (BVH traversal, k-nearest-neighbour search) where simulating
 /// every pipeline register would be needlessly slow.
 ///
-/// For throughput-oriented callers the datapath also offers a bulk interface:
-/// [`RayFlexDatapath::execute_batch`] and [`RayFlexDatapath::execute_batch_into`] stream beats
-/// through one reusable [`SharedRayFlexData`](crate::SharedRayFlexData) scratch buffer with the
-/// stages applied in place (see
-/// [`stages::apply_all_middle_stages_in_place`](crate::stages::apply_all_middle_stages_in_place)),
-/// so a steady-state batch performs no per-beat allocation and no per-stage structure copies.
-/// Batched execution runs the native fast model (the private `fastpath` module), not the stage
-/// functions; its bit-identity to beat-at-a-time execution is pinned by the property tests in
-/// `crates/core/tests/proptest_batch.rs`, so a stage-logic change that diverges from the golden
-/// models fails the suite rather than silently splitting the two paths.
+/// For throughput-oriented callers the datapath also offers bulk interfaces, which run the
+/// native fast model (the private `fastpath` module) instead of the stage functions:
+/// [`RayFlexDatapath::execute_batch`] runs a slice of requests,
+/// [`RayFlexDatapath::execute_batch_segmented`] runs one kind-attributed pass of requests, and
+/// [`RayFlexDatapath::begin_streamed_pass`] / [`RayFlexDatapath::execute_window`] run a
+/// kind-attributed pass from any [`BeatSource`] (the RT unit's beat descriptors) a window of
+/// responses at a time.  Their bit-identity to beat-at-a-time execution is pinned by the
+/// property tests in `crates/core/tests/proptest_batch.rs`, so a stage-logic change that
+/// diverges from the golden models fails the suite rather than silently splitting the paths.
 ///
 /// # Example
 ///
@@ -251,8 +250,8 @@ impl RayFlexDatapath {
         }
     }
 
-    /// Sets the SIMD lane width of the bulk interfaces ([`RayFlexDatapath::execute_batch_into`]
-    /// and [`RayFlexDatapath::execute_batch_segmented`]).  Degenerate and oversized requests are
+    /// Sets the SIMD lane width of the bulk interfaces ([`RayFlexDatapath::execute_batch`],
+    /// [`RayFlexDatapath::execute_batch_segmented`] and [`RayFlexDatapath::execute_window`]).  Degenerate and oversized requests are
     /// clamped by [`crate::clamp_simd_lanes`]; the per-beat interfaces ([`RayFlexDatapath::execute`]
     /// and [`RayFlexDatapath::execute_attributed`]) are unaffected, so the scalar reference stays
     /// the oracle.  Responses are bit-identical at every width — only throughput changes.
@@ -357,37 +356,16 @@ impl RayFlexDatapath {
     ///
     /// Panics if any beat's opcode is unsupported (see [`RayFlexDatapath::execute`]).
     pub fn execute_batch(&mut self, requests: &[RayFlexRequest]) -> Vec<RayFlexResponse> {
-        let mut responses = Vec::new();
-        self.execute_batch_into(requests, &mut responses);
-        responses
-    }
-
-    /// Executes a batch of beats in order, writing the responses into a caller-owned buffer.
-    ///
-    /// The buffer is cleared first and its capacity is reused, so a caller streaming many batches
-    /// (the wavefront traversal loop of `rayflex-rtunit`, for example) allocates responses once
-    /// and amortises them across every subsequent dispatch.  Like
-    /// [`RayFlexDatapath::execute_batch`], the beats run on the native fast model and produce
-    /// bit-identical responses to the per-beat emulated path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any beat's opcode is unsupported (see [`RayFlexDatapath::execute`]).
-    pub fn execute_batch_into(
-        &mut self,
-        requests: &[RayFlexRequest],
-        responses: &mut Vec<RayFlexResponse>,
-    ) {
-        responses.clear();
-        responses.reserve(requests.len());
+        let mut responses = Vec::with_capacity(requests.len());
         self.fast_run(
             requests,
             &[],
             &mut SegmentCursor::Single(None),
             0,
-            responses,
+            &mut responses,
             usize::MAX,
         );
+        responses
     }
 
     /// The bulk dispatch loop of every batched interface: admits every beat of `source` from
@@ -520,7 +498,7 @@ impl RayFlexDatapath {
     /// scoring), and the per-kind × per-opcode [`BeatMix`] counters record exactly which kind
     /// issued which beats.  A pass whose segments span at least two distinct kinds increments
     /// [`BeatMix::fused_passes`].  Responses are bit-identical to
-    /// [`RayFlexDatapath::execute_batch_into`] over the same requests — attribution changes only
+    /// [`RayFlexDatapath::execute_batch`] over the same requests — attribution changes only
     /// the counters, never the datapath semantics.
     ///
     /// Lane grouping runs over the *whole* merged pass: a same-opcode run (and the ray–box
@@ -539,27 +517,11 @@ impl RayFlexDatapath {
         segments: &[(QueryKind, usize)],
         responses: &mut Vec<RayFlexResponse>,
     ) {
-        self.execute_beats_segmented(requests, segments, responses);
-    }
-
-    /// [`RayFlexDatapath::execute_batch_segmented`] over any [`BeatSource`]: the same single
-    /// pass, with every operand read through `source`.  Responses and counters equal those of
-    /// the request slice presenting the same beats.
-    ///
-    /// # Panics
-    ///
-    /// As [`RayFlexDatapath::execute_batch_segmented`].
-    pub fn execute_beats_segmented<S: BeatSource + ?Sized>(
-        &mut self,
-        source: &S,
-        segments: &[(QueryKind, usize)],
-        responses: &mut Vec<RayFlexResponse>,
-    ) {
-        self.count_pass(source.beat_count(), segments);
+        self.count_pass(requests.len(), segments);
         responses.clear();
-        responses.reserve(source.beat_count());
+        responses.reserve(requests.len());
         self.fast_run(
-            source,
+            requests,
             segments,
             &mut SegmentCursor::table(),
             0,
@@ -568,35 +530,10 @@ impl RayFlexDatapath {
         );
     }
 
-    /// [`RayFlexDatapath::execute_batch_segmented`] for passes too large to hold all their
-    /// responses at once: the same single pass — same pass and lane accounting, same responses
-    /// — but the responses reach `consume` in order, about a thousand at a time, through the
-    /// reusable `window` buffer.  A window closes only between two run
-    /// groups, so grouping, and therefore every counter, is exactly the unwindowed dispatch's;
-    /// a whole pass of requests then never needs a whole pass of responses beside it.
-    ///
-    /// # Panics
-    ///
-    /// As [`RayFlexDatapath::execute_batch_segmented`].
-    pub fn execute_batch_streamed(
-        &mut self,
-        requests: &[RayFlexRequest],
-        segments: &[(QueryKind, usize)],
-        window: &mut Vec<RayFlexResponse>,
-        mut consume: impl FnMut(&[RayFlexResponse]),
-    ) {
-        let mut pass = self.begin_streamed_pass(requests.len(), segments, window);
-        while !pass.is_finished() {
-            self.execute_window(requests, segments, &mut pass, window);
-            consume(window);
-        }
-    }
-
     /// Opens a streamed segmented pass of `beats` beats: counts the pass and sizes `window`
     /// for [`RayFlexDatapath::execute_window`], which then dispatches it a window at a time.
-    /// This is [`RayFlexDatapath::execute_batch_streamed`] taken apart, for a caller that
-    /// must act on each window (apply the responses, say) before the next one runs and so
-    /// cannot keep its beat source borrowed across the whole pass.
+    /// A caller acts on each window (applies the responses, say) before the next one runs, so
+    /// a whole pass of beats never needs a whole pass of responses beside it.
     ///
     /// # Panics
     ///
@@ -623,8 +560,10 @@ impl RayFlexDatapath {
     /// responses of the following beats of `source` — about a thousand, always ending between
     /// two run groups (none once the pass [is finished](StreamedPass::is_finished)).  The
     /// windows of a pass together give exactly the responses and counters of
-    /// [`RayFlexDatapath::execute_beats_segmented`] over the same source; `source` must present
-    /// the same beats to every window of one pass.
+    /// [`RayFlexDatapath::execute_batch_segmented`] over the requests `source` presents;
+    /// `source` must present the same beats to every window of one pass.  A window closes only
+    /// between two run groups, so grouping, and therefore every counter, is the unwindowed
+    /// dispatch's.
     ///
     /// # Panics
     ///
@@ -684,18 +623,6 @@ impl RayFlexDatapath {
         if fused {
             self.mix.fused_passes += 1;
         }
-    }
-
-    /// Executes a batch of beats through the recoded-format stage emulation (the same path as
-    /// [`RayFlexDatapath::execute`]).  This is the cross-check twin of
-    /// [`RayFlexDatapath::execute_batch`]: slower, but sharing every line of stage logic with the
-    /// register-accurate pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any beat's opcode is unsupported (see [`RayFlexDatapath::execute`]).
-    pub fn execute_batch_emulated(&mut self, requests: &[RayFlexRequest]) -> Vec<RayFlexResponse> {
-        requests.iter().map(|r| self.execute(r)).collect()
     }
 }
 

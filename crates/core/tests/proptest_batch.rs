@@ -256,16 +256,18 @@ proptest! {
         let mut fast = RayFlexDatapath::new(config);
         let mut emulated = RayFlexDatapath::new(config);
         let fast_responses = fast.execute_batch(&beats);
-        let emulated_responses = emulated.execute_batch_emulated(&beats);
+        let emulated_responses: Vec<RayFlexResponse> =
+            beats.iter().map(|beat| emulated.execute(beat)).collect();
         for (index, (e, g)) in emulated_responses.iter().zip(&fast_responses).enumerate() {
             assert_bit_identical(e, g, index)?;
         }
     }
 
-    /// A pass far longer than one response window, streamed back through
-    /// `execute_batch_streamed`, must match the one-buffer `execute_batch_segmented` dispatch
-    /// response for response and counter for counter at every lane width: windows close only
-    /// between lane groups, so no grouping (and no lane, pass or per-kind count) moves.
+    /// A pass far longer than one response window, streamed back through the
+    /// `begin_streamed_pass` / `execute_window` loop the RT unit's scheduler runs, must match
+    /// the one-buffer `execute_batch_segmented` dispatch response for response and counter for
+    /// counter at every lane width: windows close only between lane groups, so no grouping (and
+    /// no lane, pass or per-kind count) moves.
     #[test]
     fn streamed_passes_match_one_buffer_passes(beats in stream(), len in 2100usize..3200) {
         let config = PipelineConfig::extended_unified();
@@ -283,10 +285,12 @@ proptest! {
             let mut window = Vec::new();
             let mut got = Vec::new();
             let mut windows = 0;
-            streamed.execute_batch_streamed(&beats, &segments, &mut window, |responses| {
+            let mut pass = streamed.begin_streamed_pass(beats.len(), &segments, &mut window);
+            while !pass.is_finished() {
+                streamed.execute_window(&beats[..], &segments, &mut pass, &mut window);
                 windows += 1;
-                got.extend_from_slice(responses);
-            });
+                got.extend_from_slice(&window);
+            }
             prop_assert_eq!(expected.len(), got.len());
             for (index, (e, g)) in expected.iter().zip(&got).enumerate() {
                 assert_bit_identical(e, g, index)?;
@@ -296,33 +300,13 @@ proptest! {
             prop_assert_eq!(whole.accumulators(), streamed.accumulators());
         }
     }
-
-    #[test]
-    fn buffer_reuse_does_not_change_results(beats in stream()) {
-        let config = PipelineConfig::extended_unified();
-        let mut datapath = RayFlexDatapath::new(config);
-        let expected = datapath.execute_batch(&beats);
-        let mut reused = RayFlexDatapath::new(config);
-        let mut buffer = Vec::new();
-        // Run the same stream twice through one buffer; the second run starts from a clean
-        // datapath so results must be identical to the first.
-        reused.execute_batch_into(&beats, &mut buffer);
-        let mut second = RayFlexDatapath::new(config);
-        second.execute_batch_into(&beats, &mut buffer);
-        prop_assert_eq!(expected.len(), buffer.len());
-        for (index, (e, g)) in expected.iter().zip(&buffer).enumerate() {
-            // Bit-level comparison: responses may legitimately contain NaN, which `PartialEq`
-            // would reject even between identical runs.
-            assert_bit_identical(e, g, index)?;
-        }
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Long distance runs split into chunks, each chunk dispatched through a different bulk
-    /// interface of one datapath — `execute_batch_into` or a two-segment
+    /// interface of one datapath — `execute_batch` or a two-segment
     /// `execute_batch_segmented` pass — must match the per-beat emulated path
     /// response-for-response, with the accumulators bit-identical after every chunk (so state
     /// carried across calls is pinned too).
@@ -340,7 +324,7 @@ proptest! {
             for (call, window) in cuts.windows(2).enumerate() {
                 let chunk = &beats[window[0]..window[1]];
                 if call % 2 == 0 {
-                    fast.execute_batch_into(chunk, &mut responses);
+                    responses = fast.execute_batch(chunk);
                 } else {
                     let head = chunk.len() / 2;
                     fast.execute_batch_segmented(

@@ -13,9 +13,7 @@
 //! * the Euclidean and cosine distance operations of the extended datapath (§V-A),
 //!
 //! each written with the *same operation structure and per-step `f32` rounding* as the hardware
-//! stages, so the hardware model can be checked for bit-exact equivalence.  The crate also
-//! provides structure-of-arrays ray/box streams ([`RayPacket`], [`AabbPacket`]) for the batched
-//! execution frontends of the RT-unit layer.
+//! stages, so the hardware model can be checked for bit-exact equivalence.
 //!
 //! # Example
 //!
@@ -43,7 +41,6 @@
 
 mod aabb;
 pub mod golden;
-mod packet;
 mod ray;
 pub mod sampling;
 mod sphere;
@@ -52,7 +49,6 @@ mod triangle;
 mod vec3;
 
 pub use aabb::Aabb;
-pub use packet::{AabbPacket, RayPacket};
 pub use ray::{Ray, ShearConstants};
 pub use sphere::Sphere;
 pub use transform::Affine;

@@ -19,8 +19,8 @@
 //! of a [`FusedStream`] that builds requests itself (and of test queries) are owned whole, as
 //! requests.  Either way the kernels see the same opcode, tag and operand values a request
 //! would present, so responses and counters are bit-identical to dispatching the expanded
-//! requests ([`BeatPass::expand_into`]) — which is how the per-beat API, the scalar reference
-//! and public [`FusedStream::build_pass`] callers still get requests.
+//! requests — which is how the scalar reference (one beat at a time, [`PassSource::request`])
+//! and [`FusedStream::build_pass`] callers ([`BeatPass::expand_into`]) still get requests.
 //!
 //! [`FusedStream`]: crate::FusedStream
 //! [`FusedStream::build_pass`]: crate::FusedStream::build_pass
@@ -450,8 +450,9 @@ impl<'p, F: Fn(usize) -> BeatTables<'p>> PassSource<'p, F> {
         &self.tables(descriptor.segment).operands[descriptor.slot as usize]
     }
 
-    /// Beat `beat` as an owned request presenting the operands the kernels fetch.
-    fn request(&self, beat: usize) -> RayFlexRequest {
+    /// Beat `beat` as an owned request presenting the operands the kernels fetch: how the
+    /// scalar reference discipline executes a descriptor on the per-beat emulated path.
+    pub(crate) fn request(&self, beat: usize) -> RayFlexRequest {
         let descriptor = &self.pass.beats[beat];
         let operand = match descriptor.fetch {
             Fetch::Request => return self.pass.requests[descriptor.index as usize].clone(),
@@ -866,6 +867,23 @@ mod tests {
             .collect()
     }
 
+    /// Dispatches `source` as one streamed pass a window at a time, the way the scheduler
+    /// does, and returns every window's responses in order.
+    fn windowed<S: BeatSource + ?Sized>(
+        datapath: &mut RayFlexDatapath,
+        source: &S,
+        segments: &[(QueryKind, usize)],
+        window: &mut Vec<RayFlexResponse>,
+    ) -> Vec<RayFlexResponse> {
+        let mut dispatch = datapath.begin_streamed_pass(source.beat_count(), segments, window);
+        let mut responses = Vec::new();
+        while !dispatch.is_finished() {
+            datapath.execute_window(source, segments, &mut dispatch, window);
+            responses.extend_from_slice(window);
+        }
+        responses
+    }
+
     fn datapath(lanes: usize) -> RayFlexDatapath {
         let mut datapath = RayFlexDatapath::new(PipelineConfig::extended_unified());
         datapath.set_simd_lanes(lanes);
@@ -876,8 +894,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// A descriptor pass and the requests it stands for give bit-identical responses and
-        /// identical counters through the segmented and the streamed dispatch, at every lane
-        /// width — and expanding the descriptors yields exactly those requests.
+        /// identical counters through the one-buffer segmented and the windowed dispatch, at
+        /// every lane width — and expanding the descriptors yields exactly those requests.
         #[test]
         fn descriptors_dispatch_exactly_like_their_expanded_requests(seed in any::<u64>()) {
             let RandomPass {
@@ -892,28 +910,20 @@ mod tests {
             prop_assert!(expanded == expected, "expansion differs from the requests built");
 
             for lanes in [1, 4, 8, 16] {
-                let mut requests_dp = datapath(lanes);
+                // The segmented leg: the descriptor pass, expanded, through the one-buffer
+                // segmented dispatch.
+                let mut segmented_dp = datapath(lanes);
                 let mut wanted = Vec::new();
-                requests_dp.execute_batch_segmented(&expected, &segments, &mut wanted);
+                segmented_dp.execute_batch_segmented(&expanded, &segments, &mut wanted);
                 let mut window = Vec::new();
-                let mut streamed = Vec::new();
-                requests_dp.execute_batch_streamed(&expected, &segments, &mut window, |w| {
-                    streamed.extend_from_slice(w);
-                });
-                prop_assert_eq!(bits(&streamed), bits(&wanted), "streamed requests, lanes {}", lanes);
-
+                let mut requests_dp = datapath(lanes);
+                let got = windowed(&mut requests_dp, &expected[..], &segments, &mut window);
+                prop_assert_eq!(bits(&got), bits(&wanted), "windowed requests, lanes {}", lanes);
+                prop_assert_eq!(requests_dp.beat_mix(), segmented_dp.beat_mix(), "lanes {}", lanes);
                 let mut beats_dp = datapath(lanes);
-                let mut got = Vec::new();
-                beats_dp.execute_beats_segmented(&source, &segments, &mut got);
-                prop_assert_eq!(bits(&got), bits(&wanted), "segmented descriptors, lanes {}", lanes);
-                let mut dispatch = beats_dp.begin_streamed_pass(pass.len(), &segments, &mut window);
-                let mut windows = Vec::new();
-                while !dispatch.is_finished() {
-                    beats_dp.execute_window(&source, &segments, &mut dispatch, &mut window);
-                    windows.extend_from_slice(&window);
-                }
-                prop_assert_eq!(bits(&windows), bits(&wanted), "streamed descriptors, lanes {}", lanes);
-                prop_assert_eq!(beats_dp.beat_mix(), requests_dp.beat_mix(), "lanes {}", lanes);
+                let got = windowed(&mut beats_dp, &source, &segments, &mut window);
+                prop_assert_eq!(bits(&got), bits(&wanted), "windowed descriptors, lanes {}", lanes);
+                prop_assert_eq!(beats_dp.beat_mix(), segmented_dp.beat_mix(), "lanes {}", lanes);
             }
         }
     }

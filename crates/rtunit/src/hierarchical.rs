@@ -271,7 +271,6 @@ impl Collector {
 #[derive(Debug)]
 pub struct HierarchicalSearch {
     points: Vec<Vec3>,
-    spheres: Vec<Sphere>,
     bvh: Bvh4,
     scorer: KnnEngine,
     /// The candidate-collection filter's scheduler and buffers.
@@ -304,7 +303,6 @@ impl HierarchicalSearch {
         let dataset_size = points.len() as u64;
         HierarchicalSearch {
             points,
-            spheres,
             bvh,
             scorer: KnnEngine::with_config(config),
             collector: Collector::default(),
@@ -656,12 +654,6 @@ impl HierarchicalSearch {
             .collect();
         (Some(neighbors), run.beats)
     }
-
-    /// Number of spheres in the underlying BVH (equal to the dataset size).
-    #[must_use]
-    pub fn sphere_count(&self) -> usize {
-        self.spheres.len()
-    }
 }
 
 /// Validates a radius-query batch before a `try_*` run accepts it: every query point finite,
@@ -966,7 +958,7 @@ mod tests {
             .radius_query(Vec3::ZERO, 10.0, &ExecPolicy::wavefront())
             .is_empty());
         assert_eq!(search.stats().scored_fraction(), 0.0);
-        assert_eq!(search.sphere_count(), 0);
+        assert_eq!(search.stats().dataset_size, 0);
     }
 
     #[test]

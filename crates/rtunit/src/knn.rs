@@ -311,23 +311,6 @@ impl KnnEngine {
         self.datapath.beat_mix()
     }
 
-    /// Issues an arbitrary beat on the engine's datapath.
-    ///
-    /// The extended RT unit runs ray–box, ray–triangle and distance beats through the *same*
-    /// pipeline, freely interleaved (§V-A); the hierarchical-search engine uses this to mix its
-    /// BVH-filter ray–box beats with its exact-scoring Euclidean beats on one unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the beat's opcode is not supported by the engine's configuration.
-    pub fn execute_raw(
-        &mut self,
-        request: &rayflex_core::RayFlexRequest,
-    ) -> rayflex_core::RayFlexResponse {
-        self.stats.beats += 1;
-        self.datapath.execute(request)
-    }
-
     /// Upper bound on the beats a single scheduler pass materialises while scoring candidates.
     /// Scoring runs chunk the candidate set so the reusable pass buffers stay bounded no
     /// matter how large the dataset is (a candidate's own beat train is never split, so results

@@ -120,8 +120,8 @@ pub trait BatchQuery {
     }
 }
 
-/// Progress report of a deadline-capped fused run ([`FusedScheduler::run_capped`] /
-/// [`FusedScheduler::run_reference_capped`]): how many beats the run spent and whether every
+/// Progress report of a deadline-capped fused run ([`FusedScheduler::run_capped`], or a
+/// capped policy run of any discipline): how many beats the run spent and whether every
 /// stream drained.  A cancelled run leaves its streams mid-flight; extract each stream's
 /// completed prefix with [`StreamRunner::finish_partial`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,8 +147,8 @@ pub(crate) fn remaining_beats(cap: u64, spent: u64) -> Option<u64> {
 /// and output types) share one [`FusedScheduler`] pass schedule.
 ///
 /// The scheduler drives the protocol: [`FusedStream::start`] once, then per pass one
-/// [`FusedStream::build_pass`] (append this stream's beats for the pass, returning how many) and
-/// one [`FusedStream::apply_pass`] (consume exactly that many responses), until
+/// [`FusedStream::build_beats`] (append this stream's beats for the pass, returning how many)
+/// and [`FusedStream::apply_pass`] calls consuming exactly that many responses, until
 /// [`FusedStream::is_active`] turns false.  Streams never see each other's beats.
 pub trait FusedStream {
     /// The query kind of this stream, for pass-segment attribution.
@@ -187,7 +187,8 @@ pub trait FusedStream {
     /// The default runs [`FusedStream::build_pass`] and carries the requests it builds as
     /// owned beats, so every implementation works as it is; the library's streams override
     /// this method and [`FusedStream::beat_tables`] together, and an implementation that
-    /// overrides one must override both.
+    /// overrides one must override both.  Only perfbench's traced stream wrapper relies on the
+    /// request-owning defaults; ROADMAP item 1 removes that wrapper, and these defaults with it.
     fn build_beats(&mut self, pass: &mut BeatPass, max_beats: usize) -> usize {
         pass.build_owned(|requests| self.build_pass(requests, max_beats))
     }
@@ -226,7 +227,8 @@ pub(crate) struct RunnerArena<S> {
     aside: Vec<Beat>,
     /// `(admission slot, beat count)` of each train set aside, in `aside` order.
     aside_spans: Vec<(usize, usize)>,
-    /// The pass [`FusedStream::build_pass`] builds descriptors into before expanding them.
+    /// The pass [`FusedStream::build_pass`] builds descriptors into before expanding them
+    /// (goes with `build_pass`, see there).
     expansion: BeatPass,
 }
 
@@ -451,8 +453,9 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
         !self.arena.active.is_empty()
     }
 
-    /// Builds the pass as descriptors, then expands them into `out`: the only place the
-    /// batched path still makes requests, for callers that want them.
+    /// Builds the pass as descriptors, then expands them into `out`.  No library scheduler
+    /// calls this (the reference discipline expands one descriptor at a time); it stays for
+    /// perfbench's traced stream wrapper, and ROADMAP item 1 removes it with that wrapper.
     fn build_pass(&mut self, out: &mut Vec<RayFlexRequest>, max_beats: usize) -> usize {
         let mut pass = core::mem::take(&mut self.arena.expansion);
         pass.clear();
@@ -666,9 +669,8 @@ pub(crate) use delegate_fused_stream_to_runner;
 pub struct FusedScheduler {
     /// Reusable merged pass: one mixed-kind batch of beat descriptors per pass.
     pass: BeatPass,
-    /// Reusable request buffer of the scalar reference discipline, which executes requests.
-    requests: Vec<RayFlexRequest>,
-    /// Reusable response window of the streamed dispatch.
+    /// Reusable response window of the streamed dispatch (a segment's responses under the
+    /// reference discipline).
     responses: Vec<RayFlexResponse>,
     /// `(kind, beat_count)` per stream for the current pass, in admission order.
     segments: Vec<(QueryKind, usize)>,
@@ -814,6 +816,48 @@ impl FusedScheduler {
         streams: &mut [&mut dyn FusedStream],
         max_total_beats: u64,
     ) -> CappedFusedRun {
+        self.run_passes(datapath, streams, max_total_beats, false)
+    }
+
+    /// The scalar round-robin reference mode of [`FusedScheduler::run`]: the same pass schedule
+    /// (including the configured beat budget) and the same per-stream beat orders, but every
+    /// beat executes one at a time through the register-accurate emulated path
+    /// ([`RayFlexDatapath::execute_attributed`]), segment by segment — no bulk dispatch at all.
+    ///
+    /// Per-stream outputs and statistics are bit-identical to [`FusedScheduler::run`] (the
+    /// fast batched model and the emulated model are bit-equal by `core`'s property tests, and
+    /// the beat order is the same), which is what the fused property tests pin.  Beats executed
+    /// here count toward the per-kind `BeatMix` attribution but not toward the datapath's pass
+    /// counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a beat's opcode is not supported by the datapath configuration.
+    pub fn run_reference(
+        &mut self,
+        datapath: &mut RayFlexDatapath,
+        streams: &mut [&mut dyn FusedStream],
+    ) {
+        let progress = self.run_passes(datapath, streams, 0, true);
+        debug_assert!(
+            progress.complete,
+            "an uncapped reference run always completes"
+        );
+    }
+
+    /// The one pass loop of every discipline: each pass, every stream appends its
+    /// (budget-limited) segment of descriptors in admission order, then the pass dispatches —
+    /// in streamed windows on the fast model, or, for the scalar `reference` discipline, beat
+    /// by beat through the emulated path, each segment applied before the next runs.  Cancels
+    /// at the first pass boundary where at least `max_total_beats` beats are spent (`0` = no
+    /// cap).
+    fn run_passes(
+        &mut self,
+        datapath: &mut RayFlexDatapath,
+        streams: &mut [&mut dyn FusedStream],
+        max_total_beats: u64,
+        reference: bool,
+    ) -> CappedFusedRun {
         for stream in streams.iter_mut() {
             stream.start();
         }
@@ -850,37 +894,10 @@ impl FusedScheduler {
             }
             self.last_run_passes += 1;
             beats_spent += self.pass.len() as u64;
-
-            // One bulk dispatch for the merged mixed-kind pass, a window of responses at a
-            // time: the kernels resolve each window against the streams' tables, then each
-            // stream gets its contiguous share of the window, walking the same admission order
-            // the build phase used.
-            let (order, segments) = (&self.order, &self.segments);
-            let mut dispatch =
-                datapath.begin_streamed_pass(self.pass.len(), segments, &mut self.responses);
-            let (mut position, mut applied) = (0, 0);
-            while !dispatch.is_finished() {
-                {
-                    let tables: &[&mut dyn FusedStream] = streams;
-                    let source = self
-                        .pass
-                        .source(|segment| tables[order[segment]].beat_tables());
-                    datapath.execute_window(&source, segments, &mut dispatch, &mut self.responses);
-                }
-                let mut window = &self.responses[..];
-                while !window.is_empty() {
-                    let beats = segments[position].1;
-                    let take = (beats - applied).min(window.len());
-                    if take > 0 {
-                        streams[order[position]].apply_pass(&window[..take]);
-                    }
-                    window = &window[take..];
-                    applied += take;
-                    if applied == beats {
-                        position += 1;
-                        applied = 0;
-                    }
-                }
+            if reference {
+                self.dispatch_by_beat(datapath, streams);
+            } else {
+                self.dispatch_windows(datapath, streams);
             }
         }
         CappedFusedRun {
@@ -889,99 +906,77 @@ impl FusedScheduler {
         }
     }
 
-    /// The scalar round-robin reference mode of [`FusedScheduler::run`]: the same pass schedule
-    /// (including the configured beat budget) and the same per-stream beat orders, but every
-    /// beat executes one at a time through the register-accurate emulated path
-    /// ([`RayFlexDatapath::execute_attributed`]) with the streams taking turns pass by pass — no
-    /// bulk dispatch at all.
-    ///
-    /// Per-stream outputs and statistics are bit-identical to [`FusedScheduler::run`] (the
-    /// fast batched model and the emulated model are bit-equal by `core`'s property tests, and
-    /// the beat order is the same), which is what the fused property tests pin.  Beats executed
-    /// here count toward the per-kind `BeatMix` attribution but not toward pass counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a beat's opcode is not supported by the datapath configuration.
-    pub fn run_reference(
+    /// One bulk dispatch for the merged mixed-kind pass, a window of responses at a time: the
+    /// kernels resolve each window against the streams' tables, then each stream gets its
+    /// contiguous share of the window, walking the same admission order the build phase used.
+    fn dispatch_windows(
         &mut self,
         datapath: &mut RayFlexDatapath,
         streams: &mut [&mut dyn FusedStream],
     ) {
-        let progress = self.run_reference_capped(datapath, streams, 0);
-        debug_assert!(
-            progress.complete,
-            "an uncapped reference run always completes"
-        );
+        let (order, segments) = (&self.order, &self.segments);
+        let mut dispatch =
+            datapath.begin_streamed_pass(self.pass.len(), segments, &mut self.responses);
+        let (mut position, mut applied) = (0, 0);
+        while !dispatch.is_finished() {
+            {
+                let tables: &[&mut dyn FusedStream] = streams;
+                let source = self
+                    .pass
+                    .source(|segment| tables[order[segment]].beat_tables());
+                datapath.execute_window(&source, segments, &mut dispatch, &mut self.responses);
+            }
+            let mut window = &self.responses[..];
+            while !window.is_empty() {
+                let beats = segments[position].1;
+                let take = (beats - applied).min(window.len());
+                if take > 0 {
+                    streams[order[position]].apply_pass(&window[..take]);
+                }
+                window = &window[take..];
+                applied += take;
+                if applied == beats {
+                    position += 1;
+                    applied = 0;
+                }
+            }
+        }
     }
 
-    /// The deadline-capped sibling of [`FusedScheduler::run_reference`]: the same scalar
-    /// round-robin schedule, cooperatively cancelled at the first round boundary where the run
-    /// has spent at least `max_total_beats` emulated beats (`0` disables the cap).  Used as the
-    /// capped [`ScalarReference`](crate::ExecMode::ScalarReference) discipline so scalar and
-    /// batched capped runs share the same pass-boundary cancellation semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a beat's opcode is not supported by the datapath configuration.
-    pub fn run_reference_capped(
+    /// The reference discipline's dispatch of the pass: segment by segment, each beat expanded
+    /// to the request its descriptor stands for and executed alone on the emulated path, then
+    /// the segment's responses applied to its stream.  Counts no datapath pass.
+    fn dispatch_by_beat(
         &mut self,
         datapath: &mut RayFlexDatapath,
         streams: &mut [&mut dyn FusedStream],
-        max_total_beats: u64,
-    ) -> CappedFusedRun {
-        for stream in streams.iter_mut() {
-            stream.start();
-        }
-        self.admit(streams.len());
-        self.last_run_passes = 0;
-        self.stream_passes.clear();
-        self.stream_passes.resize(streams.len(), 0);
-        let mut beats_spent = 0u64;
-        while streams.iter().any(|stream| stream.is_active()) {
-            // The round boundary is the reference discipline's pass boundary.
-            if max_total_beats != 0 && beats_spent >= max_total_beats {
-                return CappedFusedRun {
-                    beats: beats_spent,
-                    complete: false,
-                };
+    ) {
+        let (order, segments) = (&self.order, &self.segments);
+        let mut first = 0;
+        for (position, &(kind, beats)) in segments.iter().enumerate() {
+            if beats == 0 {
+                continue;
             }
-            // Round-robin: each stream in turn (in admission order) builds its (budget-limited)
-            // pass segment and has it executed beat by beat before the next stream takes over.
-            // The scheduler-side pass accounting mirrors `run` (one scheduled round = one pass,
-            // per-stream contributions counted) even though the datapath's own bulk-pass
-            // counters stay at zero — no bulk dispatch ever happens here.
-            let mut round_had_beats = false;
-            for order_position in 0..self.order.len() {
-                let index = self.order[order_position];
-                let stream = &mut *streams[index];
-                self.requests.clear();
-                let beats = stream.build_pass(&mut self.requests, self.beat_budget_per_stream);
-                if beats == 0 {
-                    continue;
+            self.responses.clear();
+            {
+                let tables: &[&mut dyn FusedStream] = streams;
+                let source = self
+                    .pass
+                    .source(|segment| tables[order[segment]].beat_tables());
+                for beat in first..first + beats {
+                    let response = datapath.execute_attributed(&source.request(beat), kind);
+                    self.responses.push(response);
                 }
-                round_had_beats = true;
-                self.stream_passes[index] += 1;
-                beats_spent += beats as u64;
-                self.responses.clear();
-                for request in &self.requests {
-                    self.responses
-                        .push(datapath.execute_attributed(request, stream.kind()));
-                }
-                stream.apply_pass(&self.responses);
             }
-            self.last_run_passes += u64::from(round_had_beats);
-        }
-        CappedFusedRun {
-            beats: beats_spent,
-            complete: true,
+            streams[order[position]].apply_pass(&self.responses);
+            first += beats;
         }
     }
 
     /// Runs `streams` the way `policy` dispatches them, capped at `max_total_beats` (`0` =
     /// uncapped): the per-stream beat budget is a [`ExecMode::Fused`] knob (every other mode
-    /// runs at budget 0), [`ExecMode::ScalarReference`] executes beat by beat through
-    /// [`FusedScheduler::run_reference_capped`] and every other mode in bulk, and the
+    /// runs at budget 0), [`ExecMode::ScalarReference`] executes beat by beat as
+    /// [`FusedScheduler::run_reference`] does and every other mode in bulk, and the
     /// admission order is the policy's.  Stream deadlines are the caller's to register.
     pub(crate) fn run_policy(
         &mut self,
@@ -996,11 +991,8 @@ impl FusedScheduler {
             0
         });
         self.set_admission_order(policy.admission_order);
-        if policy.mode == ExecMode::ScalarReference {
-            self.run_reference_capped(datapath, streams, max_total_beats)
-        } else {
-            self.run_capped(datapath, streams, max_total_beats)
-        }
+        let reference = policy.mode == ExecMode::ScalarReference;
+        self.run_passes(datapath, streams, max_total_beats, reference)
     }
 }
 
@@ -1323,7 +1315,12 @@ mod tests {
         // the same prefix — capped runs are mode-invariant.
         let mut reference_dp = RayFlexDatapath::new(PipelineConfig::baseline_unified());
         let mut reference = StreamRunner::new(staggered_query(&[1, 2, 3]));
-        let progress = fused.run_reference_capped(&mut reference_dp, &mut [&mut reference], 4);
+        let progress = fused.run_policy(
+            &mut reference_dp,
+            &mut [&mut reference],
+            &ExecPolicy::scalar(),
+            4,
+        );
         assert_eq!(
             progress,
             CappedFusedRun {
@@ -1513,6 +1510,175 @@ mod tests {
         assert_eq!(empty.finish().1.len(), 0);
         assert_eq!(busy.finish().1, vec![2; 3]);
         assert_eq!(datapath.executed_beats(), 6);
+    }
+
+    /// A stream implementing only the required [`FusedStream`] methods, as a stream outside
+    /// the crate may: its beats reach the scheduler through the request-owning defaults
+    /// (`build_beats` carrying the requests `build_pass` expands as owned beats).
+    struct Requests<S>(S);
+
+    impl<S: FusedStream> FusedStream for Requests<S> {
+        fn kind(&self) -> QueryKind {
+            self.0.kind()
+        }
+
+        fn start(&mut self) {
+            self.0.start();
+        }
+
+        fn is_active(&self) -> bool {
+            self.0.is_active()
+        }
+
+        fn build_pass(&mut self, out: &mut Vec<RayFlexRequest>, max_beats: usize) -> usize {
+            self.0.build_pass(out, max_beats)
+        }
+
+        fn apply_pass(&mut self, responses: &[RayFlexResponse]) {
+            self.0.apply_pass(responses);
+        }
+    }
+
+    /// How a fallback-equivalence run dispatches its streams.
+    #[derive(Debug, Clone, Copy)]
+    enum Dispatch {
+        Run,
+        Reference,
+        Policy(ExecMode, u64),
+    }
+
+    /// Everything a fused run reports, per stream and in total.
+    #[derive(Debug, PartialEq)]
+    struct FallbackRun {
+        progress: CappedFusedRun,
+        closest: (Vec<Option<crate::TraversalHit>>, crate::TraversalStats),
+        any: (Vec<Option<crate::TraversalHit>>, crate::TraversalStats),
+        /// Distance bits and beats of the uncapped runs' scoring stream.
+        distances: Option<(Vec<u32>, u64)>,
+        stream_passes: Vec<u64>,
+        mix: rayflex_core::BeatMix,
+    }
+
+    /// Runs a closest-hit stream beside an unwrapped any-hit stream (and, uncapped, a distance
+    /// stream, wrapped alike) under `dispatch`, the closest-hit and distance streams wrapped in
+    /// [`Requests`] when `wrap`.
+    fn fallback_run(dispatch: Dispatch, wrap: bool) -> FallbackRun {
+        use crate::{DistanceStream, KnnMetric, Scene, TraversalStream};
+        use rayflex_geometry::Triangle;
+
+        let scene = Scene::flat(
+            (0..40)
+                .map(|i| {
+                    let (x, y) = ((i % 8) as f32 - 4.0, (i / 8) as f32 - 2.5);
+                    let z = 5.0 + (i % 5) as f32 * 0.7;
+                    Triangle::new(
+                        Vec3::new(x, y, z),
+                        Vec3::new(x + 1.2, y + 0.1, z + 0.3),
+                        Vec3::new(x + 0.2, y + 1.1, z - 0.4),
+                    )
+                })
+                .collect(),
+        );
+        let rays: Vec<Ray> = (0..48)
+            .map(|i| {
+                let origin = Vec3::new((i % 8) as f32 * 0.9 - 3.6, (i / 8) as f32 * 0.8 - 2.4, 0.0);
+                Ray::new(origin, Vec3::new(0.03 * (i % 5) as f32, -0.02, 1.0))
+            })
+            .collect();
+        let shadows: Vec<Ray> = rays
+            .iter()
+            .map(|ray| Ray::with_extent(ray.origin, ray.dir, 0.0, 6.0))
+            .collect();
+        let query: Vec<f32> = (0..20).map(|d| d as f32 * 0.25 - 2.0).collect();
+        let candidates: Vec<Vec<f32>> = (0..9)
+            .map(|c| (0..20).map(|d| ((c * 7 + d) % 11) as f32 * 0.3).collect())
+            .collect();
+
+        let mut datapath = RayFlexDatapath::new(PipelineConfig::extended_unified());
+        datapath.set_simd_lanes(16);
+        let mut closest = Requests(
+            TraversalStream::closest_hit(&scene, &rays)
+                .with_coherence(CoherenceMode::SortAndCompact),
+        );
+        let mut any = TraversalStream::any_hit(&scene, &shadows);
+        let mut distance = Requests(DistanceStream::new(
+            &query,
+            &candidates,
+            KnnMetric::Euclidean,
+        ));
+        let uncapped = !matches!(dispatch, Dispatch::Policy(_, cap) if cap != 0);
+        let mut fused = FusedScheduler::new();
+        let progress = {
+            let mut streams: Vec<&mut dyn FusedStream> = if wrap {
+                vec![&mut closest, &mut any, &mut distance]
+            } else {
+                vec![&mut closest.0, &mut any, &mut distance.0]
+            };
+            if !uncapped {
+                // A capped run may cancel the scoring stream, which has no partial finish.
+                streams.pop();
+            }
+            match dispatch {
+                Dispatch::Run => {
+                    fused.run(&mut datapath, &mut streams);
+                    CappedFusedRun {
+                        beats: datapath.executed_beats(),
+                        complete: true,
+                    }
+                }
+                Dispatch::Reference => {
+                    fused.run_reference(&mut datapath, &mut streams);
+                    CappedFusedRun {
+                        beats: datapath.executed_beats(),
+                        complete: true,
+                    }
+                }
+                Dispatch::Policy(mode, cap) => {
+                    let policy = ExecPolicy {
+                        mode,
+                        ..ExecPolicy::fused().with_beat_budget(5)
+                    };
+                    fused.run_policy(&mut datapath, &mut streams, &policy, cap)
+                }
+            }
+        };
+        FallbackRun {
+            progress,
+            closest: closest.0.finish_partial(),
+            any: any.finish_partial(),
+            distances: uncapped.then(|| {
+                let (distances, stats) = distance.0.finish();
+                (distances.iter().map(|d| d.to_bits()).collect(), stats.beats)
+            }),
+            stream_passes: fused.last_run_stream_passes().to_vec(),
+            mix: datapath.beat_mix(),
+        }
+    }
+
+    #[test]
+    fn streams_on_the_request_fallback_run_exactly_like_descriptor_streams() {
+        let whole = fallback_run(Dispatch::Run, false);
+        assert!(whole.closest.0.iter().any(Option::is_some), "some rays hit");
+        let total = whole.progress.beats;
+        for dispatch in [Dispatch::Run, Dispatch::Reference] {
+            assert_eq!(
+                fallback_run(dispatch, true),
+                fallback_run(dispatch, false),
+                "{dispatch:?}"
+            );
+        }
+        for mode in [
+            ExecMode::ScalarReference,
+            ExecMode::Wavefront,
+            ExecMode::Fused,
+        ] {
+            for cap in [1, total / 2, 0] {
+                let dispatch = Dispatch::Policy(mode, cap);
+                let plain = fallback_run(dispatch, false);
+                assert_eq!(plain.progress.complete, cap == 0, "{dispatch:?}");
+                assert_eq!(fallback_run(dispatch, true), plain, "{dispatch:?}");
+            }
+        }
     }
 
     #[test]

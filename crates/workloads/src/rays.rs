@@ -1,6 +1,5 @@
 //! Ray-stream generators: deterministic camera, shadow, ambient-occlusion and random ray batches
-//! for the traversal engines and the simulator performance baselines, available as
-//! array-of-structures slices or as structure-of-arrays [`RayPacket`]s.
+//! for the traversal engines and the simulator performance baselines.
 //!
 //! The shadow and ambient-occlusion generators produce **finite-extent** rays for the any-hit
 //! query: a shadow ray spans surface point to light (hit ⇒ the point is in shadow), an AO ray
@@ -10,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rayflex_geometry::{sampling, Aabb, Ray, RayPacket, Vec3};
+use rayflex_geometry::{sampling, Aabb, Ray, Vec3};
 
 /// The self-intersection offset applied by the shadow and ambient-occlusion generators.
 pub const SHADOW_EPSILON: f32 = 1e-3;
@@ -34,12 +33,6 @@ pub fn camera_grid(width: usize, height: usize, extent: f32) -> Vec<Ray> {
         .collect()
 }
 
-/// [`camera_grid`] packed into a structure-of-arrays stream.
-#[must_use]
-pub fn camera_grid_packet(width: usize, height: usize, extent: f32) -> RayPacket {
-    RayPacket::from_rays(&camera_grid(width, height, extent))
-}
-
 /// `count` random rays with origins inside `bounds` and uniformly random directions
 /// (deterministic per seed).
 #[must_use]
@@ -48,12 +41,6 @@ pub fn random_rays(seed: u64, count: usize, bounds: &Aabb) -> Vec<Ray> {
     (0..count)
         .map(|_| sampling::ray_in_box(&mut rng, bounds))
         .collect()
-}
-
-/// [`random_rays`] packed into a structure-of-arrays stream.
-#[must_use]
-pub fn random_rays_packet(seed: u64, count: usize, bounds: &Aabb) -> RayPacket {
-    RayPacket::from_rays(&random_rays(seed, count, bounds))
 }
 
 /// One shadow ray per surface point, aimed at a point light: unit direction toward the light,
@@ -189,8 +176,6 @@ mod tests {
         assert_eq!(rays.len(), 16 * 9);
         assert!(rays.iter().all(|r| r.dir.z == 1.0));
         assert!(rays.iter().all(|r| r.origin.x.abs() <= 6.0));
-        let packet = camera_grid_packet(16, 9, 12.0);
-        assert_eq!(packet.to_rays(), rays);
     }
 
     #[test]
@@ -198,7 +183,6 @@ mod tests {
         let bounds = Aabb::new(Vec3::splat(-10.0), Vec3::splat(10.0));
         assert_eq!(random_rays(7, 32, &bounds), random_rays(7, 32, &bounds));
         assert_ne!(random_rays(7, 32, &bounds), random_rays(8, 32, &bounds));
-        assert_eq!(random_rays_packet(7, 8, &bounds).len(), 8);
     }
 
     #[test]

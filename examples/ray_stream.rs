@@ -11,10 +11,8 @@ use rayflex::workloads::{rays, scenes};
 
 fn main() {
     let scene = Scene::flat(scenes::icosphere(3, 5.0, Vec3::new(0.0, 0.0, 20.0)));
-    // The SoA packet is the storage format; the policy API traces plain ray slices.
-    let stream = rays::camera_grid_packet(64, 64, 12.0);
-    let slice = stream.to_rays();
-    let request = TraceRequest::closest_hit(&scene, &slice);
+    let stream = rays::camera_grid(64, 64, 12.0);
+    let request = TraceRequest::closest_hit(&scene, &stream);
     println!(
         "scene: icosphere with {} triangles, stream of {} rays",
         scene.triangle_count(),
