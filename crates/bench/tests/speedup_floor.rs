@@ -29,14 +29,14 @@ const PAIRS: usize = 11;
 
 /// The lowest passing geometric mean of the per-scene median speedups.
 ///
-/// Calibrated on a 2-vCPU Intel Xeon VM (x86-64, shared with other tenants) after the batched
-/// path moved to 16-byte beat descriptors.  There, ten runs of unchanged code gave geomeans of
-/// 14.44–15.72, and ten interleaved runs with the batched path made 25% slower (each batched
-/// trace spinning a further third of its own time, so rays/s × 0.75) gave 10.76–12.42.  The
-/// floor sits between the two bands; recalibrate on a host whose bands differ.  (The first
-/// calibration, before descriptors, read 11.7–14.6 unchanged and 9.0–11.0 slowed, for a floor
-/// of 11.4.)
-const FLOOR: f64 = 13.0;
+/// Calibrated on a 2-vCPU Intel Xeon VM (x86-64, shared with other tenants) after the bulk path
+/// gained its fetch stage.  There, fifteen runs of unchanged code gave geomeans of 15.09–17.60,
+/// and fifteen interleaved runs with the batched path made 25% slower (each batched trace
+/// spinning a further third of its own time, so rays/s × 0.75) gave 11.34–13.39.  The floor
+/// sits between the two bands; recalibrate on a host whose bands differ.  (Earlier
+/// calibrations: before descriptors, 11.7–14.6 unchanged and 9.0–11.0 slowed, for a floor of
+/// 11.4; with descriptors, 14.44–15.72 and 10.76–12.42, for 13.0.)
+const FLOOR: f64 = 14.2;
 
 fn traversal_scenes() -> [(&'static str, Vec<Triangle>, Vec<Ray>); 3] {
     let side = 32;

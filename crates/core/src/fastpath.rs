@@ -117,11 +117,47 @@ fn box_response<S: BeatSource + ?Sized>(
         box_result: Some(BoxResult {
             hit: core::array::from_fn(|slot| hits[slot].hit),
             t_entry: core::array::from_fn(|slot| canonicalize_nan(hits[slot].t_entry)),
-            traversal_order: golden::slab::sort_boxes(hits),
+            traversal_order: sort_boxes(hits),
         }),
         triangle_result: None,
         distance_result: None,
     }
+}
+
+/// Select-based twin of [`golden::slab::sort_boxes`]: the same five-comparator network over the
+/// same keys (a hit's entry distance, `+∞` for a miss), but each compare-exchange moves keys and
+/// child indices through selects on one comparison instead of a branch around a swap, so a box
+/// response sorts without mispredicting on the order its children were hit in.  Bit-identical
+/// orders for every key, ties and signed zeros included — pinned against the reference in the
+/// tests below.
+#[inline]
+fn sort_boxes(hits: &[golden::slab::BoxHit; 4]) -> [u8; 4] {
+    let mut keys: [f32; 4] = core::array::from_fn(|slot| hits[slot].sort_key());
+    let mut order = [0u8, 1, 2, 3];
+    let mut exchange = |i: usize, j: usize| {
+        // The smaller key moves to position `i`; equal keys stay where they are.
+        let swap = keys[j] < keys[i];
+        let (key_i, key_j) = (keys[i], keys[j]);
+        let (child_i, child_j) = (order[i], order[j]);
+        keys[i] = if swap { key_j } else { key_i };
+        keys[j] = if swap { key_i } else { key_j };
+        order[i] = if swap { child_j } else { child_i };
+        order[j] = if swap { child_i } else { child_j };
+    };
+    exchange(0, 1);
+    exchange(2, 3);
+    exchange(0, 2);
+    exchange(1, 3);
+    exchange(1, 2);
+    order
+}
+
+/// The components of `v` in the ray's renamed axis order `k = (kx, ky, kz)`, gathered by index
+/// (the lane kernels' form of [`Vec3::axis`] over [`Axis::from_index`]).
+#[inline]
+fn renamed_axes(v: Vec3, k: [u8; 3]) -> [f32; 3] {
+    let v = v.to_array();
+    k.map(|axis| v[usize::from(axis)])
 }
 
 /// The scalar ray–box beat: the golden slab test of each of the four boxes, in input order.
@@ -416,9 +452,10 @@ pub(crate) fn execute_fast_box_lanes_group<const L: usize, S: BeatSource + ?Size
     }
 }
 
-/// Lane-batched ray–triangle kernel over the `L` adjacent beats from `first` on.  The per-ray axis renaming and
-/// vertex translation are gathered scalar (they need per-lane dynamic indexing), after which
-/// every watertight stage (Fig. 4b steps 4–9) runs elementwise over `[f32; L]` arrays.
+/// Lane-batched ray–triangle kernel over the `L` adjacent beats from `first` on.  The per-ray
+/// vertex translation and axis renaming are gathered scalar, by index (they need per-lane
+/// dynamic indexing), after which every watertight stage (Fig. 4b steps 4–9) runs elementwise
+/// over `[f32; L]` arrays.
 ///
 /// Each lane performs exactly the operations of [`golden::watertight::ray_triangle`] in the same
 /// order, so the results are bit-identical to the scalar path for every lane independently.
@@ -443,21 +480,9 @@ fn triangle_lanes<const L: usize, S: BeatSource + ?Sized>(
     for lane in 0..L {
         let (ray, triangle) = source.triangle_operands(first + lane);
         let origin = Vec3::from_array(ray.origin);
-        let kx = Axis::from_index(ray.k[0] as usize);
-        let ky = Axis::from_index(ray.k[1] as usize);
-        let kz = Axis::from_index(ray.k[2] as usize);
-        let a = triangle.v0 - origin;
-        let b = triangle.v1 - origin;
-        let c = triangle.v2 - origin;
-        a_kx[lane] = a.axis(kx);
-        a_ky[lane] = a.axis(ky);
-        a_kz[lane] = a.axis(kz);
-        b_kx[lane] = b.axis(kx);
-        b_ky[lane] = b.axis(ky);
-        b_kz[lane] = b.axis(kz);
-        c_kx[lane] = c.axis(kx);
-        c_ky[lane] = c.axis(ky);
-        c_kz[lane] = c.axis(kz);
+        [a_kx[lane], a_ky[lane], a_kz[lane]] = renamed_axes(triangle.v0 - origin, ray.k);
+        [b_kx[lane], b_ky[lane], b_kz[lane]] = renamed_axes(triangle.v1 - origin, ray.k);
+        [c_kx[lane], c_ky[lane], c_kz[lane]] = renamed_axes(triangle.v2 - origin, ray.k);
         sx[lane] = ray.shear[0];
         sy[lane] = ray.shear[1];
         sz[lane] = ray.shear[2];
@@ -668,6 +693,72 @@ mod tests {
                     sel_max(a, b).to_bits(),
                     golden::slab::hw_max(a, b).to_bits(),
                     "max({a}, {b})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn select_sort_matches_the_golden_network_for_every_mix_of_hits_and_misses() {
+        let hit = |t_entry: f32| golden::slab::BoxHit {
+            hit: true,
+            t_entry,
+            t_exit: f32::INFINITY,
+        };
+        let miss = |t_entry: f32| golden::slab::BoxHit {
+            hit: false,
+            t_entry,
+            t_exit: f32::NEG_INFINITY,
+        };
+        // Equal entry distances (two 1.0 hits, ±0, a hit at +∞ against a miss's +∞ key),
+        // infinities, subnormals of both signs and misses carrying arbitrary entries.
+        let results = [
+            hit(1.0),
+            hit(1.0),
+            hit(0.0),
+            hit(-0.0),
+            hit(f32::INFINITY),
+            hit(f32::NEG_INFINITY),
+            hit(f32::from_bits(1)),
+            hit(-f32::from_bits(1)),
+            hit(-2.5),
+            miss(0.5),
+            miss(f32::NAN),
+        ];
+        for index in 0..results.len().pow(4) {
+            let hits: [golden::slab::BoxHit; 4] = core::array::from_fn(|slot| {
+                results[index / results.len().pow(slot as u32) % results.len()]
+            });
+            assert_eq!(
+                sort_boxes(&hits),
+                golden::slab::sort_boxes(&hits),
+                "{hits:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn index_gather_matches_the_axis_path_for_every_permutation() {
+        let vectors = [
+            Vec3::new(1.0, 2.0, 3.0),
+            Vec3::new(-0.0, f32::from_bits(1), f32::NEG_INFINITY),
+            Vec3::new(f32::from_bits(0x7FC0_0001), 0.0, -7.5),
+        ];
+        let permutations = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for v in vectors {
+            for k in permutations {
+                let expected = k.map(|axis| v.axis(Axis::from_index(usize::from(axis))).to_bits());
+                assert_eq!(
+                    renamed_axes(v, k).map(f32::to_bits),
+                    expected,
+                    "{v:?} {k:?}"
                 );
             }
         }

@@ -45,31 +45,62 @@ fn aabb() -> impl Strategy<Value = Aabb> {
     (vec3(), vec3()).prop_map(|(a, b)| Aabb::new(a.min(b), a.max(b)))
 }
 
-/// One arbitrary beat; `kind` selects the operation, downgraded for baseline configurations.
-fn request() -> impl Strategy<Value = RayFlexRequest> {
-    let ray_box = (ray(), [aabb(), aabb(), aabb(), aabb()])
-        .prop_map(|(ray, boxes)| RayFlexRequest::ray_box(0, &ray, &boxes));
-    let ray_triangle = (ray(), vec3(), vec3(), vec3())
-        .prop_map(|(ray, a, b, c)| RayFlexRequest::ray_triangle(0, &ray, &Triangle::new(a, b, c)));
-    let euclidean = (
+fn ray_box() -> impl Strategy<Value = RayFlexRequest> {
+    (ray(), [aabb(), aabb(), aabb(), aabb()])
+        .prop_map(|(ray, boxes)| RayFlexRequest::ray_box(0, &ray, &boxes))
+}
+
+fn ray_triangle() -> impl Strategy<Value = RayFlexRequest> {
+    (ray(), vec3(), vec3(), vec3())
+        .prop_map(|(ray, a, b, c)| RayFlexRequest::ray_triangle(0, &ray, &Triangle::new(a, b, c)))
+}
+
+fn euclidean() -> impl Strategy<Value = RayFlexRequest> {
+    (
         prop::array::uniform16(-1000.0f32..1000.0),
         prop::array::uniform16(-1000.0f32..1000.0),
         any::<u16>(),
         any::<bool>(),
     )
-        .prop_map(|(a, b, mask, reset)| RayFlexRequest::euclidean(0, a, b, mask, reset));
-    let cosine = (
+        .prop_map(|(a, b, mask, reset)| RayFlexRequest::euclidean(0, a, b, mask, reset))
+}
+
+fn cosine() -> impl Strategy<Value = RayFlexRequest> {
+    (
         prop::array::uniform8(-1000.0f32..1000.0),
         prop::array::uniform8(-1000.0f32..1000.0),
         any::<u8>(),
         any::<bool>(),
     )
-        .prop_map(|(a, b, mask, reset)| RayFlexRequest::cosine(0, a, b, mask, reset));
-    prop_oneof![ray_box, ray_triangle, euclidean, cosine]
+        .prop_map(|(a, b, mask, reset)| RayFlexRequest::cosine(0, a, b, mask, reset))
+}
+
+/// One arbitrary beat of any operation (downgraded for baseline configurations).
+fn request() -> impl Strategy<Value = RayFlexRequest> {
+    prop_oneof![ray_box(), ray_triangle(), euclidean(), cosine()]
 }
 
 fn stream() -> impl Strategy<Value = Vec<RayFlexRequest>> {
     prop::collection::vec(request(), 1..32)
+}
+
+/// A stream of one to five same-opcode runs, tagged by position: up to eight ray–box beats (so
+/// three- and four-beat box groups form), up to forty ray–triangle beats (so sixteen-wide
+/// triangle issues form) or a few distance beats.  Every beat of a run is its own draw, so each
+/// lane of a wide issue carries its own operands.
+fn clustered_stream() -> impl Strategy<Value = Vec<RayFlexRequest>> {
+    let run = prop_oneof![
+        prop::collection::vec(ray_box(), 1..9),
+        prop::collection::vec(ray_triangle(), 1..41),
+        prop::collection::vec(request(), 1..4),
+    ];
+    prop::collection::vec(run, 1..6).prop_map(|runs| {
+        let mut beats: Vec<RayFlexRequest> = runs.into_iter().flatten().collect();
+        for (tag, beat) in beats.iter_mut().enumerate() {
+            beat.tag = tag as u64;
+        }
+        beats
+    })
 }
 
 /// Retargets a stream at a configuration: beats whose opcode the configuration cannot execute
@@ -250,16 +281,24 @@ proptest! {
         }
     }
 
+    /// The widest tiers the test above never engages, on long same-opcode runs: twelve lanes
+    /// issue three-beat box groups and eight-plus-four triangle tiers, sixteen lanes four-beat
+    /// box groups and sixteen-wide triangle issues — each pinned to per-beat emulation.
     #[test]
-    fn emulated_batches_agree_with_fast_batches(beats in stream()) {
+    fn emulated_batches_agree_with_fast_batches(beats in clustered_stream()) {
         let config = PipelineConfig::extended_unified();
-        let mut fast = RayFlexDatapath::new(config);
         let mut emulated = RayFlexDatapath::new(config);
-        let fast_responses = fast.execute_batch(&beats);
-        let emulated_responses: Vec<RayFlexResponse> =
+        let expected: Vec<RayFlexResponse> =
             beats.iter().map(|beat| emulated.execute(beat)).collect();
-        for (index, (e, g)) in emulated_responses.iter().zip(&fast_responses).enumerate() {
-            assert_bit_identical(e, g, index)?;
+        for lanes in [12usize, 16] {
+            let mut fast = RayFlexDatapath::new(config);
+            fast.set_simd_lanes(lanes);
+            let got = fast.execute_batch(&beats);
+            prop_assert_eq!(expected.len(), got.len());
+            for (index, (e, g)) in expected.iter().zip(&got).enumerate() {
+                assert_bit_identical(e, g, index)?;
+            }
+            prop_assert_eq!(emulated.accumulators(), fast.accumulators(), "lanes {}", lanes);
         }
     }
 

@@ -12,6 +12,14 @@
 //! dataset, read in place ([`BeatTables`]).  A distance beat's lane mask and accumulator reset
 //! follow from its chunk and the dimension, and its tail chunk is zero-padded where it is read.
 //!
+//! The scheduler resolves each segment's [`BeatTables`] once per response window and hands the
+//! [`PassSource`] that slice, so a beat finds its tables by a plain index.  Before a pass's
+//! first window, the **fetch stage** ([`PassSource::fetch`]) walks the pass's descriptors in one
+//! tight loop and touches every node and leaf operand the kernels will read, as the RT unit
+//! fetches operands ahead of the datapath that consumes them: on a node table far larger than
+//! the cache, the misses then overlap in the fetch loop instead of stalling the kernels one
+//! beat at a time.
+//!
 //! Operands that exist nowhere in that form ride in the pass's **owned side tables** instead.
 //! A BLAS-phase beat of an instanced scene tests bounds or a triangle transformed for this
 //! visit, and a candidate-collection beat tests a node's radius-inflated bounds, so the pass
@@ -25,7 +33,6 @@
 //! [`FusedStream`]: crate::FusedStream
 //! [`FusedStream::build_pass`]: crate::FusedStream::build_pass
 
-use core::cell::Cell;
 use core::ops::Range;
 
 use rayflex_core::{
@@ -385,23 +392,17 @@ impl BeatPass {
         &mut self.beats
     }
 
-    /// The pass as a [`BeatSource`]: `tables(segment)` names the tables each segment's beats
-    /// resolve against.
-    pub(crate) fn source<'p, F: Fn(usize) -> BeatTables<'p>>(
-        &'p self,
-        tables: F,
-    ) -> PassSource<'p, F> {
-        PassSource {
-            pass: self,
-            tables,
-            cached: core::array::from_fn(|_| Cell::new((u32::MAX, BeatTables::default()))),
-        }
+    /// The pass as a [`BeatSource`] whose beats resolve against `tables`, the resolved tables
+    /// of every segment of the pass (`tables[segment]`).
+    pub(crate) fn source<'p>(&'p self, tables: &'p [BeatTables<'p>]) -> PassSource<'p> {
+        PassSource { pass: self, tables }
     }
 
-    /// Appends every beat of the pass to `out` as an owned request, resolving every segment
+    /// Appends every beat of a one-segment pass to `out` as an owned request, resolved
     /// against `tables`: the requests present exactly the operands the kernels would fetch.
     pub(crate) fn expand_into<'a>(&'a self, tables: BeatTables<'a>, out: &mut Vec<RayFlexRequest>) {
-        let source = self.source(move |_| tables);
+        let tables = [tables];
+        let source = self.source(&tables);
         out.extend((0..self.len()).map(|beat| source.request(beat)));
     }
 }
@@ -417,37 +418,49 @@ fn index_u32(index: usize) -> u32 {
     index as u32
 }
 
-/// Segments whose tables a [`PassSource`] keeps at hand at once.
-const CACHED_SEGMENTS: usize = 8;
-
 /// A [`BeatPass`] resolved for the kernels: every descriptor's operands are fetched from its
-/// segment's [`BeatTables`] or from the pass's side tables.  The tables of recently used
-/// segments are kept at hand (segment `s` in slot `s % CACHED_SEGMENTS`), so a lane group
-/// mixing the beats of a few small streams looks each stream's tables up once.
-pub(crate) struct PassSource<'p, F> {
+/// segment's [`BeatTables`] or from the pass's side tables.  The scheduler resolves each
+/// segment's tables once per response window, so a beat finds its tables by a plain index.
+pub(crate) struct PassSource<'p> {
     pass: &'p BeatPass,
-    tables: F,
-    cached: [Cell<(u32, BeatTables<'p>)>; CACHED_SEGMENTS],
+    tables: &'p [BeatTables<'p>],
 }
 
-impl<'p, F: Fn(usize) -> BeatTables<'p>> PassSource<'p, F> {
+impl<'p> PassSource<'p> {
     /// The tables of `segment`.
     #[inline]
-    fn tables(&self, segment: u32) -> BeatTables<'p> {
-        let slot = &self.cached[segment as usize % CACHED_SEGMENTS];
-        let (cached, tables) = slot.get();
-        if cached == segment {
-            return tables;
-        }
-        let tables = (self.tables)(segment as usize);
-        slot.set((segment, tables));
-        tables
+    fn tables(&self, segment: u32) -> &BeatTables<'p> {
+        &self.tables[segment as usize]
     }
 
     /// The ray of a table-resolved beat.
     #[inline]
     fn ray(&self, descriptor: &Beat) -> &'p RayOperand {
         &self.tables(descriptor.segment).operands[descriptor.slot as usize]
+    }
+
+    /// The fetch stage: touches, ahead of the kernels, the table-resolved operands of every
+    /// beat — both cache lines of a node's child bounds and a leaf's triangle — in one tight
+    /// loop whose loads depend on nothing but the descriptors, so their cache misses overlap
+    /// instead of stalling the kernels one beat at a time.  Owned operands sit in the pass
+    /// itself and distance rows are read in order, so neither is touched.
+    pub(crate) fn fetch(&self) {
+        let mut touched = 0u32;
+        for descriptor in &self.pass.beats {
+            let index = descriptor.index as usize;
+            match descriptor.fetch {
+                Fetch::Node | Fetch::TlasNode => {
+                    let bounds = &self.tables(descriptor.segment).nodes[index].child_bounds;
+                    touched ^= bounds[0].min.x.to_bits() ^ bounds[3].max.z.to_bits();
+                }
+                Fetch::Leaf => {
+                    let triangle = &self.tables(descriptor.segment).triangles[index];
+                    touched ^= triangle.v0.x.to_bits() ^ triangle.v2.z.to_bits();
+                }
+                Fetch::Boxes | Fetch::Triangle | Fetch::Vector | Fetch::Request => {}
+            }
+        }
+        core::hint::black_box(touched);
     }
 
     /// Beat `beat` as an owned request presenting the operands the kernels fetch: how the
@@ -486,7 +499,7 @@ impl<'p, F: Fn(usize) -> BeatTables<'p>> PassSource<'p, F> {
     }
 }
 
-impl<'p, F: Fn(usize) -> BeatTables<'p>> BeatSource for PassSource<'p, F> {
+impl BeatSource for PassSource<'_> {
     #[inline]
     fn beat_count(&self) -> usize {
         self.pass.beats.len()
@@ -904,7 +917,10 @@ mod tests {
                 segments,
                 expected,
             } = random_pass(seed);
-            let source = pass.source(|segment| tables[segment].view());
+            let views: Vec<BeatTables<'_>> = tables.iter().map(Tables::view).collect();
+            let source = pass.source(&views);
+            // The fetch stage reads every table-resolved operand in bounds.
+            source.fetch();
             let expanded: Vec<RayFlexRequest> =
                 (0..pass.len()).map(|beat| source.request(beat)).collect();
             prop_assert!(expanded == expected, "expansion differs from the requests built");

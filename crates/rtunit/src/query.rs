@@ -13,7 +13,9 @@
 //!   protocol behind the type-erased [`FusedStream`] face: coherent admission, admission-slot
 //!   addressing, opcode bucketing and budget-capped pass segments;
 //! * [`FusedScheduler`] — merges the pass segments of any number of streams into shared bulk
-//!   passes over one datapath and demuxes the responses back per stream.
+//!   passes over one datapath and demuxes the responses back per stream: each response window
+//!   resolves every stream's [`BeatTables`] once, and a fetch stage touches the pass's node and
+//!   leaf operands ahead of the lane kernels (see `crate::beat`).
 //!
 //! A stream run alone at budget 0 is the classic wavefront
 //! ([`ExecMode::Wavefront`](crate::ExecMode::Wavefront)); several streams in one run are the
@@ -654,7 +656,9 @@ pub(crate) use delegate_fused_stream_to_runner;
 ///   it as one streamed pass ([`RayFlexDatapath::execute_window`]), which attributes every
 ///   beat to its stream's [`QueryKind`] in the per-kind `BeatMix` table (and counts the pass
 ///   as *fused* when at least two kinds contributed).  The kernels fetch each beat's operands
-///   from its stream's [`FusedStream::beat_tables`].  The responses stream back in windows of
+///   from its stream's [`FusedStream::beat_tables`], resolved once per segment per window.
+///   Before the first window, a fetch stage touches every node and leaf operand of the pass, so
+///   their cache misses overlap ahead of the kernels.  The responses stream back in windows of
 ///   about a thousand, each handed to its streams before the next window runs, so a pass never
 ///   holds a whole pass of responses.
 /// * **Per-stream bit-identity** — a stream's own beat order is untouched by fusion (segments
@@ -672,6 +676,9 @@ pub struct FusedScheduler {
     /// Reusable response window of the streamed dispatch (a segment's responses under the
     /// reference discipline).
     responses: Vec<RayFlexResponse>,
+    /// Reusable storage of the pass's resolved [`BeatTables`], one per segment, refilled every
+    /// window (see [`recycle`]).
+    tables: Vec<TablesStorage>,
     /// `(kind, beat_count)` per stream for the current pass, in admission order.
     segments: Vec<(QueryKind, usize)>,
     /// Per-stream beat budget per pass (`0` = unlimited); see
@@ -906,9 +913,11 @@ impl FusedScheduler {
         }
     }
 
-    /// One bulk dispatch for the merged mixed-kind pass, a window of responses at a time: the
-    /// kernels resolve each window against the streams' tables, then each stream gets its
-    /// contiguous share of the window, walking the same admission order the build phase used.
+    /// One bulk dispatch for the merged mixed-kind pass, a window of responses at a time: each
+    /// window resolves each segment's tables once (none for a segment without beats), the first
+    /// also runs the pass's fetch stage ([`PassSource::fetch`](crate::beat::PassSource::fetch)),
+    /// the kernels dispatch the window, then each stream gets its contiguous share of it,
+    /// walking the same admission order the build phase used.
     fn dispatch_windows(
         &mut self,
         datapath: &mut RayFlexDatapath,
@@ -918,13 +927,25 @@ impl FusedScheduler {
         let mut dispatch =
             datapath.begin_streamed_pass(self.pass.len(), segments, &mut self.responses);
         let (mut position, mut applied) = (0, 0);
+        let mut first = true;
         while !dispatch.is_finished() {
             {
-                let tables: &[&mut dyn FusedStream] = streams;
-                let source = self
-                    .pass
-                    .source(|segment| tables[order[segment]].beat_tables());
+                let mut tables: Vec<BeatTables<'_>> = recycle(core::mem::take(&mut self.tables));
+                tables.extend(order.iter().zip(segments).map(|(&index, &(_, beats))| {
+                    // A segment without beats in this pass needs no tables.
+                    if beats == 0 {
+                        BeatTables::default()
+                    } else {
+                        streams[index].beat_tables()
+                    }
+                }));
+                let source = self.pass.source(&tables);
+                if first {
+                    source.fetch();
+                    first = false;
+                }
                 datapath.execute_window(&source, segments, &mut dispatch, &mut self.responses);
+                self.tables = recycle(tables);
             }
             let mut window = &self.responses[..];
             while !window.is_empty() {
@@ -959,14 +980,17 @@ impl FusedScheduler {
             }
             self.responses.clear();
             {
-                let tables: &[&mut dyn FusedStream] = streams;
-                let source = self
-                    .pass
-                    .source(|segment| tables[order[segment]].beat_tables());
+                // Only this segment's beats run, so only its tables are resolved.
+                let stream = &*streams[order[position]];
+                let mut tables: Vec<BeatTables<'_>> = recycle(core::mem::take(&mut self.tables));
+                tables.resize(segments.len(), BeatTables::default());
+                tables[position] = stream.beat_tables();
+                let source = self.pass.source(&tables);
                 for beat in first..first + beats {
                     let response = datapath.execute_attributed(&source.request(beat), kind);
                     self.responses.push(response);
                 }
+                self.tables = recycle(tables);
             }
             streams[order[position]].apply_pass(&self.responses);
             first += beats;
@@ -994,6 +1018,28 @@ impl FusedScheduler {
         let reference = policy.mode == ExecMode::ScalarReference;
         self.run_passes(datapath, streams, max_total_beats, reference)
     }
+}
+
+/// Storage with the size and alignment of one [`BeatTables`], which borrows the streams of one
+/// window (and, holding a `&dyn VectorRows`, is not `Send`): the form the scheduler keeps its
+/// table buffer in between windows.
+type TablesStorage = [usize; 10];
+
+const _: () = assert!(
+    core::mem::size_of::<BeatTables<'static>>() == core::mem::size_of::<TablesStorage>()
+        && core::mem::align_of::<BeatTables<'static>>() == core::mem::align_of::<TablesStorage>(),
+    "the table buffer is recycled in place"
+);
+
+/// Empties `buffer` and hands its allocation over to another element type of the same size and
+/// alignment (the standard library collects a mapped `vec::IntoIter` in place), so a buffer of
+/// borrowed tables is reused window after window without allocating.
+fn recycle<T, U>(mut buffer: Vec<T>) -> Vec<U> {
+    buffer.clear();
+    buffer
+        .into_iter()
+        .map(|_| unreachable!("the buffer is empty"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1559,14 +1605,11 @@ mod tests {
         mix: rayflex_core::BeatMix,
     }
 
-    /// Runs a closest-hit stream beside an unwrapped any-hit stream (and, uncapped, a distance
-    /// stream, wrapped alike) under `dispatch`, the closest-hit and distance streams wrapped in
-    /// [`Requests`] when `wrap`.
-    fn fallback_run(dispatch: Dispatch, wrap: bool) -> FallbackRun {
-        use crate::{DistanceStream, KnnMetric, Scene, TraversalStream};
+    /// A flat wall of forty staggered triangles in front of the origin.
+    fn wall_scene() -> crate::Scene {
         use rayflex_geometry::Triangle;
 
-        let scene = Scene::flat(
+        crate::Scene::flat(
             (0..40)
                 .map(|i| {
                     let (x, y) = ((i % 8) as f32 - 4.0, (i / 8) as f32 - 2.5);
@@ -1578,13 +1621,27 @@ mod tests {
                     )
                 })
                 .collect(),
-        );
-        let rays: Vec<Ray> = (0..48)
+        )
+    }
+
+    /// Forty-eight rays towards [`wall_scene`], most of which hit it.
+    fn wall_rays() -> Vec<Ray> {
+        (0..48)
             .map(|i| {
                 let origin = Vec3::new((i % 8) as f32 * 0.9 - 3.6, (i / 8) as f32 * 0.8 - 2.4, 0.0);
                 Ray::new(origin, Vec3::new(0.03 * (i % 5) as f32, -0.02, 1.0))
             })
-            .collect();
+            .collect()
+    }
+
+    /// Runs a closest-hit stream beside an unwrapped any-hit stream (and, uncapped, a distance
+    /// stream, wrapped alike) under `dispatch`, the closest-hit and distance streams wrapped in
+    /// [`Requests`] when `wrap`.
+    fn fallback_run(dispatch: Dispatch, wrap: bool) -> FallbackRun {
+        use crate::{DistanceStream, KnnMetric, TraversalStream};
+
+        let scene = wall_scene();
+        let rays = wall_rays();
         let shadows: Vec<Ray> = rays
             .iter()
             .map(|ray| Ray::with_extent(ray.origin, ray.dir, 0.0, 6.0))
@@ -1679,6 +1736,141 @@ mod tests {
                 assert_eq!(fallback_run(dispatch, true), plain, "{dispatch:?}");
             }
         }
+    }
+
+    /// A library stream that counts how often the scheduler resolves its tables.
+    struct CountedTables<S> {
+        stream: S,
+        resolved: core::cell::Cell<usize>,
+    }
+
+    impl<S: FusedStream> FusedStream for CountedTables<S> {
+        fn kind(&self) -> QueryKind {
+            self.stream.kind()
+        }
+
+        fn start(&mut self) {
+            self.stream.start();
+        }
+
+        fn is_active(&self) -> bool {
+            self.stream.is_active()
+        }
+
+        fn build_pass(&mut self, out: &mut Vec<RayFlexRequest>, max_beats: usize) -> usize {
+            self.stream.build_pass(out, max_beats)
+        }
+
+        fn apply_pass(&mut self, responses: &[RayFlexResponse]) {
+            self.stream.apply_pass(responses);
+        }
+
+        fn build_beats(&mut self, pass: &mut BeatPass, max_beats: usize) -> usize {
+            self.stream.build_beats(pass, max_beats)
+        }
+
+        fn beat_tables(&self) -> BeatTables<'_> {
+            self.resolved.set(self.resolved.get() + 1);
+            self.stream.beat_tables()
+        }
+    }
+
+    /// Twelve tiny traversal streams fused into every pass — more segments than a pass source
+    /// once kept tables at hand for — resolve each stream's tables exactly once per response
+    /// window it has beats in, and every stream's hits, statistics and beats equal its own run.
+    #[test]
+    fn many_tiny_segments_resolve_their_tables_once_per_window() {
+        use crate::TraversalStream;
+
+        let scene = wall_scene();
+        let rays = wall_rays();
+        // One to three rays a stream, closest- and any-hit alternating.
+        let ray_sets: Vec<&[Ray]> = (0..12)
+            .map(|stream| &rays[stream * 4..stream * 4 + 1 + stream % 3])
+            .collect();
+        let open = |stream: usize| {
+            let rays = ray_sets[stream];
+            let stream = if stream.is_multiple_of(2) {
+                TraversalStream::closest_hit(&scene, rays)
+            } else {
+                TraversalStream::any_hit(&scene, rays)
+            };
+            stream.with_coherence(CoherenceMode::SortAndCompact)
+        };
+        let datapath = || {
+            let mut datapath = RayFlexDatapath::new(PipelineConfig::extended_unified());
+            datapath.set_simd_lanes(16);
+            datapath
+        };
+
+        let mut alone_mix = datapath();
+        let alone: Vec<_> = (0..ray_sets.len())
+            .map(|stream| {
+                let mut stream = open(stream);
+                FusedScheduler::new().run(&mut alone_mix, &mut [&mut stream]);
+                stream.finish()
+            })
+            .collect();
+
+        let mut counted: Vec<CountedTables<TraversalStream<'_>>> = (0..ray_sets.len())
+            .map(|stream| CountedTables {
+                stream: open(stream),
+                resolved: core::cell::Cell::new(0),
+            })
+            .collect();
+        let mut fused = FusedScheduler::new();
+        let mut fused_dp = datapath();
+        {
+            let mut streams: Vec<&mut dyn FusedStream> = counted
+                .iter_mut()
+                .map(|stream| stream as &mut dyn FusedStream)
+                .collect();
+            fused.run(&mut fused_dp, &mut streams);
+        }
+        // The whole run is shorter than one response window, so every pass is one window, and
+        // each stream's tables are resolved once in every pass it has beats in (a drained
+        // stream's empty segment resolves nothing).
+        assert!(fused_dp.beat_mix().total() < 1024);
+        let stream_passes = fused.last_run_stream_passes();
+        assert!(
+            stream_passes
+                .iter()
+                .any(|&own| own < fused.last_run_passes()),
+            "some streams drain before others"
+        );
+        for (position, stream) in counted.iter().enumerate() {
+            assert_eq!(
+                stream.resolved.get() as u64,
+                stream_passes[position],
+                "stream {position}"
+            );
+        }
+        let fused_mix = fused_dp.beat_mix();
+        for (position, (stream, alone)) in counted.into_iter().zip(&alone).enumerate() {
+            assert_eq!(&stream.stream.finish(), alone, "stream {position}");
+        }
+        for kind in [QueryKind::ClosestHit, QueryKind::AnyHit] {
+            for opcode in [Opcode::RayBox, Opcode::RayTriangle] {
+                assert_eq!(
+                    fused_mix.count_for(kind, opcode),
+                    alone_mix.beat_mix().count_for(kind, opcode),
+                    "{kind:?} {opcode:?}"
+                );
+            }
+        }
+
+        // The whole beat mix — passes, fused passes, lane slots — equals the same fused run
+        // dispatched from requests, which resolves no table at all.
+        let mut requests: Vec<Requests<TraversalStream<'_>>> = (0..ray_sets.len())
+            .map(|stream| Requests(open(stream)))
+            .collect();
+        let mut requests_dp = datapath();
+        let mut streams: Vec<&mut dyn FusedStream> = requests
+            .iter_mut()
+            .map(|stream| stream as &mut dyn FusedStream)
+            .collect();
+        FusedScheduler::new().run(&mut requests_dp, &mut streams);
+        assert_eq!(requests_dp.beat_mix(), fused_mix);
     }
 
     #[test]
