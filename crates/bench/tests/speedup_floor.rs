@@ -1,6 +1,7 @@
 //! The batched-versus-scalar speedup floor: the repository's one wall-clock check.
 //!
-//! It traces `ExecPolicy::scalar()` (the softfloat stage emulation, one beat at a time) against
+//! It traces `ExecPolicy::scalar()` (the softfloat stage emulation, one beat at a time, through
+//! the same scheduler passes as the batched side) against
 //! `ExecPolicy::wavefront().with_simd_lanes(16)` on three traversal scenes at 1024 rays.  Each
 //! scene checks the hits once, outside the timed region, then times [`PAIRS`] interleaved
 //! scalar/batched pairs, alternating which of the two runs first.  It prints each scene's median

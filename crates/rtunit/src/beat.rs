@@ -463,6 +463,11 @@ impl<'p> PassSource<'p> {
         core::hint::black_box(touched);
     }
 
+    /// The pass segment beat `beat` belongs to.
+    pub(crate) fn segment(&self, beat: usize) -> usize {
+        self.pass.beats[beat].segment as usize
+    }
+
     /// Beat `beat` as an owned request presenting the operands the kernels fetch: how the
     /// scalar reference discipline executes a descriptor on the per-beat emulated path.
     pub(crate) fn request(&self, beat: usize) -> RayFlexRequest {

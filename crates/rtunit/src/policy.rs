@@ -398,9 +398,9 @@ impl ExecPolicy {
     }
 
     /// The coherence mode this policy actually admits under:
-    /// [`ExecMode::ScalarReference`] always resolves to [`CoherenceMode::Off`] — each ray walks
-    /// alone, so there is no admission order to sort — while the batched modes use the stored
-    /// knob verbatim.
+    /// [`ExecMode::ScalarReference`] always resolves to [`CoherenceMode::Off`] — it executes
+    /// one beat at a time, so no admission order can fill a lane — while the batched modes use
+    /// the stored knob verbatim.
     #[must_use]
     pub fn effective_coherence(&self) -> CoherenceMode {
         if self.mode == ExecMode::ScalarReference {

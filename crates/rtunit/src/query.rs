@@ -673,8 +673,8 @@ pub(crate) use delegate_fused_stream_to_runner;
 pub struct FusedScheduler {
     /// Reusable merged pass: one mixed-kind batch of beat descriptors per pass.
     pass: BeatPass,
-    /// Reusable response window of the streamed dispatch (a segment's responses under the
-    /// reference discipline).
+    /// Reusable response window of the streamed dispatch, in bulk and under the reference
+    /// discipline alike.
     responses: Vec<RayFlexResponse>,
     /// Reusable storage of the pass's resolved [`BeatTables`], one per segment, refilled every
     /// window (see [`recycle`]).
@@ -827,9 +827,9 @@ impl FusedScheduler {
     }
 
     /// The scalar round-robin reference mode of [`FusedScheduler::run`]: the same pass schedule
-    /// (including the configured beat budget) and the same per-stream beat orders, but every
-    /// beat executes one at a time through the register-accurate emulated path
-    /// ([`RayFlexDatapath::execute_attributed`]), segment by segment — no bulk dispatch at all.
+    /// (including the configured beat budget), the same per-stream beat orders and the same
+    /// response windows, but every beat executes one at a time through the register-accurate
+    /// emulated path ([`RayFlexDatapath::execute_attributed`]) — no bulk dispatch at all.
     ///
     /// Per-stream outputs and statistics are bit-identical to [`FusedScheduler::run`] (the
     /// fast batched model and the emulated model are bit-equal by `core`'s property tests, and
@@ -853,10 +853,10 @@ impl FusedScheduler {
     }
 
     /// The one pass loop of every discipline: each pass, every stream appends its
-    /// (budget-limited) segment of descriptors in admission order, then the pass dispatches —
-    /// in streamed windows on the fast model, or, for the scalar `reference` discipline, beat
-    /// by beat through the emulated path, each segment applied before the next runs.  Cancels
-    /// at the first pass boundary where at least `max_total_beats` beats are spent (`0` = no
+    /// (budget-limited) segment of descriptors in admission order, then the pass dispatches in
+    /// response windows ([`FusedScheduler::dispatch_windows`]) — on the fast model, or, for
+    /// the scalar `reference` discipline, beat by beat through the emulated path.  Cancels at
+    /// the first pass boundary where at least `max_total_beats` beats are spent (`0` = no
     /// cap).
     fn run_passes(
         &mut self,
@@ -901,11 +901,7 @@ impl FusedScheduler {
             }
             self.last_run_passes += 1;
             beats_spent += self.pass.len() as u64;
-            if reference {
-                self.dispatch_by_beat(datapath, streams);
-            } else {
-                self.dispatch_windows(datapath, streams);
-            }
+            self.dispatch_windows(datapath, streams, reference);
         }
         CappedFusedRun {
             beats: beats_spent,
@@ -913,22 +909,27 @@ impl FusedScheduler {
         }
     }
 
-    /// One bulk dispatch for the merged mixed-kind pass, a window of responses at a time: each
-    /// window resolves each segment's tables once (none for a segment without beats), the first
-    /// also runs the pass's fetch stage ([`PassSource::fetch`](crate::beat::PassSource::fetch)),
-    /// the kernels dispatch the window, then each stream gets its contiguous share of it,
-    /// walking the same admission order the build phase used.
+    /// Dispatches the merged mixed-kind pass a window of responses at a time, then hands each
+    /// stream its contiguous share of the window, walking the same admission order the build
+    /// phase used.  Each window resolves each segment's tables once (none for a segment
+    /// without beats).  In bulk, the datapath counts the pass, the first window also runs the
+    /// pass's fetch stage ([`PassSource::fetch`](crate::beat::PassSource::fetch)), and the
+    /// kernels dispatch the window; under the scalar `reference` discipline each beat of the
+    /// window executes alone on the emulated path, attributed to its segment's kind, and no
+    /// pass is counted.
     fn dispatch_windows(
         &mut self,
         datapath: &mut RayFlexDatapath,
         streams: &mut [&mut dyn FusedStream],
+        reference: bool,
     ) {
         let (order, segments) = (&self.order, &self.segments);
-        let mut dispatch =
-            datapath.begin_streamed_pass(self.pass.len(), segments, &mut self.responses);
+        let beats = self.pass.len();
+        let mut bulk = (!reference)
+            .then(|| datapath.begin_streamed_pass(beats, segments, &mut self.responses));
         let (mut position, mut applied) = (0, 0);
-        let mut first = true;
-        while !dispatch.is_finished() {
+        let mut next = 0;
+        while next < beats {
             {
                 let mut tables: Vec<BeatTables<'_>> = recycle(core::mem::take(&mut self.tables));
                 tables.extend(order.iter().zip(segments).map(|(&index, &(_, beats))| {
@@ -940,11 +941,21 @@ impl FusedScheduler {
                     }
                 }));
                 let source = self.pass.source(&tables);
-                if first {
-                    source.fetch();
-                    first = false;
+                if let Some(bulk) = &mut bulk {
+                    if next == 0 {
+                        source.fetch();
+                    }
+                    datapath.execute_window(&source, segments, bulk, &mut self.responses);
+                } else {
+                    let window = next..beats.min(next + REFERENCE_WINDOW);
+                    self.responses.clear();
+                    self.responses.reserve_exact(window.len());
+                    self.responses.extend(window.map(|beat| {
+                        let kind = segments[source.segment(beat)].0;
+                        datapath.execute_attributed(&source.request(beat), kind)
+                    }));
                 }
-                datapath.execute_window(&source, segments, &mut dispatch, &mut self.responses);
+                next += self.responses.len();
                 self.tables = recycle(tables);
             }
             let mut window = &self.responses[..];
@@ -961,39 +972,6 @@ impl FusedScheduler {
                     applied = 0;
                 }
             }
-        }
-    }
-
-    /// The reference discipline's dispatch of the pass: segment by segment, each beat expanded
-    /// to the request its descriptor stands for and executed alone on the emulated path, then
-    /// the segment's responses applied to its stream.  Counts no datapath pass.
-    fn dispatch_by_beat(
-        &mut self,
-        datapath: &mut RayFlexDatapath,
-        streams: &mut [&mut dyn FusedStream],
-    ) {
-        let (order, segments) = (&self.order, &self.segments);
-        let mut first = 0;
-        for (position, &(kind, beats)) in segments.iter().enumerate() {
-            if beats == 0 {
-                continue;
-            }
-            self.responses.clear();
-            {
-                // Only this segment's beats run, so only its tables are resolved.
-                let stream = &*streams[order[position]];
-                let mut tables: Vec<BeatTables<'_>> = recycle(core::mem::take(&mut self.tables));
-                tables.resize(segments.len(), BeatTables::default());
-                tables[position] = stream.beat_tables();
-                let source = self.pass.source(&tables);
-                for beat in first..first + beats {
-                    let response = datapath.execute_attributed(&source.request(beat), kind);
-                    self.responses.push(response);
-                }
-                self.tables = recycle(tables);
-            }
-            streams[order[position]].apply_pass(&self.responses);
-            first += beats;
         }
     }
 
@@ -1019,6 +997,11 @@ impl FusedScheduler {
         self.run_passes(datapath, streams, max_total_beats, reference)
     }
 }
+
+/// Responses per window of the reference discipline: about the bulk dispatch's window
+/// ([`RayFlexDatapath::execute_window`]), so a reference pass holds no more response memory
+/// than a bulk one, however many beats it carries.
+const REFERENCE_WINDOW: usize = 1024;
 
 /// Storage with the size and alignment of one [`BeatTables`], which borrows the streams of one
 /// window (and, holding a `&dyn VectorRows`, is not `Send`): the form the scheduler keeps its
@@ -1871,6 +1854,43 @@ mod tests {
             .collect();
         FusedScheduler::new().run(&mut requests_dp, &mut streams);
         assert_eq!(requests_dp.beat_mix(), fused_mix);
+    }
+
+    /// The reference discipline holds one response window, not a segment: one pass of more
+    /// than sixteen thousand beats never grows the scheduler's response buffer past a window.
+    #[test]
+    fn a_reference_pass_holds_at_most_one_window_of_responses() {
+        use crate::TraversalStream;
+
+        let scene = wall_scene();
+        // Every ray points away from the wall: one root box beat each, all in the first pass.
+        let rays: Vec<Ray> = (0..16_400)
+            .map(|i| {
+                Ray::new(
+                    Vec3::new(i as f32 * 1e-3, 0.0, 0.0),
+                    Vec3::new(0.0, 0.0, -1.0),
+                )
+            })
+            .collect();
+        let mut stream = TraversalStream::closest_hit(&scene, &rays);
+        let mut fused = FusedScheduler::new();
+        let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
+        fused.run_reference(&mut datapath, &mut [&mut stream]);
+        assert_eq!(fused.last_run_passes(), 1);
+        assert_eq!(datapath.executed_beats(), rays.len() as u64);
+        assert_eq!(
+            datapath.beat_mix().passes(),
+            0,
+            "the reference counts no pass"
+        );
+        assert!(
+            fused.responses.capacity() <= REFERENCE_WINDOW,
+            "{} responses buffered",
+            fused.responses.capacity()
+        );
+        let (hits, stats) = stream.finish();
+        assert!(hits.iter().all(Option::is_none));
+        assert_eq!(stats.box_ops, rays.len() as u64);
     }
 
     #[test]

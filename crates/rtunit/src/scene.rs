@@ -547,40 +547,26 @@ pub(crate) enum SceneView<'a> {
     Instanced(&'a InstancedScene),
 }
 
-/// The bounds operand of a box beat: borrowed straight from a node (flat/TLAS phases) or a
-/// transformed per-visit copy (BLAS phase under an instance transform).
-pub(crate) enum BoxBounds<'a> {
+/// The bounds operand of a box beat: the node's stored bounds (flat/TLAS phases), which the
+/// beat fetches from the node table, or a transformed per-visit copy (BLAS phase under an
+/// instance transform).
+pub(crate) enum BoxBounds {
     /// Bounds used as stored.
-    Borrowed(&'a [Aabb; 4]),
+    Stored,
     /// Bounds transformed into world space for this visit.
     Owned([Aabb; 4]),
 }
 
-impl BoxBounds<'_> {
-    #[inline]
-    pub(crate) fn as_array(&self) -> &[Aabb; 4] {
-        match self {
-            BoxBounds::Borrowed(bounds) => bounds,
-            BoxBounds::Owned(bounds) => bounds,
-        }
-    }
-}
-
-/// What a traversal does after popping a stack handle — the single node-expansion step both
-/// the scalar reference walk and the wavefront state machine share, which is what keeps their
-/// per-ray beat sequences (and statistics) bit-identical.
+/// What a traversal does after popping a stack handle: the traversal state machine's one
+/// node-expansion step.
 pub(crate) enum NodeStep<'a> {
-    /// An internal node: issue one ray–box beat with `tag`, testing `bounds`; on response,
-    /// resolve hit slots through this `children` table into context `ctx`.
+    /// An internal node: issue one ray–box beat with `tag`, testing `bounds`; the response
+    /// resolves its hit slots through [`SceneView::children_for_tag`].
     BoxBeat {
         /// The beat tag (handle of this node, TLAS-phase bit included where applicable).
         tag: u64,
         /// The four child slot bounds to test.
-        bounds: BoxBounds<'a>,
-        /// The children table of this node.
-        children: &'a [ChildRef; 4],
-        /// Context the children live in.
-        ctx: u32,
+        bounds: BoxBounds,
         /// `true` when this is a TLAS-phase beat (for the TLAS statistics split).
         tlas: bool,
     },
@@ -619,8 +605,9 @@ impl<'a> SceneView<'a> {
         }
     }
 
-    /// Expands a popped stack handle into its traversal step.  A leaf is decoded from the
-    /// handle alone; only internal nodes read the node table.
+    /// Expands a popped stack handle into its traversal step.  A leaf, and a flat or TLAS
+    /// internal node, is decoded from the handle alone (the box beat names its node, and the
+    /// kernels fetch the bounds); only BLAS-phase nodes read the node table here.
     ///
     /// BLAS-phase internal nodes get their stored child bounds conservatively transformed into
     /// world space per visit (absent slots keep the canonical never-hit `f32::MAX` point box,
@@ -636,31 +623,22 @@ impl<'a> SceneView<'a> {
                 _ => NodeStep::Leaf { positions, ctx },
             };
         }
-        let index = handle_low(popped) as usize;
         match self {
-            SceneView::Flat(mesh) => {
-                let node = mesh.bvh.node(index);
-                NodeStep::BoxBeat {
-                    tag: handle(TOP_CTX, child.bits()),
-                    bounds: BoxBounds::Borrowed(&node.child_bounds),
-                    children: &node.children,
-                    ctx: TOP_CTX,
-                    tlas: false,
-                }
-            }
-            SceneView::Instanced(scene) if ctx == TOP_CTX => {
-                let node = scene.tlas.node(index);
-                NodeStep::BoxBeat {
-                    tag: handle(TOP_CTX, child.bits()) | TLAS_PHASE_TAG,
-                    bounds: BoxBounds::Borrowed(&node.child_bounds),
-                    children: &node.children,
-                    ctx: TOP_CTX,
-                    tlas: true,
-                }
-            }
+            SceneView::Flat(_) => NodeStep::BoxBeat {
+                tag: handle(TOP_CTX, child.bits()),
+                bounds: BoxBounds::Stored,
+                tlas: false,
+            },
+            SceneView::Instanced(_) if ctx == TOP_CTX => NodeStep::BoxBeat {
+                tag: handle(TOP_CTX, child.bits()) | TLAS_PHASE_TAG,
+                bounds: BoxBounds::Stored,
+                tlas: true,
+            },
             SceneView::Instanced(scene) => {
                 let instance = &scene.instances[ctx as usize - 1];
-                let node = scene.blas[instance.blas].bvh.node(index);
+                let node = scene.blas[instance.blas]
+                    .bvh
+                    .node(handle_low(popped) as usize);
                 let mut bounds = node.child_bounds;
                 for (slot, grandchild) in node.children.iter().enumerate() {
                     if !grandchild.is_empty() {
@@ -670,8 +648,6 @@ impl<'a> SceneView<'a> {
                 NodeStep::BoxBeat {
                     tag: handle(ctx, child.bits()),
                     bounds: BoxBounds::Owned(bounds),
-                    children: &node.children,
-                    ctx,
                     tlas: false,
                 }
             }

@@ -4,9 +4,9 @@
 //! [`TraceRequest`] — the indexed scene plus a closest-hit ray slice and/or an any-hit ray slice
 //! — and an [`ExecPolicy`](crate::ExecPolicy) selecting the execution mode:
 //!
-//! * [`ExecMode::ScalarReference`](crate::ExecMode::ScalarReference) walks one ray to
-//!   completion, issuing one register-accurate emulated beat at a time — the reference every
-//!   other mode is tested against;
+//! * [`ExecMode::ScalarReference`](crate::ExecMode::ScalarReference) runs the fused pass
+//!   schedule below, but executes every beat alone on the register-accurate emulated path — the
+//!   reference every other mode is tested against;
 //! * [`ExecMode::Wavefront`](crate::ExecMode::Wavefront) keeps each whole ray stream in flight
 //!   through the generic [`FusedScheduler`], one stream at a time: every pass builds one beat
 //!   train per active ray into a reusable pass of 16-byte beat descriptors, dispatches it in
@@ -33,9 +33,7 @@
 //! hierarchical engines run their own kinds through the same scheduler under the same policies.
 
 use core::ops::Range;
-use rayflex_core::{
-    BeatMix, PipelineConfig, RayFlexDatapath, RayFlexRequest, RayFlexResponse, RayOperand,
-};
+use rayflex_core::{BeatMix, PipelineConfig, RayFlexDatapath, RayFlexResponse, RayOperand};
 
 use rayflex_geometry::Ray;
 
@@ -269,8 +267,8 @@ impl TraceOutput {
 #[derive(Debug, Default)]
 pub struct RayWork {
     stack: Vec<u64>,
-    /// Leaf positions awaiting their ray–triangle beat, tested front to back in leaf order like
-    /// the scalar path: the untested rest of one leaf (a leaf drains before the next pops).
+    /// Leaf positions awaiting their ray–triangle beat, tested front to back in leaf order:
+    /// the untested rest of one leaf (a leaf drains before the next pops).
     pending: Range<u32>,
     /// Context the pending positions live in.
     pending_ctx: u32,
@@ -340,13 +338,12 @@ impl<'a> TraversalQuery<'a> {
 
     /// Builds the next beat for one ray, advancing its state; `false` retires the ray.
     ///
-    /// The per-ray beat order is exactly the scalar path's: all pending leaf primitives (in leaf
-    /// order), then the next stack node — with TLAS leaves of an instanced scene expanded
-    /// beat-free into BLAS-root pushes, exactly as the scalar walk expands them.  Box beats
-    /// carry the node's traversal handle as their tag so the response can be matched back to
-    /// the node's child table (TLAS-phase beats additionally carry
-    /// [`TLAS_PHASE_TAG`](rayflex_core::TLAS_PHASE_TAG) for the datapath's beat attribution);
-    /// triangle beats carry the ray index.
+    /// The per-ray beat order is the same under every policy: all pending leaf primitives (in
+    /// leaf order), then the next stack node — with TLAS leaves of an instanced scene expanded
+    /// beat-free into BLAS-root pushes.  Box beats carry the node's traversal handle as their
+    /// tag so the response can be matched back to the node's child table (TLAS-phase beats
+    /// additionally carry [`TLAS_PHASE_TAG`](rayflex_core::TLAS_PHASE_TAG) for the datapath's
+    /// beat attribution); triangle beats carry the ray index.
     ///
     /// Beats are descriptors: a flat scene's box and triangle beats, and a two-level scene's
     /// TLAS box beats, name their node or leaf position and the ray's operand slot, and the
@@ -357,10 +354,9 @@ impl<'a> TraversalQuery<'a> {
         loop {
             if !state.pending.is_empty() {
                 if self.kind == QueryKind::ClosestHit {
-                    // Closest-hit tests every primitive of the leaf unconditionally (exactly as
-                    // the scalar walk does), so the whole pending run is emitted as one beat
-                    // train: same beats, same order, but contiguous in the pass — which is what
-                    // lets the lane-batched triangle kernel engage across them.
+                    // Closest-hit tests every primitive of the leaf unconditionally, so the
+                    // whole pending run is emitted as one beat train: contiguous in the pass,
+                    // which is what lets the lane-batched triangle kernel engage across them.
                     self.stats.triangle_ops += state.pending.len() as u64;
                     match &self.view {
                         SceneView::Flat(_) => out.extend_leaf(item, state.pending.clone()),
@@ -373,7 +369,7 @@ impl<'a> TraversalQuery<'a> {
                     }
                 } else {
                     // Any-hit stops at the first accepted hit, so beats past it must never
-                    // issue: one beat per pass keeps the count identical to the scalar walk.
+                    // issue: one beat per pass.
                     self.stats.triangle_ops += 1;
                     let next = state.pending.start;
                     match &self.view {
@@ -402,16 +398,14 @@ impl<'a> TraversalQuery<'a> {
                         .stack
                         .extend(ids.iter().rev().map(|&inst| self.view.instance_root(inst)));
                 }
-                NodeStep::BoxBeat {
-                    tag, bounds, tlas, ..
-                } => {
+                NodeStep::BoxBeat { tag, bounds, tlas } => {
                     self.stats.nodes_visited += 1;
                     self.stats.box_ops += 1;
                     if tlas {
                         self.stats.tlas_box_ops += 1;
                     }
                     match bounds {
-                        BoxBounds::Borrowed(_) => out.push_node(item, handle_low(tag), tlas),
+                        BoxBounds::Stored => out.push_node(item, handle_low(tag), tlas),
                         BoxBounds::Owned(boxes) => out.push_boxes(item, tag, boxes),
                     }
                     return true;
@@ -474,7 +468,7 @@ impl BatchQuery for TraversalQuery<'_> {
 
     fn build(&mut self, item: usize, state: &mut RayWork, out: &mut BeatPass) -> bool {
         // Any-hit: a recorded hit terminates the ray before any further beat is issued, so the
-        // per-ray beat count matches the scalar path, which stops right after the hitting beat.
+        // ray stops right after the hitting beat.
         if self.kind == QueryKind::AnyHit && state.best.is_some() {
             return false;
         }
@@ -490,8 +484,8 @@ impl BatchQuery for TraversalQuery<'_> {
             // The parametric extent comes from the operand table (same values as the source
             // ray's), so apply works under both item and admission-slot addressing.  The
             // global-primitive decode happens only on an accepted hit — most triangle tests
-            // miss, and this is the hottest apply path in the engine (the accept logic is
-            // `record_triangle_hit`'s, with the decode moved past the accept checks).
+            // miss, and this is the hottest apply path in the engine.  Closest-hit keeps ties
+            // on the first-tested primitive (only a strictly closer hit replaces the best).
             let operand = &self.operands[item];
             match self.kind {
                 // Closest-hit: keep the nearest accepted hit, keep traversing.
@@ -670,10 +664,8 @@ pub struct TraversalEngine {
     /// [`TraversalEngine::pool_stats`]); kept apart from [`TraversalStats`] because steal counts
     /// are scheduling artefacts, not mode-invariant workload facts.
     pool: crate::parallel::PoolStats,
-    next_tag: u64,
-    /// Pooled traversal stacks (of handles) for the scalar paths.
-    stack_pool: Vec<Vec<u64>>,
-    /// The batched scheduler every non-scalar mode runs its streams through.
+    /// The scheduler every mode runs its streams through (a sharded parallel run, on each
+    /// worker's own engine).
     fused: FusedScheduler,
     /// Reusable buffers of the request's two streams (the wavefront, running one stream at a
     /// time, needs only the first), so a steady-state trace call allocates nothing but its
@@ -695,8 +687,6 @@ impl TraversalEngine {
             datapath: RayFlexDatapath::new(config),
             stats: TraversalStats::default(),
             pool: crate::parallel::PoolStats::default(),
-            next_tag: 0,
-            stack_pool: Vec::new(),
             fused: FusedScheduler::new(),
             arenas: Default::default(),
         }
@@ -738,8 +728,8 @@ impl TraversalEngine {
     /// Traces a [`TraceRequest`] under an execution policy — **the** traversal entry point, for
     /// both query kinds and every [`ExecMode`]:
     ///
-    /// * [`ExecMode::ScalarReference`] — every ray walks to completion one register-accurate
-    ///   emulated beat at a time (closest-hit stream first, then any-hit);
+    /// * [`ExecMode::ScalarReference`] — both streams share the fused passes, but every beat
+    ///   executes alone on the register-accurate emulated path;
     /// * [`ExecMode::Wavefront`] — each stream runs alone as one bulk-dispatch wavefront through
     ///   the engine's scheduler, closest-hit first;
     /// * [`ExecMode::Fused`] — both streams merge into shared mixed-kind passes over this
@@ -860,52 +850,28 @@ impl TraversalEngine {
     /// capped at `cap` beats (`0` = uncapped), and returns each stream's retired prefix with the
     /// run's progress.
     ///
-    /// Only an uncapped run leaves this engine's scheduler: under [`ExecMode::Parallel`] it
-    /// shards across workers (when the request is large enough to pay for them), and under
-    /// [`ExecMode::ScalarReference`] each ray walks alone.  A capped run cancels at pass
-    /// boundaries, a single-unit discipline, so it always runs inline through
-    /// [`FusedScheduler::run_policy`] (whose reference discipline cancels at round boundaries).
-    /// `Err(shard)` names a parallel shard whose scalar retry panicked too.
+    /// Every mode runs through this engine's scheduler ([`FusedScheduler::run_policy`]), the
+    /// scalar reference included, except an uncapped [`ExecMode::Parallel`] run, which shards
+    /// across workers when the request is large enough to pay for them.  A capped run cancels
+    /// at pass boundaries, a single-unit discipline, so it always runs inline.  `Err(shard)`
+    /// names a parallel shard whose scalar retry panicked too.
     fn run(
         &mut self,
         request: &TraceRequest<'_>,
         policy: &ExecPolicy,
         cap: u64,
     ) -> Result<(TraceOutput, CappedFusedRun), usize> {
-        if cap == 0 {
-            let before = self.stats.total_ops();
-            let output = match policy.mode {
-                ExecMode::ScalarReference => {
-                    let view = request.view();
-                    let mut walk = |kind, rays: &[Ray]| {
-                        rays.iter()
-                            .map(|ray| self.scalar_walk(view, ray, kind))
-                            .collect()
-                    };
-                    Some(TraceOutput {
-                        closest: walk(QueryKind::ClosestHit, request.closest),
-                        any: walk(QueryKind::AnyHit, request.any),
-                    })
-                }
-                ExecMode::Parallel { .. } => {
-                    crate::parallel::fused_pair_sharded_checked(*self.config(), request, policy)?
-                        .map(|out| {
-                            self.stats.merge(&out.stats);
-                            self.pool.merge(&out.pool);
-                            out.output
-                        })
-                }
-                _ => None,
-            };
-            if let Some(output) = output {
-                let beats = self.stats.total_ops() - before;
-                return Ok((
-                    output,
-                    CappedFusedRun {
-                        beats,
-                        complete: true,
-                    },
-                ));
+        if let (0, ExecMode::Parallel { .. }) = (cap, policy.mode) {
+            let sharded =
+                crate::parallel::fused_pair_sharded_checked(*self.config(), request, policy)?;
+            if let Some(out) = sharded {
+                self.stats.merge(&out.stats);
+                self.pool.merge(&out.pool);
+                let progress = CappedFusedRun {
+                    beats: out.stats.total_ops(),
+                    complete: true,
+                };
+                return Ok((out.output, progress));
             }
         }
         Ok(self.run_streams(request, policy, cap))
@@ -930,7 +896,13 @@ impl TraversalEngine {
         };
         if policy.mode != ExecMode::Wavefront {
             // Both streams in shared passes, each in its own arena (a stream whose partner is
-            // empty still fills its passes alone).
+            // empty still fills its passes alone).  A lone any-hit stream borrows the first
+            // arena, as under the wavefront, so single-kind requests of either kind recycle one
+            // set of per-ray states.
+            let lone_any = request.closest.is_empty();
+            if lone_any {
+                self.arenas.swap(0, 1);
+            }
             let [first, second] = core::mem::take(&mut self.arenas);
             let mut closest = stream(
                 QueryKind::ClosestHit,
@@ -953,6 +925,9 @@ impl TraversalEngine {
             let (closest, closest_stats, first) = closest.into_parts();
             let (any, any_stats, second) = any.into_parts();
             self.arenas = [first, second];
+            if lone_any {
+                self.arenas.swap(0, 1);
+            }
             self.stats.merge(&closest_stats);
             self.stats.merge(&any_stats);
             return (TraceOutput { closest, any }, progress);
@@ -999,92 +974,11 @@ impl TraversalEngine {
         (output, progress)
     }
 
-    /// The scalar register-accurate walk of one ray of either traversal kind (the
-    /// [`ExecMode::ScalarReference`] per-ray loop).
-    ///
-    /// Closest-hit prunes box children farther than the best hit so far.  Any-hit never prunes
-    /// and stops at the first accepted triangle beat, so occluded rays cost far fewer beats;
-    /// "first" means first in the deterministic traversal order (nearest-child-first), not
-    /// necessarily the geometrically nearest hit — only the hit/no-hit verdict is meaningful to
-    /// shadow tests.
-    ///
-    /// Box beats are tagged with the node's traversal handle (TLAS-phase bit included), exactly
-    /// like the batched modes' beats, so the datapath's beat attribution sees the same tags in
-    /// every mode; triangle beats use the engine's running tag counter.
-    fn scalar_walk(
-        &mut self,
-        view: SceneView<'_>,
-        ray: &Ray,
-        kind: QueryKind,
-    ) -> Option<TraversalHit> {
-        let any_hit = kind == QueryKind::AnyHit;
-        self.stats.rays += 1;
-        let mut best: Option<TraversalHit> = None;
-        let mut stack = self.stack_pool.pop().unwrap_or_default();
-        stack.clear();
-        stack.push(view.root_handle());
-
-        'walk: while let Some(popped) = stack.pop() {
-            match view.step(popped) {
-                NodeStep::Leaf { positions, ctx } => {
-                    self.stats.leaves_visited += 1;
-                    for position in positions {
-                        self.stats.triangle_ops += 1;
-                        let entry = handle(ctx, position);
-                        let triangle = view.pending_triangle(entry);
-                        let request = RayFlexRequest::ray_triangle(self.tag(), ray, &triangle);
-                        let response = self.datapath.execute(&request);
-                        let Some(result) = response.triangle_result else {
-                            unreachable!("a triangle beat always returns a triangle result");
-                        };
-                        let prim = view.global_primitive(entry);
-                        record_triangle_hit(&mut best, &result, prim, ray.t_beg, ray.t_end);
-                        if any_hit && best.is_some() {
-                            break 'walk;
-                        }
-                    }
-                }
-                NodeStep::Instances { ids } => {
-                    self.stats.instances_visited += ids.len() as u64;
-                    stack.extend(ids.iter().rev().map(|&inst| view.instance_root(inst)));
-                }
-                NodeStep::BoxBeat {
-                    tag,
-                    bounds,
-                    children,
-                    ctx,
-                    tlas,
-                } => {
-                    self.stats.nodes_visited += 1;
-                    self.stats.box_ops += 1;
-                    if tlas {
-                        self.stats.tlas_box_ops += 1;
-                    }
-                    let request = RayFlexRequest::ray_box(tag, ray, bounds.as_array());
-                    let response = self.datapath.execute(&request);
-                    let Some(result) = response.box_result else {
-                        unreachable!("a box beat always returns a box result");
-                    };
-                    let prune = if any_hit { None } else { best.as_ref() };
-                    push_hit_children(&mut stack, &result, children, ctx, prune);
-                }
-            }
-        }
-        self.stack_pool.push(stack);
-        best
-    }
-
     /// Number of bulk passes the engine's most recent fused run dispatched (how a beat budget
     /// reshapes the pass structure — diagnostics for the fairness knob).
     #[must_use]
     pub fn last_fused_passes(&self) -> u64 {
         self.fused.last_run_passes()
-    }
-
-    fn tag(&mut self) -> u64 {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        tag
     }
 
     /// Per-ray states parked in the two stream arenas.
@@ -1093,23 +987,6 @@ impl TraversalEngine {
         self.arenas
             .each_ref()
             .map(|arena| arena.runner.pooled_states())
-    }
-}
-
-/// Applies one triangle-beat result to a ray's best hit, honouring the ray extent and the
-/// closest-so-far tie-breaking (strictly closer wins, so the first-tested primitive keeps ties).
-pub(crate) fn record_triangle_hit(
-    best: &mut Option<TraversalHit>,
-    result: &rayflex_core::TriangleResult,
-    prim: usize,
-    t_beg: f32,
-    t_end: f32,
-) {
-    if result.hit {
-        let t = result.distance();
-        if t >= t_beg && t <= t_end && best.is_none_or(|b| t < b.t) {
-            *best = Some(TraversalHit { primitive: prim, t });
-        }
     }
 }
 
@@ -1428,6 +1305,13 @@ mod tests {
             &ExecPolicy::fused(),
         );
         assert_eq!(engine.pooled_states(), [rays.len(), rays.len()]);
+
+        // Under the modes that share passes, a lone stream of either kind takes the first
+        // arena too, so single-kind calls never park a second set of states.
+        let mut scalar = TraversalEngine::baseline();
+        let _ = scalar.trace(&request, &ExecPolicy::scalar());
+        let _ = scalar.trace(&TraceRequest::any_hit(&scene, &rays), &ExecPolicy::scalar());
+        assert_eq!(scalar.pooled_states(), [rays.len(), 0]);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! request/response buffers, the admission permutation and its sort keys, the per-ray operand
 //! buffer, the pooled per-ray state roster), every further trace of a same-shape workload
 //! performs **no allocation inside the pass loop** — the only heap traffic left is the hit
-//! vector each call returns to the caller.
+//! vector each call returns to the caller.  The scalar reference, which runs the same pass
+//! loop, is pinned to the same count.
 //!
 //! This file deliberately holds a single `#[test]` (plus the allocator plumbing): the counting
 //! allocator tallies process-wide, so a sibling test running on another harness thread would
@@ -130,4 +131,17 @@ fn a_warm_wavefront_trace_allocates_only_its_output_vector() {
             "{coherence:?}: allocation count must not grow across steady runs"
         );
     }
+
+    // The scalar reference runs the same pass loop, executing each beat alone on the emulated
+    // path a response window at a time, so a warm scalar trace recycles the same buffers.
+    let policy = ExecPolicy::scalar();
+    let mut engine = TraversalEngine::baseline();
+    let expected = engine.trace(&request, &policy);
+    let _ = engine.trace(&request, &policy);
+    let (warm, steady) = count_allocations(|| engine.trace(&request, &policy));
+    assert_eq!(warm, expected, "scalar: steady run changed the hits");
+    assert_eq!(
+        steady, 1,
+        "a steady-state scalar trace allocated {steady} times"
+    );
 }

@@ -171,6 +171,18 @@ proptest! {
                 ] {
                     let mut wavefront_engine = TraversalEngine::baseline();
                     let _ = wavefront_engine.trace(&single, &policy);
+                    // The scalar reference attributes the same beats to the same kinds (it
+                    // counts no pass and engages no lane kernel).
+                    let mut scalar_engine = TraversalEngine::baseline();
+                    let _ = scalar_engine.trace(&single, &ExecPolicy::scalar());
+                    let (scalar_mix, wavefront_mix) =
+                        (scalar_engine.beat_mix(), wavefront_engine.beat_mix());
+                    prop_assert_eq!(
+                        scalar_mix.iter_kinds().collect::<Vec<_>>(),
+                        wavefront_mix.iter_kinds().collect::<Vec<_>>(),
+                        "scalar and wavefront per-kind beat counts diverged"
+                    );
+                    prop_assert_eq!(scalar_mix.tlas_box_beats(), wavefront_mix.tlas_box_beats());
                     let mut fused_engine = TraversalEngine::baseline();
                     let _ = fused_engine.trace(&single, &fused);
                     prop_assert_eq!(
