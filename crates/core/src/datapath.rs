@@ -462,7 +462,7 @@ impl RayFlexDatapath {
             .record_lanes((run.len() * 4) as u64, self.simd_lanes as u64);
         let first = run.start;
         match run.len() {
-            1 => responses.push(crate::fastpath::execute_fast_box_lanes(source, first)),
+            1 => crate::fastpath::execute_fast_box_lanes_group::<4, S>(source, first, responses),
             2 => crate::fastpath::execute_fast_box_lanes_group::<8, S>(source, first, responses),
             3 => crate::fastpath::execute_fast_box_lanes_group::<12, S>(source, first, responses),
             _ => crate::fastpath::execute_fast_box_lanes_group::<16, S>(source, first, responses),

@@ -323,75 +323,23 @@ pub(crate) fn execute_fast_distance_run<S: BeatSource + ?Sized>(
     }
 }
 
-/// Lane-batched ray–box beat: the beat's four AABBs are transposed into `[f32; 4]` component
-/// lanes and every slab stage runs elementwise across them, so one beat's four box tests share
-/// each subtract/multiply/select instruction instead of running the golden model four times.
+/// `L`-lane ray–box kernel over the `L / 4` adjacent beats from `first` on (one beat at
+/// `L = 4`): lanes `4·b .. 4·b + 3` carry beat `first + b`'s four AABBs, transposed into
+/// component lanes against its own ray, so one pass over the slab stages serves every box of
+/// every beat in the group.
 ///
-/// Bit-identity to [`box_response_scalar`] holds by construction: each lane performs exactly the
-/// operations of [`golden::slab::ray_box`] in the same order — the transpose only regroups
-/// *independent* computations, never reassociates within one — and [`sel_min`]/[`sel_max`] are
-/// operand-for-operand selects matching the reference comparators.
-pub(crate) fn execute_fast_box_lanes<S: BeatSource + ?Sized>(
-    source: &S,
-    beat: usize,
-) -> RayFlexResponse {
-    const L: usize = 4;
-    let (ray, boxes) = source.box_operands(beat);
-    let origin = ray.origin;
-    let inv_dir = ray.inv_dir;
-    let (t_beg, t_end) = (ray.t_beg, ray.t_end);
-
-    // Transpose: AoS boxes → per-component lanes.
-    let min_x: [f32; L] = core::array::from_fn(|l| boxes[l].min.x);
-    let min_y: [f32; L] = core::array::from_fn(|l| boxes[l].min.y);
-    let min_z: [f32; L] = core::array::from_fn(|l| boxes[l].min.z);
-    let max_x: [f32; L] = core::array::from_fn(|l| boxes[l].max.x);
-    let max_y: [f32; L] = core::array::from_fn(|l| boxes[l].max.y);
-    let max_z: [f32; L] = core::array::from_fn(|l| boxes[l].max.z);
-
-    // Stages 2 and 3 — translate, then scale by the inverse direction.
-    let t_lo_x: [f32; L] = core::array::from_fn(|l| (min_x[l] - origin[0]) * inv_dir[0]);
-    let t_lo_y: [f32; L] = core::array::from_fn(|l| (min_y[l] - origin[1]) * inv_dir[1]);
-    let t_lo_z: [f32; L] = core::array::from_fn(|l| (min_z[l] - origin[2]) * inv_dir[2]);
-    let t_hi_x: [f32; L] = core::array::from_fn(|l| (max_x[l] - origin[0]) * inv_dir[0]);
-    let t_hi_y: [f32; L] = core::array::from_fn(|l| (max_y[l] - origin[1]) * inv_dir[1]);
-    let t_hi_z: [f32; L] = core::array::from_fn(|l| (max_z[l] - origin[2]) * inv_dir[2]);
-
-    // Stage 4 — per-axis near/far selection and interval intersection with the ray extent.
-    let near_x: [f32; L] = core::array::from_fn(|l| sel_min(t_lo_x[l], t_hi_x[l]));
-    let near_y: [f32; L] = core::array::from_fn(|l| sel_min(t_lo_y[l], t_hi_y[l]));
-    let near_z: [f32; L] = core::array::from_fn(|l| sel_min(t_lo_z[l], t_hi_z[l]));
-    let far_x: [f32; L] = core::array::from_fn(|l| sel_max(t_lo_x[l], t_hi_x[l]));
-    let far_y: [f32; L] = core::array::from_fn(|l| sel_max(t_lo_y[l], t_hi_y[l]));
-    let far_z: [f32; L] = core::array::from_fn(|l| sel_max(t_lo_z[l], t_hi_z[l]));
-
-    let t_entry: [f32; L] =
-        core::array::from_fn(|l| sel_max(sel_max(near_x[l], near_y[l]), sel_max(near_z[l], t_beg)));
-    let t_exit: [f32; L] =
-        core::array::from_fn(|l| sel_min(sel_min(far_x[l], far_y[l]), sel_min(far_z[l], t_end)));
-
-    let hits: [golden::slab::BoxHit; L] = core::array::from_fn(|l| golden::slab::BoxHit {
-        hit: t_entry[l] <= t_exit[l],
-        t_entry: t_entry[l],
-        t_exit: t_exit[l],
-    });
-    box_response(source, beat, &hits)
-}
-
-/// `L`-lane ray–box kernel over the `L / 4` adjacent beats from `first` on: lanes
-/// `4·b .. 4·b + 3` carry beat `first + b`'s
-/// four AABBs against its own ray, so one pass over the slab stages serves every beat in the
-/// group.  Each lane performs exactly the operations of [`golden::slab::ray_box`] in the same
-/// order — per-lane ray operands simply vary across the quartets — and each beat's traversal
-/// order is sorted from its own four lanes, so the responses are bit-identical to running
-/// [`execute_fast_box_lanes`] on each beat alone.
+/// Bit-identity to [`box_response_scalar`] holds by construction: each lane performs exactly
+/// the operations of [`golden::slab::ray_box`] in the same order — the transpose only regroups
+/// *independent* computations, never reassociates within one — [`sel_min`]/[`sel_max`] are
+/// operand-for-operand selects matching the reference comparators, and each beat's traversal
+/// order is sorted from its own four lanes.
 pub(crate) fn execute_fast_box_lanes_group<const L: usize, S: BeatSource + ?Sized>(
     source: &S,
     first: usize,
     responses: &mut Vec<RayFlexResponse>,
 ) {
     let beats = L / 4;
-    debug_assert!((2..=4).contains(&beats) && L.is_multiple_of(4));
+    debug_assert!((1..=4).contains(&beats) && L.is_multiple_of(4));
     // Resolve each beat's operands once per beat, not once per lane.
     let mut rays = [&RayOperand::DISABLED; 4];
     let mut tables: [&[Aabb; 4]; 4] = [&DISABLED_BOXES; 4];
@@ -777,7 +725,9 @@ mod tests {
             let request = RayFlexRequest::ray_box(tag as u64, &ray, &boxes);
             let single = core::slice::from_ref(&request);
             let expected = box_response_scalar(single, 0);
-            let got = execute_fast_box_lanes(single, 0);
+            let mut got = Vec::new();
+            execute_fast_box_lanes_group::<4, _>(single, 0, &mut got);
+            let got = got.pop().unwrap();
             assert_eq!(expected.tag, got.tag);
             let (expected, got) = (expected.box_result.unwrap(), got.box_result.unwrap());
             assert_eq!(expected.hit, got.hit);

@@ -24,11 +24,11 @@
 //! A BLAS-phase beat of an instanced scene tests bounds or a triangle transformed for this
 //! visit, and a candidate-collection beat tests a node's radius-inflated bounds, so the pass
 //! owns that payload and its tag (the ray still comes from the operand table).  Only the beats
-//! of a [`FusedStream`] that builds requests itself (and of test queries) are owned whole, as
-//! requests.  Either way the kernels see the same opcode, tag and operand values a request
-//! would present, so responses and counters are bit-identical to dispatching the expanded
-//! requests — which is how the scalar reference (one beat at a time, [`PassSource::request`])
-//! and [`FusedStream::build_pass`] callers ([`BeatPass::expand_into`]) still get requests.
+//! of a [`FusedStream`] that builds requests itself are owned whole, as requests.  Either way
+//! the kernels see the same opcode, tag and operand values a request would present, so
+//! responses and counters are bit-identical to dispatching the expanded requests — which is
+//! how the scalar reference (one beat at a time, [`PassSource::request`]) and
+//! [`FusedStream::build_pass`] callers ([`BeatPass::expand_into`]) still get requests.
 //!
 //! [`FusedStream`]: crate::FusedStream
 //! [`FusedStream::build_pass`]: crate::FusedStream::build_pass
@@ -259,28 +259,6 @@ impl BeatPass {
         self.beats.is_empty()
     }
 
-    /// Appends a beat owning `request` — how a [`BatchQuery`](crate::BatchQuery) whose
-    /// operands live in no shared table emits a beat.
-    pub fn push_request(&mut self, request: RayFlexRequest) {
-        let index = index_u32(self.requests.len());
-        self.push(request.opcode, Fetch::Request, 0, index);
-        self.requests.push(request);
-    }
-
-    /// Appends a [`Fetch::Request`] beat for every request from `first` on.
-    fn own_requests_from(&mut self, first: usize) {
-        let segment = self.segment;
-        let requests = &self.requests[first..];
-        self.beats
-            .extend(requests.iter().zip(first..).map(|(request, index)| Beat {
-                index: index_u32(index),
-                slot: 0,
-                segment,
-                opcode: request.opcode,
-                fetch: Fetch::Request,
-            }));
-    }
-
     /// Empties the pass, keeping its buffers.
     pub(crate) fn clear(&mut self) {
         self.beats.clear();
@@ -368,9 +346,9 @@ impl BeatPass {
         });
     }
 
-    /// Runs `build` on the pass's request table and appends a beat for every request it
-    /// appends there, returning what `build` returned — the request-building streams' way into
-    /// a pass.
+    /// Runs `build` on the pass's request table and appends a [`Fetch::Request`] beat for every
+    /// request it appends there, returning what `build` returned — the request-building
+    /// streams' way into a pass.
     pub(crate) fn build_owned(
         &mut self,
         build: impl FnOnce(&mut Vec<RayFlexRequest>) -> usize,
@@ -382,7 +360,16 @@ impl BeatPass {
             self.requests.len() - first,
             "a stream reports the beats it built"
         );
-        self.own_requests_from(first);
+        let segment = self.segment;
+        let requests = &self.requests[first..];
+        self.beats
+            .extend(requests.iter().zip(first..).map(|(request, index)| Beat {
+                index: index_u32(index),
+                slot: 0,
+                segment,
+                opcode: request.opcode,
+                fetch: Fetch::Request,
+            }));
         beats
     }
 
@@ -820,7 +807,10 @@ mod tests {
                             &Ray::new(random_point(&mut rng, 5.0), Vec3::new(0.3, -0.2, 1.0)),
                             &core::array::from_fn(|_| random_box(&mut rng)),
                         );
-                        pass.push_request(request.clone());
+                        pass.build_owned(|requests| {
+                            requests.push(request.clone());
+                            1
+                        });
                         expected.push(request);
                     }
                     _ => {
@@ -837,7 +827,10 @@ mod tests {
                                 let b = core::array::from_fn(|_| rng.gen_range(-2.0f32..2.0));
                                 RayFlexRequest::euclidean(tag, a, b, rng.gen(), last)
                             };
-                            pass.push_request(request.clone());
+                            pass.build_owned(|requests| {
+                                requests.push(request.clone());
+                                1
+                            });
                             expected.push(request);
                         }
                     }

@@ -19,11 +19,12 @@
 //!   [`KnnEngine::k_nearest`], [`HierarchicalSearch::radius_queries`]), each dispatchable as
 //!   the scalar register-accurate reference, a batched wavefront, a thread-parallel sharding or
 //!   a fused multi-kind run — bit-identical outputs and statistics across all modes,
-//! * [`BatchQuery`] / [`StreamRunner`] / [`FusedScheduler`] — the generic batched query engine:
-//!   one scheduler (active-set management, pooled per-item state, bulk beat dispatch) that every
-//!   query kind — closest-hit, any-hit/shadow, rendering, candidate collection, distance
-//!   scoring — instantiates with its own per-item state machine, running one stream alone (the
-//!   wavefront) or merging heterogeneous [`FusedStream`]s into shared bulk passes, with a
+//! * [`FusedScheduler`] / [`FusedStream`] — the generic batched query engine: one scheduler
+//!   (active-set management, pooled per-item state, bulk beat dispatch) that every query kind —
+//!   closest-hit, any-hit/shadow, rendering, candidate collection, distance scoring — drives
+//!   with its own per-item state machine ([`TraversalStream`], [`DistanceStream`],
+//!   [`CollectStream`]), filling each pass with one stream's segment (the wavefront) or merging
+//!   heterogeneous streams into shared bulk passes, with a
 //!   per-stream **beat budget** admission policy ([`ExecPolicy::beat_budget_per_stream`])
 //!   modelling QoS between concurrent workloads,
 //! * [`TraversalEngine`] — closest-hit and any-hit/shadow traversal behind one policy-driven
@@ -80,13 +81,11 @@ mod traversal;
 pub use beat::{BeatPass, BeatTables};
 pub use bvh::{Bvh4, Bvh4Node, ChildRef, Primitive};
 pub use error::{PartialResult, QueryError, QueryOutcome, SceneValidator};
-pub use hierarchical::{CollectStream, CollectWork, HierarchicalSearch, HierarchicalStats};
+pub use hierarchical::{CollectStream, HierarchicalSearch, HierarchicalStats};
 pub use knn::{select_k_nearest, DistanceStream, KnnEngine, KnnMetric, KnnStats, Neighbor};
-pub use parallel::{
-    default_parallelism, PoolStats, CHUNKS_PER_WORKER, MIN_ANY_RAYS_PER_SHARD, MIN_RAYS_PER_SHARD,
-};
+pub use parallel::{default_parallelism, PoolStats, CHUNKS_PER_WORKER, MIN_RAYS_PER_SHARD};
 pub use policy::{AdmissionOrder, CoherenceMode, ExecMode, ExecPolicy, ShardHint};
-pub use query::{BatchQuery, CappedFusedRun, FusedScheduler, FusedStream, QueryKind, StreamRunner};
+pub use query::{CappedFusedRun, FusedScheduler, FusedStream, QueryKind};
 pub use renderer::{
     default_light_dir, extract_surfels, shade, shade_deferred, Camera, CameraBasis, FrameDesc,
     Image, RenderPasses, Renderer,

@@ -62,7 +62,7 @@ use rayflex_core::PipelineConfig;
 use rayflex_geometry::Ray;
 
 use crate::fault;
-use crate::policy::{ExecMode, ExecPolicy, ShardHint};
+use crate::policy::{ExecMode, ExecPolicy};
 use crate::scene::SceneView;
 use crate::traversal::{TraceOutput, TraceRequest, TraversalEngine, TraversalStats};
 
@@ -214,15 +214,6 @@ fn lock_queue(queue: &Mutex<VecDeque<usize>>) -> std::sync::MutexGuard<'_, VecDe
 /// wins (measured on the PR 1 baseline scenes).
 pub const MIN_RAYS_PER_SHARD: usize = 256;
 
-/// Stream-aware chunk floor for **any-hit/shadow** streams
-/// ([`ShardHint::Auto`](crate::ShardHint::Auto) only): shadow rays retire on their first
-/// accepted hit, so on occluded workloads an any-hit ray costs a fraction of the beats of a
-/// closest-hit ray — its per-ray retirement rate is roughly twice the closest-hit stream's on
-/// the benchmark scenes.  Halving the chunk floor keeps any-hit chunk *work* (not ray count)
-/// near the closest-hit floor, yielding more, finer chunks for the stealing pool to balance.
-/// Chunk planning never touches outputs or [`TraversalStats`] — only [`PoolStats`] moves.
-pub const MIN_ANY_RAYS_PER_SHARD: usize = MIN_RAYS_PER_SHARD / 2;
-
 /// Default worker count: the machine's available parallelism, or 4 if it cannot be queried.
 #[must_use]
 pub fn default_parallelism() -> usize {
@@ -343,21 +334,14 @@ pub(crate) fn fused_pair_sharded_checked(
     let worker = ExecPolicy::wavefront()
         .with_simd_lanes(policy.simd_lanes)
         .with_coherence(policy.coherence);
-    // Stream-aware plan: each stream is chunked independently against the same worker budget,
-    // closest chunks first.  Chunk indices — the identity `fault::shard_checkpoint` sees — are
-    // fixed by this plan, not by which worker steals what.  Under
-    // [`ShardHint::Auto`] the any-hit stream plans against its smaller
-    // retirement-rate-derived floor.
-    let any_floor = if shards == ShardHint::Auto {
-        MIN_ANY_RAYS_PER_SHARD
-    } else {
-        MIN_RAYS_PER_SHARD
-    };
+    // Stream-aware plan: each stream is chunked independently against the same worker budget
+    // and chunk floor, closest chunks first.  Chunk indices — the identity
+    // `fault::shard_checkpoint` sees — are fixed by this plan, not by which worker steals what.
     let chunks: Vec<PairChunk> = chunk_ranges(closest_rays.len(), threads, MIN_RAYS_PER_SHARD)
         .into_iter()
         .map(PairChunk::Closest)
         .chain(
-            chunk_ranges(any_rays.len(), threads, any_floor)
+            chunk_ranges(any_rays.len(), threads, MIN_RAYS_PER_SHARD)
                 .into_iter()
                 .map(PairChunk::Any),
         )

@@ -152,7 +152,7 @@ impl core::fmt::Display for AdmissionOrder {
 /// | Mode | Dispatch | Models |
 /// |---|---|---|
 /// | [`ScalarReference`](ExecMode::ScalarReference) | one emulated beat at a time | the register-accurate reference |
-/// | [`Wavefront`](ExecMode::Wavefront) | bulk single-kind passes, one stream at a time | one RT unit, one query kind in flight |
+/// | [`Wavefront`](ExecMode::Wavefront) | bulk passes of one stream's segment each, streams drained in turn | one RT unit, one query kind in flight |
 /// | [`Parallel`](ExecMode::Parallel) | sharded worker threads | several RT units side by side |
 /// | [`Fused`](ExecMode::Fused) | shared mixed-kind bulk passes | one unified RT unit time-multiplexing kinds |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -161,8 +161,10 @@ pub enum ExecMode {
     /// emulated datapath.  Slow, and the semantic anchor every other mode is pinned against.
     ScalarReference,
     /// The batched wavefront: the whole stream stays in flight and each pass dispatches one bulk
-    /// batch of beats through the fast model; a request's streams run one after another
-    /// (closest-hit first).  The single-threaded throughput mode.
+    /// batch of beats through the fast model.  Each pass carries the segment of the first of a
+    /// request's streams, in admission order, that still builds beats, so the streams drain one
+    /// after another (closest-hit first, unless stream deadlines order them otherwise).  The
+    /// single-threaded throughput mode.
     #[default]
     Wavefront,
     /// The wavefront sharded across worker threads, each worker a private datapath.  Per-shard

@@ -6,29 +6,32 @@
 //! closest-hit rays, any-hit/shadow rays, primary-ray rendering, candidate collection and
 //! distance scoring — so it lives here once, in three pieces:
 //!
-//! * [`BatchQuery`] — the per-item state machine a query kind implements: how to initialise an
-//!   item, which beats it wants next (as [`BeatPass`] descriptors, see `crate::beat`), how a
-//!   response advances it, and what it yields when it retires;
-//! * [`StreamRunner`] — one query plus its per-item states for one run, driving the item
-//!   protocol behind the type-erased [`FusedStream`] face: coherent admission, admission-slot
-//!   addressing, opcode bucketing and budget-capped pass segments;
+//! * `BatchQuery` — the crate-internal per-item state machine a query kind implements: how to
+//!   initialise an item, which beats it wants next (as [`BeatPass`] descriptors resolving
+//!   against the query's [`BeatTables`], see `crate::beat`), how a response advances it, and
+//!   what it yields when it retires;
+//! * `StreamRunner` — one query plus its per-item states for one run, driving the item
+//!   protocol behind the type-erased [`FusedStream`] face (the public traversal, distance and
+//!   collection streams wrap one): coherent admission, opcode bucketing and budget-capped pass
+//!   segments, every item addressed by its admission slot;
 //! * [`FusedScheduler`] — merges the pass segments of any number of streams into shared bulk
 //!   passes over one datapath and demuxes the responses back per stream: each response window
 //!   resolves every stream's [`BeatTables`] once, and a fetch stage touches the pass's node and
 //!   leaf operands ahead of the lane kernels (see `crate::beat`).
 //!
-//! A stream run alone at budget 0 is the classic wavefront
-//! ([`ExecMode::Wavefront`](crate::ExecMode::Wavefront)); several streams in one run are the
-//! fused discipline ([`ExecMode::Fused`](crate::ExecMode::Fused)).  The engines keep each
-//! runner's buffers in a reusable arena between runs, so a steady-state stream performs no
-//! per-item allocation.  Because the runner preserves each item's own beat order (an item's
-//! beats are built in sequence, and the beats an item appends within one pass stay adjacent in
-//! the batch), every query kind retains the semantics — and, where a scalar reference exists,
-//! the bit-identical results and statistics — of its scalar drive loop.
+//! Each execution mode is a discipline of the scheduler's one pass loop: the wavefront
+//! ([`ExecMode::Wavefront`](crate::ExecMode::Wavefront)) fills each pass with one stream's
+//! segment, draining the streams in admission order; the fused discipline
+//! ([`ExecMode::Fused`](crate::ExecMode::Fused)) merges every stream's segment into each pass.
+//! The engines keep each runner's buffers in a reusable arena between runs, so a steady-state
+//! stream performs no per-item allocation.  Because the runner preserves each item's own beat
+//! order (an item's beats are built in sequence, and the beats an item appends within one pass
+//! stay adjacent in the batch), every query kind retains the semantics — and, where a scalar
+//! reference exists, the bit-identical results and statistics — of its scalar drive loop.
 //!
 //! Multi-beat accumulator jobs (the Euclidean/cosine distance operations) are safe under
 //! interleaving *between* items precisely because of that adjacency guarantee: a distance query
-//! appends all beats of one candidate in a single [`BatchQuery::build`] call, so the shared
+//! appends all beats of one candidate in a single `BatchQuery::build` call, so the shared
 //! accumulator sees each candidate's beat train contiguously and resets at its end, no matter
 //! how many unrelated items share the pass.
 //!
@@ -60,7 +63,7 @@ pub use rayflex_core::QueryKind;
 /// Implementations update their own statistics (beat counts, node visits) inside `build`, which
 /// keeps the per-item beat accounting identical to a scalar drive loop that issues the same
 /// beats.
-pub trait BatchQuery {
+pub(crate) trait BatchQuery {
     /// Pooled per-item state.  `Default` provides the blank state the pool grows with; `reset`
     /// must fully re-initialise recycled states.
     type State: Default;
@@ -76,17 +79,13 @@ pub trait BatchQuery {
     /// Re-initialises a pooled state for `item`.
     fn reset(&mut self, item: usize, state: &mut Self::State);
 
-    /// Appends the item's next beat(s) to `out` and returns `true`, or returns `false` (having
-    /// appended nothing) to retire the item.  A query outside this crate appends owned beats
-    /// ([`BeatPass::push_request`]); the crate's own queries append descriptors that
-    /// resolve against [`BatchQuery::tables`].
+    /// Appends the item's next beat(s) to `out` as descriptors resolving against
+    /// [`BatchQuery::tables`] and returns `true`, or returns `false` (having appended nothing)
+    /// to retire the item.
     fn build(&mut self, item: usize, state: &mut Self::State, out: &mut BeatPass) -> bool;
 
-    /// The tables this query's beat descriptors resolve against; none (the default) when every
-    /// beat it builds is owned.
-    fn tables(&self) -> BeatTables<'_> {
-        BeatTables::default()
-    }
+    /// The tables this query's beat descriptors resolve against.
+    fn tables(&self) -> BeatTables<'_>;
 
     /// Applies one response to a beat this item appended.
     fn apply(&mut self, item: usize, state: &mut Self::State, response: &RayFlexResponse);
@@ -106,26 +105,26 @@ pub trait BatchQuery {
     }
 
     /// Called once per run after coherent admission ordered the items (`order[slot] = item`, a
-    /// permutation of `0..items()`): the query may physically gather its per-item operand tables
-    /// into admission order and return `true`, after which the scheduler addresses `reset` /
-    /// `build` / `apply` / `finish` by **admission slot** instead of item index.  The scheduler
-    /// still reassembles outputs in item order, so opting in changes nothing observable — it
-    /// merely turns the sorted run's per-item table walks sequential (the scheduler iterates
-    /// slots in ascending order), instead of striding randomly through item-indexed storage.
+    /// permutation of `0..items()`), before any item is reset.  The scheduler addresses
+    /// `reset` / `build` / `apply` / `finish` by **admission slot**, so a query whose
+    /// [`BatchQuery::sort_key`] is not the identity **must** gather its per-item tables into
+    /// admission order here (slot `s` then names item `order[s]`); the scheduler reassembles
+    /// outputs in item order.  The gather turns a sorted run's per-item table walks sequential
+    /// (the scheduler iterates slots in ascending order).
     ///
-    /// The default keeps item addressing, which is correct for every query; only queries with a
-    /// non-identity [`BatchQuery::sort_key`] gain anything by opting in.  Never called when
-    /// admission order is the identity (coherence off, or fewer than two items).
-    fn reorder(&mut self, order: &[usize]) -> bool {
+    /// The default gathers nothing, which is correct exactly for identity keys: their admission
+    /// order is the identity, so every slot is its item.  Never called when admission order is
+    /// the identity by construction (coherence off, or fewer than two items).
+    fn reorder(&mut self, order: &[usize]) {
         let _ = order;
-        false
     }
 }
 
 /// Progress report of a deadline-capped fused run ([`FusedScheduler::run_capped`], or a
 /// capped policy run of any discipline): how many beats the run spent and whether every
-/// stream drained.  A cancelled run leaves its streams mid-flight; extract each stream's
-/// completed prefix with [`StreamRunner::finish_partial`].
+/// stream drained.  A cancelled run leaves its streams mid-flight; extract a traversal
+/// stream's completed prefix with
+/// [`TraversalStream::finish_partial`](crate::TraversalStream::finish_partial).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CappedFusedRun {
     /// Beats the run dispatched before finishing or cancelling.
@@ -144,9 +143,10 @@ pub(crate) fn remaining_beats(cap: u64, spent: u64) -> Option<u64> {
     }
 }
 
-/// A type-erased query stream inside a fused run: the object-safe face of a
-/// [`StreamRunner`], which is how heterogeneous [`BatchQuery`] implementations (different state
-/// and output types) share one [`FusedScheduler`] pass schedule.
+/// A type-erased query stream inside a fused run — the face of a
+/// [`TraversalStream`](crate::TraversalStream), [`DistanceStream`](crate::DistanceStream) or
+/// [`CollectStream`](crate::CollectStream) — which is how query kinds with different per-item
+/// state and output types share one [`FusedScheduler`] pass schedule.
 ///
 /// The scheduler drives the protocol: [`FusedStream::start`] once, then per pass one
 /// [`FusedStream::build_beats`] (append this stream's beats for the pass, returning how many)
@@ -268,13 +268,11 @@ impl<S> RunnerArena<S> {
 /// [`StreamRunner::finish`] yields the query back (for its statistics) together with one output
 /// per item.
 #[derive(Debug)]
-pub struct StreamRunner<Q: BatchQuery> {
+pub(crate) struct StreamRunner<Q: BatchQuery> {
     query: Q,
     arena: RunnerArena<Q::State>,
     /// Items of the current run (`query.items()` when it started).
     items: usize,
-    /// Whether the query opted into admission-slot addressing (see [`BatchQuery::reorder`]).
-    slot_addressed: bool,
     /// Whether all-triangle trains stay where they are built (box trains are set aside) or
     /// the other way round: set per pass to whichever class dominated the previous one, so
     /// the move-out copy lands on the minority.
@@ -303,7 +301,6 @@ impl<Q: BatchQuery> StreamRunner<Q> {
             query,
             arena,
             items: 0,
-            slot_addressed: false,
             triangles_stay: false,
             lone: false,
             applied: (0, 0),
@@ -351,8 +348,7 @@ impl<Q: BatchQuery> StreamRunner<Q> {
         (0..prefix)
             .map(|item| {
                 let slot = arena.slot_of[item];
-                let index = if self.slot_addressed { slot } else { item };
-                self.query.finish(index, &mut arena.states[slot])
+                self.query.finish(slot, &mut arena.states[slot])
             })
             .collect()
     }
@@ -415,7 +411,6 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
         // output-identical — only which pass slot an item occupies moves.
         arena.order.clear();
         arena.order.extend(0..items);
-        self.slot_addressed = false;
         if self.coherence != CoherenceMode::Off && items > 1 {
             arena.keys.clear();
             let query = &self.query;
@@ -424,7 +419,7 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
                 .extend((0..items).map(|item| query.sort_key(item)));
             let keys = &arena.keys;
             arena.order.sort_unstable_by_key(|&item| (keys[item], item));
-            self.slot_addressed = self.query.reorder(&arena.order);
+            self.query.reorder(&arena.order);
         }
         arena.slot_of.clear();
         arena.slot_of.resize(items, 0);
@@ -434,13 +429,8 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
         if arena.states.len() < items {
             arena.states.resize_with(items, Q::State::default);
         }
-        for slot in 0..items {
-            let index = if self.slot_addressed {
-                slot
-            } else {
-                arena.order[slot]
-            };
-            self.query.reset(index, &mut arena.states[slot]);
+        for (slot, state) in arena.states[..items].iter_mut().enumerate() {
+            self.query.reset(slot, state);
         }
         arena.active.clear();
         arena.active.extend(0..items);
@@ -495,19 +485,14 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
                 break;
             }
             let slot = arena.active[processed];
-            let index = if self.slot_addressed {
-                slot
-            } else {
-                arena.order[slot]
-            };
             let before = pass.len();
-            let built = self.query.build(index, &mut arena.states[slot], pass);
+            let built = self.query.build(slot, &mut arena.states[slot], pass);
             let out = pass.beats_mut();
             if built {
                 let beats = out.len() - before;
                 debug_assert!(
                     beats > 0,
-                    "{} stream item {index} stayed active without appending a beat",
+                    "{} stream slot {slot} stayed active without appending a beat",
                     self.query.kind()
                 );
                 // Opcode bucketing ([`CoherenceMode::SortAndCompact`]): the segment closes as
@@ -534,7 +519,7 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
                 debug_assert_eq!(
                     out.len(),
                     before,
-                    "{} stream item {index} appended beats while retiring",
+                    "{} stream slot {slot} appended beats while retiring",
                     self.query.kind()
                 );
             }
@@ -574,14 +559,9 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
         let (mut span, mut applied) = self.applied;
         while !responses.is_empty() {
             let (slot, beats) = arena.spans[span];
-            let index = if self.slot_addressed {
-                slot
-            } else {
-                arena.order[slot]
-            };
             let take = (beats - applied).min(responses.len());
             for response in &responses[..take] {
-                self.query.apply(index, &mut arena.states[slot], response);
+                self.query.apply(slot, &mut arena.states[slot], response);
             }
             responses = &responses[take..];
             applied += take;
@@ -798,8 +778,8 @@ impl FusedScheduler {
     }
 
     /// Runs every stream to completion against `datapath`, merging their beats into shared bulk
-    /// passes.  After this returns, each [`StreamRunner`] holds its finished items; call
-    /// [`StreamRunner::finish`] to extract the outputs.
+    /// passes.  After this returns, each stream holds its finished items; extract the outputs
+    /// with its own `finish` ([`TraversalStream::finish`](crate::TraversalStream::finish), say).
     ///
     /// # Panics
     ///
@@ -812,7 +792,8 @@ impl FusedScheduler {
     /// Runs the streams like [`FusedScheduler::run`], but cooperatively cancels at the first
     /// shared-pass boundary where the run has spent at least `max_total_beats` datapath beats
     /// (`0` disables the cap).  The first pass always executes; a cancelled run leaves streams
-    /// mid-flight — extract each stream's completed prefix with [`StreamRunner::finish_partial`].
+    /// mid-flight — extract a traversal stream's completed prefix with
+    /// [`TraversalStream::finish_partial`](crate::TraversalStream::finish_partial).
     ///
     /// # Panics
     ///
@@ -823,7 +804,7 @@ impl FusedScheduler {
         streams: &mut [&mut dyn FusedStream],
         max_total_beats: u64,
     ) -> CappedFusedRun {
-        self.run_passes(datapath, streams, max_total_beats, false)
+        self.run_passes(datapath, streams, max_total_beats, ExecMode::Fused)
     }
 
     /// The scalar round-robin reference mode of [`FusedScheduler::run`]: the same pass schedule
@@ -845,26 +826,29 @@ impl FusedScheduler {
         datapath: &mut RayFlexDatapath,
         streams: &mut [&mut dyn FusedStream],
     ) {
-        let progress = self.run_passes(datapath, streams, 0, true);
+        let progress = self.run_passes(datapath, streams, 0, ExecMode::ScalarReference);
         debug_assert!(
             progress.complete,
             "an uncapped reference run always completes"
         );
     }
 
-    /// The one pass loop of every discipline: each pass, every stream appends its
-    /// (budget-limited) segment of descriptors in admission order, then the pass dispatches in
-    /// response windows ([`FusedScheduler::dispatch_windows`]) — on the fast model, or, for
-    /// the scalar `reference` discipline, beat by beat through the emulated path.  Cancels at
-    /// the first pass boundary where at least `max_total_beats` beats are spent (`0` = no
-    /// cap).
+    /// The one pass loop of every discipline: each pass, the streams append their
+    /// (budget-limited) segments of descriptors in admission order, then the pass dispatches in
+    /// response windows ([`FusedScheduler::dispatch_windows`]) — on the fast model, or, under
+    /// [`ExecMode::ScalarReference`], beat by beat through the emulated path.  Under
+    /// [`ExecMode::Wavefront`] a pass takes the segment of the first stream that builds beats
+    /// and no other, so the streams drain one after another; every other `mode` merges every
+    /// stream's segment into each pass.  Cancels at the first pass boundary where at least
+    /// `max_total_beats` beats are spent (`0` = no cap).
     fn run_passes(
         &mut self,
         datapath: &mut RayFlexDatapath,
         streams: &mut [&mut dyn FusedStream],
         max_total_beats: u64,
-        reference: bool,
+        mode: ExecMode,
     ) -> CappedFusedRun {
+        let one_stream_per_pass = mode == ExecMode::Wavefront;
         for stream in streams.iter_mut() {
             stream.start();
         }
@@ -893,6 +877,9 @@ impl FusedScheduler {
                 let beats = stream.build_beats(&mut self.pass, self.beat_budget_per_stream);
                 self.segments.push((stream.kind(), beats));
                 self.stream_passes[index] += u64::from(beats > 0);
+                if one_stream_per_pass && beats > 0 {
+                    break;
+                }
             }
             if self.pass.is_empty() {
                 // Every remaining item retired during the build (beatless drains exist — a
@@ -901,7 +888,7 @@ impl FusedScheduler {
             }
             self.last_run_passes += 1;
             beats_spent += self.pass.len() as u64;
-            self.dispatch_windows(datapath, streams, reference);
+            self.dispatch_windows(datapath, streams, mode == ExecMode::ScalarReference);
         }
         CappedFusedRun {
             beats: beats_spent,
@@ -978,8 +965,10 @@ impl FusedScheduler {
     /// Runs `streams` the way `policy` dispatches them, capped at `max_total_beats` (`0` =
     /// uncapped): the per-stream beat budget is a [`ExecMode::Fused`] knob (every other mode
     /// runs at budget 0), [`ExecMode::ScalarReference`] executes beat by beat as
-    /// [`FusedScheduler::run_reference`] does and every other mode in bulk, and the
-    /// admission order is the policy's.  Stream deadlines are the caller's to register.
+    /// [`FusedScheduler::run_reference`] does and every other mode in bulk,
+    /// [`ExecMode::Wavefront`] fills each pass with one stream's segment alone (see
+    /// [`FusedScheduler::run_passes`]), and the admission order is the policy's.  Stream
+    /// deadlines are the caller's to register.
     pub(crate) fn run_policy(
         &mut self,
         datapath: &mut RayFlexDatapath,
@@ -993,8 +982,7 @@ impl FusedScheduler {
             0
         });
         self.set_admission_order(policy.admission_order);
-        let reference = policy.mode == ExecMode::ScalarReference;
-        self.run_passes(datapath, streams, max_total_beats, reference)
+        self.run_passes(datapath, streams, max_total_beats, policy.mode)
     }
 }
 
@@ -1028,16 +1016,17 @@ fn recycle<T, U>(mut buffer: Vec<T>) -> Vec<U> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayflex_core::PipelineConfig;
+    use rayflex_core::{PipelineConfig, RayOperand};
     use rayflex_geometry::{Aabb, Ray, Vec3};
 
-    /// A toy query: each item tests its ray against one box per pass, for `rounds` passes, and
-    /// counts hits.
+    /// A toy query: each item tests its ray against one box per pass, for its own number of
+    /// rounds, and counts hits.  Its beats are descriptors over the pass's owned bounds, the
+    /// ray from the query's operand table.
     struct CountingQuery {
         kind: QueryKind,
-        rays: Vec<Ray>,
+        rays: Vec<RayOperand>,
         boxes: [Aabb; 4],
-        rounds: usize,
+        rounds: Vec<usize>,
         built: usize,
     }
 
@@ -1059,8 +1048,8 @@ mod tests {
             self.rays.len()
         }
 
-        fn reset(&mut self, _item: usize, state: &mut CountingState) {
-            state.remaining = self.rounds;
+        fn reset(&mut self, item: usize, state: &mut CountingState) {
+            state.remaining = self.rounds[item];
             state.hits = 0;
         }
 
@@ -1070,12 +1059,12 @@ mod tests {
             }
             state.remaining -= 1;
             self.built += 1;
-            out.push_request(RayFlexRequest::ray_box(
-                item as u64,
-                &self.rays[item],
-                &self.boxes,
-            ));
+            out.push_boxes(item, item as u64, self.boxes);
             true
+        }
+
+        fn tables(&self) -> BeatTables<'_> {
+            BeatTables::new(&[], &[], &self.rays)
         }
 
         fn apply(&mut self, _item: usize, state: &mut CountingState, response: &RayFlexResponse) {
@@ -1095,16 +1084,25 @@ mod tests {
     fn toy_query_of_kind(kind: QueryKind, rays: usize, rounds: usize) -> CountingQuery {
         CountingQuery {
             kind,
-            rays: (0..rays)
+            ..staggered_query(&vec![rounds; rays])
+        }
+    }
+
+    /// A toy query whose items run `rounds[item]` rounds, so items retire on different passes —
+    /// the shape a capped run needs to expose a nontrivial retired prefix.
+    fn staggered_query(rounds: &[usize]) -> CountingQuery {
+        CountingQuery {
+            kind: QueryKind::ClosestHit,
+            rays: (0..rounds.len())
                 .map(|i| {
-                    Ray::new(
+                    RayOperand::from_ray(&Ray::new(
                         Vec3::new(i as f32 * 0.1, 0.0, -5.0),
                         Vec3::new(0.0, 0.0, 1.0),
-                    )
+                    ))
                 })
                 .collect(),
             boxes: [Aabb::new(Vec3::splat(-2.0), Vec3::splat(2.0)); 4],
-            rounds,
+            rounds: rounds.to_vec(),
             built: 0,
         }
     }
@@ -1165,69 +1163,6 @@ mod tests {
             QueryKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), QueryKind::ALL.len());
         assert_eq!(QueryKind::AnyHit.to_string(), "any-hit");
-    }
-
-    /// Like the toy query but with a per-item round count, so items retire on different passes —
-    /// the shape a capped run needs to expose a nontrivial retired prefix.
-    struct StaggeredQuery {
-        rays: Vec<Ray>,
-        boxes: [Aabb; 4],
-        rounds: Vec<usize>,
-    }
-
-    impl BatchQuery for StaggeredQuery {
-        type State = CountingState;
-        type Output = usize;
-
-        fn kind(&self) -> QueryKind {
-            QueryKind::ClosestHit
-        }
-
-        fn items(&self) -> usize {
-            self.rays.len()
-        }
-
-        fn reset(&mut self, item: usize, state: &mut CountingState) {
-            state.remaining = self.rounds[item];
-            state.hits = 0;
-        }
-
-        fn build(&mut self, item: usize, state: &mut CountingState, out: &mut BeatPass) -> bool {
-            if state.remaining == 0 {
-                return false;
-            }
-            state.remaining -= 1;
-            out.push_request(RayFlexRequest::ray_box(
-                item as u64,
-                &self.rays[item],
-                &self.boxes,
-            ));
-            true
-        }
-
-        fn apply(&mut self, _item: usize, state: &mut CountingState, response: &RayFlexResponse) {
-            let result = response.box_result.expect("box beat");
-            state.hits += usize::from(result.hit[0]);
-        }
-
-        fn finish(&mut self, _item: usize, state: &mut CountingState) -> usize {
-            state.hits
-        }
-    }
-
-    fn staggered_query(rounds: &[usize]) -> StaggeredQuery {
-        StaggeredQuery {
-            rays: (0..rounds.len())
-                .map(|i| {
-                    Ray::new(
-                        Vec3::new(i as f32 * 0.1, 0.0, -5.0),
-                        Vec3::new(0.0, 0.0, 1.0),
-                    )
-                })
-                .collect(),
-            boxes: [Aabb::new(Vec3::splat(-2.0), Vec3::splat(2.0)); 4],
-            rounds: rounds.to_vec(),
-        }
     }
 
     #[test]

@@ -86,10 +86,10 @@ impl RtUnitConfig {
     /// Estimates the cycles the modelled RT unit needs to trace `request` — closest-hit rays
     /// first, then any-hit rays, against a flat or instanced scene.
     ///
-    /// Each ray's transaction count is its beat count under the scalar reference walk (read as
-    /// the [`TraversalEngine::stats`] delta of a one-ray trace); a ray that issues no beat — an
-    /// empty scene — still costs one transaction.  Every policy issues the same beats per ray,
-    /// so the estimate does not depend on how the request is executed elsewhere.
+    /// Each ray's transaction count is its beat count, read as the [`TraversalEngine::stats`]
+    /// delta of a one-ray wavefront trace on one engine; a ray that issues no beat — an empty
+    /// scene — still costs one transaction.  Every policy issues the same beats per ray, so the
+    /// estimate does not depend on how the request is executed elsewhere.
     #[must_use]
     pub fn estimate(&self, request: &TraceRequest<'_>) -> RtUnitStats {
         let view = request.view();
@@ -106,7 +106,7 @@ impl RtUnitConfig {
             );
         let transactions = one_ray_requests.map(|one_ray| {
             let before = engine.stats().total_ops();
-            let _ = engine.trace(&one_ray, &ExecPolicy::scalar());
+            let _ = engine.trace(&one_ray, &ExecPolicy::wavefront());
             (engine.stats().total_ops() - before).max(1)
         });
         let mut stats = self.schedule(transactions);

@@ -8,13 +8,13 @@
 //!   schedule below, but executes every beat alone on the register-accurate emulated path — the
 //!   reference every other mode is tested against;
 //! * [`ExecMode::Wavefront`](crate::ExecMode::Wavefront) keeps each whole ray stream in flight
-//!   through the generic [`FusedScheduler`], one stream at a time: every pass builds one beat
-//!   train per active ray into a reusable pass of 16-byte beat descriptors, dispatches it in
-//!   bulk — the kernels fetch each beat's ray from the stream's operand table and its boxes or
-//!   triangle straight from the scene — and applies the responses to the per-ray states as
-//!   they stream back.  Per-ray
-//!   state (traversal stack, pending leaf range) lives in the engine's reusable arenas, so a
-//!   steady-state stream performs no allocation per ray;
+//!   through the generic [`FusedScheduler`], each pass carrying one stream's segment alone
+//!   (closest-hit first): every pass builds one beat train per active ray into a reusable pass
+//!   of 16-byte beat descriptors, dispatches it in bulk — the kernels fetch each beat's ray from
+//!   the stream's operand table and its boxes or triangle straight from the scene — and applies
+//!   the responses to the per-ray states as they stream back.  Per-ray state (traversal stack,
+//!   pending leaf range) lives in the engine's reusable arenas, so a steady-state stream
+//!   performs no allocation per ray;
 //! * [`ExecMode::Fused`](crate::ExecMode::Fused) runs the request's closest-hit and any-hit
 //!   streams through the same scheduler together, in **shared mixed-kind bulk passes** over the
 //!   engine's single datapath (the unified RT unit of §V-A), honouring the policy's per-stream
@@ -29,7 +29,7 @@
 //! different rays (and, fused, of different query kinds).
 //!
 //! The traversal queries are two instantiations ([`QueryKind::ClosestHit`] and
-//! [`QueryKind::AnyHit`]) of the [`BatchQuery`] state machine; the renderer and the k-NN /
+//! [`QueryKind::AnyHit`]) of the crate's per-item query state machine; the renderer and the k-NN /
 //! hierarchical engines run their own kinds through the same scheduler under the same policies.
 
 use core::ops::Range;
@@ -42,8 +42,7 @@ use crate::bvh::ChildRef;
 use crate::error::{validate_rays, QueryError, QueryOutcome, SceneValidator};
 use crate::policy::{CoherenceMode, ExecMode, ExecPolicy};
 use crate::query::{
-    remaining_beats, BatchQuery, CappedFusedRun, FusedScheduler, QueryKind, RunnerArena,
-    StreamRunner,
+    BatchQuery, CappedFusedRun, FusedScheduler, QueryKind, RunnerArena, StreamRunner,
 };
 use crate::scene::{handle, handle_low, BoxBounds, NodeStep, Scene, SceneView};
 
@@ -300,8 +299,8 @@ struct TraversalQuery<'a> {
     rays: &'a [Ray],
     /// One prebuilt datapath operand per ray — the operand table the stream's beat descriptors
     /// name by slot, so a beat carries no copy of its ray.  Indexed by item until
-    /// [`BatchQuery::reorder`] rebuilds it in admission order, after which the scheduler
-    /// addresses the query by admission slot and every access here is sequential.
+    /// [`BatchQuery::reorder`] rebuilds it in admission order; the scheduler addresses the
+    /// query by admission slot, so every access here is sequential.
     operands: Vec<RayOperand>,
     stats: TraversalStats,
 }
@@ -434,21 +433,20 @@ impl BatchQuery for TraversalQuery<'_> {
         self.operands[item].coherence_key()
     }
 
-    /// Rebuilds the operand table in admission order, switching the query to admission-slot
-    /// addressing: a sorted run's build/apply loops then walk `operands` sequentially instead of
-    /// striding through it in item order.  The item-order table has served its one purpose (the
-    /// sort keys), and an operand is a plain copy of its ray's fields, so the rebuild needs no
+    /// Rebuilds the operand table in admission order, as the scheduler's admission-slot
+    /// addressing requires of a non-identity key: a sorted run's build/apply loops then walk
+    /// `operands` sequentially.  The item-order table has served its one purpose (the sort
+    /// keys), and an operand is a plain copy of its ray's fields, so the rebuild needs no
     /// second buffer.  Everything else the query touches is either shared and read-only (the
     /// scene view), owned by the addressed state (stack, pending, best hit), or an
     /// order-insensitive aggregate (the statistics), so slot addressing is output-exact.
-    fn reorder(&mut self, order: &[usize]) -> bool {
+    fn reorder(&mut self, order: &[usize]) {
         self.operands.clear();
         self.operands.extend(
             order
                 .iter()
                 .map(|&item| RayOperand::from_ray(&self.rays[item])),
         );
-        true
     }
 
     fn reset(&mut self, _item: usize, state: &mut RayWork) {
@@ -482,10 +480,10 @@ impl BatchQuery for TraversalQuery<'_> {
             };
             let entry = handle(state.pending_ctx, position);
             // The parametric extent comes from the operand table (same values as the source
-            // ray's), so apply works under both item and admission-slot addressing.  The
-            // global-primitive decode happens only on an accepted hit — most triangle tests
-            // miss, and this is the hottest apply path in the engine.  Closest-hit keeps ties
-            // on the first-tested primitive (only a strictly closer hit replaces the best).
+            // ray's), indexed by admission slot.  The global-primitive decode happens only on
+            // an accepted hit — most triangle tests miss, and this is the hottest apply path in
+            // the engine.  Closest-hit keeps ties on the first-tested primitive (only a strictly
+            // closer hit replaces the best).
             let operand = &self.operands[item];
             match self.kind {
                 // Closest-hit: keep the nearest accepted hit, keep traversing.
@@ -667,9 +665,8 @@ pub struct TraversalEngine {
     /// The scheduler every mode runs its streams through (a sharded parallel run, on each
     /// worker's own engine).
     fused: FusedScheduler,
-    /// Reusable buffers of the request's two streams (the wavefront, running one stream at a
-    /// time, needs only the first), so a steady-state trace call allocates nothing but its
-    /// output.
+    /// Reusable buffers of the request's two streams (a single-kind request of either kind
+    /// uses only the first), so a steady-state trace call allocates nothing but its output.
     arenas: [TraversalArena; 2],
 }
 
@@ -730,8 +727,9 @@ impl TraversalEngine {
     ///
     /// * [`ExecMode::ScalarReference`] — both streams share the fused passes, but every beat
     ///   executes alone on the register-accurate emulated path;
-    /// * [`ExecMode::Wavefront`] — each stream runs alone as one bulk-dispatch wavefront through
-    ///   the engine's scheduler, closest-hit first;
+    /// * [`ExecMode::Wavefront`] — each pass carries one stream's segment alone as one bulk
+    ///   dispatch, so the streams drain one after another through the engine's scheduler,
+    ///   closest-hit first;
     /// * [`ExecMode::Fused`] — both streams merge into shared mixed-kind passes over this
     ///   engine's single datapath, with at most
     ///   [`beat_budget_per_stream`](ExecPolicy::beat_budget_per_stream) beats per stream per
@@ -894,84 +892,43 @@ impl TraversalEngine {
             stream.set_coherence(coherence);
             stream
         };
-        if policy.mode != ExecMode::Wavefront {
-            // Both streams in shared passes, each in its own arena (a stream whose partner is
-            // empty still fills its passes alone).  A lone any-hit stream borrows the first
-            // arena, as under the wavefront, so single-kind requests of either kind recycle one
-            // set of per-ray states.
-            let lone_any = request.closest.is_empty();
-            if lone_any {
-                self.arenas.swap(0, 1);
-            }
-            let [first, second] = core::mem::take(&mut self.arenas);
-            let mut closest = stream(
-                QueryKind::ClosestHit,
-                request.closest,
-                first,
-                request.any.is_empty(),
-            );
-            let mut any = stream(
-                QueryKind::AnyHit,
-                request.any,
-                second,
-                request.closest.is_empty(),
-            );
-            let progress = self.fused.run_policy(
-                &mut self.datapath,
-                &mut [&mut closest, &mut any],
-                policy,
-                cap,
-            );
-            let (closest, closest_stats, first) = closest.into_parts();
-            let (any, any_stats, second) = any.into_parts();
-            self.arenas = [first, second];
-            if lone_any {
-                self.arenas.swap(0, 1);
-            }
-            self.stats.merge(&closest_stats);
-            self.stats.merge(&any_stats);
-            return (TraceOutput { closest, any }, progress);
+        // Each stream runs in its own arena.  A stream fills its passes alone when its partner
+        // is empty, or under the wavefront, whose passes carry one stream's segment each.  A
+        // lone any-hit stream borrows the first arena, so single-kind requests of either kind
+        // recycle one set of per-ray states.
+        let wavefront = policy.mode == ExecMode::Wavefront;
+        let lone_any = request.closest.is_empty();
+        if lone_any {
+            self.arenas.swap(0, 1);
         }
-        // The wavefront runs one stream at a time, closest-hit first, so both share the first
-        // arena; the any-hit stream runs on what the closest-hit stream left of the cap.
-        let mut output = TraceOutput {
-            closest: Vec::new(),
-            any: Vec::new(),
-        };
-        let mut progress = CappedFusedRun {
-            beats: 0,
-            complete: true,
-        };
-        for (kind, rays) in [
-            (QueryKind::ClosestHit, request.closest),
-            (QueryKind::AnyHit, request.any),
-        ] {
-            if rays.is_empty() {
-                continue;
-            }
-            let Some(remaining) = remaining_beats(cap, progress.beats) else {
-                progress.complete = false;
-                break;
-            };
-            let mut alone = stream(kind, rays, core::mem::take(&mut self.arenas[0]), true);
-            let run =
-                self.fused
-                    .run_policy(&mut self.datapath, &mut [&mut alone], policy, remaining);
-            let (hits, stats, arena) = alone.into_parts();
-            self.arenas[0] = arena;
-            self.stats.merge(&stats);
-            if kind == QueryKind::ClosestHit {
-                output.closest = hits;
-            } else {
-                output.any = hits;
-            }
-            progress.beats += run.beats;
-            if !run.complete {
-                progress.complete = false;
-                break;
-            }
+        let [first, second] = core::mem::take(&mut self.arenas);
+        let mut closest = stream(
+            QueryKind::ClosestHit,
+            request.closest,
+            first,
+            wavefront || request.any.is_empty(),
+        );
+        let mut any = stream(
+            QueryKind::AnyHit,
+            request.any,
+            second,
+            wavefront || request.closest.is_empty(),
+        );
+        let progress = self.fused.run_policy(
+            &mut self.datapath,
+            &mut [&mut closest, &mut any],
+            policy,
+            cap,
+        );
+        let (closest, closest_stats, first) = closest.into_parts();
+        let (any, any_stats, second) = any.into_parts();
+        self.arenas = [first, second];
+        if lone_any {
+            self.arenas.swap(0, 1);
         }
-        (output, progress)
+        self.stats.merge(&closest_stats);
+        self.stats.merge(&any_stats);
+        (TraceOutput { closest, any }, progress)
     }
 
     /// Number of bulk passes the engine's most recent fused run dispatched (how a beat budget
@@ -1345,6 +1302,22 @@ mod tests {
         assert!(mix.kind_total(rayflex_core::QueryKind::AnyHit) > 0);
         assert!(mix.fused_passes() > 0, "streams shared at least one pass");
         assert_eq!(mix.total(), sequential.beat_mix().total());
+
+        // The wavefront pair keeps the pass structure of its two streams traced one after the
+        // other: no pass carries both kinds, and every pass, beat and lane slot matches.
+        let mut one_by_one = TraversalEngine::baseline();
+        let _ = one_by_one.trace(
+            &TraceRequest::closest_hit(&scene, &closest_rays),
+            &ExecPolicy::wavefront(),
+        );
+        let _ = one_by_one.trace(
+            &TraceRequest::any_hit(&scene, &any_rays),
+            &ExecPolicy::wavefront(),
+        );
+        let pair_mix = sequential.beat_mix();
+        assert_eq!(pair_mix, one_by_one.beat_mix());
+        assert_eq!(pair_mix.fused_passes(), 0, "no wavefront pass mixes kinds");
+        assert_eq!(sequential.last_fused_passes(), pair_mix.passes());
     }
 
     #[test]

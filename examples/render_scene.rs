@@ -10,9 +10,12 @@
 //! * `--mode scalar|wavefront|parallel|fused` — the execution policy every pass stream is
 //!   traced under (default `wavefront`); all modes render bit-identical frames, so the flag is
 //!   a live demonstration of the `ExecPolicy` invariant.
-//! * `--bounce` — adds the one-bounce mirror-reflection pass; under `--mode fused` its bounce
-//!   closest-hit stream and the shadow any-hit stream share bulk passes over one datapath, and
-//!   the example prints the per-kind beat mix the fusion produced.
+//! * `--bounce` — adds the one-bounce mirror-reflection pass, whose bounce closest-hit stream
+//!   and shadow any-hit stream are traced as one pair request; under `--mode fused` they share
+//!   bulk passes over one datapath, and the example prints the per-kind beat mix the fusion
+//!   produced.  The frame is cross-checked against the same frame rendered under the scalar
+//!   reference policy, and the example panics on the first differing pixel.  CI smokes this
+//!   path once per `--mode`.
 //! * `--instanced` — renders the lit scene as a two-level TLAS/BLAS scene (one BLAS, three
 //!   placed instances) instead of one flat BVH, and cross-checks that the instanced frame is
 //!   bit-identical to rendering `Scene::flatten()` of the same geometry.  CI smokes this path
@@ -163,17 +166,27 @@ fn main() {
     if bounce {
         passes = passes.with_bounce(0.35);
     }
-    let deferred = renderer.render(
-        &world,
-        &FrameDesc::deferred(camera, width, height, passes),
-        &policy,
-    );
+    let frame = FrameDesc::deferred(camera, width, height, passes);
+    let deferred = renderer.render(&world, &frame, &policy);
     if bounce {
         println!(
             "shadowed + AO + one-bounce reflection frame ({}):\n{}",
             policy.mode,
             deferred.to_ascii()
         );
+        // The pair request must render exactly as the scalar reference renders it.
+        let reference = Renderer::with_config(PipelineConfig::baseline_unified()).render(
+            &world,
+            &frame,
+            &ExecPolicy::scalar(),
+        );
+        assert_eq!(
+            deferred.first_mismatch(&reference),
+            None,
+            "{} bounce frame diverged from the scalar reference",
+            policy.mode
+        );
+        println!("bounce frame is bit-identical to the scalar-reference render");
         if mode == ExecMode::Fused {
             let mix = renderer.beat_mix();
             println!(
