@@ -65,14 +65,6 @@ impl HierarchicalStats {
         self.euclidean_beats += other.euclidean_beats;
         self.candidates_scored += other.candidates_scored;
     }
-
-    /// [`HierarchicalStats::merge`] as a value-returning combinator, for fold-style reductions.
-    /// Marked `#[must_use]` because dropping the result silently discards the merge.
-    #[must_use]
-    pub fn merged(mut self, other: &HierarchicalStats) -> Self {
-        self.merge(other);
-        self
-    }
 }
 
 /// Per-query state of a batched candidate-collection run: the inflation radius, the traversal

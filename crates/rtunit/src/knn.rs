@@ -69,14 +69,6 @@ impl KnnStats {
         self.beats += other.beats;
         self.candidates += other.candidates;
     }
-
-    /// [`KnnStats::merge`] as a value-returning combinator, for fold-style reductions.  Marked
-    /// `#[must_use]` because dropping the result silently discards the merge.
-    #[must_use]
-    pub fn merged(mut self, other: &KnnStats) -> Self {
-        self.merge(other);
-        self
-    }
 }
 
 /// Per-candidate state of a batched distance query.

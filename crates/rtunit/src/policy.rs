@@ -230,7 +230,8 @@ impl core::fmt::Display for ExecMode {
 }
 
 /// An execution policy: the [`ExecMode`] plus the fusion/fairness knobs, built builder-style and
-/// passed to every policy-taking entry point.
+/// passed to every policy-taking entry point, the engines' and
+/// [`FusedScheduler::run_policy`](crate::FusedScheduler::run_policy) alike.
 ///
 /// ```
 /// use rayflex_rtunit::{ExecMode, ExecPolicy};
@@ -248,8 +249,9 @@ pub struct ExecPolicy {
     /// shared pass.  `0` means unlimited (every active item builds each pass — the classic fused
     /// discipline); `1` means strict round-robin admission (one item's beat train per stream per
     /// pass).  A single item's beat train is never split across passes, so the last admitted
-    /// item may overshoot the budget by its train's tail.  Ignored by the other modes; outputs
-    /// and statistics are budget-invariant — only pass structure changes.
+    /// item may overshoot the budget by its train's tail.  Ignored by the other modes, which
+    /// the scheduler runs at budget 0; outputs and statistics are budget-invariant — only pass
+    /// structure changes.
     pub beat_budget_per_stream: usize,
     /// Deadline / cooperative-cancellation knob: the total datapath beats a single `try_*` call
     /// may spend before cancelling, or `0` (the default) for no deadline.
@@ -262,7 +264,9 @@ pub struct ExecPolicy {
     /// entry points ([`QueryOutcome::Partial`](crate::QueryOutcome::Partial)); entry points
     /// whose output is a global reduction (a whole frame, a top-k set) fail with
     /// [`QueryError::DeadlineExceeded`](crate::QueryError::DeadlineExceeded) instead.  The
-    /// non-`try_*` entry points ignore the knob entirely and always run to completion.
+    /// non-`try_*` entry points ignore the knob entirely and always run to completion, and
+    /// [`FusedScheduler::run_policy`](crate::FusedScheduler::run_policy) takes its cap as an
+    /// argument instead.
     pub max_total_beats: u64,
     /// SIMD lane width of the batched dispatch paths: how many beats (or one beat's four AABBs)
     /// the datapath's lane-batched kernels evaluate per step.  `0` (the unset default) and `1`
@@ -270,18 +274,26 @@ pub struct ExecPolicy {
     /// values are clamped by [`ExecPolicy::effective_simd_lanes`].  Ignored by
     /// [`ExecMode::ScalarReference`], which always runs the register-accurate per-beat emulation
     /// — the oracle the lane kernels are pinned against.  Outputs and statistics are
-    /// lane-invariant (bit-identical across widths); only throughput changes.
+    /// lane-invariant (bit-identical across widths); only throughput changes.  An engine sets
+    /// its datapath to this width;
+    /// [`FusedScheduler::run_policy`](crate::FusedScheduler::run_policy) leaves the width of
+    /// the datapath it is given as it is.
     pub simd_lanes: usize,
     /// Coherence discipline of the batched dispatch modes (see [`CoherenceMode`]): whether each
     /// scheduler sorts its admission order by ray octant + origin Morton key and packs passes
     /// into dense same-opcode trains.  Defaults to [`CoherenceMode::SortAndCompact`] for
     /// Wavefront/Parallel/Fused; [`ExecMode::ScalarReference`] ignores it by definition.
     /// Outputs and per-item statistics are coherence-invariant (bit-identical across modes);
-    /// only pass structure and lane occupancy change.
+    /// only pass structure and lane occupancy change.  An engine sets it on each stream it
+    /// builds; [`FusedScheduler::run_policy`](crate::FusedScheduler::run_policy) runs each
+    /// stream under the coherence it was built with
+    /// ([`TraversalStream::with_coherence`](crate::TraversalStream::with_coherence)).
     pub coherence: CoherenceMode,
-    /// Admission ordering of the fused scheduler's shared passes (see [`AdmissionOrder`]):
-    /// whether streams issue their pass segments in caller order or earliest-deadline-first.
-    /// Deadlines ride on the request ([`TraceRequest::with_stream_deadlines`](crate::TraceRequest::with_stream_deadlines));
+    /// Admission ordering of the scheduler's shared passes (see [`AdmissionOrder`]): whether
+    /// streams issue their pass segments in caller order or earliest-deadline-first.
+    /// Deadlines ride on the request ([`TraceRequest::with_stream_deadlines`](crate::TraceRequest::with_stream_deadlines)),
+    /// or, driving the scheduler by hand, on
+    /// [`FusedScheduler::set_stream_deadlines`](crate::FusedScheduler::set_stream_deadlines);
     /// with no deadlines set the knob is inert.  Outputs and per-stream statistics are
     /// admission-order-invariant (bit-identical across orders); only issue order within each
     /// shared pass changes.
@@ -289,12 +301,6 @@ pub struct ExecPolicy {
 }
 
 impl ExecPolicy {
-    /// The default policy: single-threaded batched wavefront dispatch, no beat budget.
-    #[must_use]
-    pub fn new() -> Self {
-        ExecPolicy::default()
-    }
-
     /// The scalar register-accurate reference mode.
     #[must_use]
     pub fn scalar() -> Self {
@@ -308,17 +314,6 @@ impl ExecPolicy {
     #[must_use]
     pub fn wavefront() -> Self {
         ExecPolicy::default()
-    }
-
-    /// The thread-parallel mode with auto-tuned worker count.
-    #[must_use]
-    pub fn parallel_auto() -> Self {
-        ExecPolicy {
-            mode: ExecMode::Parallel {
-                shards: ShardHint::Auto,
-            },
-            ..ExecPolicy::default()
-        }
     }
 
     /// The thread-parallel mode with an explicit worker-count hint.
@@ -442,7 +437,7 @@ mod tests {
 
     #[test]
     fn the_deadline_knob_defaults_off_and_builds() {
-        assert_eq!(ExecPolicy::new().max_total_beats, 0);
+        assert_eq!(ExecPolicy::default().max_total_beats, 0);
         let capped = ExecPolicy::wavefront().with_max_total_beats(512);
         assert_eq!(capped.max_total_beats, 512);
         assert_eq!(capped.mode, ExecMode::Wavefront);
@@ -466,7 +461,10 @@ mod tests {
             }
         );
         assert_eq!(
-            ExecPolicy::parallel_auto().mode,
+            ExecPolicy::with_mode(ExecMode::Parallel {
+                shards: ShardHint::Auto
+            })
+            .mode,
             ExecMode::Parallel {
                 shards: ShardHint::Auto
             }
@@ -475,7 +473,7 @@ mod tests {
             ExecPolicy::fused().with_beat_budget(1).mode,
             ExecMode::Fused
         );
-        assert_eq!(ExecPolicy::new().beat_budget_per_stream, 0);
+        assert_eq!(ExecPolicy::default().beat_budget_per_stream, 0);
         assert_eq!(
             ExecPolicy::with_mode(ExecMode::Fused).with_beat_budget(7),
             ExecPolicy::fused().with_beat_budget(7)

@@ -39,12 +39,13 @@
 //! fused pass merely concatenates per-stream segments, and no datapath state crosses segment
 //! boundaries mid-item), so every stream's outputs and statistics are bit-identical to running
 //! it alone — pinned by `rtunit/tests/proptest_fused.rs` and by the scalar round-robin
-//! reference mode ([`FusedScheduler::run_reference`]).
+//! reference discipline ([`FusedScheduler::run_policy`] under
+//! [`ExecMode::ScalarReference`](crate::ExecMode::ScalarReference)).
 
 use rayflex_core::{Opcode, RayFlexDatapath, RayFlexRequest, RayFlexResponse};
 
 use crate::beat::{Beat, BeatPass, BeatTables};
-use crate::policy::{CoherenceMode, ExecMode, ExecPolicy};
+use crate::policy::{AdmissionOrder, CoherenceMode, ExecMode, ExecPolicy};
 
 pub use rayflex_core::QueryKind;
 
@@ -120,9 +121,9 @@ pub(crate) trait BatchQuery {
     }
 }
 
-/// Progress report of a deadline-capped fused run ([`FusedScheduler::run_capped`], or a
-/// capped policy run of any discipline): how many beats the run spent and whether every
-/// stream drained.  A cancelled run leaves its streams mid-flight; extract a traversal
+/// Progress report of a deadline-capped scheduler run ([`FusedScheduler::run_policy`] with a
+/// cap, under any discipline): how many beats the run spent and whether every stream
+/// drained.  A cancelled run leaves its streams mid-flight; extract a traversal
 /// stream's completed prefix with
 /// [`TraversalStream::finish_partial`](crate::TraversalStream::finish_partial).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,14 +166,14 @@ pub trait FusedStream {
     /// Appends the next beat(s) of active items to `out` (retiring items with no further beats)
     /// and returns the number of beats appended.
     ///
-    /// `max_beats` is the scheduler's per-stream admission budget for this pass
-    /// ([`FusedScheduler::set_beat_budget`]): `0` admits every active item, a positive
-    /// budget stops admitting items once the pass segment holds at least that many beats.  An
-    /// item's whole beat train is always admitted together (never split across passes), so the
-    /// segment may overshoot the budget by the last admitted item's tail; items past the budget
-    /// simply stay in flight, in order, for the next pass.  Budgeting changes *which pass*
-    /// carries a beat, never an item's own beat sequence — outputs and per-stream statistics are
-    /// budget-invariant.
+    /// `max_beats` is the scheduler's per-stream admission budget for this pass (the
+    /// [`ExecPolicy::beat_budget_per_stream`](crate::ExecPolicy::beat_budget_per_stream) of a
+    /// fused run): `0` admits every active item, a positive budget stops admitting items once
+    /// the pass segment holds at least that many beats.  An item's whole beat train is always
+    /// admitted together (never split across passes), so the segment may overshoot the budget
+    /// by the last admitted item's tail; items past the budget simply stay in flight, in order,
+    /// for the next pass.  Budgeting changes *which pass* carries a beat, never an item's own
+    /// beat sequence — outputs and per-stream statistics are budget-invariant.
     fn build_pass(&mut self, out: &mut Vec<RayFlexRequest>, max_beats: usize) -> usize;
 
     /// Applies the responses to the beats this stream appended in the matching
@@ -282,7 +283,7 @@ pub(crate) struct StreamRunner<Q: BatchQuery> {
     /// `(span, beats of it applied)`: where the current pass's responses resume, since a
     /// pass's responses may arrive over several [`FusedStream::apply_pass`] calls.
     applied: (usize, usize),
-    /// Coherence discipline of subsequent runs (see [`StreamRunner::set_coherence`]).
+    /// Coherence discipline of subsequent runs (see [`StreamRunner::with_coherence`]).
     coherence: CoherenceMode,
     started: bool,
 }
@@ -313,14 +314,9 @@ impl<Q: BatchQuery> StreamRunner<Q> {
     /// [`CoherenceMode`](crate::CoherenceMode)); defaults to [`CoherenceMode::Off`] — caller
     /// admission order.  Takes effect at the next [`FusedStream::start`].  Outputs and per-item
     /// statistics are identical in every mode.
-    pub fn set_coherence(&mut self, coherence: CoherenceMode) {
-        self.coherence = coherence;
-    }
-
-    /// Builder form of [`StreamRunner::set_coherence`].
     #[must_use]
     pub fn with_coherence(mut self, coherence: CoherenceMode) -> Self {
-        self.set_coherence(coherence);
+        self.coherence = coherence;
         self
     }
 
@@ -371,7 +367,7 @@ impl<Q: BatchQuery> StreamRunner<Q> {
     /// The partial-aware sibling of [`StreamRunner::finish`]: extracts the query, the outputs
     /// of the longest fully-retired item prefix, and the stream's total item count, after a
     /// deadline-capped run that may have cancelled the stream mid-flight
-    /// ([`FusedScheduler::run_capped`]).
+    /// ([`FusedScheduler::run_policy`] with a cap).
     ///
     /// Items still in flight never surface (their states hold mid-traversal partial answers);
     /// retired items *beyond* the first in-flight one are discarded so the result is a true
@@ -627,10 +623,10 @@ pub(crate) use delegate_fused_stream_to_runner;
 /// * **Stream admission** — all streams of a run are admitted up front ([`FusedScheduler::run`]
 ///   takes the full set) and started together; a stream that drains early simply stops
 ///   contributing beats while the others continue.  With a **per-stream beat budget**
-///   ([`FusedScheduler::set_beat_budget`], the [`ExecPolicy`](crate::ExecPolicy) fairness knob),
-///   each stream contributes at most that many beats per pass — `1` models strict round-robin
-///   QoS between concurrent workloads, `0` the classic unlimited discipline — without changing
-///   any stream's outputs or statistics (only the pass structure moves).
+///   ([`ExecPolicy::beat_budget_per_stream`](crate::ExecPolicy::beat_budget_per_stream) of a
+///   fused run), each stream contributes at most that many beats per pass — `1` models strict
+///   round-robin QoS between concurrent workloads, `0` the classic unlimited discipline —
+///   without changing any stream's outputs or statistics (only the pass structure moves).
 /// * **Pass merging** — each pass concatenates the streams' beat segments in admission order
 ///   into one [`BeatPass`] of 16-byte descriptors ([`FusedStream::build_beats`]) and dispatches
 ///   it as one streamed pass ([`RayFlexDatapath::execute_window`]), which attributes every
@@ -661,11 +657,6 @@ pub struct FusedScheduler {
     tables: Vec<TablesStorage>,
     /// `(kind, beat_count)` per stream for the current pass, in admission order.
     segments: Vec<(QueryKind, usize)>,
-    /// Per-stream beat budget per pass (`0` = unlimited); see
-    /// [`FusedScheduler::set_beat_budget`].
-    beat_budget_per_stream: usize,
-    /// Admission ordering of the shared passes; see [`FusedScheduler::set_admission_order`].
-    admission_order: crate::policy::AdmissionOrder,
     /// Per-stream deadlines (in caller units; `0` = none) keyed by stream index, consulted by
     /// [`AdmissionOrder::EarliestDeadlineFirst`](crate::AdmissionOrder::EarliestDeadlineFirst);
     /// see [`FusedScheduler::set_stream_deadlines`].
@@ -680,51 +671,10 @@ pub struct FusedScheduler {
 }
 
 impl FusedScheduler {
-    /// Creates an empty fused scheduler (buffers grow on first use, no beat budget).
+    /// Creates an empty fused scheduler (buffers grow on first use).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Builder form of [`FusedScheduler::set_beat_budget`].
-    #[must_use]
-    pub fn with_beat_budget(mut self, beats_per_stream_per_pass: usize) -> Self {
-        self.set_beat_budget(beats_per_stream_per_pass);
-        self
-    }
-
-    /// Sets the per-stream admission budget: the maximum beats any one stream contributes to one
-    /// shared pass.  `0` (the default) admits every active item each pass; `1` is strict
-    /// round-robin — each stream advances one item's beat train per pass.  An item's beat train
-    /// is never split, so a segment may overshoot the budget by the last train's tail.  The
-    /// budget is pure pass-structure fairness: per-stream outputs and statistics are identical
-    /// at every budget (pinned by `rtunit/tests/proptest_policy.rs`).
-    pub fn set_beat_budget(&mut self, beats_per_stream_per_pass: usize) {
-        self.beat_budget_per_stream = beats_per_stream_per_pass;
-    }
-
-    /// The configured per-stream beat budget (`0` = unlimited).
-    #[must_use]
-    pub fn beat_budget(&self) -> usize {
-        self.beat_budget_per_stream
-    }
-
-    /// Sets the admission ordering of the shared passes (see
-    /// [`AdmissionOrder`](crate::AdmissionOrder)): with
-    /// [`EarliestDeadlineFirst`](crate::AdmissionOrder::EarliestDeadlineFirst), every pass
-    /// builds and issues its stream segments in ascending order of the deadlines registered by
-    /// [`FusedScheduler::set_stream_deadlines`] (deadline `0` = none = last, ties by stream
-    /// index) instead of slice order.  Pure issue-order policy: per-stream outputs and
-    /// statistics are admission-order-invariant (pinned by `rtunit/tests/proptest_policy.rs`).
-    pub fn set_admission_order(&mut self, order: crate::policy::AdmissionOrder) {
-        self.admission_order = order;
-    }
-
-    /// Builder form of [`FusedScheduler::set_admission_order`].
-    #[must_use]
-    pub fn with_admission_order(mut self, order: crate::policy::AdmissionOrder) -> Self {
-        self.set_admission_order(order);
-        self
     }
 
     /// Registers per-stream deadlines for
@@ -747,10 +697,10 @@ impl FusedScheduler {
 
     /// Computes the run's admission order into `self.order`: identity for FIFO, or a stable
     /// (deadline, index) sort for earliest-deadline-first.
-    fn admit(&mut self, stream_count: usize) {
+    fn admit(&mut self, stream_count: usize, admission: AdmissionOrder) {
         self.order.clear();
         self.order.extend(0..stream_count);
-        if self.admission_order == crate::policy::AdmissionOrder::EarliestDeadlineFirst {
+        if admission == AdmissionOrder::EarliestDeadlineFirst {
             let deadlines = &self.stream_deadlines;
             self.order.sort_by_key(|&index| {
                 let deadline = deadlines
@@ -778,81 +728,99 @@ impl FusedScheduler {
     }
 
     /// Runs every stream to completion against `datapath`, merging their beats into shared bulk
-    /// passes.  After this returns, each stream holds its finished items; extract the outputs
-    /// with its own `finish` ([`TraversalStream::finish`](crate::TraversalStream::finish), say).
+    /// passes: [`FusedScheduler::run_policy`] under [`ExecPolicy::fused()`], uncapped.  After
+    /// this returns, each stream holds its finished items; extract the outputs with its own
+    /// `finish` ([`TraversalStream::finish`](crate::TraversalStream::finish), say).
     ///
     /// # Panics
     ///
     /// Panics if a beat's opcode is not supported by the datapath configuration.
     pub fn run(&mut self, datapath: &mut RayFlexDatapath, streams: &mut [&mut dyn FusedStream]) {
-        let progress = self.run_capped(datapath, streams, 0);
+        let progress = self.run_policy(datapath, streams, &ExecPolicy::fused(), 0);
         debug_assert!(progress.complete, "an uncapped fused run always completes");
     }
 
-    /// Runs the streams like [`FusedScheduler::run`], but cooperatively cancels at the first
-    /// shared-pass boundary where the run has spent at least `max_total_beats` datapath beats
-    /// (`0` disables the cap).  The first pass always executes; a cancelled run leaves streams
-    /// mid-flight — extract a traversal stream's completed prefix with
-    /// [`TraversalStream::finish_partial`](crate::TraversalStream::finish_partial).
+    /// Runs `streams` against `datapath` the way `policy` dispatches them, cancelling at the
+    /// first shared-pass boundary where the run has spent at least `max_total_beats` beats (`0`
+    /// = uncapped).  This is the scheduler's one pass loop: each pass, the streams append their
+    /// segments of descriptors in admission order, then the pass dispatches in response
+    /// windows.
+    ///
+    /// * **Mode** — [`ExecMode::Fused`] merges every stream's segment into each pass;
+    ///   [`ExecMode::Wavefront`] gives each pass the segment of the first stream, in admission
+    ///   order, that builds beats, so the streams drain one after another;
+    ///   [`ExecMode::ScalarReference`] keeps the fused pass schedule but executes every beat
+    ///   alone through the register-accurate emulated path
+    ///   ([`RayFlexDatapath::execute_attributed`]), which counts toward the per-kind `BeatMix`
+    ///   attribution but not toward the datapath's pass counters.  A `Parallel` policy merges
+    ///   every segment into each pass, as `Fused` does (an engine shards before it gets here).
+    /// * **Beat budget** — [`ExecPolicy::beat_budget_per_stream`] caps each stream's segment of
+    ///   a fused pass; every other mode runs at budget 0.
+    /// * **Admission order** — [`ExecPolicy::admission_order`] orders the segments of each
+    ///   pass, by the deadlines of [`FusedScheduler::set_stream_deadlines`] under
+    ///   [`AdmissionOrder::EarliestDeadlineFirst`].
+    ///
+    /// The rest of the policy is set elsewhere: the cap is `max_total_beats`, not
+    /// [`ExecPolicy::max_total_beats`] (an engine passes what is left of its budget across
+    /// several runs), the lane width is the datapath's, and coherence is each stream's own.
+    /// Per-stream outputs and statistics are the same under every mode, budget and order.
+    ///
+    /// The first pass always executes.  A cancelled run leaves its streams mid-flight; a
+    /// traversal stream's completed prefix comes out of
+    /// [`TraversalStream::finish_partial`](crate::TraversalStream::finish_partial):
+    ///
+    /// ```
+    /// use rayflex_core::{PipelineConfig, RayFlexDatapath};
+    /// use rayflex_geometry::{Ray, Triangle, Vec3};
+    /// use rayflex_rtunit::{ExecPolicy, FusedScheduler, Scene, TraversalStream};
+    ///
+    /// let scene = Scene::flat(vec![Triangle::new(
+    ///     Vec3::new(-1.0, -1.0, 3.0),
+    ///     Vec3::new(1.0, -1.0, 3.0),
+    ///     Vec3::new(0.0, 1.0, 3.0),
+    /// )]);
+    /// // Every other ray misses the triangle.
+    /// let rays: Vec<Ray> = (0..8)
+    ///     .map(|i| Vec3::new(i as f32 * 0.4 - 1.4, 0.0, 0.0))
+    ///     .map(|origin| Ray::new(origin, Vec3::new(0.0, 0.0, 1.0)))
+    ///     .collect();
+    /// let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
+    /// let mut scheduler = FusedScheduler::new();
+    ///
+    /// let mut whole = TraversalStream::closest_hit(&scene, &rays);
+    /// scheduler.run_policy(&mut datapath, &mut [&mut whole], &ExecPolicy::fused(), 0);
+    /// let (every_hit, _) = whole.finish();
+    ///
+    /// // Two beats per pass, cancelled once five beats are spent.
+    /// let policy = ExecPolicy::fused().with_beat_budget(2);
+    /// let mut capped = TraversalStream::closest_hit(&scene, &rays);
+    /// let progress = scheduler.run_policy(&mut datapath, &mut [&mut capped], &policy, 5);
+    /// assert!(!progress.complete);
+    /// let (prefix, _) = capped.finish_partial();
+    /// assert!(!prefix.is_empty() && prefix.len() < rays.len());
+    /// assert_eq!(prefix[..], every_hit[..prefix.len()]);
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if a beat's opcode is not supported by the datapath configuration.
-    pub fn run_capped(
+    pub fn run_policy(
         &mut self,
         datapath: &mut RayFlexDatapath,
         streams: &mut [&mut dyn FusedStream],
+        policy: &ExecPolicy,
         max_total_beats: u64,
     ) -> CappedFusedRun {
-        self.run_passes(datapath, streams, max_total_beats, ExecMode::Fused)
-    }
-
-    /// The scalar round-robin reference mode of [`FusedScheduler::run`]: the same pass schedule
-    /// (including the configured beat budget), the same per-stream beat orders and the same
-    /// response windows, but every beat executes one at a time through the register-accurate
-    /// emulated path ([`RayFlexDatapath::execute_attributed`]) — no bulk dispatch at all.
-    ///
-    /// Per-stream outputs and statistics are bit-identical to [`FusedScheduler::run`] (the
-    /// fast batched model and the emulated model are bit-equal by `core`'s property tests, and
-    /// the beat order is the same), which is what the fused property tests pin.  Beats executed
-    /// here count toward the per-kind `BeatMix` attribution but not toward the datapath's pass
-    /// counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a beat's opcode is not supported by the datapath configuration.
-    pub fn run_reference(
-        &mut self,
-        datapath: &mut RayFlexDatapath,
-        streams: &mut [&mut dyn FusedStream],
-    ) {
-        let progress = self.run_passes(datapath, streams, 0, ExecMode::ScalarReference);
-        debug_assert!(
-            progress.complete,
-            "an uncapped reference run always completes"
-        );
-    }
-
-    /// The one pass loop of every discipline: each pass, the streams append their
-    /// (budget-limited) segments of descriptors in admission order, then the pass dispatches in
-    /// response windows ([`FusedScheduler::dispatch_windows`]) — on the fast model, or, under
-    /// [`ExecMode::ScalarReference`], beat by beat through the emulated path.  Under
-    /// [`ExecMode::Wavefront`] a pass takes the segment of the first stream that builds beats
-    /// and no other, so the streams drain one after another; every other `mode` merges every
-    /// stream's segment into each pass.  Cancels at the first pass boundary where at least
-    /// `max_total_beats` beats are spent (`0` = no cap).
-    fn run_passes(
-        &mut self,
-        datapath: &mut RayFlexDatapath,
-        streams: &mut [&mut dyn FusedStream],
-        max_total_beats: u64,
-        mode: ExecMode,
-    ) -> CappedFusedRun {
-        let one_stream_per_pass = mode == ExecMode::Wavefront;
+        let budget = if policy.mode == ExecMode::Fused {
+            policy.beat_budget_per_stream
+        } else {
+            0
+        };
+        let one_stream_per_pass = policy.mode == ExecMode::Wavefront;
         for stream in streams.iter_mut() {
             stream.start();
         }
-        self.admit(streams.len());
+        self.admit(streams.len(), policy.admission_order);
         self.last_run_passes = 0;
         self.stream_passes.clear();
         self.stream_passes.resize(streams.len(), 0);
@@ -874,7 +842,7 @@ impl FusedScheduler {
             for (position, &index) in self.order.iter().enumerate() {
                 let stream = &mut *streams[index];
                 self.pass.begin_segment(position);
-                let beats = stream.build_beats(&mut self.pass, self.beat_budget_per_stream);
+                let beats = stream.build_beats(&mut self.pass, budget);
                 self.segments.push((stream.kind(), beats));
                 self.stream_passes[index] += u64::from(beats > 0);
                 if one_stream_per_pass && beats > 0 {
@@ -888,7 +856,7 @@ impl FusedScheduler {
             }
             self.last_run_passes += 1;
             beats_spent += self.pass.len() as u64;
-            self.dispatch_windows(datapath, streams, mode == ExecMode::ScalarReference);
+            self.dispatch_windows(datapath, streams, policy.mode == ExecMode::ScalarReference);
         }
         CappedFusedRun {
             beats: beats_spent,
@@ -960,29 +928,6 @@ impl FusedScheduler {
                 }
             }
         }
-    }
-
-    /// Runs `streams` the way `policy` dispatches them, capped at `max_total_beats` (`0` =
-    /// uncapped): the per-stream beat budget is a [`ExecMode::Fused`] knob (every other mode
-    /// runs at budget 0), [`ExecMode::ScalarReference`] executes beat by beat as
-    /// [`FusedScheduler::run_reference`] does and every other mode in bulk,
-    /// [`ExecMode::Wavefront`] fills each pass with one stream's segment alone (see
-    /// [`FusedScheduler::run_passes`]), and the admission order is the policy's.  Stream
-    /// deadlines are the caller's to register.
-    pub(crate) fn run_policy(
-        &mut self,
-        datapath: &mut RayFlexDatapath,
-        streams: &mut [&mut dyn FusedStream],
-        policy: &ExecPolicy,
-        max_total_beats: u64,
-    ) -> CappedFusedRun {
-        self.set_beat_budget(if policy.mode == ExecMode::Fused {
-            policy.beat_budget_per_stream
-        } else {
-            0
-        });
-        self.set_admission_order(policy.admission_order);
-        self.run_passes(datapath, streams, max_total_beats, policy.mode)
     }
 }
 
@@ -1166,11 +1111,11 @@ mod tests {
     }
 
     #[test]
-    fn an_uncapped_run_capped_call_is_the_plain_run() {
+    fn an_uncapped_policy_run_is_the_plain_run() {
         let mut fused = FusedScheduler::new();
         let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
         let mut runner = StreamRunner::new(toy_query(6, 2));
-        let run = fused.run_capped(&mut datapath, &mut [&mut runner], 0);
+        let run = fused.run_policy(&mut datapath, &mut [&mut runner], &ExecPolicy::fused(), 0);
         assert_eq!(
             run,
             CappedFusedRun {
@@ -1192,7 +1137,7 @@ mod tests {
         let mut fused = FusedScheduler::new();
         let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
         let mut runner = StreamRunner::new(toy_query(9, 3));
-        let run = fused.run_capped(&mut datapath, &mut [&mut runner], 10);
+        let run = fused.run_policy(&mut datapath, &mut [&mut runner], &ExecPolicy::fused(), 10);
         assert!(!run.complete);
         assert_eq!(
             run.beats, 18,
@@ -1222,7 +1167,12 @@ mod tests {
         // false), so by then only items 0 and 1 have retired: the prefix is 2.
         let mut capped_dp = RayFlexDatapath::new(PipelineConfig::baseline_unified());
         let mut runner = StreamRunner::new(staggered_query(&[1, 2, 3, 4]));
-        let run = FusedScheduler::new().run_capped(&mut capped_dp, &mut [&mut runner], 8);
+        let run = FusedScheduler::new().run_policy(
+            &mut capped_dp,
+            &mut [&mut runner],
+            &ExecPolicy::fused(),
+            8,
+        );
         assert_eq!(
             run,
             CappedFusedRun {
@@ -1245,7 +1195,8 @@ mod tests {
         let mut fused = FusedScheduler::new();
         let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
         let mut drained = StreamRunner::new(toy_query(3, 2));
-        let progress = fused.run_capped(&mut datapath, &mut [&mut drained], 0);
+        let progress =
+            fused.run_policy(&mut datapath, &mut [&mut drained], &ExecPolicy::fused(), 0);
         assert_eq!(
             progress,
             CappedFusedRun {
@@ -1263,7 +1214,8 @@ mod tests {
         // next build call — so the true prefix is item 0 alone.
         let mut capped_dp = RayFlexDatapath::new(PipelineConfig::baseline_unified());
         let mut stream = StreamRunner::new(staggered_query(&[1, 2, 3]));
-        let progress = fused.run_capped(&mut capped_dp, &mut [&mut stream], 4);
+        let progress =
+            fused.run_policy(&mut capped_dp, &mut [&mut stream], &ExecPolicy::fused(), 4);
         assert_eq!(
             progress,
             CappedFusedRun {
@@ -1351,7 +1303,7 @@ mod tests {
 
         let mut dp_b = RayFlexDatapath::new(PipelineConfig::baseline_unified());
         let (mut b1, mut b2) = streams();
-        fused.run_reference(&mut dp_b, &mut [&mut b1, &mut b2]);
+        fused.run_policy(&mut dp_b, &mut [&mut b1, &mut b2], &ExecPolicy::scalar(), 0);
 
         assert_eq!(a1.finish().1, b1.finish().1);
         assert_eq!(a2.finish().1, b2.finish().1);
@@ -1376,18 +1328,40 @@ mod tests {
         let mut dp_a = RayFlexDatapath::new(PipelineConfig::baseline_unified());
         let (mut a1, mut a2) = streams();
         unlimited.run(&mut dp_a, &mut [&mut a1, &mut a2]);
-        assert_eq!(unlimited.beat_budget(), 0);
         assert_eq!(unlimited.last_run_passes(), 3);
         assert_eq!(unlimited.last_run_stream_passes(), &[3, 2]);
 
-        let mut strict = FusedScheduler::new().with_beat_budget(1);
+        let mut strict = FusedScheduler::new();
         let mut dp_b = RayFlexDatapath::new(PipelineConfig::baseline_unified());
         let (mut b1, mut b2) = streams();
-        strict.run(&mut dp_b, &mut [&mut b1, &mut b2]);
+        let budget_1 = ExecPolicy::fused().with_beat_budget(1);
+        strict.run_policy(&mut dp_b, &mut [&mut b1, &mut b2], &budget_1, 0);
         // One beat per stream per pass: the 15-beat stream needs 15 passes, the 8-beat stream
         // rides along in the first 8.
         assert_eq!(strict.last_run_passes(), 15);
         assert_eq!(strict.last_run_stream_passes(), &[15, 8]);
+
+        // The budget binds fused runs only: the scalar reference and the wavefront run their
+        // passes exactly as at budget 0.
+        for (policy, passes, stream_passes) in [
+            (ExecPolicy::scalar(), 3, [3, 2]),
+            (ExecPolicy::wavefront(), 5, [3, 2]),
+        ] {
+            let mut unbound = FusedScheduler::new();
+            for policy in [policy, policy.with_beat_budget(1)] {
+                let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
+                let (mut c1, mut c2) = streams();
+                unbound.run_policy(&mut datapath, &mut [&mut c1, &mut c2], &policy, 0);
+                assert_eq!(unbound.last_run_passes(), passes, "{policy:?}");
+                assert_eq!(
+                    unbound.last_run_stream_passes(),
+                    stream_passes,
+                    "{policy:?}"
+                );
+                assert_eq!(c1.finish().1, vec![3; 5], "{policy:?}");
+                assert_eq!(c2.finish().1, vec![2; 4], "{policy:?}");
+            }
+        }
 
         // Same outputs, same beat totals — only the pass structure moved.
         assert_eq!(a1.finish().1, b1.finish().1);
@@ -1401,7 +1375,6 @@ mod tests {
 
     #[test]
     fn edf_admission_reorders_pass_segments_without_changing_outputs() {
-        use crate::policy::AdmissionOrder;
         let streams = || {
             (
                 StreamRunner::new(toy_query(5, 3)),
@@ -1417,12 +1390,13 @@ mod tests {
         assert_eq!(fifo.last_run_admission(), &[0, 1, 2], "FIFO is identity");
 
         // Stream 2 carries the tightest deadline, stream 0 none at all — EDF issues 2, 1, 0.
-        let mut edf =
-            FusedScheduler::new().with_admission_order(AdmissionOrder::EarliestDeadlineFirst);
+        let edf_policy =
+            ExecPolicy::fused().with_admission_order(AdmissionOrder::EarliestDeadlineFirst);
+        let mut edf = FusedScheduler::new();
         edf.set_stream_deadlines(&[0, 900, 250]);
         let mut dp_b = RayFlexDatapath::new(PipelineConfig::baseline_unified());
         let (mut b1, mut b2, mut b3) = streams();
-        edf.run(&mut dp_b, &mut [&mut b1, &mut b2, &mut b3]);
+        edf.run_policy(&mut dp_b, &mut [&mut b1, &mut b2, &mut b3], &edf_policy, 0);
         assert_eq!(
             edf.last_run_admission(),
             &[2, 1, 0],
@@ -1443,20 +1417,25 @@ mod tests {
         assert_eq!(dp_a.executed_beats(), dp_b.executed_beats());
 
         // EDF with no deadlines registered degenerates to FIFO (ties broken by index).
-        let mut inert =
-            FusedScheduler::new().with_admission_order(AdmissionOrder::EarliestDeadlineFirst);
+        let mut inert = FusedScheduler::new();
         let mut dp_c = RayFlexDatapath::new(PipelineConfig::baseline_unified());
         let (mut c1, mut c2, mut c3) = streams();
-        inert.run(&mut dp_c, &mut [&mut c1, &mut c2, &mut c3]);
+        inert.run_policy(&mut dp_c, &mut [&mut c1, &mut c2, &mut c3], &edf_policy, 0);
         assert_eq!(inert.last_run_admission(), &[0, 1, 2]);
 
         // The scalar round-robin reference honours the same ordering.
-        let mut reference =
-            FusedScheduler::new().with_admission_order(AdmissionOrder::EarliestDeadlineFirst);
+        let mut reference = FusedScheduler::new();
         reference.set_stream_deadlines(&[0, 900, 250]);
         let mut dp_d = RayFlexDatapath::new(PipelineConfig::baseline_unified());
         let (mut d1, mut d2, mut d3) = streams();
-        reference.run_reference(&mut dp_d, &mut [&mut d1, &mut d2, &mut d3]);
+        let edf_reference =
+            ExecPolicy::scalar().with_admission_order(AdmissionOrder::EarliestDeadlineFirst);
+        reference.run_policy(
+            &mut dp_d,
+            &mut [&mut d1, &mut d2, &mut d3],
+            &edf_reference,
+            0,
+        );
         assert_eq!(reference.last_run_admission(), &[2, 1, 0]);
         assert_eq!(d1.finish().1, vec![3; 5], "reference outputs are unchanged");
     }
@@ -1593,29 +1572,18 @@ mod tests {
                 // A capped run may cancel the scoring stream, which has no partial finish.
                 streams.pop();
             }
-            match dispatch {
-                Dispatch::Run => {
-                    fused.run(&mut datapath, &mut streams);
-                    CappedFusedRun {
-                        beats: datapath.executed_beats(),
-                        complete: true,
-                    }
-                }
-                Dispatch::Reference => {
-                    fused.run_reference(&mut datapath, &mut streams);
-                    CappedFusedRun {
-                        beats: datapath.executed_beats(),
-                        complete: true,
-                    }
-                }
-                Dispatch::Policy(mode, cap) => {
-                    let policy = ExecPolicy {
+            let (policy, cap) = match dispatch {
+                Dispatch::Run => (ExecPolicy::fused(), 0),
+                Dispatch::Reference => (ExecPolicy::scalar(), 0),
+                Dispatch::Policy(mode, cap) => (
+                    ExecPolicy {
                         mode,
                         ..ExecPolicy::fused().with_beat_budget(5)
-                    };
-                    fused.run_policy(&mut datapath, &mut streams, &policy, cap)
-                }
-            }
+                    },
+                    cap,
+                ),
+            };
+            fused.run_policy(&mut datapath, &mut streams, &policy, cap)
         };
         FallbackRun {
             progress,
@@ -1810,7 +1778,7 @@ mod tests {
         let mut stream = TraversalStream::closest_hit(&scene, &rays);
         let mut fused = FusedScheduler::new();
         let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        fused.run_reference(&mut datapath, &mut [&mut stream]);
+        fused.run_policy(&mut datapath, &mut [&mut stream], &ExecPolicy::scalar(), 0);
         assert_eq!(fused.last_run_passes(), 1);
         assert_eq!(datapath.executed_beats(), rays.len() as u64);
         assert_eq!(

@@ -114,15 +114,6 @@ impl TraversalStats {
         self.instances_visited += other.instances_visited;
         self.shard_fallbacks += other.shard_fallbacks;
     }
-
-    /// [`TraversalStats::merge`] as a value-returning combinator, for fold-style reductions
-    /// (`shards.iter().fold(TraversalStats::default(), |acc, s| acc.merged(s))`).  Marked
-    /// `#[must_use]` because dropping the result silently discards the merge.
-    #[must_use]
-    pub fn merged(mut self, other: &TraversalStats) -> Self {
-        self.merge(other);
-        self
-    }
 }
 
 /// One traversal request: a [`Scene`] plus up to two ray streams — a **closest-hit** stream and
@@ -595,18 +586,14 @@ impl<'a> TraversalStream<'a> {
         }
     }
 
-    /// Selects the coherence mode for this stream's admission ordering (must be called before
-    /// the stream starts; the policy entry points do this automatically, so this only matters
-    /// when driving a [`FusedScheduler`](crate::FusedScheduler) by hand).
-    pub fn set_coherence(&mut self, coherence: CoherenceMode) {
-        self.runner.set_coherence(coherence);
-    }
-
-    /// Builder form of [`TraversalStream::set_coherence`].
+    /// Selects the coherence mode for this stream's admission ordering (takes effect when the
+    /// stream starts; the policy entry points do this automatically, so this only matters when
+    /// driving a [`FusedScheduler`](crate::FusedScheduler) by hand).
     #[must_use]
-    pub fn with_coherence(mut self, coherence: CoherenceMode) -> Self {
-        self.set_coherence(coherence);
-        self
+    pub fn with_coherence(self, coherence: CoherenceMode) -> Self {
+        TraversalStream {
+            runner: self.runner.with_coherence(coherence),
+        }
     }
 
     /// One optional hit per ray (in ray order) plus the stream's traversal statistics, after a
@@ -888,9 +875,8 @@ impl TraversalEngine {
         self.fused.set_stream_deadlines(&request.deadlines);
         let coherence = policy.effective_coherence();
         let stream = |kind, rays, arena, lone| {
-            let mut stream = TraversalStream::with_arena(kind, request.view(), rays, arena, lone);
-            stream.set_coherence(coherence);
-            stream
+            TraversalStream::with_arena(kind, request.view(), rays, arena, lone)
+                .with_coherence(coherence)
         };
         // Each stream runs in its own arena.  A stream fills its passes alone when its partner
         // is empty, or under the wavefront, whose passes carry one stream's segment each.  A
@@ -1365,7 +1351,6 @@ mod tests {
         let mut identity = ab;
         identity.merge(&TraversalStats::default());
         assert_eq!(identity, ab, "the zero set is the merge identity");
-        assert_eq!(ab.merged(&TraversalStats::default()), ab);
         assert_eq!(ab.total_ops(), 13 + 25);
     }
 

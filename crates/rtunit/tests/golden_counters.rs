@@ -809,7 +809,7 @@ fn run_mixed(
 ) -> (BeatMix, [u64; 4]) {
     let mut datapath = RayFlexDatapath::new(PipelineConfig::extended_unified());
     datapath.set_simd_lanes(simd_lanes);
-    let mut scheduler = FusedScheduler::new().with_beat_budget(beat_budget_per_stream);
+    let mut scheduler = FusedScheduler::new();
     let mut closest =
         TraversalStream::closest_hit(world, &workload.primary_rays).with_coherence(coherence);
     let mut shadow =
@@ -820,9 +820,11 @@ fn run_mixed(
         KnnMetric::Euclidean,
     );
     let mut collect = CollectStream::new(sphere_bvh, &workload.radius_queries);
-    scheduler.run(
+    scheduler.run_policy(
         &mut datapath,
         &mut [&mut closest, &mut shadow, &mut distance, &mut collect],
+        &ExecPolicy::fused().with_beat_budget(beat_budget_per_stream),
+        0,
     );
     let mut stream_passes = [0; 4];
     stream_passes.copy_from_slice(scheduler.last_run_stream_passes());

@@ -4,15 +4,17 @@
 //! merged into shared mixed-opcode bulk passes over one datapath) produces per-stream outputs,
 //! per-stream statistics and per-kind `BeatMix` attribution identical to the same streams run
 //! **sequentially**, and identical to the scalar **round-robin reference** mode
-//! (`FusedScheduler::run_reference`).  The tentpole bit-identity guarantee of the fused
-//! scheduler, pinned one layer above `rtunit`'s single-stream property tests.
+//! (`FusedScheduler::run_policy` under `ExecPolicy::scalar()`).  The tentpole bit-identity
+//! guarantee of the fused scheduler, pinned one layer above `rtunit`'s single-stream property
+//! tests.
 
 use proptest::prelude::*;
 
 use rayflex_core::{PipelineConfig, QueryKind, RayFlexDatapath};
 use rayflex_geometry::{Ray, Sphere, Triangle, Vec3};
 use rayflex_rtunit::{
-    Bvh4, CollectStream, DistanceStream, FusedScheduler, KnnMetric, Scene, TraversalStream,
+    Bvh4, CollectStream, DistanceStream, ExecPolicy, FusedScheduler, KnnMetric, Scene,
+    TraversalStream,
 };
 
 fn coordinate() -> impl Strategy<Value = f32> {
@@ -113,10 +115,14 @@ fn run_mixed(
             &mut datapath,
             &mut [&mut closest, &mut shadow, &mut distance, &mut collect],
         ),
-        Mode::RoundRobinReference => scheduler.run_reference(
-            &mut datapath,
-            &mut [&mut closest, &mut shadow, &mut distance, &mut collect],
-        ),
+        Mode::RoundRobinReference => {
+            scheduler.run_policy(
+                &mut datapath,
+                &mut [&mut closest, &mut shadow, &mut distance, &mut collect],
+                &ExecPolicy::scalar(),
+                0,
+            );
+        }
     }
     let (closest, closest_stats) = closest.finish();
     let (shadow, shadow_stats) = shadow.finish();

@@ -14,8 +14,8 @@ use rayflex_core::{PipelineConfig, RayFlexDatapath};
 use rayflex_geometry::{Ray, Triangle, Vec3};
 use rayflex_rtunit::{
     AdmissionOrder, Bvh4, Camera, CoherenceMode, ExecMode, ExecPolicy, FrameDesc, FusedScheduler,
-    HierarchicalSearch, KnnEngine, KnnMetric, RenderPasses, Renderer, Scene, TraceRequest,
-    TraversalEngine, TraversalStream,
+    HierarchicalSearch, KnnEngine, KnnMetric, RenderPasses, Renderer, Scene, ShardHint,
+    TraceRequest, TraversalEngine, TraversalStream,
 };
 
 fn coordinate() -> impl Strategy<Value = f32> {
@@ -108,7 +108,9 @@ fn swept_policies() -> Vec<ExecPolicy> {
         ExecPolicy::parallel(3)
             .with_coherence(CoherenceMode::Off)
             .with_simd_lanes(4),
-        ExecPolicy::parallel_auto(),
+        ExecPolicy::with_mode(ExecMode::Parallel {
+            shards: ShardHint::Auto,
+        }),
         ExecPolicy::fused(),
         ExecPolicy::fused().with_simd_lanes(4),
         ExecPolicy::fused()

@@ -2,7 +2,7 @@
 //! requests into one shared [`FusedScheduler`] run.  Trace, any-hit and kNN-distance requests
 //! become per-request [`FusedStream`]s interleaved beat-by-beat on one
 //! [`RayFlexDatapath`]; radius queries run per-cloud through the preloaded
-//! [`HierarchicalSearch`] engines under the same `ExecPolicy` knobs.
+//! [`HierarchicalSearch`] engines under the same [`ExecPolicy`].
 //!
 //! The fused-batching contract is the repo's tentpole invariant: which requests share a batch
 //! changes pass structure and wall-clock only, never a request's outputs or statistics — so a
@@ -20,7 +20,7 @@ use std::time::Instant;
 use rayflex_core::{PipelineConfig, RayFlexDatapath};
 use rayflex_geometry::Vec3;
 use rayflex_rtunit::{
-    select_k_nearest, AdmissionOrder, DistanceStream, FusedScheduler, FusedStream,
+    select_k_nearest, AdmissionOrder, DistanceStream, ExecPolicy, FusedScheduler, FusedStream,
     HierarchicalSearch, KnnMetric, Neighbor, QueryError, QueryOutcome, SceneValidator,
     TraversalStream,
 };
@@ -136,6 +136,9 @@ pub struct BatchExecutor {
     fused: FusedScheduler,
     clouds: HashMap<String, HierarchicalSearch>,
     config: ExecConfig,
+    /// The one policy every batch runs under, fused runs and radius queries alike: `config`'s
+    /// beat budget, admission order, lane width and batch beat cap.
+    policy: ExecPolicy,
 }
 
 impl std::fmt::Debug for BatchExecutor {
@@ -160,6 +163,11 @@ impl BatchExecutor {
             fused: FusedScheduler::new(),
             clouds,
             config,
+            policy: ExecPolicy::fused()
+                .with_beat_budget(config.beat_budget)
+                .with_admission_order(config.admission)
+                .with_simd_lanes(config.simd_lanes)
+                .with_max_total_beats(config.max_batch_beats),
         }
     }
 
@@ -333,15 +341,14 @@ impl BatchExecutor {
             .iter()
             .map(|stream| jobs[stream.job()].remaining_deadline_us(now))
             .collect();
-        self.fused.set_beat_budget(self.config.beat_budget);
-        self.fused.set_admission_order(self.config.admission);
         self.fused.set_stream_deadlines(&deadlines);
         {
             let mut handles: Vec<&mut dyn FusedStream> =
                 streams.iter_mut().map(BatchStream::as_dyn).collect();
-            self.fused.run_capped(
+            self.fused.run_policy(
                 &mut self.datapath,
                 &mut handles,
+                &self.policy,
                 self.config.max_batch_beats,
             );
         }
@@ -428,12 +435,7 @@ impl BatchExecutor {
                 .iter()
                 .map(|&(_, center, radius)| (center, radius))
                 .collect();
-            let policy = rayflex_rtunit::ExecPolicy::fused()
-                .with_beat_budget(self.config.beat_budget)
-                .with_admission_order(self.config.admission)
-                .with_simd_lanes(self.config.simd_lanes)
-                .with_max_total_beats(self.config.max_batch_beats);
-            match engine.try_radius_queries(&queries, &policy) {
+            match engine.try_radius_queries(&queries, &self.policy) {
                 Ok(QueryOutcome::Complete(results)) => {
                     for (&(index, _, _), neighbors) in group.iter().zip(&results) {
                         bodies[index] = Some(neighbor_body(neighbors));
@@ -485,7 +487,7 @@ fn neighbor_body(neighbors: &[Neighbor]) -> ResponseBody {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayflex_rtunit::{ExecPolicy, TraceRequest, TraversalEngine};
+    use rayflex_rtunit::{TraceRequest, TraversalEngine};
     use rayflex_workloads::wire::{catalog, RequestFrame};
     use std::sync::mpsc::sync_channel;
     use std::time::Instant as StdInstant;
