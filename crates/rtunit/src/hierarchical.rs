@@ -19,18 +19,16 @@
 //! *fused* scheduling, so candidate collection can share passes with traversal and distance
 //! streams of unrelated workloads.
 
-use rayflex_core::{Opcode, PipelineConfig, RayFlexDatapath, RayFlexResponse, RayOperand};
+use rayflex_core::{Opcode, PipelineConfig, RayFlexResponse, RayOperand};
 use rayflex_geometry::{Ray, Sphere, Vec3};
 
 use crate::beat::{BeatPass, BeatTables};
 use crate::bvh::ChildRef;
+use crate::device::Device;
 use crate::error::{QueryError, QueryOutcome};
 use crate::knn::sort_nearest_first;
 use crate::policy::{ExecMode, ExecPolicy};
-use crate::query::{
-    remaining_beats, BatchQuery, CappedFusedRun, FusedScheduler, QueryKind, RunnerArena,
-    StreamRunner,
-};
+use crate::query::{remaining_beats, BatchQuery, CappedFusedRun, QueryKind, StreamRunner};
 use crate::{Bvh4, KnnEngine, Neighbor};
 
 /// Statistics of one hierarchical query.
@@ -221,38 +219,31 @@ impl<'a> CollectStream<'a> {
 
 crate::query::delegate_fused_stream_to_runner!(CollectStream<'_>);
 
-/// The candidate-collection filter's scheduler and reusable buffers (its `CollectWork` states
-/// are recycled across runs): one per search engine, and a fresh one per parallel filter shard.
-#[derive(Debug, Default)]
-struct Collector {
-    fused: FusedScheduler,
-    arena: RunnerArena<CollectWork>,
-}
-
-impl Collector {
-    /// One collection run of `queries` over `bvh` on `datapath` at the policy's lane width and
-    /// coherence, dispatched as `policy` says ([`FusedScheduler::run_policy`]) and capped at
-    /// `cap` beats (`0` = uncapped): the candidate lists of the completed query prefix, the
-    /// ray–box beats the filter issued, and the run's progress.
-    fn run(
+impl Device {
+    /// One collection run of `queries` over `bvh` on this device at the policy's lane width and
+    /// coherence, dispatched as `policy` says
+    /// ([`FusedScheduler::run_policy`](crate::FusedScheduler::run_policy)) and capped at `cap`
+    /// beats (`0` = uncapped): the candidate lists of the completed query prefix, the ray–box
+    /// beats the filter issued, and the run's progress.  Its `CollectWork` states are recycled
+    /// across runs.
+    pub(crate) fn collect(
         &mut self,
-        datapath: &mut RayFlexDatapath,
         bvh: &Bvh4,
         queries: &[(Vec3, f32)],
         policy: &ExecPolicy,
         cap: u64,
     ) -> (Vec<Vec<usize>>, u64, CappedFusedRun) {
-        datapath.set_simd_lanes(policy.effective_simd_lanes());
+        self.datapath.set_simd_lanes(policy.effective_simd_lanes());
         let mut runner = StreamRunner::with_arena(
             CollectQuery::new(bvh, queries),
-            core::mem::take(&mut self.arena),
+            core::mem::take(&mut self.collect),
         )
         .with_coherence(policy.effective_coherence());
         let run = self
-            .fused
-            .run_policy(datapath, &mut [&mut runner], policy, cap);
+            .scheduler
+            .run_policy(&mut self.datapath, &mut [&mut runner], policy, cap);
         let (collect, candidates, arena) = runner.into_parts();
-        self.arena = arena;
+        self.collect = arena;
         (candidates, collect.box_beats, run)
     }
 }
@@ -264,9 +255,8 @@ impl Collector {
 pub struct HierarchicalSearch {
     points: Vec<Vec3>,
     bvh: Bvh4,
+    /// Scores the surviving candidates; the hierarchy filter runs on its device too.
     scorer: KnnEngine,
-    /// The candidate-collection filter's scheduler and buffers.
-    collector: Collector,
     stats: HierarchicalStats,
     /// Work-stealing pool counters of the parallel filter phase (the scoring phase's counters
     /// live on the embedded [`KnnEngine`]; [`HierarchicalSearch::pool_stats`] merges both).
@@ -297,7 +287,6 @@ impl HierarchicalSearch {
             points,
             bvh,
             scorer: KnnEngine::with_config(config),
-            collector: Collector::default(),
             stats: HierarchicalStats {
                 dataset_size,
                 ..HierarchicalStats::default()
@@ -559,10 +548,11 @@ impl HierarchicalSearch {
     /// prefix, the indices of every point whose leaf the query reaches, with the run's
     /// progress.  Dispatched as `policy` says at its lane width and coherence — per-beat
     /// emulated reference or bulk ray–box passes shared by the whole batch on the scorer's
-    /// datapath, capped at `cap` beats (`0` = uncapped) — except that an uncapped
-    /// [`ExecMode::Parallel`] run shards the batch contiguously across private datapaths.  The
-    /// per-query walk order is policy-invariant, so the candidate lists — and the `box_beats`
-    /// accounting — never change.
+    /// device, capped at `cap` beats (`0` = uncapped) — except that an uncapped
+    /// [`ExecMode::Parallel`] run shards the batch contiguously across the pool workers'
+    /// devices, each kept warm for every shard its worker takes.  The per-query walk order is
+    /// policy-invariant, so the candidate lists — and the `box_beats` accounting — never
+    /// change.
     fn collect(
         &mut self,
         queries: &[(Vec3, f32)],
@@ -570,24 +560,19 @@ impl HierarchicalSearch {
         cap: u64,
     ) -> (Vec<Vec<usize>>, CappedFusedRun) {
         if let (0, ExecMode::Parallel { shards }) = (cap, policy.mode) {
-            let config = *self.scorer.config();
             let bvh = &self.bvh;
             let sharded = crate::parallel::shard_chunks(
+                *self.scorer.config(),
                 queries,
                 shards.requested_threads(),
                 Self::MIN_QUERIES_PER_SHARD,
-                |shard| {
-                    let mut datapath = RayFlexDatapath::new(config);
-                    let (candidates, box_beats, _) =
-                        Collector::default().run(&mut datapath, bvh, shard, policy, 0);
-                    (candidates, box_beats)
-                },
+                |device, shard| device.collect(bvh, shard, policy, 0),
             );
             if let Some((shards, pool)) = sharded {
                 self.pool.merge(&pool);
                 let mut results = Vec::with_capacity(queries.len());
                 let mut beats = 0;
-                for (shard_candidates, box_beats) in shards {
+                for (shard_candidates, box_beats, _) in shards {
                     results.extend(shard_candidates);
                     beats += box_beats;
                 }
@@ -602,8 +587,7 @@ impl HierarchicalSearch {
             }
         }
         let (candidates, box_beats, run) =
-            self.collector
-                .run(self.scorer.datapath_mut(), &self.bvh, queries, policy, cap);
+            self.scorer.device.collect(&self.bvh, queries, policy, cap);
         self.stats.box_beats += box_beats;
         (candidates, run)
     }

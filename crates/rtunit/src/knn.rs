@@ -16,16 +16,14 @@
 //! at a time (scalar reference), in bulk wavefront passes, in fused shared passes, or sharded
 //! across worker threads — distances and [`KnnStats`] bit-identical in every mode.
 
-use rayflex_core::{quad_sort, BeatMix, Opcode, PipelineConfig, RayFlexDatapath, RayFlexResponse};
+use rayflex_core::{quad_sort, BeatMix, Opcode, PipelineConfig, RayFlexResponse};
 use rayflex_geometry::golden::distance::{COSINE_LANES, EUCLIDEAN_LANES};
 
 use crate::beat::{BeatPass, BeatTables};
+use crate::device::Device;
 use crate::error::{QueryError, QueryOutcome};
 use crate::policy::{ExecMode, ExecPolicy};
-use crate::query::{
-    remaining_beats, BatchQuery, CappedFusedRun, FusedScheduler, QueryKind, RunnerArena,
-    StreamRunner,
-};
+use crate::query::{remaining_beats, BatchQuery, CappedFusedRun, QueryKind, StreamRunner};
 use crate::scene::Scene;
 
 /// The distance metric used by a search.
@@ -237,15 +235,13 @@ crate::query::delegate_fused_stream_to_runner!([C: AsRef<[f32]>] DistanceStream<
 /// two candidates.  All candidate scoring runs through the generic batched query engine.
 #[derive(Debug)]
 pub struct KnnEngine {
-    datapath: RayFlexDatapath,
+    /// The RT unit every policy entry point scores on (the hierarchical search filters on it
+    /// too); its distance arena is recycled across chunks and calls.
+    pub(crate) device: Device,
     stats: KnnStats,
     /// Work-stealing pool counters accumulated across parallel scoring runs (scheduling
     /// artefacts, kept apart from the mode-invariant [`KnnStats`]).
     pool: crate::parallel::PoolStats,
-    /// The batched scheduler every policy entry point scores through.
-    fused: FusedScheduler,
-    /// Reusable buffers of the scoring stream, recycled across chunks and calls.
-    arena: RunnerArena<DistanceWork>,
 }
 
 impl KnnEngine {
@@ -267,11 +263,9 @@ impl KnnEngine {
             "k-nearest-neighbour search needs the extended datapath"
         );
         KnnEngine {
-            datapath: RayFlexDatapath::new(config),
+            device: Device::new(config),
             stats: KnnStats::default(),
             pool: crate::parallel::PoolStats::default(),
-            fused: FusedScheduler::new(),
-            arena: RunnerArena::default(),
         }
     }
 
@@ -292,7 +286,7 @@ impl KnnEngine {
     /// The datapath configuration this engine drives.
     #[must_use]
     pub fn config(&self) -> &PipelineConfig {
-        self.datapath.config()
+        self.device.datapath.config()
     }
 
     /// Per-opcode breakdown of every beat this engine's datapath has executed (the
@@ -300,7 +294,7 @@ impl KnnEngine {
     /// unit).
     #[must_use]
     pub fn beat_mix(&self) -> BeatMix {
-        self.datapath.beat_mix()
+        self.device.datapath.beat_mix()
     }
 
     /// Upper bound on the beats a single scheduler pass materialises while scoring candidates.
@@ -321,7 +315,7 @@ impl KnnEngine {
     /// * [`ExecMode::Wavefront`] — candidates share bulk datapath dispatches;
     /// * [`ExecMode::Fused`] — the same bulk passes, honouring the policy's beat budget;
     /// * [`ExecMode::Parallel`] — the candidate set shards contiguously across workers, each
-    ///   with a private datapath.
+    ///   keeping one warm datapath for every shard it scores.
     ///
     /// Single-threaded modes chunk the candidate set so no pass materialises more than
     /// `MAX_BEATS_PER_PASS` (65536) beats — memory stays flat for arbitrarily large datasets,
@@ -347,11 +341,12 @@ impl KnnEngine {
     /// completed candidate prefix with the run's progress.
     ///
     /// Only an uncapped [`ExecMode::Parallel`] run shards: contiguous candidate shards, each
-    /// scored under the caller's policy on a worker's private datapath, shard statistics merged
-    /// into this engine's totals.  Candidates are independent, so shard boundaries never change
-    /// a bit.  A capped run — cooperative cancellation is a single-unit discipline — and a
-    /// request too small to shard score inline.  Crate-visible so the hierarchical search can
-    /// score under a shared deadline without re-validating per query.
+    /// scored under the caller's policy on the device its pool worker keeps for every shard it
+    /// takes, shard statistics merged into this engine's totals.  Candidates are independent,
+    /// so shard boundaries never change a bit.  A capped run — cooperative cancellation is a
+    /// single-unit discipline — and a request too small to shard score inline on this engine's
+    /// device.  Crate-visible so the hierarchical search can score under a shared deadline
+    /// without re-validating per query.
     pub(crate) fn run_distances<C: AsRef<[f32]> + Sync>(
         &mut self,
         query: &[f32],
@@ -361,22 +356,18 @@ impl KnnEngine {
         cap: u64,
     ) -> (Vec<f32>, CappedFusedRun) {
         if let (0, ExecMode::Parallel { shards }) = (cap, policy.mode) {
-            let config = *self.config();
             let sharded = crate::parallel::shard_chunks(
+                *self.config(),
                 candidates,
                 shards.requested_threads(),
                 Self::MIN_CANDIDATES_PER_SHARD,
-                |shard| {
-                    let mut engine = KnnEngine::with_config(config);
-                    let (distances, _) = engine.score(query, shard, metric, policy, 0);
-                    (distances, engine.stats())
-                },
+                |device, shard| device.score(query, shard, metric, policy, 0),
             );
             if let Some((shards, pool)) = sharded {
                 self.pool.merge(&pool);
                 let before = self.stats.beats;
                 let mut results = Vec::with_capacity(candidates.len());
-                for (shard_distances, shard_stats) in shards {
+                for (shard_distances, shard_stats, _) in shards {
                     results.extend(shard_distances);
                     self.stats.merge(&shard_stats);
                 }
@@ -390,56 +381,10 @@ impl KnnEngine {
                 );
             }
         }
-        self.score(query, candidates, metric, policy, cap)
-    }
-
-    /// Scores `candidates` inline on this engine's datapath at the policy's lane width,
-    /// dispatched as `policy` says ([`FusedScheduler::run_policy`]), with what is left of the
-    /// `cap` threaded through the runs.  The candidate set is chunked so no pass materialises
-    /// more than `MAX_BEATS_PER_PASS` beats; a candidate's own beat train is never split, so
-    /// chunking never changes a bit.
-    fn score<C: AsRef<[f32]>>(
-        &mut self,
-        query: &[f32],
-        candidates: &[C],
-        metric: KnnMetric,
-        policy: &ExecPolicy,
-        cap: u64,
-    ) -> (Vec<f32>, CappedFusedRun) {
-        let lanes = match metric {
-            KnnMetric::Euclidean => EUCLIDEAN_LANES,
-            KnnMetric::Cosine => COSINE_LANES,
-        };
-        let chunk_len = (Self::MAX_BEATS_PER_PASS / query.len().div_ceil(lanes).max(1)).max(1);
-        self.datapath.set_simd_lanes(policy.effective_simd_lanes());
-        let mut results = Vec::with_capacity(candidates.len());
-        let mut progress = CappedFusedRun {
-            beats: 0,
-            complete: true,
-        };
-        for chunk in candidates.chunks(chunk_len) {
-            let Some(remaining) = remaining_beats(cap, progress.beats) else {
-                progress.complete = false;
-                break;
-            };
-            let mut runner = StreamRunner::with_arena(
-                DistanceQuery::new(query, chunk, metric),
-                core::mem::take(&mut self.arena),
-            );
-            let run =
-                self.fused
-                    .run_policy(&mut self.datapath, &mut [&mut runner], policy, remaining);
-            let (batch, distances, arena) = runner.into_parts();
-            self.arena = arena;
-            self.stats.merge(&batch.stats);
-            results.extend(distances);
-            progress.beats += run.beats;
-            if !run.complete {
-                progress.complete = false;
-                break;
-            }
-        }
-        (results, progress)
+        let (distances, stats, progress) =
+            self.device.score(query, candidates, metric, policy, cap);
+        self.stats.merge(&stats);
+        (distances, progress)
     }
 
     /// Squared Euclidean distance between two vectors of arbitrary equal dimension, computed on
@@ -574,11 +519,61 @@ impl KnnEngine {
             }),
         }
     }
+}
 
-    /// Mutable access to the engine's datapath, for sibling engines that layer further query
-    /// kinds (the hierarchical search's candidate-collection filter) onto the same unit.
-    pub(crate) fn datapath_mut(&mut self) -> &mut RayFlexDatapath {
-        &mut self.datapath
+impl Device {
+    /// Scores `candidates` inline on this device at the policy's lane width, dispatched as
+    /// `policy` says ([`FusedScheduler::run_policy`](crate::FusedScheduler::run_policy)), with
+    /// what is left of the `cap` threaded through the runs.  Returns the distances of the
+    /// completed candidate prefix, the run's statistics and its progress.  The candidate set is
+    /// chunked so no pass materialises more than `MAX_BEATS_PER_PASS` beats; a candidate's own
+    /// beat train is never split, so chunking never changes a bit.
+    pub(crate) fn score<C: AsRef<[f32]>>(
+        &mut self,
+        query: &[f32],
+        candidates: &[C],
+        metric: KnnMetric,
+        policy: &ExecPolicy,
+        cap: u64,
+    ) -> (Vec<f32>, KnnStats, CappedFusedRun) {
+        let lanes = match metric {
+            KnnMetric::Euclidean => EUCLIDEAN_LANES,
+            KnnMetric::Cosine => COSINE_LANES,
+        };
+        let chunk_len = (KnnEngine::MAX_BEATS_PER_PASS / query.len().div_ceil(lanes).max(1)).max(1);
+        self.datapath.set_simd_lanes(policy.effective_simd_lanes());
+        let mut results = Vec::with_capacity(candidates.len());
+        let mut stats = KnnStats::default();
+        let mut progress = CappedFusedRun {
+            beats: 0,
+            complete: true,
+        };
+        for chunk in candidates.chunks(chunk_len) {
+            let Some(remaining) = remaining_beats(cap, progress.beats) else {
+                progress.complete = false;
+                break;
+            };
+            let mut runner = StreamRunner::with_arena(
+                DistanceQuery::new(query, chunk, metric),
+                core::mem::take(&mut self.distance),
+            );
+            let run = self.scheduler.run_policy(
+                &mut self.datapath,
+                &mut [&mut runner],
+                policy,
+                remaining,
+            );
+            let (batch, distances, arena) = runner.into_parts();
+            self.distance = arena;
+            stats.merge(&batch.stats);
+            results.extend(distances);
+            progress.beats += run.beats;
+            if !run.complete {
+                progress.complete = false;
+                break;
+            }
+        }
+        (results, stats, progress)
     }
 }
 
@@ -701,6 +696,7 @@ impl Default for KnnEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rayflex_core::RayFlexDatapath;
     use rayflex_geometry::golden;
 
     fn dataset(dim: usize, count: usize) -> Vec<Vec<f32>> {

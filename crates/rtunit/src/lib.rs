@@ -66,6 +66,7 @@
 
 mod beat;
 mod bvh;
+mod device;
 mod error;
 pub mod fault;
 mod hierarchical;

@@ -1,13 +1,14 @@
 //! Thread-parallel ray-stream tracing — the sharding machinery behind
 //! [`ExecMode::Parallel`](crate::ExecMode::Parallel).
 //!
-//! The datapath model is deterministic and per-ray traversal state is independent, so a ray
-//! stream shards trivially: each worker owns a private [`TraversalEngine`] (and therefore a
-//! private functional datapath — ray–box and ray–triangle beats carry no cross-beat state) and
-//! traverses a contiguous chunk of the stream with the fused wavefront discipline.  Hits are
-//! returned in the caller's ray order and per-shard [`TraversalStats`] are summed, so a parallel
-//! run reports exactly the same hits and statistics as a single-threaded one — only wall-clock
-//! time changes.
+//! The datapath model is deterministic and per-item state is independent, so a ray stream, a
+//! candidate set or a radius batch shards trivially: each worker builds one private device (a
+//! functional datapath — ray–box and ray–triangle beats carry no cross-beat state, and a
+//! distance beat train never leaves its chunk — plus its scheduler and arenas) before its first
+//! chunk and runs every chunk it takes on it, whatever the query kind.  Hits are returned in the
+//! caller's ray order and per-chunk [`TraversalStats`] are summed, so a parallel run reports
+//! exactly the same hits and statistics as a single-threaded one — only wall-clock time
+//! changes.
 //!
 //! **Auto-tuned sharding:** spawning workers costs real time, and on one core (or for short
 //! streams) the parallel mode used to be *slower* than the plain batched path (measured on
@@ -34,13 +35,14 @@
 //! environment vendors no external crates, and scoped threads let the workers borrow the scene
 //! and the chunk queues directly.
 //!
-//! **Panic isolation:** a panicking worker no longer takes the whole query down.  Every join
-//! site observes the worker's panic (via the `Err` of [`std::thread::Scope`] join handles) and
-//! retries the poisoned shard's index range **once, inline on the calling thread** — for
-//! traversal shards through the scalar reference path, whose outputs and statistics are
-//! bit-identical to the fused discipline by the cross-policy invariant.  A successful retry is
-//! recorded in [`TraversalStats::shard_fallbacks`]; a shard whose retry *also* dies fails the
-//! checked entry point with the shard index
+//! **Panic isolation:** a panicking chunk no longer takes the whole query down.  Each worker
+//! catches its chunk's panic, drops its device (a panic may have left it half-updated) and
+//! builds a fresh one before its next chunk; the poisoned chunk's index range is retried
+//! **once, inline on the calling thread, on a fresh device** — for traversal chunks through the
+//! scalar reference path, whose outputs and statistics are bit-identical to the wavefront by
+//! the cross-policy invariant.  A successful traversal retry is recorded in
+//! [`TraversalStats::shard_fallbacks`]; a shard whose retry *also* dies fails the checked
+//! entry point with the shard index
 //! ([`QueryError::ShardPanicked`](crate::QueryError::ShardPanicked) through
 //! [`TraversalEngine::try_trace`](crate::TraversalEngine::try_trace)), while the plain entry
 //! points keep their original panic.  Workers call
@@ -59,12 +61,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use rayflex_core::PipelineConfig;
-use rayflex_geometry::Ray;
 
+use crate::device::Device;
 use crate::fault;
 use crate::policy::{ExecMode, ExecPolicy};
-use crate::scene::SceneView;
-use crate::traversal::{TraceOutput, TraceRequest, TraversalEngine, TraversalStats};
+use crate::traversal::{TraceOutput, TraceRequest, TraversalStats};
 
 /// Target chunks per worker in the work-stealing pool: enough surplus that a worker finishing
 /// early has something to steal, small enough that chunk bookkeeping stays negligible next to
@@ -119,21 +120,21 @@ fn chunk_ranges(
 /// The work-stealing pool core: runs `work` over every chunk on up to `workers` scoped threads
 /// and returns the per-chunk results **in chunk order** plus the pool's utilisation counters.
 ///
-/// Each worker owns one state, built by `state` before its first chunk and handed to `work`
-/// for every chunk it runs, so per-worker resources (a traversal engine and its warm arenas)
-/// are paid for once per worker rather than once per chunk.  Chunks are dealt round-robin onto
+/// Each worker builds one [`Device`] of `config` before its first chunk and hands it to `work`
+/// for every chunk it runs, so a datapath, a scheduler and their warm arenas are paid for once
+/// per worker rather than once per chunk.  Chunks are dealt round-robin onto
 /// per-worker deques; a worker pops its own deque from the front (preserving the locality of
 /// the initial deal) and, when empty, steals from the back of the first non-empty victim
 /// deque.  Every chunk runs under [`fault::shard_checkpoint`] with its *global chunk index* —
 /// deterministic no matter which worker executes it — and inside a per-chunk `catch_unwind`, so
 /// a poisoned chunk never takes its worker (or sibling chunks) down: the slot stays `None`, the
-/// caller decides the retry semantics, and the worker rebuilds its state before the next chunk
+/// caller decides the retry semantics, and the worker rebuilds its device before the next chunk
 /// rather than trust what the panic left behind.
-fn steal_map<C: Sync, W, R: Send>(
+fn steal_map<C: Sync, R: Send>(
     chunks: &[C],
     workers: usize,
-    state: impl Fn() -> W + Sync,
-    work: impl Fn(&mut W, &C) -> R + Sync,
+    config: PipelineConfig,
+    work: impl Fn(&mut Device, &C) -> R + Sync,
 ) -> (Vec<Option<R>>, PoolStats) {
     let workers = workers.clamp(1, chunks.len().max(1));
     let queues: Vec<Mutex<VecDeque<usize>>> =
@@ -147,7 +148,7 @@ fn steal_map<C: Sync, W, R: Send>(
         chunks: chunks.len() as u64,
         steals: 0,
     };
-    let (state, work) = (&state, &work);
+    let work = &work;
     let queues = &queues;
     let worker_outputs = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -155,7 +156,7 @@ fn steal_map<C: Sync, W, R: Send>(
                 scope.spawn(move || {
                     let mut local: Vec<(usize, R)> = Vec::new();
                     let mut steals = 0u64;
-                    let mut owned: Option<W> = None;
+                    let mut owned: Option<Device> = None;
                     loop {
                         let mut next = lock_queue(&queues[worker]).pop_front();
                         if next.is_none() {
@@ -169,10 +170,10 @@ fn steal_map<C: Sync, W, R: Send>(
                             }
                         }
                         let Some(index) = next else { break };
-                        let worker_state = owned.get_or_insert_with(state);
+                        let device = owned.get_or_insert_with(|| Device::new(config));
                         let result = catch_unwind(AssertUnwindSafe(|| {
                             fault::shard_checkpoint(index);
-                            work(worker_state, &chunks[index])
+                            work(device, &chunks[index])
                         }));
                         match result {
                             Ok(result) => local.push((index, result)),
@@ -250,29 +251,31 @@ fn pair_effective_threads(closest_len: usize, any_len: usize, threads: usize) ->
 /// run inline (fewer than two chunks of at least `min_per_shard` items would result).  The
 /// skeleton the single-slice parallel backends (the k-NN candidate scorer and the hierarchical
 /// filter) share; the traversal pair backend ([`fused_pair_sharded_checked`]) plans its own
-/// stream-aware chunk set but drains it through the same pool.  A chunk whose worker panicked is retried once
-/// inline (the work is deterministic); a second panic propagates to the caller.
+/// stream-aware chunk set but drains it through the same pool.  `work` runs each chunk on its
+/// worker's device (a [`Device`] of `config`).  A chunk whose worker panicked is retried once
+/// inline on a fresh device (the work is deterministic); a second panic propagates to the
+/// caller.
 pub(crate) fn shard_chunks<T: Sync, R: Send>(
+    config: PipelineConfig,
     items: &[T],
     threads: usize,
     min_per_shard: usize,
-    work: impl Fn(&[T]) -> R + Sync,
+    work: impl Fn(&mut Device, &[T]) -> R + Sync,
 ) -> Option<(Vec<R>, PoolStats)> {
     let workers = effective_threads_for(threads, items.len(), min_per_shard);
     if workers <= 1 {
         return None;
     }
     let ranges = chunk_ranges(items.len(), workers, min_per_shard);
-    let (results, pool) = steal_map(
-        &ranges,
-        workers,
-        || (),
-        |(), range| work(&items[range.clone()]),
-    );
+    let (results, pool) = steal_map(&ranges, workers, config, |device, range| {
+        work(device, &items[range.clone()])
+    });
     let collected = ranges
         .iter()
         .zip(results)
-        .map(|(range, result)| result.unwrap_or_else(|| work(&items[range.clone()])))
+        .map(|(range, result)| {
+            result.unwrap_or_else(|| work(&mut Device::new(config), &items[range.clone()]))
+        })
         .collect();
     Some((collected, pool))
 }
@@ -289,35 +292,25 @@ enum PairChunk {
     Any(core::ops::Range<usize>),
 }
 
-/// The result of a pool-backed pair trace: both hit streams (in the caller's ray order), the
-/// summed domain statistics and the pool's utilisation counters.
-pub(crate) struct PairPoolTrace {
-    /// Both streams' hits, in input order.
-    pub output: TraceOutput,
-    /// Summed traversal statistics (bit-identical to every single-threaded mode).
-    pub stats: TraversalStats,
-    /// Work-stealing pool utilisation (observability only).
-    pub pool: PoolStats,
-}
-
 /// The [`ExecMode::Parallel`] backend for traversal requests: plans a stream-aware chunk set
 /// over the request's (closest-hit, any-hit) pair and drains it through the work-stealing pool,
-/// each worker one private engine running the batched wavefront over each chunk it takes, at
-/// the policy's lane width and coherence (the engine's counters are reset per chunk, so each
-/// chunk reports its own statistics).  Either stream may be empty and the streams may have different
-/// lengths — each stream is chunked independently.  `Ok(None)` means the request is too small
+/// each worker running the batched wavefront over every chunk it takes on its one device, at
+/// the policy's lane width and coherence; each chunk's run returns that chunk's own
+/// statistics.  Either stream may be empty and the streams may have different lengths — each
+/// stream is chunked independently.  `Ok(None)` means the request is too small
 /// to shard (or the policy is not parallel) and belongs inline on the caller's engine.
 ///
-/// Returns hits in input order and summed statistics; all bit-identical to every
-/// single-threaded execution mode.  A worker chunk that panics is retried once through the
-/// scalar reference path (bit-identical results, the fallback counted in
-/// [`TraversalStats::shard_fallbacks`]); `Err(shard)` reports the chunk index whose retry
-/// *also* panicked — the one failure this layer cannot absorb.
+/// Returns hits in input order, summed statistics (both bit-identical to every single-threaded
+/// execution mode) and the pool's utilisation counters.  A worker chunk that panics is retried
+/// once through the scalar reference path on a fresh device (bit-identical by the cross-policy
+/// invariant, the fallback counted in [`TraversalStats::shard_fallbacks`]); `Err(shard)`
+/// reports the chunk index whose retry *also* panicked — the one failure this layer cannot
+/// absorb.
 pub(crate) fn fused_pair_sharded_checked(
     config: PipelineConfig,
     request: &TraceRequest<'_>,
     policy: &ExecPolicy,
-) -> Result<Option<PairPoolTrace>, usize> {
+) -> Result<Option<(TraceOutput, TraversalStats, PoolStats)>, usize> {
     let ExecMode::Parallel { shards } = policy.mode else {
         return Ok(None);
     };
@@ -346,21 +339,16 @@ pub(crate) fn fused_pair_sharded_checked(
                 .map(PairChunk::Any),
         )
         .collect();
-    let slices = |chunk: &PairChunk| match chunk {
-        PairChunk::Closest(range) => (&closest_rays[range.clone()], &any_rays[..0]),
-        PairChunk::Any(range) => (&closest_rays[..0], &any_rays[range.clone()]),
+    let run = |device: &mut Device, chunk: &PairChunk, policy: &ExecPolicy| {
+        let (closest, any) = match chunk {
+            PairChunk::Closest(range) => (&closest_rays[range.clone()], &any_rays[..0]),
+            PairChunk::Any(range) => (&closest_rays[..0], &any_rays[range.clone()]),
+        };
+        device.trace(&TraceRequest::pair_view(view, closest, any), policy, 0)
     };
-    let (results, pool) = steal_map(
-        &chunks,
-        threads,
-        || TraversalEngine::with_config(config),
-        |engine, chunk| {
-            let (closest, any) = slices(chunk);
-            engine.reset_stats();
-            let output = engine.trace(&TraceRequest::pair_view(view, closest, any), &worker);
-            (output, engine.stats())
-        },
-    );
+    let (results, pool) = steal_map(&chunks, threads, config, |device, chunk| {
+        run(device, chunk, &worker)
+    });
     let mut output = TraceOutput {
         closest: Vec::with_capacity(closest_rays.len()),
         any: Vec::with_capacity(any_rays.len()),
@@ -369,52 +357,29 @@ pub(crate) fn fused_pair_sharded_checked(
     for (index, (chunk, result)) in chunks.iter().zip(results).enumerate() {
         // A chunk that panicked gets one scalar-reference retry of just its range, with the
         // fallback recorded; `Err(index)` if the retry dies too.
-        let (hits, chunk_stats) = match result {
+        let (hits, chunk_stats, _) = match result {
             Some(result) => result,
             None => {
-                let (closest, any) = slices(chunk);
-                retry_range_scalar(config, view, closest, any).ok_or(index)?
+                let scalar = ExecPolicy::scalar();
+                let retry = || run(&mut Device::new(config), chunk, &scalar);
+                let (hits, mut stats, progress) =
+                    catch_unwind(AssertUnwindSafe(retry)).map_err(|_| index)?;
+                stats.shard_fallbacks += 1;
+                (hits, stats, progress)
             }
         };
         output.closest.extend(hits.closest);
         output.any.extend(hits.any);
         stats.merge(&chunk_stats);
     }
-    Ok(Some(PairPoolTrace {
-        output,
-        stats,
-        pool,
-    }))
-}
-
-/// The one-shot recovery path for a poisoned traversal shard: re-trace just its index range
-/// through the scalar reference mode on a fresh engine — bit-identical hits and statistics by
-/// the cross-policy invariant — with the fallback recorded in
-/// [`TraversalStats::shard_fallbacks`].  `None` means the retry itself panicked (a persistent
-/// fault, not a transient one).
-fn retry_range_scalar(
-    config: PipelineConfig,
-    view: SceneView<'_>,
-    closest_rays: &[Ray],
-    any_rays: &[Ray],
-) -> Option<(TraceOutput, TraversalStats)> {
-    catch_unwind(AssertUnwindSafe(|| {
-        let mut engine = TraversalEngine::with_config(config);
-        let output = engine.trace(
-            &TraceRequest::pair_view(view, closest_rays, any_rays),
-            &ExecPolicy::scalar(),
-        );
-        let mut stats = engine.stats();
-        stats.shard_fallbacks += 1;
-        (output, stats)
-    }))
-    .ok()
+    Ok(Some((output, stats, pool)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayflex_geometry::{Triangle, Vec3};
+    use crate::TraversalEngine;
+    use rayflex_geometry::{Ray, Triangle, Vec3};
 
     fn scene() -> Vec<Triangle> {
         (0..64)
@@ -547,29 +512,31 @@ mod tests {
     }
 
     #[test]
-    fn each_worker_builds_its_state_once_and_again_after_a_panic() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let built = AtomicUsize::new(0);
+    fn each_worker_builds_one_device_and_again_after_a_panic() {
         let chunks: Vec<usize> = (0..12).collect();
-        let (results, pool) = steal_map(
-            &chunks,
-            3,
-            || built.fetch_add(1, Ordering::Relaxed),
-            |_, &chunk| {
-                assert_ne!(chunk, 5, "chunk 5 is poisoned");
-                chunk * 2
-            },
-        );
+        let config = PipelineConfig::extended_unified();
+        let (results, pool) = steal_map(&chunks, 3, config, |device, &chunk| {
+            assert_ne!(chunk, 5, "chunk 5 is poisoned");
+            // Every chunk runs a beat, so only a device no chunk has run on yet reads zero.
+            let fresh = device.datapath.executed_beats() == 0;
+            let policy = ExecPolicy::wavefront();
+            device.score(&[1.0], &[[2.0]], crate::KnnMetric::Euclidean, &policy, 0);
+            (chunk * 2, fresh)
+        });
         for (chunk, result) in results.iter().enumerate() {
             let expected = (chunk != 5).then_some(chunk * 2);
-            assert_eq!(*result, expected, "chunk {chunk}");
+            assert_eq!(
+                result.map(|(doubled, _)| doubled),
+                expected,
+                "chunk {chunk}"
+            );
         }
-        // One state per worker that ran a chunk, plus at most one rebuild after the panic —
+        // One device per worker that ran a chunk, plus at most one rebuild after the panic —
         // not one per chunk.
-        let built = built.load(Ordering::Relaxed) as u64;
+        let built = results.iter().flatten().filter(|(_, fresh)| *fresh).count() as u64;
         assert!(
             (1..=pool.workers + 1).contains(&built),
-            "{built} states for {} workers",
+            "{built} devices for {} workers",
             pool.workers
         );
     }

@@ -167,8 +167,9 @@ pub enum ExecMode {
     /// single-threaded throughput mode.
     #[default]
     Wavefront,
-    /// The wavefront sharded across worker threads, each worker a private datapath.  Per-shard
-    /// statistics are merged by summation, so totals equal the single-threaded modes exactly.
+    /// The wavefront sharded across worker threads, each worker keeping one private datapath
+    /// (with its scheduler and arenas) warm for every chunk it takes.  Per-chunk statistics
+    /// are merged by summation, so totals equal the single-threaded modes exactly.
     /// Per-beat `BeatMix` attribution stays on the worker datapaths, though: after a genuinely
     /// sharded run the calling engine's own `beat_mix` records nothing (a run small enough to
     /// fall back inline attributes normally).

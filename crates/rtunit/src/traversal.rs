@@ -8,7 +8,7 @@
 //!   schedule below, but executes every beat alone on the register-accurate emulated path — the
 //!   reference every other mode is tested against;
 //! * [`ExecMode::Wavefront`](crate::ExecMode::Wavefront) keeps each whole ray stream in flight
-//!   through the generic [`FusedScheduler`], each pass carrying one stream's segment alone
+//!   through the generic [`FusedScheduler`](crate::FusedScheduler), each pass carrying one stream's segment alone
 //!   (closest-hit first): every pass builds one beat train per active ray into a reusable pass
 //!   of 16-byte beat descriptors, dispatches it in bulk — the kernels fetch each beat's ray from
 //!   the stream's operand table and its boxes or triangle straight from the scene — and applies
@@ -20,7 +20,8 @@
 //!   engine's single datapath (the unified RT unit of §V-A), honouring the policy's per-stream
 //!   beat budget;
 //! * [`ExecMode::Parallel`](crate::ExecMode::Parallel) shards the streams contiguously across
-//!   worker threads, each worker a private datapath running the fused discipline over its slice.
+//!   worker threads; each worker builds one device (datapath, scheduler and arenas) and runs
+//!   the wavefront over every chunk it takes on it.
 //!
 //! Because a ray's own beat sequence is identical under every mode (pending leaf primitives
 //! first, then the next stack node, children pushed nearest-first — with best-hit pruning for
@@ -33,17 +34,16 @@
 //! hierarchical engines run their own kinds through the same scheduler under the same policies.
 
 use core::ops::Range;
-use rayflex_core::{BeatMix, PipelineConfig, RayFlexDatapath, RayFlexResponse, RayOperand};
+use rayflex_core::{BeatMix, PipelineConfig, RayFlexResponse, RayOperand};
 
 use rayflex_geometry::Ray;
 
 use crate::beat::{BeatPass, BeatTables};
 use crate::bvh::ChildRef;
+use crate::device::Device;
 use crate::error::{validate_rays, QueryError, QueryOutcome, SceneValidator};
 use crate::policy::{CoherenceMode, ExecMode, ExecPolicy};
-use crate::query::{
-    BatchQuery, CappedFusedRun, FusedScheduler, QueryKind, RunnerArena, StreamRunner,
-};
+use crate::query::{BatchQuery, CappedFusedRun, QueryKind, RunnerArena, StreamRunner};
 use crate::scene::{handle, handle_low, BoxBounds, NodeStep, Scene, SceneView};
 
 /// The closest hit found by a traversal.
@@ -527,7 +527,7 @@ impl BatchQuery for TraversalQuery<'_> {
 /// The reusable buffers of one traversal stream: the runner arena (per-ray states and pass
 /// bookkeeping) plus the query's operand table.
 #[derive(Debug, Default)]
-struct TraversalArena {
+pub(crate) struct TraversalArena {
     runner: RunnerArena<RayWork>,
     operands: Vec<RayOperand>,
 }
@@ -536,7 +536,7 @@ struct TraversalArena {
 /// one scene and ray slice, runnable side by side with other
 /// [`FusedStream`](crate::FusedStream)s (another traversal
 /// stream, distance scoring, candidate collection) in the shared passes of a
-/// [`FusedScheduler`].
+/// [`FusedScheduler`](crate::FusedScheduler).
 ///
 /// Because the per-ray state machine is exactly the one the engine runs, the hits and
 /// [`TraversalStats`] a fused stream yields are bit-identical to [`TraversalEngine::trace`]
@@ -643,18 +643,15 @@ crate::query::delegate_fused_stream_to_runner!(TraversalStream<'_>);
 /// intersection (the shadow/occlusion query).
 #[derive(Debug)]
 pub struct TraversalEngine {
-    datapath: RayFlexDatapath,
+    /// The RT unit every mode runs its streams on (a sharded parallel run, on each pool
+    /// worker's own device).  Its arenas make a steady-state trace call allocate nothing but
+    /// its output.
+    device: Device,
     stats: TraversalStats,
     /// Work-stealing pool counters accumulated across parallel runs (see
     /// [`TraversalEngine::pool_stats`]); kept apart from [`TraversalStats`] because steal counts
     /// are scheduling artefacts, not mode-invariant workload facts.
     pool: crate::parallel::PoolStats,
-    /// The scheduler every mode runs its streams through (a sharded parallel run, on each
-    /// worker's own engine).
-    fused: FusedScheduler,
-    /// Reusable buffers of the request's two streams (a single-kind request of either kind
-    /// uses only the first), so a steady-state trace call allocates nothing but its output.
-    arenas: [TraversalArena; 2],
 }
 
 impl TraversalEngine {
@@ -668,18 +665,16 @@ impl TraversalEngine {
     #[must_use]
     pub fn with_config(config: PipelineConfig) -> Self {
         TraversalEngine {
-            datapath: RayFlexDatapath::new(config),
+            device: Device::new(config),
             stats: TraversalStats::default(),
             pool: crate::parallel::PoolStats::default(),
-            fused: FusedScheduler::new(),
-            arenas: Default::default(),
         }
     }
 
     /// The datapath configuration this engine drives.
     #[must_use]
     pub fn config(&self) -> &PipelineConfig {
-        self.datapath.config()
+        self.device.datapath.config()
     }
 
     /// The accumulated traversal statistics.
@@ -692,13 +687,7 @@ impl TraversalEngine {
     /// any-hit passes share the datapath, so this attributes mixed workloads).
     #[must_use]
     pub fn beat_mix(&self) -> BeatMix {
-        self.datapath.beat_mix()
-    }
-
-    /// Resets the accumulated statistics (including the pool counters).
-    pub fn reset_stats(&mut self) {
-        self.stats = TraversalStats::default();
-        self.pool = crate::parallel::PoolStats::default();
+        self.device.datapath.beat_mix()
     }
 
     /// Work-stealing pool counters accumulated across every parallel run this engine has
@@ -721,9 +710,9 @@ impl TraversalEngine {
     ///   engine's single datapath, with at most
     ///   [`beat_budget_per_stream`](ExecPolicy::beat_budget_per_stream) beats per stream per
     ///   pass;
-    /// * [`ExecMode::Parallel`] — the streams shard contiguously across worker threads, each
-    ///   worker a private datapath running the fused discipline over its slice; per-shard
-    ///   statistics merge into this engine's totals.
+    /// * [`ExecMode::Parallel`] — the streams shard contiguously across worker threads; each
+    ///   worker keeps one warm datapath for every chunk it takes and runs the wavefront over
+    ///   it, and per-chunk statistics merge into this engine's totals.
     ///
     /// Hits and accumulated [`TraversalStats`] are **bit-identical across all four modes** (and
     /// all beat budgets) — the cross-policy invariant `rtunit/tests/proptest_policy.rs` pins.
@@ -835,9 +824,9 @@ impl TraversalEngine {
     /// capped at `cap` beats (`0` = uncapped), and returns each stream's retired prefix with the
     /// run's progress.
     ///
-    /// Every mode runs through this engine's scheduler ([`FusedScheduler::run_policy`]), the
-    /// scalar reference included, except an uncapped [`ExecMode::Parallel`] run, which shards
-    /// across workers when the request is large enough to pay for them.  A capped run cancels
+    /// Every mode runs on this engine's device ([`Device::trace`]), the scalar reference
+    /// included, except an uncapped [`ExecMode::Parallel`] run, which shards across the pool
+    /// workers' devices when the request is large enough to pay for them.  A capped run cancels
     /// at pass boundaries, a single-unit discipline, so it always runs inline.  `Err(shard)`
     /// names a parallel shard whose scalar retry panicked too.
     fn run(
@@ -849,30 +838,51 @@ impl TraversalEngine {
         if let (0, ExecMode::Parallel { .. }) = (cap, policy.mode) {
             let sharded =
                 crate::parallel::fused_pair_sharded_checked(*self.config(), request, policy)?;
-            if let Some(out) = sharded {
-                self.stats.merge(&out.stats);
-                self.pool.merge(&out.pool);
+            if let Some((output, stats, pool)) = sharded {
+                self.stats.merge(&stats);
+                self.pool.merge(&pool);
                 let progress = CappedFusedRun {
-                    beats: out.stats.total_ops(),
+                    beats: stats.total_ops(),
                     complete: true,
                 };
-                return Ok((out.output, progress));
+                return Ok((output, progress));
             }
         }
-        Ok(self.run_streams(request, policy, cap))
+        let (output, stats, progress) = self.device.trace(request, policy, cap);
+        self.stats.merge(&stats);
+        Ok((output, progress))
     }
 
-    /// Runs the request's streams on this engine's datapath through its scheduler, dispatched
-    /// as `policy` says ([`FusedScheduler::run_policy`]) and capped at `cap` beats (`0` =
-    /// uncapped).  Returns each stream's retired prefix and the run's progress.
-    fn run_streams(
+    /// Number of bulk passes the engine's most recent fused run dispatched (how a beat budget
+    /// reshapes the pass structure — diagnostics for the fairness knob).
+    #[must_use]
+    pub fn last_fused_passes(&self) -> u64 {
+        self.device.scheduler.last_run_passes()
+    }
+
+    /// Per-ray states parked in the two stream arenas.
+    #[cfg(test)]
+    fn pooled_states(&self) -> [usize; 2] {
+        self.device
+            .traversal
+            .each_ref()
+            .map(|arena| arena.runner.pooled_states())
+    }
+}
+
+impl Device {
+    /// Runs the request's streams on this device through its scheduler, dispatched as `policy`
+    /// says ([`FusedScheduler::run_policy`](crate::FusedScheduler::run_policy)) and capped at
+    /// `cap` beats (`0` = uncapped).  Returns each stream's retired prefix, the two streams'
+    /// summed statistics and the run's progress.
+    pub(crate) fn trace(
         &mut self,
         request: &TraceRequest<'_>,
         policy: &ExecPolicy,
         cap: u64,
-    ) -> (TraceOutput, CappedFusedRun) {
+    ) -> (TraceOutput, TraversalStats, CappedFusedRun) {
         self.datapath.set_simd_lanes(policy.effective_simd_lanes());
-        self.fused.set_stream_deadlines(&request.deadlines);
+        self.scheduler.set_stream_deadlines(&request.deadlines);
         let coherence = policy.effective_coherence();
         let stream = |kind, rays, arena, lone| {
             TraversalStream::with_arena(kind, request.view(), rays, arena, lone)
@@ -885,9 +895,9 @@ impl TraversalEngine {
         let wavefront = policy.mode == ExecMode::Wavefront;
         let lone_any = request.closest.is_empty();
         if lone_any {
-            self.arenas.swap(0, 1);
+            self.traversal.swap(0, 1);
         }
-        let [first, second] = core::mem::take(&mut self.arenas);
+        let [first, second] = core::mem::take(&mut self.traversal);
         let mut closest = stream(
             QueryKind::ClosestHit,
             request.closest,
@@ -900,36 +910,20 @@ impl TraversalEngine {
             second,
             wavefront || request.closest.is_empty(),
         );
-        let progress = self.fused.run_policy(
+        let progress = self.scheduler.run_policy(
             &mut self.datapath,
             &mut [&mut closest, &mut any],
             policy,
             cap,
         );
-        let (closest, closest_stats, first) = closest.into_parts();
+        let (closest, mut stats, first) = closest.into_parts();
         let (any, any_stats, second) = any.into_parts();
-        self.arenas = [first, second];
+        self.traversal = [first, second];
         if lone_any {
-            self.arenas.swap(0, 1);
+            self.traversal.swap(0, 1);
         }
-        self.stats.merge(&closest_stats);
-        self.stats.merge(&any_stats);
-        (TraceOutput { closest, any }, progress)
-    }
-
-    /// Number of bulk passes the engine's most recent fused run dispatched (how a beat budget
-    /// reshapes the pass structure — diagnostics for the fairness knob).
-    #[must_use]
-    pub fn last_fused_passes(&self) -> u64 {
-        self.fused.last_run_passes()
-    }
-
-    /// Per-ray states parked in the two stream arenas.
-    #[cfg(test)]
-    fn pooled_states(&self) -> [usize; 2] {
-        self.arenas
-            .each_ref()
-            .map(|arena| arena.runner.pooled_states())
+        stats.merge(&any_stats);
+        (TraceOutput { closest, any }, stats, progress)
     }
 }
 
@@ -1067,8 +1061,6 @@ mod tests {
         );
         assert!(output.closest[0].is_none());
         assert!(output.any[0].is_none());
-        engine.reset_stats();
-        assert_eq!(engine.stats().rays, 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use rayflex_rtunit::{
     KnnEngine, KnnMetric, QueryError, QueryOutcome, Renderer, Scene, TraceRequest, TraversalEngine,
     TraversalStats, MIN_RAYS_PER_SHARD,
 };
-use rayflex_workloads::{adversarial, rays, scenes};
+use rayflex_workloads::{adversarial, rays, scenes, vectors};
 
 /// Every execution discipline the matrix sweeps, including both beat-budget edge values, the
 /// SIMD lane widths of the lane-batched fast path and the two coherence disciplines (the
@@ -539,5 +539,78 @@ proptest! {
         let pool = engine.pool_stats();
         prop_assert_eq!(pool.workers, 2, "two workers");
         prop_assert_eq!(pool.chunks, 8, "adaptive chunking oversharded the stream");
+    }
+
+    /// FaultKind::PoisonShard in the distance and filter pools, the sibling of the traversal
+    /// case above: 8 chunks across two workers, the poisoned chunk from the second half of the
+    /// plan, so the worker whose chunk panics drops its device and goes on to run later chunks
+    /// on a rebuilt one, while the poisoned range is retried once on a fresh device.  Distances,
+    /// neighbour lists and statistics must equal the scalar run bit for bit.
+    #[test]
+    fn poisoned_distance_and_filter_chunks_recover_bit_identically(seed in any::<u64>()) {
+        let victim = 4 + (seed % 4) as usize;
+        let plan = FaultPlan::new(FaultKind::PoisonShard(victim), seed);
+        let policy = ExecPolicy::parallel(2);
+        let scalar = ExecPolicy::scalar();
+        let bits = |distances: &[f32]| distances.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+
+        // 512 candidates: 8 chunks of 64 (`MIN_CANDIDATES_PER_SHARD`).
+        let dataset = vectors::clustered_dataset(seed, 512, 20, 4, 3.0);
+        let query = vectors::queries_near_dataset(seed ^ 1, &dataset, 1, 1.0).remove(0);
+        let candidates = &dataset.vectors;
+        let mut reference = KnnEngine::new();
+        let expected = reference
+            .try_distances(&query, candidates, KnnMetric::Euclidean, &scalar)
+            .expect("clean candidates")
+            .into_output();
+        let mut engine = KnnEngine::new();
+        let outcome = while_armed(&plan, || {
+            no_panic("poisoned distance chunk", || {
+                engine.try_distances(&query, candidates, KnnMetric::Euclidean, &policy)
+            })
+        })
+        .expect("a single poisoned chunk must be recovered, not surfaced");
+        prop_assert!(outcome.is_complete());
+        prop_assert_eq!(bits(outcome.output()), bits(&expected), "recovery must be bit-identical");
+        prop_assert_eq!(engine.stats(), reference.stats(), "beat counts unchanged by recovery");
+        let pool = engine.pool_stats();
+        prop_assert_eq!((pool.workers, pool.chunks), (2, 8), "two workers, eight chunks");
+
+        // 64 radius queries: 8 filter chunks of 8 (`MIN_QUERIES_PER_SHARD`).
+        let points: Vec<Vec3> = scenes::sphere_cloud(seed, 2_000, 40.0, 0.01)
+            .into_iter()
+            .map(|sphere| sphere.center)
+            .collect();
+        let queries: Vec<(Vec3, f32)> = points
+            .iter()
+            .step_by(31)
+            .take(64)
+            .map(|&point| (point + Vec3::splat(0.5), 4.0))
+            .collect();
+        let build = || HierarchicalSearch::build(points.clone(), 0.01, PipelineConfig::extended_unified());
+        let mut reference = build();
+        let expected = reference
+            .try_radius_queries(&queries, &scalar)
+            .expect("clean queries")
+            .into_output();
+        let mut search = build();
+        let outcome = while_armed(&plan, || {
+            no_panic("poisoned filter chunk", || search.try_radius_queries(&queries, &policy))
+        })
+        .expect("a single poisoned chunk must be recovered, not surfaced");
+        prop_assert!(outcome.is_complete());
+        prop_assert!(search.pool_stats().chunks >= 8, "the filter ran through the pool");
+        let neighbours = |lists: &[Vec<rayflex_rtunit::Neighbor>]| {
+            lists
+                .iter()
+                .map(|list| list.iter().map(|n| (n.index, n.distance.to_bits())).collect())
+                .collect::<Vec<Vec<_>>>()
+        };
+        prop_assert_eq!(
+            neighbours(outcome.output()),
+            neighbours(&expected),
+            "recovery must be bit-identical"
+        );
+        prop_assert_eq!(search.stats(), reference.stats(), "beat counts unchanged by recovery");
     }
 }
