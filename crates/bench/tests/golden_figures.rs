@@ -1,16 +1,42 @@
 //! The paper's evaluation figures, pinned exactly.  Fig. 7, 8 and 9 are deterministic outputs
-//! of the analytical FreePDK15 area and power model (`rayflex-synth`), so every number in the
-//! rendered tables and in the Fig. 7 headline is a golden value here: a change to the cell
-//! library, the inventory or the power model fails the test that prints the figure it moved.
+//! of the analytical FreePDK15 area and power model (`rayflex-synth`), and Fig. 4c of the
+//! datapath's stage inventory and its cycle-accurate pipeline, so every number in the rendered
+//! tables, in the Fig. 7 headline and in the Fig. 4c accounting is a golden value here: a change
+//! to the cell library, the inventory, the pipeline or the power model fails the test that
+//! prints the figure it moved.
 //!
 //! The model is not tuned toward the paper.  The extended-unified overhead reads +32.4% against
 //! the paper's +36%: a recorded gap, not a target.  When a deliberate model change moves a
 //! figure, regenerate it with `cargo bench -p rayflex-bench --bench fig7_area` (or `fig8_power`,
-//! `fig9_power_freq`) and update the constant together with the docs that quote it.
+//! `fig9_power_freq`, `fig4c_pipeline_map`) and update the constant together with the docs that
+//! quote it.
 
 use rayflex_bench::{
-    fig7_area_table, fig7_headline_summary, fig8_power_table, fig9_power_frequency_table,
+    fig4c_pipeline_report, fig7_area_table, fig7_headline_summary, fig8_power_table,
+    fig9_power_frequency_table,
 };
+
+const FIG4C: &str = "\
+Fig. 4c — pipeline stage map (baseline-unified)
+| stage | hardware assets | register bits |
+|-------|-----------------|---------------|
+| 1     | 49 conv-in      | 1581          |
+| 2     | 24 add          | 1383          |
+| 3     | 24 mul          | 1482          |
+| 4     | 6 add, 40 cmp   | 457           |
+| 5     | 6 mul           | 457           |
+| 6     | 3 add           | 358           |
+| 7     | 3 mul           | 358           |
+| 8     | 2 add           | 424           |
+| 9     | 2 add           | 325           |
+| 10    | 5 cmp, 2 qsort  | 235           |
+| 11    | 6 conv-out      | 0             |
+
+Measured latency: 11 cycles (fixed), initiation interval: 1.000 cycles/beat, 64 beats completed.
+Peak throughput accounting (§IV-B): 125 elementary FP ops/cycle (paper: 125).
+NVIDIA Turing comparison: 100 Tops / 72 RT units / 1455 MHz = 955 ops/cycle per RT unit,
+so one RT unit is equivalent to about 7.6 RayFlex datapaths (paper: about 7.6).
+";
 
 const FIG7_HEADLINE: &str = "disjoint +13.1% (paper +13%), extended +32.4% (paper +36%), both +93.1% (paper +92%), both-vs-baseline-disjoint +70.8% (paper +70%)";
 
@@ -100,4 +126,9 @@ fn fig8_power_table_is_pinned() {
 #[test]
 fn fig9_power_frequency_table_is_pinned() {
     assert_figure(&fig9_power_frequency_table(), FIG9, "Fig. 9");
+}
+
+#[test]
+fn fig4c_pipeline_report_is_pinned() {
+    assert_figure(&fig4c_pipeline_report(), FIG4C, "Fig. 4c");
 }

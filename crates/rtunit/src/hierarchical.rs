@@ -15,9 +15,9 @@
 //! through the generic batched query engine: the hierarchy filter is the
 //! [`QueryKind::Collect`] state machine (one item per radius query, bulk ray–box passes shared
 //! across a whole query batch — no scalar per-beat datapath calls), and the exact scoring is one
-//! batched distance run per query.  [`CollectStream`] additionally packages the filter for
-//! *fused* scheduling, so candidate collection can share passes with traversal and distance
-//! streams of unrelated workloads.
+//! batched distance run per query.  [`CollectStream`] packages the filter for *fused*
+//! scheduling beside unrelated traversal streams (the server's batch executor runs every radius
+//! query so), and [`radius_neighbors`] finishes every radius answer.
 
 use rayflex_core::{Opcode, PipelineConfig, RayFlexResponse, RayOperand};
 use rayflex_geometry::{Ray, Sphere, Vec3};
@@ -204,15 +204,16 @@ impl<'a> CollectStream<'a> {
         }
     }
 
-    /// One candidate-index list per query (in query order) plus the ray–box beats the filter
-    /// issued, after a fused run completed.
+    /// One candidate-index list per query of the completed query prefix (every query, if the
+    /// run completed) plus the ray–box beats the filter issued, as
+    /// [`TraversalStream::finish_partial`](crate::TraversalStream::finish_partial) does.
     ///
     /// # Panics
     ///
-    /// Panics if the stream was never run to completion.
+    /// Panics if the stream was never run.
     #[must_use]
     pub fn finish(self) -> (Vec<Vec<usize>>, u64) {
-        let (query, candidates) = self.runner.finish();
+        let (query, candidates, _items) = self.runner.finish_partial();
         (candidates, query.box_beats)
     }
 }
@@ -373,32 +374,6 @@ impl HierarchicalSearch {
             .unwrap_or_else(|_| unreachable!("an uncapped search always completes"))
     }
 
-    /// Runs one radius query with up-front validation and deadline-aware cancellation — the
-    /// `Result`-returning variant of [`HierarchicalSearch::radius_query`].
-    ///
-    /// A single query either completes within the deadline (its neighbour list bit-identical
-    /// to the plain entry point's) or surfaces a typed error; there is no meaningful partial
-    /// prefix of one query.  A radius of `0.0` is valid and returns only exact matches.
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError::InvalidRequest`], [`QueryError::DeadlineExceeded`] or
-    /// [`QueryError::BudgetExhausted`].
-    pub fn try_radius_query(
-        &mut self,
-        query: Vec3,
-        radius: f32,
-        policy: &ExecPolicy,
-    ) -> Result<Vec<Neighbor>, QueryError> {
-        match self.try_radius_queries(&[(query, radius)], policy)? {
-            QueryOutcome::Complete(mut lists) => Ok(lists.pop().unwrap_or_default()),
-            QueryOutcome::Partial(partial) => Err(QueryError::DeadlineExceeded {
-                beats_spent: partial.beats_spent,
-                max_total_beats: policy.max_total_beats,
-            }),
-        }
-    }
-
     /// Runs a batch of radius queries with up-front validation and deadline-aware
     /// cancellation — the `Result`-returning variant of [`HierarchicalSearch::radius_queries`].
     ///
@@ -531,14 +506,11 @@ impl HierarchicalSearch {
             };
             let (scored, beats) = self.score_candidates(query, candidates, policy, remaining);
             progress.beats += beats;
-            let Some(mut neighbors) = scored else {
+            let Some(scored) = scored else {
                 progress.complete = false;
                 break;
             };
-            let radius_sq = radius * radius;
-            neighbors.retain(|n| n.distance <= radius_sq);
-            sort_nearest_first(&mut neighbors);
-            results.push(neighbors);
+            results.push(radius_neighbors(scored, radius));
         }
         (results, progress)
     }
@@ -630,6 +602,17 @@ impl HierarchicalSearch {
             .collect();
         (Some(neighbors), run.beats)
     }
+}
+
+/// A radius query's answer from its scored candidates: those within `radius` (squared distance
+/// at most `radius²`), nearest first.  Every radius answer, [`HierarchicalSearch`]'s included,
+/// is finished here.
+#[must_use]
+pub fn radius_neighbors(mut scored: Vec<Neighbor>, radius: f32) -> Vec<Neighbor> {
+    let radius_sq = radius * radius;
+    scored.retain(|n| n.distance <= radius_sq);
+    sort_nearest_first(&mut scored);
+    scored
 }
 
 /// Validates a radius-query batch before a `try_*` run accepts it: every query point finite,

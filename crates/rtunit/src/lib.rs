@@ -82,7 +82,7 @@ mod traversal;
 pub use beat::{BeatPass, BeatTables};
 pub use bvh::{Bvh4, Bvh4Node, ChildRef, Primitive};
 pub use error::{PartialResult, QueryError, QueryOutcome, SceneValidator};
-pub use hierarchical::{CollectStream, HierarchicalSearch, HierarchicalStats};
+pub use hierarchical::{radius_neighbors, CollectStream, HierarchicalSearch, HierarchicalStats};
 pub use knn::{select_k_nearest, DistanceStream, KnnEngine, KnnMetric, KnnStats, Neighbor};
 pub use parallel::{default_parallelism, PoolStats, CHUNKS_PER_WORKER, MIN_RAYS_PER_SHARD};
 pub use policy::{AdmissionOrder, CoherenceMode, ExecMode, ExecPolicy, ShardHint};

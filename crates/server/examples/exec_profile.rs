@@ -11,7 +11,9 @@
 //!
 //! After a warm-up, every rep times one batch of each kind in turn, so a drift of the host
 //! lands on all four alike.  It prints, per kind, the median and interquartile range of the
-//! batch time and the median per request, and finally the median µs per kNN request.
+//! batch time, the median per request and the `(lanes_busy, lane_slots)` one batch adds to
+//! [`BatchExecutor::lane_usage`] (every query kind, radius included, runs on the executor's
+//! datapath; both read zero under `force-scalar`), and finally the median µs per kNN request.
 //! Parameters are fixed; the command takes no flags:
 //!
 //! ```text
@@ -103,8 +105,12 @@ fn main() {
     );
     let kinds = ["trace", "knn", "radius", "mix"];
     let batches: Vec<Vec<Job>> = kinds.iter().map(|kind| batch(kind)).collect();
+    let mut lanes = Vec::with_capacity(kinds.len());
     for (kind, jobs) in kinds.iter().zip(&batches) {
+        let (busy, slots) = executor.lane_usage();
         let responses = executor.execute(jobs);
+        let (busy_after, slots_after) = executor.lane_usage();
+        lanes.push((busy_after - busy, slots_after - slots));
         assert!(
             responses
                 .iter()
@@ -126,11 +132,11 @@ fn main() {
     }
     println!("warm BatchExecutor::execute, {BATCH}-request batches, {REPS} interleaved reps");
     println!(
-        "{:<8} {:>12} {:>10} {:>14}",
-        "kind", "median_us", "iqr_us", "us_per_request"
+        "{:<8} {:>12} {:>10} {:>14} {:>11} {:>11}",
+        "kind", "median_us", "iqr_us", "us_per_request", "lanes_busy", "lane_slots"
     );
     let mut knn_per_request = 0.0;
-    for (kind, times) in kinds.iter().zip(&mut samples) {
+    for ((kind, times), (busy, slots)) in kinds.iter().zip(&mut samples).zip(lanes) {
         times.sort_by(f64::total_cmp);
         let median = quantile(times, 0.5);
         let iqr = quantile(times, 0.75) - quantile(times, 0.25);
@@ -138,7 +144,7 @@ fn main() {
         if *kind == "knn" {
             knn_per_request = per_request;
         }
-        println!("{kind:<8} {median:>12.1} {iqr:>10.1} {per_request:>14.2}");
+        println!("{kind:<8} {median:>12.1} {iqr:>10.1} {per_request:>14.2} {busy:>11} {slots:>11}");
     }
     println!("knn_us_per_request {knn_per_request:.2}");
 }

@@ -1,8 +1,9 @@
-//! The batch executor — the single thread that turns an admitted batch of heterogeneous
-//! requests into one shared [`FusedScheduler`] run.  Trace, any-hit and kNN-distance requests
-//! become per-request [`FusedStream`]s interleaved beat-by-beat on one
-//! [`RayFlexDatapath`]; radius queries run per-cloud through the preloaded
-//! [`HierarchicalSearch`] engines under the same [`ExecPolicy`].
+//! The batch executor — the single thread that serves an admitted batch of heterogeneous
+//! requests as at most two [`FusedScheduler`] rounds on one [`RayFlexDatapath`] (the paper's
+//! unified RT unit, §V-A), under one [`ExecPolicy`] whose batch beat cap spans both rounds.
+//! Round 1 fuses the trace and any-hit [`TraversalStream`]s with one [`CollectStream`] per
+//! queried point cloud; round 2 fuses one [`DistanceStream`] per kNN request and one per radius
+//! query over its collected candidates, whose answer [`radius_neighbors`] then filters and sorts.
 //!
 //! The fused-batching contract is the repo's tentpole invariant: which requests share a batch
 //! changes pass structure and wall-clock only, never a request's outputs or statistics — so a
@@ -12,7 +13,6 @@
 //! [`code::INTERNAL`], and the datapath state rebuilt — a worker is never lost to one bad
 //! batch.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -20,9 +20,9 @@ use std::time::Instant;
 use rayflex_core::{PipelineConfig, RayFlexDatapath};
 use rayflex_geometry::Vec3;
 use rayflex_rtunit::{
-    select_k_nearest, AdmissionOrder, DistanceStream, ExecPolicy, FusedScheduler, FusedStream,
-    HierarchicalSearch, KnnMetric, Neighbor, QueryError, QueryOutcome, SceneValidator,
-    TraversalStream,
+    radius_neighbors, select_k_nearest, AdmissionOrder, Bvh4, CollectStream, DistanceStream,
+    ExecPolicy, FusedScheduler, FusedStream, KnnMetric, Neighbor, QueryError, SceneValidator,
+    TraversalHit, TraversalStream,
 };
 use rayflex_workloads::wire::{
     code, RequestBody, ResponseBody, ResponseFrame, WireHit, WireNeighbor,
@@ -37,8 +37,9 @@ pub struct ExecConfig {
     /// Per-stream per-pass beat budget for the fused scheduler (`0` = unlimited) — the
     /// per-tenant QoS lever: no stream may flood a shared pass past this many beats.
     pub beat_budget: usize,
-    /// Total beat cap per batch run (`0` = uncapped); crossing it cancels cooperatively at a
-    /// pass boundary and answers unfinished requests with a partial or a structured error.
+    /// Total beat cap per batch, spanning both of its fused rounds (`0` = uncapped); crossing it
+    /// cancels cooperatively at a pass boundary and answers unfinished requests with a partial
+    /// or a structured error.
     pub max_batch_beats: u64,
     /// Segment admission order inside shared passes (and batch selection order upstream).
     pub admission: AdmissionOrder,
@@ -85,59 +86,58 @@ fn reject(code: u8, reason: impl Into<String>) -> ResponseBody {
     }
 }
 
-/// What one job contributes to the batch plan after validation.
-enum Plan {
-    /// Index of the job a fused stream serves, plus whether it is a kNN stream (`Some(k)`).
-    Stream { knn_k: Option<u32> },
-    /// A radius query, grouped per cloud after the fused run.
-    Radius {
-        cloud: String,
-        center: Vec3,
-        radius: f32,
-    },
-    /// Already answered (validation reject or shutdown acknowledgement).
-    Done(ResponseBody),
+/// The radius queries of one batch on one cloud, which share one [`CollectStream`].
+struct RadiusGroup<'a> {
+    points: &'a [Vec3],
+    bvh: &'a Bvh4,
+    /// The group's jobs in batch order, and their `(centre, radius)` queries.
+    jobs: Vec<usize>,
+    queries: Vec<(Vec3, f32)>,
 }
 
-/// One fused stream of the mixed batch, tagged with the job it serves.
+/// One fused stream of a round, tagged with what it serves.
 enum BatchStream<'a> {
     Trace {
         stream: TraversalStream<'a>,
         job: usize,
         rays: usize,
     },
-    Distance {
+    Collect {
+        stream: CollectStream<'a>,
+        group: usize,
+    },
+    Knn {
         stream: DistanceStream<'a, Vec<f32>>,
         job: usize,
         k: u32,
     },
+    /// Scoring of the candidates of the radius query `collected[at]`.
+    Radius {
+        stream: DistanceStream<'a, [f32; 3]>,
+        at: usize,
+    },
 }
 
 impl BatchStream<'_> {
-    fn job(&self) -> usize {
-        match self {
-            BatchStream::Trace { job, .. } | BatchStream::Distance { job, .. } => *job,
-        }
-    }
-
     fn as_dyn(&mut self) -> &mut dyn FusedStream {
         match self {
             BatchStream::Trace { stream, .. } => stream,
-            BatchStream::Distance { stream, .. } => stream,
+            BatchStream::Collect { stream, .. } => stream,
+            BatchStream::Knn { stream, .. } => stream,
+            BatchStream::Radius { stream, .. } => stream,
         }
     }
 }
 
-/// The single-threaded batch executor.  Owns the datapath, the fused scheduler and the
-/// per-cloud radius engines; borrows the immutable registry.
+/// The single-threaded batch executor.  Owns the one datapath and fused scheduler every batch
+/// runs on; borrows the immutable registry.
 pub struct BatchExecutor {
     registry: Arc<Registry>,
     datapath: RayFlexDatapath,
     fused: FusedScheduler,
-    clouds: HashMap<String, HierarchicalSearch>,
     config: ExecConfig,
-    /// The one policy every batch runs under, fused runs and radius queries alike: `config`'s
-    /// beat budget, admission order, lane width and batch beat cap.
+    /// The one policy both rounds of every batch run under: `config`'s beat budget, admission
+    /// order, lane width and batch beat cap.
     policy: ExecPolicy,
 }
 
@@ -145,7 +145,6 @@ impl std::fmt::Debug for BatchExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchExecutor")
             .field("config", &self.config)
-            .field("clouds", &self.clouds.len())
             .finish_non_exhaustive()
     }
 }
@@ -154,14 +153,12 @@ impl BatchExecutor {
     /// Builds the executor over a preloaded registry.
     #[must_use]
     pub fn new(registry: Arc<Registry>, config: ExecConfig) -> Self {
-        let clouds = registry.build_cloud_engines();
         let mut datapath = RayFlexDatapath::new(PipelineConfig::extended_unified());
         datapath.set_simd_lanes(config.simd_lanes);
         BatchExecutor {
             registry,
             datapath,
             fused: FusedScheduler::new(),
-            clouds,
             config,
             policy: ExecPolicy::fused()
                 .with_beat_budget(config.beat_budget)
@@ -171,11 +168,12 @@ impl BatchExecutor {
         }
     }
 
-    /// Cumulative `(busy, slots)` SIMD lane counters of the executor's datapath — the modeled
-    /// device utilisation ([`rayflex_core::BeatMix::simd_lane_occupancy`]) the server's drain
-    /// report exposes.  Busy lanes count live beats; slots charge every kernel issue its full
-    /// dispatch width, so `busy / slots` is the fraction of the modeled RT-unit's lanes that
-    /// did useful work.  Resets if a panic forces a datapath rebuild.
+    /// Cumulative `(busy, slots)` SIMD lane counters of the executor's datapath, which every
+    /// query kind runs on — the modeled device utilisation
+    /// ([`rayflex_core::BeatMix::simd_lane_occupancy`]) the server's drain report exposes.
+    /// Busy lanes count live beats; slots charge every kernel issue its full dispatch width,
+    /// so `busy / slots` is the fraction of the modeled RT-unit's lanes that did useful work.
+    /// Resets if a panic forces a datapath rebuild.
     #[must_use]
     pub fn lane_usage(&self) -> (u64, u64) {
         let mix = self.datapath.beat_mix();
@@ -191,10 +189,7 @@ impl BatchExecutor {
             Err(_) => {
                 // The scheduler/datapath may be mid-flight; rebuild rather than reason about
                 // the wreckage.  Rare path — correctness over cost.
-                self.datapath = RayFlexDatapath::new(PipelineConfig::extended_unified());
-                self.datapath.set_simd_lanes(self.config.simd_lanes);
-                self.fused = FusedScheduler::new();
-                self.clouds = self.registry.build_cloud_engines();
+                *self = BatchExecutor::new(Arc::clone(&self.registry), self.config);
                 jobs.iter()
                     .map(|_| reject(code::INTERNAL, "batch execution panicked"))
                     .collect()
@@ -210,17 +205,131 @@ impl BatchExecutor {
     }
 
     fn execute_inner(&mut self, jobs: &[Job]) -> Vec<ResponseBody> {
-        let plans: Vec<Plan> = jobs.iter().map(|job| self.plan(job)).collect();
-        let mut bodies: Vec<Option<ResponseBody>> = plans
-            .iter()
-            .map(|plan| match plan {
-                Plan::Done(body) => Some(body.clone()),
-                _ => None,
-            })
+        let registry = Arc::clone(&self.registry);
+        let mut bodies: Vec<Option<ResponseBody>> =
+            jobs.iter().map(|job| validate(&registry, job)).collect();
+        let admitted: Vec<usize> = (0..jobs.len())
+            .filter(|&job| bodies[job].is_none())
             .collect();
+        let now = Instant::now();
+        let deadline = |job: usize| jobs[job].remaining_deadline_us(now);
+        let cap = self.config.max_batch_beats;
 
-        self.run_fused(jobs, &plans, &mut bodies);
-        self.run_radius(&plans, &mut bodies);
+        // Round 1: trace and any-hit streams, then one candidate collection per cloud.
+        let mut round = Vec::new();
+        for &job in &admitted {
+            let request = &jobs[job].request;
+            let (RequestBody::Trace { rays } | RequestBody::AnyHit { rays }) = &request.body else {
+                continue;
+            };
+            let Some(scene) = registry.scene(&request.scene) else {
+                continue;
+            };
+            let stream = match request.body {
+                RequestBody::Trace { .. } => TraversalStream::closest_hit(scene, rays),
+                _ => TraversalStream::any_hit(scene, rays),
+            };
+            let rays = rays.len();
+            round.push((BatchStream::Trace { stream, job, rays }, deadline(job)));
+        }
+        let groups = radius_groups(&registry, jobs, &admitted);
+        for (group, members) in groups.iter().enumerate() {
+            // A collection serves several jobs and carries no deadline of its own, so EDF admits
+            // it after every stream that has one; that packs the pass's box lanes tighter.
+            let stream = CollectStream::new(members.bvh, &members.queries);
+            round.push((BatchStream::Collect { stream, group }, 0));
+        }
+        let spent = self.run_round(&mut round, cap);
+
+        // Each collected radius query: its job, candidates and their points.
+        let mut collected: Vec<(usize, Vec<usize>, Vec<[f32; 3]>)> = Vec::new();
+        for (entry, _) in round {
+            match entry {
+                BatchStream::Trace { stream, job, rays } => {
+                    bodies[job] = Some(trace_body(&stream.finish_partial().0, rays));
+                }
+                BatchStream::Collect { stream, group } => {
+                    let group = &groups[group];
+                    for (&job, candidates) in group.jobs.iter().zip(stream.finish().0) {
+                        let points = candidates.iter().map(|&index| group.points[index]);
+                        let points = points.map(|p| [p.x, p.y, p.z]).collect();
+                        collected.push((job, candidates, points));
+                    }
+                }
+                BatchStream::Knn { .. } | BatchStream::Radius { .. } => {}
+            }
+        }
+
+        // Round 2: every distance stream, under what is left of the cap.
+        let mut round = Vec::new();
+        for &job in &admitted {
+            let request = &jobs[job].request;
+            let RequestBody::Knn { query, k } = &request.body else {
+                continue;
+            };
+            if let Some(dataset) = registry.dataset(&request.scene) {
+                let stream = DistanceStream::new(query, dataset, KnnMetric::Euclidean);
+                round.push((BatchStream::Knn { stream, job, k: *k }, deadline(job)));
+            }
+        }
+        for (at, (job, _, points)) in collected.iter().enumerate() {
+            let Some((center, _)) = radius_query(&jobs[*job]) else {
+                continue;
+            };
+            let stream = DistanceStream::new(center, points, KnnMetric::Euclidean);
+            round.push((BatchStream::Radius { stream, at }, deadline(*job)));
+        }
+        // A spent cap leaves round 2 unrun; `0` leaves it uncapped.
+        let left = match cap {
+            0 => Some(0),
+            _ => cap.checked_sub(spent).filter(|&left| left > 0),
+        };
+        let ran = left.map(|left| self.run_round(&mut round, left)).is_some();
+        for (mut entry, _) in round {
+            // A distance result is a reduction over every candidate, so an unfinished stream
+            // has no meaningful prefix.
+            let finished = ran && !entry.as_dyn().is_active();
+            match entry {
+                BatchStream::Knn { job, .. } if !finished => {
+                    bodies[job] = Some(reject(
+                        code::DEADLINE_EXCEEDED,
+                        "batch beat cap fired before every candidate was scored",
+                    ));
+                }
+                BatchStream::Knn { stream, job, k } => {
+                    let (distances, _stats) = stream.finish();
+                    bodies[job] = Some(neighbor_body(&select_k_nearest(&distances, k as usize)));
+                }
+                BatchStream::Radius { stream, at } if finished => {
+                    let (job, candidates, _) = &collected[at];
+                    let scored = candidates.iter().zip(stream.finish().0);
+                    let scored = scored.map(|(&index, distance)| Neighbor { index, distance });
+                    let radius = radius_query(&jobs[*job]).map_or(0.0, |(_, radius)| radius);
+                    let neighbors = radius_neighbors(scored.collect(), radius);
+                    bodies[*job] = Some(neighbor_body(&neighbors));
+                }
+                _ => {}
+            }
+        }
+
+        // A radius query unanswered by now lost its collection or its scoring to the cap.
+        for group in &groups {
+            let answered = group.jobs.iter().any(|&job| bodies[job].is_some());
+            for &job in &group.jobs {
+                bodies[job].get_or_insert_with(|| {
+                    if answered {
+                        reject(
+                            code::DEADLINE_EXCEEDED,
+                            "batch beat cap fired before this radius query completed",
+                        )
+                    } else {
+                        error_body(&QueryError::BudgetExhausted {
+                            max_total_beats: cap,
+                        })
+                    }
+                });
+            }
+        }
 
         bodies
             .into_iter()
@@ -228,243 +337,137 @@ impl BatchExecutor {
             .collect()
     }
 
-    /// Validates one request against the registry and classifies its execution path.
-    fn plan(&self, job: &Job) -> Plan {
-        let request = &job.request;
-        if matches!(request.body, RequestBody::Shutdown) {
-            return Plan::Done(ResponseBody::ShutdownAck);
+    /// Runs one round's streams as one fused run on the executor's datapath, capped at `cap`
+    /// beats (`0` = uncapped), each stream admitted by its deadline.  Returns the beats spent.
+    fn run_round(&mut self, round: &mut [(BatchStream<'_>, u64)], cap: u64) -> u64 {
+        if round.is_empty() {
+            return 0;
         }
-        let Some(kind) = self.registry.kind_of(&request.scene) else {
-            return Plan::Done(reject(
-                code::UNKNOWN_SCENE,
-                format!("no preloaded target named {:?}", request.scene),
-            ));
-        };
-        match (&request.body, kind) {
-            (RequestBody::Trace { rays } | RequestBody::AnyHit { rays }, TargetKind::Scene) => {
-                match SceneValidator::validate_rays(rays, "request") {
-                    Ok(()) => Plan::Stream { knn_k: None },
-                    Err(error) => Plan::Done(error_body(&error)),
-                }
-            }
-            (RequestBody::Knn { k, query }, TargetKind::Dataset) => {
-                let dimension = self
-                    .registry
-                    .dataset(&request.scene)
-                    .and_then(|dataset| dataset.first())
-                    .map_or(0, Vec::len);
-                if query.len() != dimension {
-                    Plan::Done(reject(
-                        code::INVALID_REQUEST,
-                        format!(
-                            "query dimension {} does not match dataset dimension {dimension}",
-                            query.len()
-                        ),
-                    ))
-                } else if query.iter().any(|value| !value.is_finite()) {
-                    Plan::Done(reject(code::INVALID_REQUEST, "non-finite query component"))
-                } else {
-                    Plan::Stream { knn_k: Some(*k) }
-                }
-            }
-            (RequestBody::Radius { center, radius }, TargetKind::Cloud) => {
-                if center.iter().any(|value| !value.is_finite()) {
-                    Plan::Done(reject(code::INVALID_REQUEST, "non-finite query centre"))
-                } else if !radius.is_finite() || *radius < 0.0 {
-                    Plan::Done(reject(
-                        code::INVALID_REQUEST,
-                        format!("invalid radius {radius}"),
-                    ))
-                } else {
-                    Plan::Radius {
-                        cloud: request.scene.clone(),
-                        center: Vec3::new(center[0], center[1], center[2]),
-                        radius: *radius,
-                    }
-                }
-            }
-            (_, kind) => Plan::Done(reject(
-                code::UNSUPPORTED,
-                format!(
-                    "target {:?} is a {kind:?}, wrong kind for this query",
-                    request.scene
-                ),
-            )),
-        }
-    }
-
-    /// Runs every trace / any-hit / kNN request of the batch as one shared fused run.
-    fn run_fused(&mut self, jobs: &[Job], plans: &[Plan], bodies: &mut [Option<ResponseBody>]) {
-        let mut streams: Vec<BatchStream<'_>> = Vec::new();
-        for (index, plan) in plans.iter().enumerate() {
-            let Plan::Stream { knn_k } = plan else {
-                continue;
-            };
-            let request = &jobs[index].request;
-            match (&request.body, knn_k) {
-                (RequestBody::Trace { rays }, None) => {
-                    if let Some(scene) = self.registry.scene(&request.scene) {
-                        streams.push(BatchStream::Trace {
-                            stream: TraversalStream::closest_hit(scene, rays),
-                            job: index,
-                            rays: rays.len(),
-                        });
-                    }
-                }
-                (RequestBody::AnyHit { rays }, None) => {
-                    if let Some(scene) = self.registry.scene(&request.scene) {
-                        streams.push(BatchStream::Trace {
-                            stream: TraversalStream::any_hit(scene, rays),
-                            job: index,
-                            rays: rays.len(),
-                        });
-                    }
-                }
-                (RequestBody::Knn { query, .. }, Some(k)) => {
-                    if let Some(dataset) = self.registry.dataset(&request.scene) {
-                        streams.push(BatchStream::Distance {
-                            stream: DistanceStream::new(query, dataset, KnnMetric::Euclidean),
-                            job: index,
-                            k: *k,
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-        if streams.is_empty() {
-            return;
-        }
-
-        let now = Instant::now();
-        let deadlines: Vec<u64> = streams
-            .iter()
-            .map(|stream| jobs[stream.job()].remaining_deadline_us(now))
-            .collect();
+        let deadlines: Vec<u64> = round.iter().map(|&(_, deadline)| deadline).collect();
         self.fused.set_stream_deadlines(&deadlines);
-        {
-            let mut handles: Vec<&mut dyn FusedStream> =
-                streams.iter_mut().map(BatchStream::as_dyn).collect();
-            self.fused.run_policy(
-                &mut self.datapath,
-                &mut handles,
-                &self.policy,
-                self.config.max_batch_beats,
-            );
-        }
-
-        for entry in streams {
-            match entry {
-                BatchStream::Trace { stream, job, rays } => {
-                    let (hits, _stats) = stream.finish_partial();
-                    let prefix = hits.len();
-                    bodies[job] = Some(if prefix == rays {
-                        ResponseBody::Hits {
-                            hits: hits.iter().map(wire_hit).collect(),
-                        }
-                    } else if prefix > 0 {
-                        ResponseBody::PartialHits {
-                            total: rays as u32,
-                            hits: hits[..prefix].iter().map(wire_hit).collect(),
-                        }
-                    } else {
-                        reject(
-                            code::BUDGET_EXHAUSTED,
-                            "batch beat cap fired before the first ray completed",
-                        )
-                    });
-                }
-                BatchStream::Distance { stream, job, k } => {
-                    // A k-nearest result is a global reduction over every candidate distance —
-                    // there is no meaningful completed prefix, so an unfinished stream is a
-                    // deadline miss, not a partial.
-                    bodies[job] = Some(if stream.is_active() {
-                        reject(
-                            code::DEADLINE_EXCEEDED,
-                            "batch beat cap fired before every candidate was scored",
-                        )
-                    } else {
-                        let (distances, _stats) = stream.finish();
-                        ResponseBody::Neighbors {
-                            neighbors: select_k_nearest(&distances, k as usize)
-                                .iter()
-                                .map(wire_neighbor)
-                                .collect(),
-                        }
-                    });
-                }
-            }
-        }
-    }
-
-    /// Runs the batch's radius queries, grouped per cloud so each group shares one fused run
-    /// inside its [`HierarchicalSearch`] engine.
-    fn run_radius(&mut self, plans: &[Plan], bodies: &mut [Option<ResponseBody>]) {
-        let mut groups: HashMap<&str, Vec<(usize, Vec3, f32)>> = HashMap::new();
-        for (index, plan) in plans.iter().enumerate() {
-            if let Plan::Radius {
-                cloud,
-                center,
-                radius,
-            } = plan
-            {
-                groups
-                    .entry(cloud.as_str())
-                    .or_default()
-                    .push((index, *center, *radius));
-            }
-        }
-        // Deterministic group order (HashMap iteration is not) so statistics accumulate
-        // reproducibly; outputs are per-query and unaffected.
-        let mut names: Vec<&str> = groups.keys().copied().collect();
-        names.sort_unstable();
-        for name in names {
-            let Some(group) = groups.get(name) else {
-                continue;
-            };
-            let Some(engine) = self.clouds.get_mut(name) else {
-                for &(index, _, _) in group {
-                    bodies[index] = Some(reject(
-                        code::UNKNOWN_SCENE,
-                        format!("no preloaded cloud named {name:?}"),
-                    ));
-                }
-                continue;
-            };
-            let queries: Vec<(Vec3, f32)> = group
-                .iter()
-                .map(|&(_, center, radius)| (center, radius))
-                .collect();
-            match engine.try_radius_queries(&queries, &self.policy) {
-                Ok(QueryOutcome::Complete(results)) => {
-                    for (&(index, _, _), neighbors) in group.iter().zip(&results) {
-                        bodies[index] = Some(neighbor_body(neighbors));
-                    }
-                }
-                Ok(QueryOutcome::Partial(partial)) => {
-                    for (position, &(index, _, _)) in group.iter().enumerate() {
-                        bodies[index] =
-                            Some(if let Some(neighbors) = partial.output.get(position) {
-                                neighbor_body(neighbors)
-                            } else {
-                                reject(
-                                    code::DEADLINE_EXCEEDED,
-                                    "batch beat cap fired before this radius query completed",
-                                )
-                            });
-                    }
-                }
-                Err(error) => {
-                    for &(index, _, _) in group {
-                        bodies[index] = Some(error_body(&error));
-                    }
-                }
-            }
-        }
+        let mut handles: Vec<&mut dyn FusedStream> = round
+            .iter_mut()
+            .map(|(stream, _)| stream.as_dyn())
+            .collect();
+        self.fused
+            .run_policy(&mut self.datapath, &mut handles, &self.policy, cap)
+            .beats
     }
 }
 
-fn wire_hit(hit: &Option<rayflex_rtunit::TraversalHit>) -> Option<WireHit> {
+/// Validates one request against the registry: the answer of a request that runs no stream
+/// (a reject or a shutdown acknowledgement), or `None` for one that joins the batch's rounds.
+fn validate(registry: &Registry, job: &Job) -> Option<ResponseBody> {
+    let request = &job.request;
+    if matches!(request.body, RequestBody::Shutdown) {
+        return Some(ResponseBody::ShutdownAck);
+    }
+    let Some(kind) = registry.kind_of(&request.scene) else {
+        return Some(reject(
+            code::UNKNOWN_SCENE,
+            format!("no preloaded target named {:?}", request.scene),
+        ));
+    };
+    match (&request.body, kind) {
+        (RequestBody::Trace { rays } | RequestBody::AnyHit { rays }, TargetKind::Scene) => {
+            SceneValidator::validate_rays(rays, "request")
+                .err()
+                .map(|error| error_body(&error))
+        }
+        (RequestBody::Knn { query, .. }, TargetKind::Dataset) => {
+            let dimension = registry
+                .dataset(&request.scene)
+                .and_then(|dataset| dataset.first())
+                .map_or(0, Vec::len);
+            if query.len() != dimension {
+                Some(reject(
+                    code::INVALID_REQUEST,
+                    format!(
+                        "query dimension {} does not match dataset dimension {dimension}",
+                        query.len()
+                    ),
+                ))
+            } else if query.iter().any(|value| !value.is_finite()) {
+                Some(reject(code::INVALID_REQUEST, "non-finite query component"))
+            } else {
+                None
+            }
+        }
+        (RequestBody::Radius { center, radius }, TargetKind::Cloud) => {
+            if center.iter().any(|value| !value.is_finite()) {
+                Some(reject(code::INVALID_REQUEST, "non-finite query centre"))
+            } else if !radius.is_finite() || *radius < 0.0 {
+                Some(reject(
+                    code::INVALID_REQUEST,
+                    format!("invalid radius {radius}"),
+                ))
+            } else {
+                None
+            }
+        }
+        (_, kind) => Some(reject(
+            code::UNSUPPORTED,
+            format!(
+                "target {:?} is a {kind:?}, wrong kind for this query",
+                request.scene
+            ),
+        )),
+    }
+}
+
+/// The centre and radius of a radius request.
+fn radius_query(job: &Job) -> Option<(&[f32; 3], f32)> {
+    match &job.request.body {
+        RequestBody::Radius { center, radius } => Some((center, *radius)),
+        _ => None,
+    }
+}
+
+/// The admitted radius queries grouped by cloud, groups in cloud-name order and each group's
+/// queries in batch order.  Validation admits only radius queries on a cloud.
+fn radius_groups<'a>(
+    registry: &'a Registry,
+    jobs: &[Job],
+    admitted: &[usize],
+) -> Vec<RadiusGroup<'a>> {
+    let mut groups = Vec::new();
+    for (name, points, bvh) in registry.clouds() {
+        let on_cloud = admitted.iter().copied();
+        let on_cloud: Vec<usize> = on_cloud
+            .filter(|&job| jobs[job].request.scene == name)
+            .collect();
+        if on_cloud.is_empty() {
+            continue;
+        }
+        let queries = on_cloud.iter().filter_map(|&job| radius_query(&jobs[job]));
+        let queries = queries.map(|(c, radius)| (Vec3::new(c[0], c[1], c[2]), radius));
+        groups.push(RadiusGroup {
+            points,
+            bvh,
+            queries: queries.collect(),
+            jobs: on_cloud,
+        });
+    }
+    groups
+}
+
+/// The answer to a trace or any-hit request from the completed ray prefix of its stream.
+fn trace_body(hits: &[Option<TraversalHit>], rays: usize) -> ResponseBody {
+    let hits: Vec<Option<WireHit>> = hits.iter().map(wire_hit).collect();
+    if hits.len() == rays {
+        ResponseBody::Hits { hits }
+    } else if hits.is_empty() {
+        reject(
+            code::BUDGET_EXHAUSTED,
+            "batch beat cap fired before the first ray completed",
+        )
+    } else {
+        let total = rays as u32;
+        ResponseBody::PartialHits { total, hits }
+    }
+}
+
+fn wire_hit(hit: &Option<TraversalHit>) -> Option<WireHit> {
     hit.as_ref().map(|hit| WireHit {
         primitive: hit.primitive as u64,
         t: hit.t,
@@ -620,12 +623,62 @@ mod tests {
         );
     }
 
+    fn radius_job(request_id: u64, center: Vec3, radius: f32) -> Job {
+        job(
+            request_id,
+            "cloud",
+            RequestBody::Radius {
+                center: [center.x, center.y, center.z],
+                radius,
+            },
+        )
+    }
+
+    fn error_code_of(body: &ResponseBody) -> Option<u8> {
+        match body {
+            ResponseBody::Error { code, .. } => Some(*code),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_radius_only_batch_runs_on_the_executors_datapath() {
+        let mut exec = executor();
+        let centers = catalog::sample_centers("cloud", 13, 8).expect("catalog centers");
+        let jobs: Vec<Job> = (0u64..)
+            .zip(&centers)
+            .map(|(id, &(center, radius))| radius_job(id, center, radius))
+            .collect();
+        assert_eq!(exec.lane_usage(), (0, 0));
+        let responses = exec.execute(&jobs);
+        let (busy, slots) = exec.lane_usage();
+        // The `force-scalar` build never engages the lane kernels.
+        if rayflex_core::clamp_simd_lanes(ExecConfig::default().simd_lanes) > 1 {
+            assert!(busy > 0 && slots >= busy, "({busy}, {slots})");
+        } else {
+            assert_eq!((busy, slots), (0, 0));
+        }
+        let mut engines = Registry::preload()
+            .expect("catalog preloads")
+            .build_cloud_engines();
+        let engine = engines.get_mut("cloud").expect("cloud preloads");
+        for (response, &(center, radius)) in responses.iter().zip(&centers) {
+            let want = engine
+                .try_radius_queries(&[(center, radius)], &ExecPolicy::fused())
+                .expect("a valid radius query")
+                .into_output()
+                .remove(0);
+            assert_eq!(response.body, neighbor_body(&want));
+        }
+    }
+
     #[test]
     fn a_tiny_batch_cap_degrades_to_partials_or_structured_errors() {
-        // One 64-ray `soup` trace job at one beat per stream per pass, so the batch beat cap
-        // fires after a few rays retire.
+        // One beat per stream per pass, so the batch beat cap fires after a few beats.
         let rays = catalog::sample_rays("soup", 3, 64).expect("catalog rays");
-        let answer = |max_batch_beats| {
+        let centers = catalog::sample_centers("cloud", 5, 2).expect("catalog centers");
+        let queries = catalog::sample_queries("clusters", 11, 1).expect("catalog queries");
+        let answer = |max_batch_beats, jobs: &[Job]| -> Vec<ResponseBody> {
             let mut exec = BatchExecutor::new(
                 Arc::new(Registry::preload().expect("catalog preloads")),
                 ExecConfig {
@@ -634,19 +687,91 @@ mod tests {
                     ..ExecConfig::default()
                 },
             );
-            let jobs = vec![job(9, "soup", RequestBody::Trace { rays: rays.clone() })];
-            exec.execute(&jobs).remove(0).body
+            exec.execute(jobs)
+                .into_iter()
+                .map(|frame| frame.body)
+                .collect()
         };
-        match answer(1) {
-            ResponseBody::Error { code: got, .. } => assert_eq!(got, code::BUDGET_EXHAUSTED),
+        let trace = job(9, "soup", RequestBody::Trace { rays: rays.clone() });
+        match &answer(1, std::slice::from_ref(&trace))[0] {
+            ResponseBody::Error { code: got, .. } => assert_eq!(*got, code::BUDGET_EXHAUSTED),
             other => panic!("a one-beat cap retires no ray, got {other:?}"),
         }
-        match answer(40) {
+        match &answer(40, std::slice::from_ref(&trace))[0] {
             ResponseBody::PartialHits { total, hits } => {
-                assert_eq!(total, 64);
+                assert_eq!(*total, 64);
                 assert!(!hits.is_empty() && hits.len() < 64, "{} hits", hits.len());
             }
             other => panic!("a 40-beat cap retires a strict prefix, got {other:?}"),
+        }
+
+        // A radius query collects in round 1 and scores in round 2.
+        let (center, radius) = centers[0];
+        let radius_only = [radius_job(10, center, radius)];
+        let capped = answer(1, &radius_only);
+        assert_eq!(
+            error_code_of(&capped[0]),
+            Some(code::BUDGET_EXHAUSTED),
+            "{capped:?}"
+        );
+        let registry = Registry::preload().expect("catalog preloads");
+        let mut engines = registry.build_cloud_engines();
+        let want = engines
+            .get_mut("cloud")
+            .expect("cloud preloads")
+            .try_radius_queries(&[(center, radius)], &ExecPolicy::fused())
+            .expect("a valid radius query")
+            .into_output()
+            .remove(0);
+        assert_eq!(answer(0, &radius_only)[0], neighbor_body(&want));
+
+        // A cap one beat past round 1 lets every trace ray and collection finish, then fires
+        // in round 2's first pass.
+        let (_, _, bvh) = registry.clouds().next().expect("cloud preloads");
+        let scene = registry.scene("soup").expect("soup preloads");
+        let mut round_one = [
+            &mut TraversalStream::closest_hit(scene, &rays) as &mut dyn FusedStream,
+            &mut CollectStream::new(bvh, &centers),
+        ];
+        let round_one_beats = FusedScheduler::new()
+            .run_policy(
+                &mut RayFlexDatapath::new(PipelineConfig::extended_unified()),
+                &mut round_one,
+                &ExecPolicy::fused().with_beat_budget(1),
+                0,
+            )
+            .beats;
+        let mut mixed = vec![
+            trace,
+            job(
+                11,
+                "clusters",
+                RequestBody::Knn {
+                    k: 4,
+                    query: queries[0].clone(),
+                },
+            ),
+        ];
+        mixed.extend(
+            (12u64..)
+                .zip(&centers)
+                .map(|(id, &(center, radius))| radius_job(id, center, radius)),
+        );
+        let bodies = answer(round_one_beats + 1, &mixed);
+        assert!(
+            matches!(&bodies[0], ResponseBody::Hits { hits } if hits.len() == 64),
+            "round 1 completes: {:?}",
+            bodies[0]
+        );
+        assert_eq!(error_code_of(&bodies[1]), Some(code::DEADLINE_EXCEEDED));
+        for body in &bodies[2..] {
+            match error_code_of(body) {
+                None => assert!(matches!(body, ResponseBody::Neighbors { .. }), "{body:?}"),
+                Some(got) => assert!(
+                    got == code::DEADLINE_EXCEEDED || got == code::BUDGET_EXHAUSTED,
+                    "{body:?}"
+                ),
+            }
         }
     }
 }

@@ -4,11 +4,15 @@
 //! [`SceneValidator`] contract: validate at scene admission, trace with the plain entry points
 //! thereafter).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use rayflex_core::PipelineConfig;
+use rayflex_geometry::{Sphere, Vec3};
 use rayflex_rtunit::{Bvh4, HierarchicalSearch, QueryError, Scene, SceneValidator};
 use rayflex_workloads::wire::catalog;
+
+/// The radius of the sphere each cloud point becomes in its hierarchy.
+const POINT_RADIUS: f32 = 0.05;
 
 /// What a request's `scene` name resolved to — used to distinguish "unknown name" from "known
 /// name, wrong query kind" in error responses.
@@ -22,14 +26,14 @@ pub enum TargetKind {
     Cloud,
 }
 
-/// The server's preloaded workloads.  Scenes are immutable after startup; the point clouds'
-/// [`HierarchicalSearch`] engines carry mutable statistics, so they live with the executor and
-/// the registry only stores their build inputs.
+/// The server's preloaded workloads, immutable after startup and lent to the executor: each
+/// triangle scene with its BVH, each kNN dataset, and each point cloud with the sphere [`Bvh4`]
+/// its radius queries collect candidates from (one sphere of radius 0.05 per point).
 #[derive(Debug)]
 pub struct Registry {
     scenes: HashMap<String, Scene>,
     datasets: HashMap<String, Vec<Vec<f32>>>,
-    clouds: HashMap<String, Vec<rayflex_geometry::Vec3>>,
+    clouds: BTreeMap<String, (Vec<Vec3>, Bvh4)>,
 }
 
 impl Registry {
@@ -55,12 +59,12 @@ impl Registry {
                 catalog::dataset_vectors(name).unwrap_or_default(),
             );
         }
-        let mut clouds = HashMap::new();
+        let mut clouds = BTreeMap::new();
         for name in catalog::CLOUDS {
-            clouds.insert(
-                name.to_string(),
-                catalog::cloud_points(name).unwrap_or_default(),
-            );
+            let points = catalog::cloud_points(name).unwrap_or_default();
+            let spheres = points.iter().map(|&p| Sphere::new(p, POINT_RADIUS));
+            let bvh = Bvh4::build(&spheres.collect::<Vec<_>>());
+            clouds.insert(name.to_string(), (points, bvh));
         }
         Ok(Registry {
             scenes,
@@ -81,6 +85,12 @@ impl Registry {
         self.datasets.get(name)
     }
 
+    /// Every preloaded point cloud in name order: its name, points and sphere hierarchy.
+    pub fn clouds(&self) -> impl Iterator<Item = (&str, &[Vec3], &Bvh4)> {
+        let clouds = self.clouds.iter();
+        clouds.map(|(name, (points, bvh))| (name.as_str(), points.as_slice(), bvh))
+    }
+
     /// What `name` resolves to, across all three namespaces.
     #[must_use]
     pub fn kind_of(&self, name: &str) -> Option<TargetKind> {
@@ -95,18 +105,19 @@ impl Registry {
         }
     }
 
-    /// Builds the radius-query engines over every preloaded cloud (consumedly — each
-    /// [`HierarchicalSearch`] owns its points).  Called once by the executor at startup.
+    /// Builds a standalone [`HierarchicalSearch`] over a copy of every preloaded cloud.  The
+    /// executor runs radius queries on its own datapath; these engines serve perfbench's traced
+    /// `serve_mix` replay and tests that compare the executor's answers with the library's.
     #[must_use]
     pub fn build_cloud_engines(&self) -> HashMap<String, HierarchicalSearch> {
         self.clouds
             .iter()
-            .map(|(name, points)| {
+            .map(|(name, (points, _))| {
                 (
                     name.clone(),
                     HierarchicalSearch::build(
                         points.clone(),
-                        0.05,
+                        POINT_RADIUS,
                         PipelineConfig::extended_unified(),
                     ),
                 )
@@ -133,6 +144,8 @@ mod tests {
         for name in catalog::CLOUDS {
             assert_eq!(registry.kind_of(name), Some(TargetKind::Cloud));
         }
+        let clouds: Vec<&str> = registry.clouds().map(|(name, ..)| name).collect();
+        assert_eq!(clouds, catalog::CLOUDS);
         assert_eq!(registry.kind_of("no-such-scene"), None);
         assert_eq!(registry.build_cloud_engines().len(), catalog::CLOUDS.len());
     }

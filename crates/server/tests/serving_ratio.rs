@@ -6,8 +6,9 @@
 //! Here the batches are fixed, in arrival order, and every deadline is zero (an EDF key reads
 //! the wall clock), so `lanes_busy`, `lane_slots` and their ratio are deterministic.  The
 //! requests are loadgen's small mix (five trace/any-hit steps, one kNN, one radius in seven),
-//! seeded as the `exec_profile` example seeds them.  Under the `force-scalar` build no lane
-//! kernel runs, so both lane pairs read zero.
+//! seeded as the `exec_profile` example seeds them.  Every query kind runs on the executor's one
+//! datapath, so the pairs count the radius queries' collection and scoring lanes too.  Under
+//! the `force-scalar` build no lane kernel runs, so both lane pairs read zero.
 
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
@@ -98,10 +99,10 @@ fn fixed_batches_pin_the_modeled_batching_ratio() {
     // The `force-scalar` build never engages the lane kernels.
     let lanes = clamp_simd_lanes(ServerConfig::default().simd_lanes) > 1;
     let pin = |pair: (u64, u64)| if lanes { pair } else { (0, 0) };
-    assert_eq!(alone, pin((11_100, 45_344)), "one request per batch");
-    assert_eq!(coalesced, pin((11_100, 22_016)), "{BATCH}-request batches");
+    assert_eq!(alone, pin((13_836, 56_288)), "one request per batch");
+    assert_eq!(coalesced, pin((13_836, 23_840)), "{BATCH}-request batches");
     if lanes {
         let ratio = alone.1 as f64 / coalesced.1 as f64;
-        assert_eq!(format!("{ratio:.4}"), "2.0596", "modeled batching ratio");
+        assert_eq!(format!("{ratio:.4}"), "2.3611", "modeled batching ratio");
     }
 }
