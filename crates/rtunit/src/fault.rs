@@ -30,12 +30,13 @@
 //! # One-shot semantics
 //!
 //! A poisoned shard fires exactly once and disarms itself.  This models a transient execution
-//! fault: the scheduler's one-shot scalar retry of the poisoned index range (see
+//! fault: the pool's one-shot scalar retry of the poisoned index range (see
 //! `crate::parallel`) then succeeds, the recovered output is bit-identical to a clean run, and
-//! the fallback is recorded in [`TraversalStats::shard_fallbacks`](crate::TraversalStats).  A
-//! *persistent* fault (a shard whose retry also dies) surfaces as
-//! [`QueryError::ShardPanicked`](crate::QueryError) instead — the chaos tests cover both by
-//! arming the plan either once or around the retry too.
+//! the fallback is recorded in [`TraversalStats::shard_fallbacks`](crate::TraversalStats).  The
+//! retry never reaches a checkpoint, so no plan can poison it.  A *persistent* fault (a shard
+//! whose retry also dies) fails the run with the chunk's index instead —
+//! [`QueryError::ShardPanicked`](crate::QueryError) through `try_trace` — and is covered by a
+//! unit test in `crate::parallel` whose work panics on one chunk every time it runs.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};

@@ -27,7 +27,8 @@ use crate::bvh::ChildRef;
 use crate::device::Device;
 use crate::error::{QueryError, QueryOutcome};
 use crate::knn::sort_nearest_first;
-use crate::policy::{ExecMode, ExecPolicy};
+use crate::parallel::ShardPlan;
+use crate::policy::ExecPolicy;
 use crate::query::{remaining_beats, BatchQuery, CappedFusedRun, QueryKind, StreamRunner};
 use crate::{Bvh4, KnnEngine, Neighbor};
 
@@ -352,8 +353,8 @@ impl HierarchicalSearch {
     /// per-beat emulated (scalar reference), bulk wavefront/fused passes shared by every query
     /// of the batch, or sharded across workers (parallel) — and the surviving candidates are
     /// scored through [`KnnEngine::distances`] under the same policy.  Neighbour lists and
-    /// [`HierarchicalStats`] are bit-identical across every [`ExecMode`] (pinned by
-    /// `rtunit/tests/proptest_policy.rs`).
+    /// [`HierarchicalStats`] are bit-identical across every [`ExecMode`](crate::ExecMode)
+    /// (pinned by `rtunit/tests/proptest_policy.rs`).
     pub fn radius_queries(
         &mut self,
         queries: &[(Vec3, f32)],
@@ -521,42 +522,41 @@ impl HierarchicalSearch {
     /// progress.  Dispatched as `policy` says at its lane width and coherence — per-beat
     /// emulated reference or bulk ray–box passes shared by the whole batch on the scorer's
     /// device, capped at `cap` beats (`0` = uncapped) — except that an uncapped
-    /// [`ExecMode::Parallel`] run shards the batch contiguously across the pool workers'
-    /// devices, each kept warm for every shard its worker takes.  The per-query walk order is
-    /// policy-invariant, so the candidate lists — and the `box_beats` accounting — never
-    /// change.
+    /// [`ExecMode::Parallel`](crate::ExecMode::Parallel) run shards the batch contiguously
+    /// across the pool workers' devices, each kept warm for every shard its worker takes.  The
+    /// per-query walk order is policy-invariant, so the candidate lists — and the `box_beats`
+    /// accounting — never change.
     fn collect(
         &mut self,
         queries: &[(Vec3, f32)],
         policy: &ExecPolicy,
         cap: u64,
     ) -> (Vec<Vec<usize>>, CappedFusedRun) {
-        if let (0, ExecMode::Parallel { shards }) = (cap, policy.mode) {
+        let plan = ShardPlan::new(policy, cap, &[queries.len()], Self::MIN_QUERIES_PER_SHARD);
+        if let Some(plan) = plan {
             let bvh = &self.bvh;
-            let sharded = crate::parallel::shard_chunks(
-                *self.scorer.config(),
-                queries,
-                shards.requested_threads(),
-                Self::MIN_QUERIES_PER_SHARD,
-                |device, shard| device.collect(bvh, shard, policy, 0),
-            );
-            if let Some((shards, pool)) = sharded {
-                self.pool.merge(&pool);
-                let mut results = Vec::with_capacity(queries.len());
-                let mut beats = 0;
-                for (shard_candidates, box_beats, _) in shards {
-                    results.extend(shard_candidates);
-                    beats += box_beats;
-                }
-                self.stats.box_beats += beats;
-                return (
-                    results,
-                    CappedFusedRun {
-                        beats,
-                        complete: true,
-                    },
-                );
+            let (shards, pool, _) = plan
+                .run(*self.scorer.config(), policy, |device, _, range, policy| {
+                    device.collect(bvh, &queries[range], policy, 0)
+                })
+                .unwrap_or_else(|chunk| {
+                    panic!("filter chunk {chunk} panicked and so did its scalar retry")
+                });
+            self.pool.merge(&pool);
+            let mut results = Vec::with_capacity(queries.len());
+            let mut beats = 0;
+            for (shard_candidates, box_beats, _) in shards {
+                results.extend(shard_candidates);
+                beats += box_beats;
             }
+            self.stats.box_beats += beats;
+            return (
+                results,
+                CappedFusedRun {
+                    beats,
+                    complete: true,
+                },
+            );
         }
         let (candidates, box_beats, run) =
             self.scorer.device.collect(&self.bvh, queries, policy, cap);

@@ -22,7 +22,8 @@ use rayflex_geometry::golden::distance::{COSINE_LANES, EUCLIDEAN_LANES};
 use crate::beat::{BeatPass, BeatTables};
 use crate::device::Device;
 use crate::error::{QueryError, QueryOutcome};
-use crate::policy::{ExecMode, ExecPolicy};
+use crate::parallel::ShardPlan;
+use crate::policy::ExecPolicy;
 use crate::query::{remaining_beats, BatchQuery, CappedFusedRun, QueryKind, StreamRunner};
 use crate::scene::Scene;
 
@@ -310,12 +311,15 @@ impl KnnEngine {
     /// Scores every candidate against `query` under the chosen metric — **the** Distance-kind
     /// entry point, dispatched by the execution policy:
     ///
-    /// * [`ExecMode::ScalarReference`] — every beat executes one at a time through the
-    ///   register-accurate emulated path (the streams' round-robin reference discipline);
-    /// * [`ExecMode::Wavefront`] — candidates share bulk datapath dispatches;
-    /// * [`ExecMode::Fused`] — the same bulk passes, honouring the policy's beat budget;
-    /// * [`ExecMode::Parallel`] — the candidate set shards contiguously across workers, each
-    ///   keeping one warm datapath for every shard it scores.
+    /// * [`ExecMode::ScalarReference`](crate::ExecMode::ScalarReference) — every beat executes
+    ///   one at a time through the register-accurate emulated path (the streams' round-robin
+    ///   reference discipline);
+    /// * [`ExecMode::Wavefront`](crate::ExecMode::Wavefront) — candidates share bulk datapath
+    ///   dispatches;
+    /// * [`ExecMode::Fused`](crate::ExecMode::Fused) — the same bulk passes, honouring the
+    ///   policy's beat budget;
+    /// * [`ExecMode::Parallel`](crate::ExecMode::Parallel) — the candidate set shards
+    ///   contiguously across workers, each keeping one warm datapath for every shard it scores.
     ///
     /// Single-threaded modes chunk the candidate set so no pass materialises more than
     /// `MAX_BEATS_PER_PASS` (65536) beats — memory stays flat for arbitrarily large datasets,
@@ -340,13 +344,13 @@ impl KnnEngine {
     /// `policy` says, capped at `cap` beats (`0` = uncapped), and returns the distances of the
     /// completed candidate prefix with the run's progress.
     ///
-    /// Only an uncapped [`ExecMode::Parallel`] run shards: contiguous candidate shards, each
-    /// scored under the caller's policy on the device its pool worker keeps for every shard it
-    /// takes, shard statistics merged into this engine's totals.  Candidates are independent,
-    /// so shard boundaries never change a bit.  A capped run — cooperative cancellation is a
-    /// single-unit discipline — and a request too small to shard score inline on this engine's
-    /// device.  Crate-visible so the hierarchical search can score under a shared deadline
-    /// without re-validating per query.
+    /// Only an uncapped [`ExecMode::Parallel`](crate::ExecMode::Parallel) run shards:
+    /// contiguous candidate shards, each scored under the caller's policy on the device its pool
+    /// worker keeps for every shard it takes, shard statistics merged into this engine's totals.
+    /// Candidates are independent, so shard boundaries never change a bit.  A capped run —
+    /// cooperative cancellation is a single-unit discipline — and a request too small to shard
+    /// score inline on this engine's device.  Crate-visible so the hierarchical search can score
+    /// under a shared deadline without re-validating per query.
     pub(crate) fn run_distances<C: AsRef<[f32]> + Sync>(
         &mut self,
         query: &[f32],
@@ -355,31 +359,35 @@ impl KnnEngine {
         policy: &ExecPolicy,
         cap: u64,
     ) -> (Vec<f32>, CappedFusedRun) {
-        if let (0, ExecMode::Parallel { shards }) = (cap, policy.mode) {
-            let sharded = crate::parallel::shard_chunks(
-                *self.config(),
-                candidates,
-                shards.requested_threads(),
-                Self::MIN_CANDIDATES_PER_SHARD,
-                |device, shard| device.score(query, shard, metric, policy, 0),
-            );
-            if let Some((shards, pool)) = sharded {
-                self.pool.merge(&pool);
-                let before = self.stats.beats;
-                let mut results = Vec::with_capacity(candidates.len());
-                for (shard_distances, shard_stats, _) in shards {
-                    results.extend(shard_distances);
-                    self.stats.merge(&shard_stats);
-                }
-                let beats = self.stats.beats - before;
-                return (
-                    results,
-                    CappedFusedRun {
-                        beats,
-                        complete: true,
-                    },
-                );
+        let plan = ShardPlan::new(
+            policy,
+            cap,
+            &[candidates.len()],
+            Self::MIN_CANDIDATES_PER_SHARD,
+        );
+        if let Some(plan) = plan {
+            let (shards, pool, _) = plan
+                .run(*self.config(), policy, |device, _, range, policy| {
+                    device.score(query, &candidates[range], metric, policy, 0)
+                })
+                .unwrap_or_else(|chunk| {
+                    panic!("distance chunk {chunk} panicked and so did its scalar retry")
+                });
+            self.pool.merge(&pool);
+            let before = self.stats.beats;
+            let mut results = Vec::with_capacity(candidates.len());
+            for (shard_distances, shard_stats, _) in shards {
+                results.extend(shard_distances);
+                self.stats.merge(&shard_stats);
             }
+            let beats = self.stats.beats - before;
+            return (
+                results,
+                CappedFusedRun {
+                    beats,
+                    complete: true,
+                },
+            );
         }
         let (distances, stats, progress) =
             self.device.score(query, candidates, metric, policy, cap);
@@ -413,7 +421,7 @@ impl KnnEngine {
     /// is scored through [`KnnEngine::distances`] under the given policy, and the winners are
     /// picked by the **bounded on-engine top-k** ([`select_k_nearest`]) built on the paper's
     /// quad-sort substrate — no full CPU sort of all scored candidates.  Neighbours and
-    /// [`KnnStats`] are bit-identical across every [`ExecMode`].
+    /// [`KnnStats`] are bit-identical across every [`ExecMode`](crate::ExecMode).
     ///
     /// # Panics
     ///
@@ -465,7 +473,7 @@ impl KnnEngine {
     /// [`QueryError::BudgetExhausted`] when not even one candidate finished.  Capped runs
     /// score inline on this engine's own datapath in every mode —
     /// cooperative cancellation is a single-unit admission discipline, so
-    /// [`ExecMode::Parallel`] does not shard under a deadline.
+    /// [`ExecMode::Parallel`](crate::ExecMode::Parallel) does not shard under a deadline.
     ///
     /// # Errors
     ///

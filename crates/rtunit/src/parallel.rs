@@ -6,17 +6,17 @@
 //! functional datapath — ray–box and ray–triangle beats carry no cross-beat state, and a
 //! distance beat train never leaves its chunk — plus its scheduler and arenas) before its first
 //! chunk and runs every chunk it takes on it, whatever the query kind.  Hits are returned in the
-//! caller's ray order and per-chunk [`TraversalStats`] are summed, so a parallel run reports
-//! exactly the same hits and statistics as a single-threaded one — only wall-clock time
-//! changes.
+//! caller's ray order and per-chunk [`TraversalStats`](crate::TraversalStats) are summed, so a
+//! parallel run reports exactly the same hits and statistics as a single-threaded one — only
+//! wall-clock time changes.
 //!
 //! **Auto-tuned sharding:** spawning workers costs real time, and on one core (or for short
 //! streams) the parallel mode used to be *slower* than the plain batched path (measured on
 //! all three traversal baseline scenes).  The sharding
 //! therefore clamps the worker count so every chunk carries at least [`MIN_RAYS_PER_SHARD`] rays
 //! (the remainder chunk may run up to `workers - 1` rays short of the floor), and when the
-//! effective count is one it runs the batched wavefront inline on the calling thread — no
-//! spawn, no join, identical results.
+//! effective count is one the request runs inline on the calling engine — no spawn, no join,
+//! identical results.
 //!
 //! **Work stealing:** fixed index-range shards (one per worker) idle workers whenever traversal
 //! depth is uneven — a worker whose shadow rays all retire early sits joined while another grinds
@@ -29,7 +29,7 @@
 //! hits assemble in the caller's order no matter which worker ran what; statistics merge by
 //! summation and are order-invariant.  Per-run pool utilisation (workers, chunks, steals) is
 //! reported as [`PoolStats`] — observability only, deliberately kept out of the mode-invariant
-//! [`TraversalStats`].
+//! [`TraversalStats`](crate::TraversalStats).
 //!
 //! Workers are plain `std::thread::scope` threads rather than a `rayon` pool: the build
 //! environment vendors no external crates, and scoped threads let the workers borrow the scene
@@ -37,25 +37,25 @@
 //!
 //! **Panic isolation:** a panicking chunk no longer takes the whole query down.  Each worker
 //! catches its chunk's panic, drops its device (a panic may have left it half-updated) and
-//! builds a fresh one before its next chunk; the poisoned chunk's index range is retried
-//! **once, inline on the calling thread, on a fresh device** — for traversal chunks through the
-//! scalar reference path, whose outputs and statistics are bit-identical to the wavefront by
-//! the cross-policy invariant.  A successful traversal retry is recorded in
-//! [`TraversalStats::shard_fallbacks`]; a shard whose retry *also* dies fails the checked
-//! entry point with the shard index
-//! ([`QueryError::ShardPanicked`](crate::QueryError::ShardPanicked) through
-//! [`TraversalEngine::try_trace`](crate::TraversalEngine::try_trace)), while the plain entry
-//! points keep their original panic.  Workers call
-//! [`fault::shard_checkpoint`](crate::fault) on entry — one relaxed atomic load — so the
-//! deterministic chaos harness can poison a chosen shard.
+//! builds a fresh one before its next chunk.  Every engine's chunks then follow one retry rule
+//! ([`ShardPlan::run`]): the poisoned chunk is retried **once, inline on the calling thread, on
+//! a fresh device, under [`ExecPolicy::scalar`]**, whose outputs and statistics are
+//! bit-identical to every batched mode by the cross-policy invariant.  Traversal records each
+//! retry in [`TraversalStats::shard_fallbacks`](crate::TraversalStats::shard_fallbacks).  A
+//! chunk whose retry *also* dies fails the run with its chunk index:
+//! [`QueryError::ShardPanicked`](crate::QueryError::ShardPanicked) through
+//! [`TraversalEngine::try_trace`](crate::TraversalEngine::try_trace), a panic from every other
+//! entry point.  Workers call [`fault::shard_checkpoint`](crate::fault) on entry — one relaxed
+//! atomic load — so the deterministic chaos harness can poison a chosen chunk.
 //!
-//! The policy API reaches this machinery from each engine's one run function, and only for
-//! uncapped runs: [`TraversalEngine::trace`](crate::TraversalEngine::trace) (through
-//! [`fused_pair_sharded_checked`]) and the other engines' policy entry points (through
-//! [`shard_chunks`]), plus their `try_*` twins when no deadline is set.  A run capped by
+//! The policy API reaches this machinery from each engine's one run function:
+//! [`TraversalEngine::trace`](crate::TraversalEngine::trace), the k-NN scorer and the
+//! hierarchical filter each plan their streams with [`ShardPlan::new`] and run the plan with
+//! [`ShardPlan::run`], plus their `try_*` twins when no deadline is set.  A run capped by
 //! [`ExecPolicy::max_total_beats`] always executes inline, because cooperative cancellation is a
 //! single-unit discipline.
 
+use core::ops::Range;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -65,7 +65,6 @@ use rayflex_core::PipelineConfig;
 use crate::device::Device;
 use crate::fault;
 use crate::policy::{ExecMode, ExecPolicy};
-use crate::traversal::{TraceOutput, TraceRequest, TraversalStats};
 
 /// Target chunks per worker in the work-stealing pool: enough surplus that a worker finishing
 /// early has something to steal, small enough that chunk bookkeeping stays negligible next to
@@ -73,9 +72,9 @@ use crate::traversal::{TraceOutput, TraceRequest, TraversalStats};
 pub const CHUNKS_PER_WORKER: usize = 4;
 
 /// Utilisation counters of one work-stealing pool run — how the chunks moved, not what they
-/// computed.  Deliberately separate from [`TraversalStats`]: domain statistics are mode- and
-/// schedule-invariant (pinned by the policy matrix tests), while steal counts depend on thread
-/// timing.  Merged across runs like the plain-`u64` `TraversalStats` sums.
+/// computed.  Deliberately separate from [`TraversalStats`](crate::TraversalStats): domain
+/// statistics are mode- and schedule-invariant (pinned by the policy matrix tests), while steal
+/// counts depend on thread timing.  Merged across runs like the plain-`u64` `TraversalStats` sums.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Worker threads the pool spawned.
@@ -88,7 +87,7 @@ pub struct PoolStats {
 
 impl PoolStats {
     /// Accumulates another run's counters (plain summation, commutative like
-    /// [`TraversalStats::merge`]).
+    /// [`TraversalStats::merge`](crate::TraversalStats::merge)).
     pub fn merge(&mut self, other: &PoolStats) {
         self.workers += other.workers;
         self.chunks += other.chunks;
@@ -104,17 +103,13 @@ fn chunk_ranges(
     total: usize,
     workers: usize,
     min_per_chunk: usize,
-) -> Vec<core::ops::Range<usize>> {
-    if total == 0 {
-        return Vec::new();
-    }
+) -> impl Iterator<Item = Range<usize>> {
     let by_floor = (total / min_per_chunk.max(1)).max(1);
     let chunk_count = (workers * CHUNKS_PER_WORKER).clamp(1, by_floor);
     let chunk_len = total.div_ceil(chunk_count).max(1);
     (0..total)
         .step_by(chunk_len)
-        .map(|begin| begin..(begin + chunk_len).min(total))
-        .collect()
+        .map(move |begin| begin..(begin + chunk_len).min(total))
 }
 
 /// The work-stealing pool core: runs `work` over every chunk on up to `workers` scoped threads
@@ -127,9 +122,9 @@ fn chunk_ranges(
 /// the initial deal) and, when empty, steals from the back of the first non-empty victim
 /// deque.  Every chunk runs under [`fault::shard_checkpoint`] with its *global chunk index* —
 /// deterministic no matter which worker executes it — and inside a per-chunk `catch_unwind`, so
-/// a poisoned chunk never takes its worker (or sibling chunks) down: the slot stays `None`, the
-/// caller decides the retry semantics, and the worker rebuilds its device before the next chunk
-/// rather than trust what the panic left behind.
+/// a poisoned chunk never takes its worker (or sibling chunks) down: the slot stays `None` for
+/// [`ShardPlan::run`] to retry, and the worker rebuilds its device before the next chunk rather
+/// than trust what the panic left behind.
 fn steal_map<C: Sync, R: Send>(
     chunks: &[C],
     workers: usize,
@@ -190,8 +185,8 @@ fn steal_map<C: Sync, R: Send>(
             .collect::<Vec<_>>()
     });
     // Workers catch per-chunk panics themselves; a join error would mean the scaffold
-    // itself died, in which case the worker's chunks simply stay `None` and the caller's
-    // retry path owns them.
+    // itself died, in which case the worker's chunks simply stay `None` and the retry owns
+    // them.
     for (local, steals) in worker_outputs.into_iter().flatten() {
         pool.steals += steals;
         for (index, result) in local {
@@ -221,163 +216,99 @@ pub fn default_parallelism() -> usize {
     std::thread::available_parallelism().map_or(4, usize::from)
 }
 
-/// The worker count actually used for `items` work items when `threads` are requested: clamped
-/// so every shard carries at least `min_per_shard` items (and never exceeding one worker per
-/// item).  A result of 1 means "run inline on the calling thread".  The **single** auto-tuning
-/// formula every parallel backend shares, whatever its item granularity (rays, candidate
-/// vectors, radius queries).
-fn effective_threads_for(threads: usize, items: usize, min_per_shard: usize) -> usize {
-    // Floor division: only streams with at least two *full* shards spawn a second worker, so no
-    // shard ever drops below the floor.
-    let by_shard_size = (items / min_per_shard.max(1)).max(1);
-    threads.clamp(1, items.max(1)).min(by_shard_size)
+/// The chunk plan of one sharded run: how many pool workers to spawn and every chunk as its
+/// stream's index and an item range of that stream, stream by stream.  The plan fixes chunk
+/// indices — the identity [`fault::shard_checkpoint`] sees — whichever worker runs what.
+#[derive(Debug)]
+pub(crate) struct ShardPlan {
+    workers: usize,
+    chunks: Vec<(usize, Range<usize>)>,
 }
 
-/// [`effective_threads_for`] at the traversal granularity ([`MIN_RAYS_PER_SHARD`]).
-fn effective_threads(threads: usize, items: usize) -> usize {
-    effective_threads_for(threads, items, MIN_RAYS_PER_SHARD)
-}
-
-/// The worker count a traversal pair request resolves to; at one, the request runs inline on
-/// the calling engine (keeping its pools and beat attribution) instead of spinning up a
-/// throwaway single worker.
-fn pair_effective_threads(closest_len: usize, any_len: usize, threads: usize) -> usize {
-    let total = closest_len.max(any_len);
-    effective_threads(threads, closest_len + any_len).min(total.max(1))
-}
-
-/// Shards `items` into contiguous chunks through the work-stealing pool and collects the
-/// per-chunk results in item order, or returns `None` when auto-tuning decides the work should
-/// run inline (fewer than two chunks of at least `min_per_shard` items would result).  The
-/// skeleton the single-slice parallel backends (the k-NN candidate scorer and the hierarchical
-/// filter) share; the traversal pair backend ([`fused_pair_sharded_checked`]) plans its own
-/// stream-aware chunk set but drains it through the same pool.  `work` runs each chunk on its
-/// worker's device (a [`Device`] of `config`).  A chunk whose worker panicked is retried once
-/// inline on a fresh device (the work is deterministic); a second panic propagates to the
-/// caller.
-pub(crate) fn shard_chunks<T: Sync, R: Send>(
-    config: PipelineConfig,
-    items: &[T],
-    threads: usize,
-    min_per_shard: usize,
-    work: impl Fn(&mut Device, &[T]) -> R + Sync,
-) -> Option<(Vec<R>, PoolStats)> {
-    let workers = effective_threads_for(threads, items.len(), min_per_shard);
-    if workers <= 1 {
-        return None;
-    }
-    let ranges = chunk_ranges(items.len(), workers, min_per_shard);
-    let (results, pool) = steal_map(&ranges, workers, config, |device, range| {
-        work(device, &items[range.clone()])
-    });
-    let collected = ranges
-        .iter()
-        .zip(results)
-        .map(|(range, result)| {
-            result.unwrap_or_else(|| work(&mut Device::new(config), &items[range.clone()]))
-        })
-        .collect();
-    Some((collected, pool))
-}
-
-/// One chunk of a stream-aware pair plan: the shard hint is resolved *per stream*, so a chunk
-/// never straddles the closest/any boundary — a single-kind chunk runs the plain wavefront (the
-/// fused run of a single stream reproduces the wavefront loop exactly), and early-retiring
-/// shadow chunks free their worker to steal bounce-ray chunks instead of stalling behind them.
-#[derive(Debug, Clone)]
-enum PairChunk {
-    /// A contiguous range of the closest-hit stream.
-    Closest(core::ops::Range<usize>),
-    /// A contiguous range of the any-hit stream.
-    Any(core::ops::Range<usize>),
-}
-
-/// The [`ExecMode::Parallel`] backend for traversal requests: plans a stream-aware chunk set
-/// over the request's (closest-hit, any-hit) pair and drains it through the work-stealing pool,
-/// each worker running the batched wavefront over every chunk it takes on its one device, at
-/// the policy's lane width and coherence; each chunk's run returns that chunk's own
-/// statistics.  Either stream may be empty and the streams may have different lengths — each
-/// stream is chunked independently.  `Ok(None)` means the request is too small
-/// to shard (or the policy is not parallel) and belongs inline on the caller's engine.
-///
-/// Returns hits in input order, summed statistics (both bit-identical to every single-threaded
-/// execution mode) and the pool's utilisation counters.  A worker chunk that panics is retried
-/// once through the scalar reference path on a fresh device (bit-identical by the cross-policy
-/// invariant, the fallback counted in [`TraversalStats::shard_fallbacks`]); `Err(shard)`
-/// reports the chunk index whose retry *also* panicked — the one failure this layer cannot
-/// absorb.
-pub(crate) fn fused_pair_sharded_checked(
-    config: PipelineConfig,
-    request: &TraceRequest<'_>,
-    policy: &ExecPolicy,
-) -> Result<Option<(TraceOutput, TraversalStats, PoolStats)>, usize> {
-    let ExecMode::Parallel { shards } = policy.mode else {
-        return Ok(None);
-    };
-    let (view, closest_rays, any_rays) =
-        (request.view(), request.closest_rays(), request.any_rays());
-    let threads = pair_effective_threads(
-        closest_rays.len(),
-        any_rays.len(),
-        shards.requested_threads(),
-    );
-    if threads <= 1 {
-        return Ok(None);
-    }
-    let worker = ExecPolicy::wavefront()
-        .with_simd_lanes(policy.simd_lanes)
-        .with_coherence(policy.coherence);
-    // Stream-aware plan: each stream is chunked independently against the same worker budget
-    // and chunk floor, closest chunks first.  Chunk indices — the identity
-    // `fault::shard_checkpoint` sees — are fixed by this plan, not by which worker steals what.
-    let chunks: Vec<PairChunk> = chunk_ranges(closest_rays.len(), threads, MIN_RAYS_PER_SHARD)
-        .into_iter()
-        .map(PairChunk::Closest)
-        .chain(
-            chunk_ranges(any_rays.len(), threads, MIN_RAYS_PER_SHARD)
-                .into_iter()
-                .map(PairChunk::Any),
-        )
-        .collect();
-    let run = |device: &mut Device, chunk: &PairChunk, policy: &ExecPolicy| {
-        let (closest, any) = match chunk {
-            PairChunk::Closest(range) => (&closest_rays[range.clone()], &any_rays[..0]),
-            PairChunk::Any(range) => (&closest_rays[..0], &any_rays[range.clone()]),
+impl ShardPlan {
+    /// Plans an uncapped [`ExecMode::Parallel`] run of `policy` over streams of the given
+    /// lengths (traversal passes its closest-hit and any-hit streams, the other engines one).
+    /// Returns `None` when the run belongs inline on the calling engine, keeping its warm device
+    /// and beat attribution: in every other mode, under a beat cap `cap` (cooperative
+    /// cancellation is a single-unit discipline), and when the work is too short for two
+    /// workers.
+    ///
+    /// The **single** auto-tuning formula every engine shares, whatever its item granularity
+    /// (rays, candidate vectors, radius queries): the policy's thread hint is clamped so every
+    /// chunk carries at least `min_per_chunk` items of the streams' total — floor division, so
+    /// only work holding two *full* chunks spawns a second worker — and to the longest stream.
+    /// Each stream is then cut on its own by [`chunk_ranges`], so a chunk never straddles two
+    /// streams and an early-retiring shadow chunk frees its worker to steal bounce-ray chunks.
+    pub(crate) fn new(
+        policy: &ExecPolicy,
+        cap: u64,
+        streams: &[usize],
+        min_per_chunk: usize,
+    ) -> Option<Self> {
+        let (0, ExecMode::Parallel { shards }) = (cap, policy.mode) else {
+            return None;
         };
-        device.trace(&TraceRequest::pair_view(view, closest, any), policy, 0)
-    };
-    let (results, pool) = steal_map(&chunks, threads, config, |device, chunk| {
-        run(device, chunk, &worker)
-    });
-    let mut output = TraceOutput {
-        closest: Vec::with_capacity(closest_rays.len()),
-        any: Vec::with_capacity(any_rays.len()),
-    };
-    let mut stats = TraversalStats::default();
-    for (index, (chunk, result)) in chunks.iter().zip(results).enumerate() {
-        // A chunk that panicked gets one scalar-reference retry of just its range, with the
-        // fallback recorded; `Err(index)` if the retry dies too.
-        let (hits, chunk_stats, _) = match result {
-            Some(result) => result,
-            None => {
-                let scalar = ExecPolicy::scalar();
-                let retry = || run(&mut Device::new(config), chunk, &scalar);
-                let (hits, mut stats, progress) =
-                    catch_unwind(AssertUnwindSafe(retry)).map_err(|_| index)?;
-                stats.shard_fallbacks += 1;
-                (hits, stats, progress)
-            }
-        };
-        output.closest.extend(hits.closest);
-        output.any.extend(hits.any);
-        stats.merge(&chunk_stats);
+        let total: usize = streams.iter().sum();
+        let longest = streams.iter().copied().max().unwrap_or(0);
+        let workers = shards
+            .requested_threads()
+            .min(total / min_per_chunk.max(1))
+            .min(longest);
+        if workers <= 1 {
+            return None;
+        }
+        let chunks = streams
+            .iter()
+            .enumerate()
+            .flat_map(|(stream, &len)| {
+                chunk_ranges(len, workers, min_per_chunk).map(move |range| (stream, range))
+            })
+            .collect();
+        Some(ShardPlan { workers, chunks })
     }
-    Ok(Some((output, stats, pool)))
+
+    /// Runs every chunk through the work-stealing pool: `work` gets the worker's device, the
+    /// chunk's stream index and item range, and the policy to run it under — the caller's.  A
+    /// chunk whose worker panicked is retried once, inline on a fresh device under
+    /// [`ExecPolicy::scalar`], inside `catch_unwind`; the work is deterministic and the scalar
+    /// reference bit-identical to every batched mode, so a retried chunk returns exactly what
+    /// its worker would have.
+    ///
+    /// Returns the chunk results in plan order, the pool's counters and the number of retried
+    /// chunks, or `Err(chunk)`: the plan index of the first chunk whose retry panicked too.
+    pub(crate) fn run<R: Send>(
+        &self,
+        config: PipelineConfig,
+        policy: &ExecPolicy,
+        work: impl Fn(&mut Device, usize, Range<usize>, &ExecPolicy) -> R + Sync,
+    ) -> Result<(Vec<R>, PoolStats, u64), usize> {
+        let (results, pool) = steal_map(&self.chunks, self.workers, config, |device, chunk| {
+            work(device, chunk.0, chunk.1.clone(), policy)
+        });
+        let scalar = ExecPolicy::scalar();
+        let mut retried = 0;
+        let results = self
+            .chunks
+            .iter()
+            .zip(results)
+            .enumerate()
+            .map(|(index, ((stream, range), result))| match result {
+                Some(result) => Ok(result),
+                None => {
+                    retried += 1;
+                    let retry = || work(&mut Device::new(config), *stream, range.clone(), &scalar);
+                    catch_unwind(AssertUnwindSafe(retry)).map_err(|_| index)
+                }
+            })
+            .collect::<Result<_, _>>()?;
+        Ok((results, pool, retried))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traversal::{TraceRequest, TraversalStats};
     use crate::TraversalEngine;
     use rayflex_geometry::{Ray, Triangle, Vec3};
 
@@ -441,24 +372,31 @@ mod tests {
         }
     }
 
+    /// The `(workers, chunks)` of the plan over `streams`, `(1, 0)` when the work runs inline.
+    fn plan(streams: &[usize], threads: usize, floor: usize) -> (usize, usize) {
+        ShardPlan::new(&ExecPolicy::parallel(threads), 0, streams, floor)
+            .map_or((1, 0), |plan| (plan.workers, plan.chunks.len()))
+    }
+
     #[test]
     fn short_streams_fall_back_to_the_single_engine_path() {
+        let workers = |threads, items| plan(&[items], threads, MIN_RAYS_PER_SHARD).0;
         // Below the shard threshold every request degenerates to one inline engine.
-        assert_eq!(effective_threads(8, 0), 1);
-        assert_eq!(effective_threads(8, 1), 1);
-        assert_eq!(effective_threads(8, MIN_RAYS_PER_SHARD), 1);
-        assert_eq!(effective_threads(1, 10 * MIN_RAYS_PER_SHARD), 1);
+        assert_eq!(workers(8, 0), 1);
+        assert_eq!(workers(8, 1), 1);
+        assert_eq!(workers(8, MIN_RAYS_PER_SHARD), 1);
+        assert_eq!(workers(1, 10 * MIN_RAYS_PER_SHARD), 1);
         // A stream must hold two *full* shards before a second worker spawns: no worker may
         // ever receive a shard below the floor.
-        assert_eq!(effective_threads(8, 2 * MIN_RAYS_PER_SHARD - 1), 1);
-        assert_eq!(effective_threads(8, 2 * MIN_RAYS_PER_SHARD), 2);
-        assert_eq!(effective_threads(8, 3 * MIN_RAYS_PER_SHARD - 1), 2);
-        assert_eq!(effective_threads(2, 64 * MIN_RAYS_PER_SHARD), 2);
-        assert_eq!(effective_threads(0, 2 * MIN_RAYS_PER_SHARD), 1);
+        assert_eq!(workers(8, 2 * MIN_RAYS_PER_SHARD - 1), 1);
+        assert_eq!(workers(8, 2 * MIN_RAYS_PER_SHARD), 2);
+        assert_eq!(workers(8, 3 * MIN_RAYS_PER_SHARD - 1), 2);
+        assert_eq!(workers(2, 64 * MIN_RAYS_PER_SHARD), 2);
+        assert_eq!(workers(0, 2 * MIN_RAYS_PER_SHARD), 1);
         // Every spawned worker's contiguous chunk stays at (or within a worker count of) the
         // floor — ceiling chunking can shave at most `threads - 1` rays off the last shard.
         for items in [513usize, 767, 1000, 1025, 4096] {
-            let threads = effective_threads(8, items);
+            let threads = workers(8, items);
             if threads > 1 {
                 let shard_len = items.div_ceil(threads);
                 let last = items - shard_len * (threads - 1);
@@ -468,6 +406,57 @@ mod tests {
                 );
             }
         }
+        // A pair shares one worker budget over both streams' total, capped by the longer
+        // stream, and each stream is cut on its own.
+        let floor = MIN_RAYS_PER_SHARD;
+        for (streams, threads, floor, expected) in [
+            ([0, 0], 8, floor, (1, 0)),
+            ([100, 100], 8, floor, (1, 0)),
+            ([256, 255], 8, floor, (1, 0)),
+            ([256, 256], 8, floor, (2, 2)),
+            ([512, 0], 8, floor, (2, 2)),
+            ([0, 512], 8, floor, (2, 2)),
+            ([0, 600], 2, floor, (2, 2)),
+            ([300, 300], 8, floor, (2, 2)),
+            ([1024, 300], 2, floor, (2, 5)),
+            ([511, 511], 8, floor, (3, 2)),
+            ([2048, 2048], 8, floor, (8, 16)),
+            // The longer stream clamps the worker count.
+            ([3, 2], 8, 1, (3, 5)),
+            ([5, 1], 8, 1, (5, 6)),
+        ] {
+            assert_eq!(
+                plan(&streams, threads, floor),
+                expected,
+                "{streams:?} at {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_chunk_whose_retry_dies_too_fails_the_run_with_its_index() {
+        // Eight chunks of eight items over two workers; chunk 5 holds items 40..48.
+        let policy = ExecPolicy::parallel(2);
+        let plan = ShardPlan::new(&policy, 0, &[64], 8).expect("64 items shard");
+        let config = PipelineConfig::baseline_unified();
+        let always = plan.run(config, &policy, |_, _, range, _| {
+            assert_ne!(range.start, 40, "chunk 5 is poisoned");
+            range.len()
+        });
+        assert_eq!(always.err(), Some(5), "the retry died too");
+
+        let (lens, pool, retried) = plan
+            .run(config, &policy, |_, _, range, policy| {
+                let retry = policy.mode == ExecMode::ScalarReference;
+                assert!(
+                    range.start != 40 || retry,
+                    "chunk 5 is poisoned on the pool"
+                );
+                range.len()
+            })
+            .expect("the scalar retry recovers");
+        assert_eq!(lens, vec![8; 8]);
+        assert_eq!((pool.chunks, retried), (8, 1));
     }
 
     #[test]
@@ -572,5 +561,25 @@ mod tests {
             reference.stats(),
             "beat counts unchanged by recovery"
         );
+
+        // A pair plans its closest-hit chunks (0 and 1) before its any-hit chunks (2 and 3);
+        // poisoning an any-hit chunk retries it as a lone any-hit stream.
+        let shadow: Vec<Ray> = rays
+            .iter()
+            .map(|r| Ray::with_extent(r.origin, r.dir, 1e-3, 30.0))
+            .collect();
+        let request = TraceRequest::pair(&flat, &rays, &shadow);
+        let mut reference = TraversalEngine::baseline();
+        let expected = reference.trace(&request, &ExecPolicy::scalar());
+        let plan = FaultPlan::new(FaultKind::PoisonShard(3), 0);
+        let mut engine = TraversalEngine::baseline();
+        let got = while_armed(&plan, || engine.trace(&request, &ExecPolicy::parallel(2)));
+        assert_eq!(got.closest, expected.closest);
+        assert_eq!(got.any, expected.any);
+        assert_eq!(engine.pool_stats().chunks, 4);
+        let mut stats = engine.stats();
+        assert_eq!(stats.shard_fallbacks, 1, "the any-hit chunk fell back");
+        stats.shard_fallbacks = 0;
+        assert_eq!(stats, reference.stats());
     }
 }

@@ -367,7 +367,8 @@ fn extract_surfels_with(
     (surfels, pixels)
 }
 
-/// Which query kind a deferred pass traces — the hook the three execution modes implement.
+/// Which query kind a deferred pass traces: the stream of the single-kind request the frame's
+/// tracer builds for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PassKind {
     /// The primary pass: closest-hit rays.

@@ -42,6 +42,7 @@ use crate::beat::{BeatPass, BeatTables};
 use crate::bvh::ChildRef;
 use crate::device::Device;
 use crate::error::{validate_rays, QueryError, QueryOutcome, SceneValidator};
+use crate::parallel::{ShardPlan, MIN_RAYS_PER_SHARD};
 use crate::policy::{CoherenceMode, ExecMode, ExecPolicy};
 use crate::query::{BatchQuery, CappedFusedRun, QueryKind, RunnerArena, StreamRunner};
 use crate::scene::{handle, handle_low, BoxBounds, NodeStep, Scene, SceneView};
@@ -173,7 +174,8 @@ impl<'a> TraceRequest<'a> {
         self.view
     }
 
-    /// A both-streams request straight over a borrowed view (the parallel backend's retry path).
+    /// A both-streams request straight over a borrowed view (a parallel chunk, or one ray of the
+    /// RT-unit timing model).
     pub(crate) fn pair_view(view: SceneView<'a>, closest: &'a [Ray], any: &'a [Ray]) -> Self {
         TraceRequest {
             view,
@@ -710,9 +712,10 @@ impl TraversalEngine {
     ///   engine's single datapath, with at most
     ///   [`beat_budget_per_stream`](ExecPolicy::beat_budget_per_stream) beats per stream per
     ///   pass;
-    /// * [`ExecMode::Parallel`] — the streams shard contiguously across worker threads; each
-    ///   worker keeps one warm datapath for every chunk it takes and runs the wavefront over
-    ///   it, and per-chunk statistics merge into this engine's totals.
+    /// * [`ExecMode::Parallel`] — each stream shards contiguously across worker threads; each
+    ///   worker keeps one warm datapath for every chunk it takes, a chunk of one stream fills
+    ///   its passes alone as under the wavefront, and per-chunk statistics merge into this
+    ///   engine's totals.
     ///
     /// Hits and accumulated [`TraversalStats`] are **bit-identical across all four modes** (and
     /// all beat budgets) — the cross-policy invariant `rtunit/tests/proptest_policy.rs` pins.
@@ -835,18 +838,39 @@ impl TraversalEngine {
         policy: &ExecPolicy,
         cap: u64,
     ) -> Result<(TraceOutput, CappedFusedRun), usize> {
-        if let (0, ExecMode::Parallel { .. }) = (cap, policy.mode) {
-            let sharded =
-                crate::parallel::fused_pair_sharded_checked(*self.config(), request, policy)?;
-            if let Some((output, stats, pool)) = sharded {
-                self.stats.merge(&stats);
-                self.pool.merge(&pool);
-                let progress = CappedFusedRun {
-                    beats: stats.total_ops(),
-                    complete: true,
-                };
-                return Ok((output, progress));
+        let (closest, any) = (request.closest, request.any);
+        let plan = ShardPlan::new(policy, cap, &[closest.len(), any.len()], MIN_RAYS_PER_SHARD);
+        if let Some(plan) = plan {
+            let view = request.view();
+            let (chunks, pool, retried) =
+                plan.run(*self.config(), policy, |device, stream, range, policy| {
+                    let (closest, any) = if stream == 0 {
+                        (&closest[range], &any[..0])
+                    } else {
+                        (&closest[..0], &any[range])
+                    };
+                    device.trace(&TraceRequest::pair_view(view, closest, any), policy, 0)
+                })?;
+            let mut output = TraceOutput {
+                closest: Vec::with_capacity(closest.len()),
+                any: Vec::with_capacity(any.len()),
+            };
+            let mut stats = TraversalStats {
+                shard_fallbacks: retried,
+                ..TraversalStats::default()
+            };
+            for (hits, chunk_stats, _) in chunks {
+                output.closest.extend(hits.closest);
+                output.any.extend(hits.any);
+                stats.merge(&chunk_stats);
             }
+            self.stats.merge(&stats);
+            self.pool.merge(&pool);
+            let progress = CappedFusedRun {
+                beats: stats.total_ops(),
+                complete: true,
+            };
+            return Ok((output, progress));
         }
         let (output, stats, progress) = self.device.trace(request, policy, cap);
         self.stats.merge(&stats);
